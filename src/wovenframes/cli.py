@@ -15,13 +15,8 @@ import sys
 
 import numpy as np
 
-from .errors import TooManyPartitions, ToolkitError
-from .frames import (
-    DiscreteFrame,
-    bessel_bound,
-    is_riesz_basis,
-    optimal_bounds,
-)
+from .errors import ToolkitError
+from .frames import DiscreteFrame, optimal_bounds
 from .fusion import (
     FusionFrame,
     Subspace,
@@ -42,7 +37,6 @@ from .weaving import (
     FUSION,
     WovenFamily,
     WovenReport,
-    find_nonwoven_witness,
     partition_cap,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
@@ -265,8 +259,8 @@ def cmd_analyze(args) -> int:
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_frame": rep.is_frame,
-                    "bessel_bound": bessel_bound(s),
-                    "is_riesz_basis": is_riesz_basis(s),
+                    "bessel_bound": rep.upper,
+                    "is_riesz_basis": s.size == s.dim and rep.is_frame,
                 }
             )
         else:
@@ -299,23 +293,16 @@ def cmd_woven(args) -> int:
     if args.samples is not None:
         report = woven_bounds_sampled(family, args.samples, args.seed)
     else:
-        if family.m**family.n > partition_cap():
-            raise TooManyPartitions(
-                f"{family.m}^{family.n} partitions exceeds the cap "
-                f"{partition_cap()}; pass --samples N --seed S"
-            )
-        report = woven_bounds_exhaustive(family)
+        report = woven_bounds_exhaustive(family, eps=max(args.eps, 1e-300))
     payload = _woven_report_payload(report)
     witness = None
-    if not report.is_woven and report.method == "exhaustive":
-        found = find_nonwoven_witness(family, eps=max(args.eps, 1e-300))
-        if found is not None:
-            partition, vector, value = found
-            witness = {
-                "partition": list(partition.assignment),
-                "vector": vector.tolist(),
-                "value": value,
-            }
+    if not report.is_woven and report.witness is not None:
+        partition, vector, value = report.witness
+        witness = {
+            "partition": list(partition.assignment),
+            "vector": vector.tolist(),
+            "value": value,
+        }
     payload["witness"] = witness
     _emit(
         {

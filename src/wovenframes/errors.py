@@ -39,6 +39,10 @@ class TooManyPartitions(ToolkitError):
     """Exhaustive enumeration would exceed the partition cap."""
 
 
+class InvalidPartitionCap(ToolkitError):
+    """WOVEN_MAX_PARTITIONS is set but is not a positive integer."""
+
+
 class WrongKind(ToolkitError):
     """Operation applies only to discrete or only to fusion families."""
 

@@ -110,13 +110,23 @@ class FusionBoundsReport:
     witness_high: np.ndarray
 
 
+def _member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
+    """Per-member operators ``scale_i * P_i``, shape (size, dim, dim).
+
+    ``scale`` defaults to the squared weights, which gives the summands
+    of the fusion frame operator; a zero-dimensional member gives zeros.
+    """
+    scale = ff.weights * ff.weights if scale is None else scale
+    out = np.zeros((ff.size, ff.dim, ff.dim))
+    for i, sub in enumerate(ff.subspaces):
+        if sub.rank:
+            out[i] = scale[i] * (sub.basis @ sub.basis.T)
+    return out
+
+
 def fusion_frame_operator(ff: FusionFrame) -> np.ndarray:
     """S = sum over i of weight_i^2 * P_i, a symmetric PSD matrix."""
-    out = np.zeros((ff.dim, ff.dim))
-    for sub, w in zip(ff.subspaces, ff.weights):
-        if sub.rank:
-            out += (w * w) * (sub.basis @ sub.basis.T)
-    return out
+    return _member_operators(ff).sum(axis=0)
 
 
 def fusion_bounds(ff: FusionFrame, frame_tol: float = FRAME_TOL) -> FusionBoundsReport:

@@ -266,282 +266,165 @@ def _pair_inside(actual, stated, tol: float = 1e-9) -> bool:
     return actual[0] >= stated[0] - tol and actual[1] <= stated[1] + tol
 
 
-def _outcome(name: str, exp: Expected, ok: bool, actual) -> CheckOutcome:
-    return CheckOutcome(name=name, source=exp.source, ok=bool(ok), expected=exp.value, actual=actual)
-
-
-def _verify_ex3_2(inst: ReferenceInstance) -> list[CheckOutcome]:
+def _verify_ex3_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
     family = inst.payload
     f, g = family.systems
-    exp = inst.expected
-    out = []
-
     fb = optimal_bounds(f)
     gb = optimal_bounds(g)
-    out.append(
-        _outcome(
-            "first_valid_bounds",
-            exp["first_valid_bounds"],
-            _pair_inside((fb.lower, fb.upper), exp["first_valid_bounds"].value),
-            (fb.lower, fb.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "second_valid_bounds",
-            exp["second_valid_bounds"],
-            _pair_inside((gb.lower, gb.upper), exp["second_valid_bounds"].value),
-            (gb.lower, gb.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "first_optimal_bounds",
-            exp["first_optimal_bounds"],
-            _pair_close((fb.lower, fb.upper), exp["first_optimal_bounds"].value),
-            (fb.lower, fb.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "second_optimal_bounds",
-            exp["second_optimal_bounds"],
-            _pair_close((gb.lower, gb.upper), exp["second_optimal_bounds"].value),
-            (gb.lower, gb.upper),
-        )
-    )
-
+    first = (fb.lower, fb.upper)
+    second = (gb.lower, gb.upper)
     op = frame_operator(f)
-    expected_op = np.array(exp["first_frame_operator"].value)
-    out.append(
-        _outcome(
-            "first_frame_operator",
-            exp["first_frame_operator"],
-            float(np.abs(op - expected_op).max()) <= 1e-12,
-            tuple(tuple(row) for row in op.tolist()),
-        )
-    )
-
-    mixed = optimal_bounds(weave(family, Partition((0, 0, 1))))
-    out.append(
-        _outcome(
-            "mixed_12_weaving_valid_bounds",
-            exp["mixed_12_weaving_valid_bounds"],
-            _pair_inside(
-                (mixed.lower, mixed.upper),
-                exp["mixed_12_weaving_valid_bounds"].value,
-            ),
-            (mixed.lower, mixed.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "mixed_12_weaving_optimal_bounds",
-            exp["mixed_12_weaving_optimal_bounds"],
-            _pair_close(
-                (mixed.lower, mixed.upper),
-                exp["mixed_12_weaving_optimal_bounds"].value,
-            ),
-            (mixed.lower, mixed.upper),
-        )
-    )
-
+    mb = optimal_bounds(weave(family, Partition((0, 0, 1))))
+    mixed = (mb.lower, mb.upper)
     report = woven_bounds_exhaustive(family)
-    out.append(
-        _outcome("woven", exp["woven"], report.is_woven == exp["woven"].value, report.is_woven)
-    )
-    out.append(
-        _outcome(
+    return [
+        ("first_valid_bounds", _pair_inside(first, want["first_valid_bounds"]), first),
+        ("second_valid_bounds", _pair_inside(second, want["second_valid_bounds"]), second),
+        ("first_optimal_bounds", _pair_close(first, want["first_optimal_bounds"]), first),
+        ("second_optimal_bounds", _pair_close(second, want["second_optimal_bounds"]), second),
+        (
+            "first_frame_operator",
+            float(np.abs(op - np.array(want["first_frame_operator"])).max()) <= 1e-12,
+            tuple(tuple(row) for row in op.tolist()),
+        ),
+        (
+            "mixed_12_weaving_valid_bounds",
+            _pair_inside(mixed, want["mixed_12_weaving_valid_bounds"]),
+            mixed,
+        ),
+        (
+            "mixed_12_weaving_optimal_bounds",
+            _pair_close(mixed, want["mixed_12_weaving_optimal_bounds"]),
+            mixed,
+        ),
+        ("woven", report.is_woven == want["woven"], report.is_woven),
+        (
             "partition_count",
-            exp["partition_count"],
-            report.partitions_examined == exp["partition_count"].value,
+            report.partitions_examined == want["partition_count"],
             report.partitions_examined,
-        )
-    )
-    return out
+        ),
+    ]
 
 
-def _verify_ex4_1(inst: ReferenceInstance) -> list[CheckOutcome]:
+def _verify_ex4_1(inst: ReferenceInstance, want: dict) -> list[tuple]:
     lf, lg = inst.local_systems
-    exp = inst.expected
-    out = []
-
     flat_f, _ = flatten_local_system(lf)
     flat_g, _ = flatten_local_system(lg)
     fb = optimal_bounds(flat_f)
     gb = optimal_bounds(flat_g)
-    out.append(
-        _outcome(
-            "first_flat_bounds",
-            exp["first_flat_bounds"],
-            _pair_close((fb.lower, fb.upper), exp["first_flat_bounds"].value),
-            (fb.lower, fb.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "second_flat_bounds",
-            exp["second_flat_bounds"],
-            _pair_inside((gb.lower, gb.upper), exp["second_flat_bounds"].value)
-            and _pair_close((gb.lower, gb.upper), exp["second_flat_bounds"].value),
-            (gb.lower, gb.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "second_flat_count",
-            exp["second_flat_count"],
-            flat_g.size == exp["second_flat_count"].value,
-            flat_g.size,
-        )
-    )
-
+    first = (fb.lower, fb.upper)
+    second = (gb.lower, gb.upper)
     report = local_global_equivalence_report(lf, lg)
-    out.append(
-        _outcome(
-            "woven",
-            exp["woven"],
-            report.vector_report.is_woven == exp["woven"].value,
-            report.vector_report.is_woven,
-        )
-    )
-    interval = (
-        report.vector_report.universal_lower,
-        report.vector_report.universal_upper,
-    )
-    out.append(
-        _outcome(
+    vec = report.vector_report
+    interval = (vec.universal_lower, vec.universal_upper)
+    return [
+        ("first_flat_bounds", _pair_close(first, want["first_flat_bounds"]), first),
+        (
+            "second_flat_bounds",
+            _pair_inside(second, want["second_flat_bounds"])
+            and _pair_close(second, want["second_flat_bounds"]),
+            second,
+        ),
+        ("second_flat_count", flat_g.size == want["second_flat_count"], flat_g.size),
+        ("woven", vec.is_woven == want["woven"], vec.is_woven),
+        (
             "universal_interval_within",
-            exp["universal_interval_within"],
-            _pair_inside(interval, exp["universal_interval_within"].value),
+            _pair_inside(interval, want["universal_interval_within"]),
             interval,
-        )
-    )
-    out.append(
-        _outcome(
+        ),
+        (
             "weighted_subspace_family_woven",
-            exp["weighted_subspace_family_woven"],
-            report.fusion_report.is_woven
-            == exp["weighted_subspace_family_woven"].value
+            report.fusion_report.is_woven == want["weighted_subspace_family_woven"]
             and report.verdicts_agree,
             report.verdicts,
-        )
-    )
-    return out
+        ),
+    ]
 
 
-def _verify_ex4_2(inst: ReferenceInstance) -> list[CheckOutcome]:
+def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
     lf, lg = inst.local_systems
-    exp = inst.expected
-    out = []
-
     witness = find_nonwoven_witness(inst.payload, eps=1e-8)
-    out.append(
-        _outcome("nonwoven", exp["nonwoven"], witness is not None, witness is not None)
-    )
+    rows = [("nonwoven", witness is not None, witness is not None)]
     if witness is not None:
         partition, vector, value = witness
-        out.append(
-            _outcome(
+        rows += [
+            (
                 "witness_assignment",
-                exp["witness_assignment"],
-                partition.assignment == tuple(exp["witness_assignment"].value),
+                partition.assignment == tuple(want["witness_assignment"]),
                 partition.assignment,
-            )
-        )
-        out.append(
-            _outcome(
+            ),
+            (
                 "witness_value_at_most",
-                exp["witness_value_at_most"],
-                abs(value) <= exp["witness_value_at_most"].value,
+                abs(value) <= want["witness_value_at_most"],
                 value,
-            )
-        )
-        aligned = abs(float(vector[0])) >= 1.0 - 1e-9
-        out.append(
-            _outcome(
+            ),
+            (
                 "witness_vector_first_coordinate",
-                exp["witness_vector_first_coordinate"],
-                aligned,
+                abs(float(vector[0])) >= 1.0 - 1e-9,
                 tuple(vector.tolist()),
-            )
-        )
-
+            ),
+        ]
     report = local_global_equivalence_report(lf, lg)
-    out.append(
-        _outcome(
+    fb = optimal_bounds(flatten_local_system(lf)[0])
+    first = (fb.lower, fb.upper)
+    return rows + [
+        (
             "equivalence_verdicts",
-            exp["equivalence_verdicts"],
-            report.verdicts == tuple(exp["equivalence_verdicts"].value),
+            report.verdicts == tuple(want["equivalence_verdicts"]),
             report.verdicts,
-        )
-    )
-
-    flat_f, _ = flatten_local_system(lf)
-    fb = optimal_bounds(flat_f)
-    out.append(
-        _outcome(
-            "first_flat_bounds",
-            exp["first_flat_bounds"],
-            _pair_close((fb.lower, fb.upper), exp["first_flat_bounds"].value),
-            (fb.lower, fb.upper),
-        )
-    )
-    return out
+        ),
+        ("first_flat_bounds", _pair_close(first, want["first_flat_bounds"]), first),
+    ]
 
 
-def _verify_ex5_4(inst: ReferenceInstance) -> list[CheckOutcome]:
-    exp = inst.expected
+def _verify_ex5_4(inst: ReferenceInstance, want: dict) -> list[tuple]:
     first, second = inst.payload.systems
-    out = []
-
     b1 = fusion_bounds(first)
     b2 = fusion_bounds(second)
-    out.append(
-        _outcome(
-            "first_bounds",
-            exp["first_bounds"],
-            _pair_close((b1.lower, b1.upper), exp["first_bounds"].value),
-            (b1.lower, b1.upper),
-        )
-    )
-    out.append(
-        _outcome(
-            "second_bounds",
-            exp["second_bounds"],
-            _pair_close((b2.lower, b2.upper), exp["second_bounds"].value),
-            (b2.lower, b2.upper),
-        )
-    )
-
+    first_bounds = (b1.lower, b1.upper)
+    second_bounds = (b2.lower, b2.upper)
     report = woven_riesz_decomposition_check(inst.payload)
-    out.append(
-        _outcome(
+    return [
+        ("first_bounds", _pair_close(first_bounds, want["first_bounds"]), first_bounds),
+        ("second_bounds", _pair_close(second_bounds, want["second_bounds"]), second_bounds),
+        (
             "woven_riesz_decomposition",
-            exp["woven_riesz_decomposition"],
-            report.all_pass == exp["woven_riesz_decomposition"].value,
+            report.all_pass == want["woven_riesz_decomposition"],
             report.all_pass,
-        )
-    )
-    out.append(
-        _outcome(
+        ),
+        (
             "partition_count",
-            exp["partition_count"],
-            report.partitions_examined == exp["partition_count"].value,
+            report.partitions_examined == want["partition_count"],
             report.partitions_examined,
-        )
-    )
-    return out
+        ),
+    ]
+
+
+_VERIFIERS = {
+    "ex3_2": _verify_ex3_2,
+    "ex4_1": _verify_ex4_1,
+    "ex4_2": _verify_ex4_2,
+    "ex5_4": _verify_ex5_4,
+}
 
 
 def verify_instance(inst: ReferenceInstance) -> list[CheckOutcome]:
-    """Run every expectation of an instance and report each outcome."""
-    if inst.id == "ex3_2":
-        return _verify_ex3_2(inst)
-    if inst.id == "ex4_1":
-        return _verify_ex4_1(inst)
-    if inst.id == "ex4_2":
-        return _verify_ex4_2(inst)
-    if inst.id == "ex5_4":
-        return _verify_ex5_4(inst)
-    raise ToolkitError(f"unknown instance id {inst.id!r}")
+    """Run every expectation of an instance and report each outcome.
+
+    Each verifier returns ``(name, ok, actual)`` rows in report order;
+    the source tag and expected value come from ``inst.expected``.
+    """
+    verifier = _VERIFIERS.get(inst.id)
+    if verifier is None:
+        raise ToolkitError(f"unknown instance id {inst.id!r}")
+    want = {name: exp.value for name, exp in inst.expected.items()}
+    return [
+        CheckOutcome(
+            name=name,
+            source=inst.expected[name].source,
+            ok=bool(ok),
+            expected=want[name],
+            actual=actual,
+        )
+        for name, ok, actual in verifier(inst, want)
+    ]

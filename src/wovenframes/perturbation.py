@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantOutOfRange, IndexMismatch, WeightMismatch
-from .fusion import FusionFrame, fusion_frame_operator
+from .fusion import FusionFrame, _member_operators, fusion_frame_operator
 from .linalg import sym_eig
 
 _HOLD_SLACK = 1e-9
@@ -80,14 +80,6 @@ def _extremal_vectors(w: FusionFrame, v: FusionFrame) -> np.ndarray:
     return np.array(rows)
 
 
-def _projectors(ff: FusionFrame) -> np.ndarray:
-    out = np.zeros((ff.size, ff.dim, ff.dim))
-    for i, sub in enumerate(ff.subspaces):
-        if sub.rank:
-            out[i] = sub.basis @ sub.basis.T
-    return out
-
-
 def _subset_masks(n: int, rng: np.random.Generator) -> np.ndarray:
     if 2**n <= _SUBSET_CAP:
         return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
@@ -142,8 +134,8 @@ def pw_check(
     embedded = np.repeat(diag[:, None, :], n, axis=1)
     batch = np.concatenate([blocks, embedded], axis=0)
 
-    pw_ = _projectors(w) * w.weights[:, None, None]
-    pv_ = _projectors(v) * v.weights[:, None, None]
+    pw_ = _member_operators(w, w.weights)
+    pv_ = _member_operators(v, v.weights)
     t_w = np.einsum("snd,nde->se", batch, pw_)
     t_v = np.einsum("snd,nde->se", batch, pv_)
     norms_c = np.linalg.norm(batch.reshape(batch.shape[0], -1), axis=1)
@@ -205,8 +197,8 @@ def op_perturbation_check(
         [_unit_rows(rng, samples, d), _extremal_vectors(w, v)], axis=0
     )
 
-    pw_sq = _projectors(w) * (w.weights**2)[:, None, None]
-    pv_sq = _projectors(v) * (v.weights**2)[:, None, None]
+    pw_sq = _member_operators(w)
+    pv_sq = _member_operators(v)
     w_parts = np.einsum("sd,nde->nse", batch, pw_sq)
     v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
@@ -275,8 +267,8 @@ def proj_perturbation_check(
         [_unit_rows(rng, samples, d), _extremal_vectors(w, v)], axis=0
     )
 
-    proj_w = _projectors(w)
-    proj_v = _projectors(v)
+    proj_w = _member_operators(w, np.ones(n))
+    proj_v = _member_operators(v, np.ones(n))
     wsq = (w.weights**2)[:, None]
     pw_f = np.einsum("sd,nde->nse", batch, proj_w)
     pv_f = np.einsum("sd,nde->nse", batch, proj_v)

@@ -8,7 +8,6 @@ families, and removal of a weakly contributing index subset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,8 @@ from .weaving import (
     Partition,
     WovenFamily,
     WovenReport,
+    _partitions,
+    _weaving_operator,
     contribution_stacks,
     weave,
     woven_bounds_exhaustive,
@@ -261,11 +262,10 @@ def intersection_weaving_report(
     vectors = coeffs @ k.basis.T
 
     stacks = contribution_stacks(intersected)
-    n, m = intersected.n, intersected.m
     worst_low = -np.inf
     worst_high = -np.inf
-    for assignment in itertools.product(range(m), repeat=n):
-        op = stacks[np.arange(n), list(assignment)].sum(axis=0)
+    for assignment in _partitions(intersected.n, intersected.m):
+        op = _weaving_operator(stacks, assignment)
         sums = np.einsum("sd,de,se->s", vectors, op, vectors)
         worst_low = max(worst_low, float((base.universal_lower - sums).max()))
         worst_high = max(worst_high, float((sums - base.universal_upper).max()))
@@ -373,19 +373,6 @@ def _blocked_vector_stacks(lf: LocalSystem, lg: LocalSystem) -> np.ndarray:
     return stacks
 
 
-def _blocked_orthonormal_stacks(lf: LocalSystem, lg: LocalSystem) -> np.ndarray:
-    n, d = lf.size, lf.dim
-    stacks = np.zeros((n, 2, d, d))
-    for i in range(n):
-        wf = lf.weights[i]
-        wg = lg.weights[i]
-        if lf.bases[i].shape[1]:
-            stacks[i, 0] = (wf * wf) * (lf.bases[i] @ lf.bases[i].T)
-        if lg.bases[i].shape[1]:
-            stacks[i, 1] = (wg * wg) * (lg.bases[i] @ lg.bases[i].T)
-    return stacks
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Three routes to the same woven verdict and the bound chain tying
@@ -412,6 +399,12 @@ def local_global_equivalence_report(
     The verdicts agree, and with A the smallest local lower bound and B
     the largest local upper bound across both systems, the universal
     lower bounds satisfy L_vec >= A * L_fus and L_fus >= L_vec / B.
+
+    Routes (b) and (c) coincide: the induced fusion family is built on
+    the orthonormalized local bases with the local weights, so its
+    contribution stacks are the orthonormalized local systems' blocked
+    Gram stacks ``w_i^2 * E_i E_i^T``, entry for entry. The one scan of
+    those stacks therefore serves as both reports.
     """
     if lf.size != lg.size or lf.dim != lg.dim:
         raise IndexMismatch("local systems must share index set and dim")
@@ -423,9 +416,7 @@ def local_global_equivalence_report(
         (lf.induced_fusion_frame(), lg.induced_fusion_frame())
     )
     fusion_report = woven_bounds_exhaustive(fusion_family, frame_tol)
-    orthonormal_report = woven_bounds_from_contributions(
-        _blocked_orthonormal_stacks(lf, lg), frame_tol
-    )
+    orthonormal_report = fusion_report
 
     verdicts = (
         vector_report.is_woven,
@@ -487,16 +478,10 @@ def remove_subset_check(
     if len(rem) >= family.n:
         raise IndexMismatch("cannot remove every index")
 
-    first = family.systems[0]
-    partial = np.zeros((family.dim, family.dim))
-    for i in rem:
-        sub = first.subspaces[i]
-        w = first.weights[i]
-        if sub.rank:
-            partial += (w * w) * (sub.basis @ sub.basis.T)
-    partial_upper = sym_eig(partial).largest
+    stacks = contribution_stacks(family)
+    partial_upper = sym_eig(stacks[list(rem), 0].sum(axis=0)).largest
 
-    base = woven_bounds_exhaustive(family, frame_tol)
+    base = woven_bounds_from_contributions(stacks, frame_tol)
     hypothesis_met = partial_upper < base.universal_lower
     if not hypothesis_met:
         return RemovalReport(

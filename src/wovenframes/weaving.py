@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidPartitionCap,
     PartitionLengthMismatch,
     TooManyPartitions,
     WrongKind,
 )
-from .frames import FRAME_TOL, DiscreteFrame, _is_frame
-from .fusion import FusionFrame, fusion_frame_operator, is_riesz_decomposition
+from .frames import FRAME_TOL, DiscreteFrame, _clamp_small_negative, _is_frame
+from .fusion import FusionFrame, _member_operators, is_riesz_decomposition
 from .linalg import sym_eig
 
 PARTITION_CAP = 2**22
@@ -33,11 +34,37 @@ FUSION = "fusion"
 
 
 def partition_cap() -> int:
-    """Enumeration cap; WOVEN_MAX_PARTITIONS overrides the default 2^22."""
+    """Enumeration cap; WOVEN_MAX_PARTITIONS overrides the default 2^22.
+
+    Raises InvalidPartitionCap unless the override is a positive integer.
+    """
     raw = os.environ.get("WOVEN_MAX_PARTITIONS")
     if raw is None:
         return PARTITION_CAP
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidPartitionCap(
+            f"WOVEN_MAX_PARTITIONS must be a positive integer, got {raw!r}"
+        )
+    return cap
+
+
+def _partitions(n: int, m: int):
+    """Every assignment of n indices to m systems, in lexicographic order.
+
+    The one place the enumeration cap is enforced: raises
+    TooManyPartitions before any work when m^n exceeds it.
+    """
+    cap = partition_cap()
+    if m**n > cap:
+        raise TooManyPartitions(
+            f"{m}^{n} = {m**n} partitions exceeds the cap {cap}; "
+            "use the sampled search instead"
+        )
+    return itertools.product(range(m), repeat=n)
 
 
 @dataclass(frozen=True)
@@ -118,7 +145,12 @@ class WovenFamily:
 
 @dataclass(frozen=True)
 class WovenReport:
-    """Universal bounds over the examined partitions plus the extremal ones."""
+    """Universal bounds over the examined partitions plus the extremal ones.
+
+    ``witness`` is (partition, unit eigenvector, smallest eigenvalue) of
+    the first scanned partition below the scan's ``eps``; None when no
+    ``eps`` was given or no weaving fell below it.
+    """
 
     universal_lower: float
     universal_upper: float
@@ -128,6 +160,7 @@ class WovenReport:
     method: str
     partitions_examined: int
     seed: int | None = None
+    witness: tuple[Partition, np.ndarray, float] | None = None
 
 
 def _check_partition(family: WovenFamily, p: Partition) -> None:
@@ -166,22 +199,16 @@ def contribution_stacks(family: WovenFamily) -> np.ndarray:
 
     The weaving operator of a partition is the sum over indices of the
     assigned contribution, so every bound search reduces to scans over
-    these stacks.
+    these stacks. A frame vector v contributes v v^T, a weighted member
+    subspace weight^2 * P.
     """
-    n, m, d = family.n, family.m, family.dim
-    stacks = np.zeros((n, m, d, d))
-    for j, system in enumerate(family.systems):
-        if family.kind == DISCRETE:
-            for i in range(n):
-                v = system.vectors[i]
-                stacks[i, j] = np.outer(v, v)
-        else:
-            for i in range(n):
-                sub = system.subspaces[i]
-                w = system.weights[i]
-                if sub.rank:
-                    stacks[i, j] = (w * w) * (sub.basis @ sub.basis.T)
-    return stacks
+    if family.kind == DISCRETE:
+        members = [
+            s.vectors[:, :, None] * s.vectors[:, None, :] for s in family.systems
+        ]
+    else:
+        members = [_member_operators(s) for s in family.systems]
+    return np.stack(members, axis=1)
 
 
 def _weaving_operator(stacks: np.ndarray, assignment) -> np.ndarray:
@@ -189,11 +216,25 @@ def _weaving_operator(stacks: np.ndarray, assignment) -> np.ndarray:
     return stacks[np.arange(n), list(assignment)].sum(axis=0)
 
 
-def _scan(stacks: np.ndarray, assignments):
+def _scan(
+    stacks: np.ndarray,
+    assignments,
+    method: str,
+    frame_tol: float,
+    seed: int | None = None,
+    eps: float | None = None,
+) -> WovenReport:
+    """Fold the weaving spectra of ``assignments`` into one report.
+
+    With ``eps`` the report also carries the first assignment whose
+    smallest eigenvalue is below ``eps``, with its unit eigenvector and
+    that value.
+    """
     lo_val = np.inf
     hi_val = -np.inf
     lo_part: tuple[int, ...] | None = None
     hi_part: tuple[int, ...] | None = None
+    witness = None
     count = 0
     for assignment in assignments:
         spec = sym_eig(_weaving_operator(stacks, assignment))
@@ -204,44 +245,50 @@ def _scan(stacks: np.ndarray, assignments):
         if spec.largest > hi_val:
             hi_val = spec.largest
             hi_part = tuple(assignment)
-    if lo_val < 0.0 and abs(lo_val) <= 1e-12 * max(1.0, hi_val):
-        lo_val = 0.0  # roundoff of a positive semidefinite spectrum
-    return lo_val, hi_val, lo_part, hi_part, count
+        if witness is None and eps is not None and spec.smallest < eps:
+            witness = (
+                Partition(assignment),
+                spec.eigenvectors[:, 0].copy(),
+                spec.smallest,
+            )
+    lower = _clamp_small_negative(lo_val, hi_val)
+    return WovenReport(
+        universal_lower=float(lower),
+        universal_upper=float(hi_val),
+        is_woven=_is_frame(lower, hi_val, frame_tol),
+        worst_partition=Partition(lo_part),
+        best_upper_partition=Partition(hi_part),
+        method=method,
+        partitions_examined=count,
+        seed=seed,
+        witness=witness,
+    )
 
 
 def woven_bounds_from_contributions(
     stacks: np.ndarray,
     frame_tol: float = FRAME_TOL,
-    cap: int | None = None,
+    eps: float | None = None,
 ) -> WovenReport:
-    """Exhaustive universal bounds for explicit contribution stacks."""
+    """Exhaustive universal bounds for explicit contribution stacks.
+
+    With ``eps`` the same scan also records the first lexicographic
+    partition whose smallest eigenvalue is below ``eps`` as the report's
+    witness.
+    """
     n, m = stacks.shape[0], stacks.shape[1]
-    cap = partition_cap() if cap is None else cap
-    total = m**n
-    if total > cap:
-        raise TooManyPartitions(
-            f"{m}^{n} = {total} partitions exceeds the cap {cap}; "
-            "use the sampled search instead"
-        )
-    lower, upper, lo_part, hi_part, count = _scan(
-        stacks, itertools.product(range(m), repeat=n)
-    )
-    return WovenReport(
-        universal_lower=float(lower),
-        universal_upper=float(upper),
-        is_woven=_is_frame(lower, upper, frame_tol),
-        worst_partition=Partition(lo_part),
-        best_upper_partition=Partition(hi_part),
-        method="exhaustive",
-        partitions_examined=count,
-    )
+    return _scan(stacks, _partitions(n, m), "exhaustive", frame_tol, eps=eps)
 
 
 def woven_bounds_exhaustive(
-    family: WovenFamily, frame_tol: float = FRAME_TOL
+    family: WovenFamily, frame_tol: float = FRAME_TOL, eps: float | None = None
 ) -> WovenReport:
-    """Universal bounds over all m^n partitions (lexicographic order)."""
-    return woven_bounds_from_contributions(contribution_stacks(family), frame_tol)
+    """Universal bounds over all m^n partitions (lexicographic order).
+
+    ``eps`` as in woven_bounds_from_contributions.
+    """
+    stacks = contribution_stacks(family)
+    return woven_bounds_from_contributions(stacks, frame_tol, eps)
 
 
 def woven_bounds_sampled(
@@ -269,17 +316,7 @@ def woven_bounds_sampled(
         (tuple([j] * n) for j in range(m)),
         (tuple(int(a) for a in row) for row in drawn),
     )
-    lower, upper, lo_part, hi_part, count = _scan(stacks, assignments)
-    return WovenReport(
-        universal_lower=float(lower),
-        universal_upper=float(upper),
-        is_woven=_is_frame(lower, upper, frame_tol),
-        worst_partition=Partition(lo_part),
-        best_upper_partition=Partition(hi_part),
-        method="sampled",
-        partitions_examined=count,
-        seed=seed,
-    )
+    return _scan(stacks, assignments, "sampled", frame_tol, seed=seed)
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
@@ -297,15 +334,9 @@ def find_nonwoven_witness(
     value. None when every weaving clears the threshold."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n, m = family.n, family.m
-    cap = partition_cap()
-    if m**n > cap:
-        raise TooManyPartitions(
-            f"{m}^{n} partitions exceeds the cap {cap}; "
-            "use the sampled search instead"
-        )
+    assignments = _partitions(family.n, family.m)
     stacks = contribution_stacks(family)
-    for assignment in itertools.product(range(m), repeat=n):
+    for assignment in assignments:
         spec = sym_eig(_weaving_operator(stacks, assignment))
         if spec.smallest < eps:
             return (
@@ -331,15 +362,9 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
     """
     if family.kind != FUSION:
         raise WrongKind("Riesz weaving check applies to fusion families only")
-    n, m = family.n, family.m
-    cap = partition_cap()
-    if m**n > cap:
-        raise TooManyPartitions(
-            f"{m}^{n} partitions exceeds the cap {cap}"
-        )
     failing: list[Partition] = []
     count = 0
-    for assignment in itertools.product(range(m), repeat=n):
+    for assignment in _partitions(family.n, family.m):
         p = Partition(assignment)
         count += 1
         if not is_riesz_decomposition(weave(family, p)):
@@ -353,11 +378,4 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
 
 def member_bessel_bounds(family: WovenFamily) -> list[float]:
     """Optimal upper bound of each member system."""
-    out = []
-    for system in family.systems:
-        if family.kind == DISCRETE:
-            op = system.vectors.T @ system.vectors
-        else:
-            op = fusion_frame_operator(system)
-        out.append(sym_eig(op).largest)
-    return out
+    return [sym_eig(op).largest for op in contribution_stacks(family).sum(axis=0)]

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from wovenframes.cli import main
+from wovenframes import find_nonwoven_witness
+from wovenframes.cli import load_family, main
 
 
 EX3_2_DOC = {
@@ -269,3 +271,80 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["is_woven"]
+
+
+def nonwoven_discrete_doc(rng):
+    """Random pair in R^3 whose weaving (0, 0, 1, 1) misses e_0."""
+    first = rng.standard_normal((4, 3))
+    second = rng.standard_normal((4, 3))
+    first[:2, 0] = 0.0
+    second[2:, 0] = 0.0
+    return {
+        "dim": 3,
+        "kind": "discrete",
+        "systems": [{"vectors": first.tolist()}, {"vectors": second.tolist()}],
+    }
+
+
+def nonwoven_fusion_doc(rng):
+    """Random rank-2 members in R^3; weaving (1, 0, 0) misses e_0."""
+
+    def member(inside_plane):
+        span = rng.standard_normal((2, 3))
+        if inside_plane:
+            span[:, 0] = 0.0
+        return {"spanning": span.tolist()}
+
+    return {
+        "dim": 3,
+        "kind": "fusion",
+        "systems": [
+            {
+                "weights": rng.uniform(0.5, 1.5, 3).tolist(),
+                "subspaces": [member(False), member(True), member(True)],
+            },
+            {
+                "weights": rng.uniform(0.5, 1.5, 3).tolist(),
+                "subspaces": [member(True), member(False), member(False)],
+            },
+        ],
+    }
+
+
+class TestWitnessFromScan:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("make_doc", [nonwoven_discrete_doc, nonwoven_fusion_doc])
+    @pytest.mark.parametrize("eps", [1e-8, 0.5])
+    def test_matches_early_exit_search(self, tmp_path, capsys, seed, make_doc, eps):
+        path = write_doc(tmp_path, make_doc(np.random.default_rng(seed)))
+        code, out = run_main(capsys, ["woven", path, "--eps", str(eps)])
+        assert code == 1
+        witness = json.loads(out)["report"]["witness"]
+        family, _ = load_family(path)
+        partition, vector, value = find_nonwoven_witness(family, eps)
+        assert witness["partition"] == list(partition.assignment)
+        assert witness["vector"] == vector.tolist()
+        assert witness["value"] == value
+
+    def test_woven_family_with_large_eps_has_no_witness(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX3_2_DOC)
+        code, out = run_main(capsys, ["woven", path, "--eps", "100"])
+        assert code == 0
+        assert json.loads(out)["report"]["witness"] is None
+
+
+class TestPartitionCapVariable:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["woven"], ["perturb", "--method", "proj", "--K", "0.5"]],
+    )
+    def test_invalid_value_exits_two(self, tmp_path, capsys, monkeypatch, raw, argv):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", raw)
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code = main(argv[:1] + [path] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "WOVEN_MAX_PARTITIONS" in captured.err
+        assert "positive integer" in captured.err

@@ -24,6 +24,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
 )
 from wovenframes.errors import (
+    EmptyInput,
     EmptyIntersection,
     IndexMismatch,
     InvarianceViolated,
@@ -31,6 +32,7 @@ from wovenframes.errors import (
     SingularOperator,
 )
 from wovenframes.transforms import intersection_weaving_report, invert_matrix
+from wovenframes.weaving import contribution_stacks, woven_bounds_from_contributions
 
 from helpers import basis_vec, ex3_2_frames
 
@@ -379,3 +381,42 @@ class TestRemoveSubset:
         assert not report.hypothesis_met
         assert report.restricted_lower is None
         assert report.containment_ok is None
+
+
+def test_orthonormal_route_equals_induced_fusion_stacks():
+    """The equivalence report reuses the fusion scan for its orthonormal
+    route; rebuild that route's stacks from the orthonormalized local
+    vectors w_i * e_ij and compare them with the fusion contribution stacks."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        dim, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        weights = rng.uniform(0.5, 1.5, n)
+        pair = [
+            LocalSystem.build(
+                dim,
+                [list(rng.standard_normal((int(rng.integers(0, 3)), dim))) for _ in range(n)],
+                weights,
+            )
+            for _ in range(2)
+        ]
+        blocked = np.zeros((n, 2, dim, dim))
+        for j, local in enumerate(pair):
+            for i in range(n):
+                for e in local.bases[i].T:
+                    v = local.weights[i] * e
+                    blocked[i, j] += np.outer(v, v)
+        family = WovenFamily.fusion(tuple(local.induced_fusion_frame() for local in pair))
+        assert np.abs(blocked - contribution_stacks(family)).max() <= 1e-12
+
+        try:
+            report = local_global_equivalence_report(*pair)
+        except EmptyInput:
+            continue
+        direct = woven_bounds_from_contributions(blocked)
+        assert report.orthonormal_report.is_woven == direct.is_woven
+        assert report.orthonormal_report.universal_lower == pytest.approx(
+            direct.universal_lower, abs=1e-9
+        )
+        assert report.orthonormal_report.universal_upper == pytest.approx(
+            direct.universal_upper, abs=1e-9
+        )

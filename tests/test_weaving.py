@@ -12,6 +12,7 @@ from wovenframes import (
     bessel_bound,
     find_nonwoven_witness,
     fusion_bounds,
+    local_global_equivalence_report,
     optimal_bounds,
     weave,
     weaving_bessel_bound,
@@ -20,12 +21,14 @@ from wovenframes import (
     woven_riesz_decomposition_check,
 )
 from wovenframes.errors import (
+    InvalidPartitionCap,
     PartitionLengthMismatch,
     TooManyPartitions,
     WrongKind,
 )
 from wovenframes.instances import build_ex3_2, build_ex4_1
-from wovenframes.weaving import member_bessel_bounds
+from wovenframes.transforms import intersection_weaving_report
+from wovenframes.weaving import member_bessel_bounds, partition_cap
 
 from helpers import basis_vec, eig2, ex3_2_frames, woven_pair_random
 
@@ -291,3 +294,38 @@ def test_instance_ex3_2_partition_count():
     report = woven_bounds_exhaustive(build_ex3_2().payload)
     assert report.partitions_examined == 8
     assert report.is_woven
+
+
+class TestPartitionCap:
+    @staticmethod
+    def _exhaustive_calls():
+        plane = WovenFamily.discrete(ex3_2_frames())
+        inst = build_ex4_1(4)
+        target = Subspace.from_spanning(4, [basis_vec(4, 0), basis_vec(4, 2)])
+        return [
+            lambda: woven_bounds_exhaustive(plane),
+            lambda: find_nonwoven_witness(plane, eps=1e-8),
+            lambda: woven_riesz_decomposition_check(inst.payload),
+            lambda: intersection_weaving_report(inst.payload, target, samples=5),
+            lambda: local_global_equivalence_report(*inst.local_systems),
+        ]
+
+    def test_every_exhaustive_routine_honours_the_cap(self, monkeypatch):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "4")
+        for call in self._exhaustive_calls():
+            with pytest.raises(TooManyPartitions):
+                call()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
+    def test_invalid_override_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", raw)
+        with pytest.raises(InvalidPartitionCap, match="WOVEN_MAX_PARTITIONS"):
+            partition_cap()
+        with pytest.raises(InvalidPartitionCap):
+            woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
+
+    def test_valid_override(self, monkeypatch):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "8")
+        assert partition_cap() == 8
+        report = woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
+        assert report.partitions_examined == 8
