@@ -37,6 +37,7 @@ from .weaving import (
     FUSION,
     WovenFamily,
     WovenReport,
+    _require_eps,
     partition_cap,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
@@ -210,9 +211,7 @@ def load_family(path: str) -> tuple[WovenFamily, str]:
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     family = parse_family_document(doc)
-    digest = hashlib.sha256(
-        canonical_json(_round_trip_floats(doc)).encode("utf-8")
-    ).hexdigest()
+    digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return family, digest
 
 
@@ -289,11 +288,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_woven(args) -> int:
+    _require_eps(args.eps, "--eps")
     family, digest = load_family(args.input)
     if args.samples is not None:
         report = woven_bounds_sampled(family, args.samples, args.seed)
     else:
-        report = woven_bounds_exhaustive(family, eps=max(args.eps, 1e-300))
+        report = woven_bounds_exhaustive(family, eps=args.eps)
     payload = _woven_report_payload(report)
     witness = None
     if not report.is_woven and report.witness is not None:

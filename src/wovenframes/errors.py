@@ -43,6 +43,10 @@ class InvalidPartitionCap(ToolkitError):
     """WOVEN_MAX_PARTITIONS is set but is not a positive integer."""
 
 
+class InvalidEps(ToolkitError, ValueError):
+    """A witness threshold that is not a finite positive number."""
+
+
 class WrongKind(ToolkitError):
     """Operation applies only to discrete or only to fusion families."""
 

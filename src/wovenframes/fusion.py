@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotOrthonormal
 from .frames import FRAME_TOL, bounds_from_spectrum
-from .linalg import GRAM_TOL, orthonormalize, projector, sym_eig
+from .linalg import GRAM_TOL, RANK_TOL, orthonormalize, projector, sym_eig
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,13 @@ def _stacked_columns(ff: FusionFrame) -> np.ndarray:
 
 
 def _stacked_rank(ff: FusionFrame) -> int:
+    """Rank of the stacked weighted bases under orthonormalize's rule: the
+    singular values above RANK_TOL * (1 + largest column norm)."""
     stacked = _stacked_columns(ff)
     if stacked.shape[1] == 0:
         return 0
-    _, rank = orthonormalize(list(stacked.T))
-    return rank
+    scale = 1.0 + float(np.linalg.norm(stacked, axis=0).max())
+    return int((np.linalg.svd(stacked, compute_uv=False) > RANK_TOL * scale).sum())
 
 
 def synthesis_is_onto(ff: FusionFrame) -> bool:

@@ -48,28 +48,12 @@ _INTERSECT_TOL = 1e-8
 
 
 def invert_matrix(matrix: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
-    """Gauss-Jordan inverse with partial pivoting.
+    """Inverse of a square matrix.
 
-    Raises SingularOperator when the best remaining pivot falls below
-    ``pivot_tol`` relative to the largest input entry.
+    Raises SingularOperator when the smallest singular value is at most
+    ``pivot_tol * max(1, max|m|)``, with max|m| the largest input entry.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("only square matrices can be inverted")
-    n = m.shape[0]
-    scale = max(1.0, float(np.abs(m).max()))
-    aug = np.hstack([m.copy(), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot_row, col]) <= pivot_tol * scale:
-            raise SingularOperator(f"pivot below {pivot_tol} at column {col}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
+    return InvertibleOperator.from_matrix(matrix, pivot_tol).inv
 
 
 @dataclass(frozen=True)
@@ -83,11 +67,18 @@ class InvertibleOperator:
 
     @classmethod
     def from_matrix(cls, matrix, pivot_tol: float = _PIVOT_TOL) -> "InvertibleOperator":
+        """One SVD decides invertibility as in invert_matrix and gives both
+        norms: ||m|| = s_max and ||m^-1|| = 1 / s_min."""
         m = np.asarray(matrix, dtype=float)
-        inv = invert_matrix(m, pivot_tol)
-        norm = float(np.sqrt(sym_eig(m.T @ m).largest))
-        inv_norm = float(np.sqrt(sym_eig(inv.T @ inv).largest))
-        return cls(m, inv, norm, inv_norm)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch("only square matrices can be inverted")
+        svals = np.linalg.svd(m, compute_uv=False)
+        if svals[-1] <= pivot_tol * max(1.0, float(np.abs(m).max())):
+            raise SingularOperator(
+                f"smallest singular value {svals[-1]:.3g} is at most "
+                f"{pivot_tol} * max(1, max|m|)"
+            )
+        return cls(m, np.linalg.inv(m), float(svals[0]), float(1.0 / svals[-1]))
 
 
 def apply_operator_discrete(

@@ -11,6 +11,7 @@ base-m assignment strings) or by seeded sampling.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidEps,
     InvalidPartitionCap,
     PartitionLengthMismatch,
     TooManyPartitions,
@@ -50,6 +52,12 @@ def partition_cap() -> int:
             f"WOVEN_MAX_PARTITIONS must be a positive integer, got {raw!r}"
         )
     return cap
+
+
+def _require_eps(eps: float, name: str = "eps") -> None:
+    """Raise InvalidEps unless the witness threshold is finite and positive."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidEps(f"{name} must be finite and positive, got {eps}")
 
 
 def _partitions(n: int, m: int):
@@ -274,8 +282,10 @@ def woven_bounds_from_contributions(
 
     With ``eps`` the same scan also records the first lexicographic
     partition whose smallest eigenvalue is below ``eps`` as the report's
-    witness.
+    witness; ``eps`` must then be finite and positive (else InvalidEps).
     """
+    if eps is not None:
+        _require_eps(eps)
     n, m = stacks.shape[0], stacks.shape[1]
     return _scan(stacks, _partitions(n, m), "exhaustive", frame_tol, eps=eps)
 
@@ -331,9 +341,9 @@ def find_nonwoven_witness(
 ) -> tuple[Partition, np.ndarray, float] | None:
     """First partition (lexicographic) whose weaving has smallest
     eigenvalue below ``eps``, with the minimizing unit vector and the
-    value. None when every weaving clears the threshold."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    value. None when every weaving clears the threshold. Raises
+    InvalidEps unless ``eps`` is finite and positive."""
+    _require_eps(eps)
     assignments = _partitions(family.n, family.m)
     stacks = contribution_stacks(family)
     for assignment in assignments:

@@ -333,6 +333,19 @@ class TestWitnessFromScan:
         assert json.loads(out)["report"]["witness"] is None
 
 
+class TestEpsValidation:
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("extra", [[], ["--samples", "7"]])
+    def test_invalid_eps_exits_two(self, tmp_path, capsys, eps, extra):
+        path = write_doc(tmp_path, nonwoven_discrete_doc(np.random.default_rng(1)))
+        code = main(["woven", path, "--eps", eps] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--eps" in captured.err
+        assert "finite and positive" in captured.err
+
+
 class TestPartitionCapVariable:
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     @pytest.mark.parametrize(

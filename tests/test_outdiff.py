@@ -1,0 +1,83 @@
+"""The report comparison of tools/outdiff.py on planted differences."""
+
+import copy
+import importlib.util
+import json
+import os
+
+import pytest
+
+from wovenframes.cli import main
+
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
+_spec = importlib.util.spec_from_file_location("outdiff", _TOOL)
+outdiff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outdiff)
+
+# swapping coordinate bases: the weaving (0, 1) misses e_1
+NONWOVEN_DOC = {
+    "dim": 2,
+    "kind": "discrete",
+    "systems": [
+        {"vectors": [[1, 0], [0, 1]]},
+        {"vectors": [[0, 1], [1, 0]]},
+    ],
+}
+
+
+@pytest.fixture
+def report(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(NONWOVEN_DOC))
+    code = main(["woven", str(path)])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["witness"]["partition"] == [0, 1]
+    return doc
+
+
+def test_identical_reports_pass(report):
+    assert outdiff.compare(report, copy.deepcopy(report)) == []
+    run = (1, json.dumps(report) + "\n", "")
+    assert outdiff.compare_runs(run, run) == []
+
+
+def test_last_bit_float_change_passes(report):
+    moved = copy.deepcopy(report)
+    moved["report"]["universal_upper"] *= 1.0 + 1e-15
+    assert outdiff.compare(report, moved) == []
+
+
+def test_bound_change_is_flagged(report):
+    moved = copy.deepcopy(report)
+    moved["report"]["universal_upper"] += 1e-9
+    diffs = outdiff.compare(report, moved)
+    assert len(diffs) == 1
+    assert diffs[0].startswith("$.report.universal_upper")
+
+
+def test_flipped_witness_partition_is_flagged(report):
+    moved = copy.deepcopy(report)
+    moved["report"]["witness"]["partition"] = [1, 0]
+    diffs = outdiff.compare(report, moved)
+    assert [d.split(":")[0] for d in diffs] == [
+        "$.report.witness.partition[0]",
+        "$.report.witness.partition[1]",
+    ]
+
+
+def test_vector_compared_up_to_sign(report):
+    moved = copy.deepcopy(report)
+    moved["report"]["witness"]["vector"] = [-x for x in report["report"]["witness"]["vector"]]
+    assert outdiff.compare(report, moved) == []
+    moved["report"]["witness"]["vector"] = [1.0, 0.0]
+    assert outdiff.compare(report, moved) != []
+
+
+def test_integer_becoming_float_is_flagged():
+    assert outdiff.compare({"partitions_examined": 4}, {"partitions_examined": 4.0}) != []
+
+
+def test_exit_code_and_stderr_are_exact():
+    assert outdiff.compare_runs((0, "", ""), (1, "", "")) == ["exit code 0 != 1"]
+    assert outdiff.compare_runs((2, "", "error: a\n"), (2, "", "error: b\n")) != []

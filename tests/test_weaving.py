@@ -21,8 +21,10 @@ from wovenframes import (
     woven_riesz_decomposition_check,
 )
 from wovenframes.errors import (
+    InvalidEps,
     InvalidPartitionCap,
     PartitionLengthMismatch,
+    ToolkitError,
     TooManyPartitions,
     WrongKind,
 )
@@ -229,6 +231,19 @@ class TestNonwovenWitness:
         basis = DiscreteFrame(2, np.eye(2))
         family = WovenFamily.discrete((basis, basis))
         assert find_nonwoven_witness(family, eps=0.5) is None
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_eps_that_is_not_finite_and_positive(self, plane_family, eps):
+        with pytest.raises(InvalidEps, match="finite and positive"):
+            find_nonwoven_witness(plane_family, eps=eps)
+        with pytest.raises(InvalidEps):
+            woven_bounds_exhaustive(plane_family, eps=eps)
+
+    def test_invalid_eps_is_a_toolkit_and_value_error(self, plane_family):
+        with pytest.raises(ToolkitError):
+            find_nonwoven_witness(plane_family, eps=math.nan)
+        with pytest.raises(ValueError):
+            find_nonwoven_witness(plane_family, eps=-1.0)
 
 
 class TestRieszWeaving:

@@ -1,0 +1,232 @@
+"""Semantic diff of CLI reports between a base revision and the working tree.
+
+Runs a fixed command corpus, one subprocess per command, against the
+``src/`` of ``--base REV`` (exported with ``git archive``) and against the
+``src/`` of the working tree, and compares what each run printed:
+
+- exact: exit codes, stderr, object keys, list lengths, strings (verdict
+  names, digests), booleans, integers (partitions, counts) and every
+  other non-float value;
+- floats: ``|a - b| <= 1e-12 * (1 + |a|)``;
+- vectors (numeric lists under a ``vector`` key, such as non-woven
+  witnesses): equal norms, and equal up to sign with
+  ``|<u, v>| >= (1 - 1e-10) |u| |v|``.
+
+The corpus: the byte-identity commands of acceptance criterion 10;
+``woven``, ``woven --eps 5``, ``woven --samples 7`` and ``analyze`` on
+every woven-exhaustive input, and ``analyze`` on every ingest-analyze
+input, that the benchmark generators in ``bench/workloads.py`` build for
+seeds 1-4; ``reproduce`` for every instance id at ``--dim`` 4, 6 and 8.
+Two commands run at a time.
+
+    python tools/outdiff.py --base HEAD~1
+
+Prints one line per difference and a summary; exits 0 when there are no
+differences and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+FLOAT_RTOL = 1e-12
+VECTOR_TOL = 1e-10
+
+SEEDS = (1, 2, 3, 4)
+JOBS = 2
+INSTANCE_IDS = ("ex3_2", "ex4_1", "ex4_2", "ex5_4")
+REPRODUCE_DIMS = (4, 6, 8)
+
+COORDINATE_PLANES = {
+    "weights": [1, 1],
+    "subspaces": [
+        {"spanning": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+        {"spanning": [[0, 0, 1, 0], [0, 0, 0, 1]]},
+    ],
+}
+CRITERION_10_DOCS = {
+    "discrete": {
+        "dim": 2,
+        "kind": "discrete",
+        "systems": [
+            {"vectors": [[0, 2], [3, 0], [2, 3]]},
+            {"vectors": [[1, 0], [0, 1], [3, 1]]},
+        ],
+    },
+    "fusion": {"dim": 4, "kind": "fusion", "systems": [COORDINATE_PLANES, COORDINATE_PLANES]},
+}
+
+
+# -- comparison --------------------------------------------------------------
+
+
+def _is_vector(value) -> bool:
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
+def _compare_vectors(base: list, head: list, path: str) -> list[str]:
+    dot = sum(a * b for a, b in zip(base, head))
+    nb = math.sqrt(sum(a * a for a in base))
+    nh = math.sqrt(sum(b * b for b in head))
+    if abs(nb - nh) > FLOAT_RTOL * (1.0 + nb):
+        return [f"{path}: vector norms {nb!r} != {nh!r}"]
+    if nb == 0.0:
+        return [] if base == head else [f"{path}: {base!r} != {head!r}"]
+    if abs(dot) < (1.0 - VECTOR_TOL) * nb * nh:
+        return [f"{path}: vectors not parallel, |<u,v>|/(|u||v|) = {abs(dot) / (nb * nh)!r}"]
+    return []
+
+
+def compare(base, head, path: str = "$") -> list[str]:
+    """Differences between two decoded JSON values, one line each."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        if base.keys() != head.keys():
+            return [f"{path}: keys differ: {sorted(base.keys() ^ head.keys())}"]
+        out = []
+        for key in sorted(base):
+            out += compare(base[key], head[key], f"{path}.{key}")
+        return out
+    if isinstance(base, list) and isinstance(head, list):
+        if len(base) != len(head):
+            return [f"{path}: lengths {len(base)} != {len(head)}"]
+        if path.endswith(".vector") and base and _is_vector(base) and _is_vector(head):
+            return _compare_vectors(base, head, path)
+        out = []
+        for k, (a, b) in enumerate(zip(base, head)):
+            out += compare(a, b, f"{path}[{k}]")
+        return out
+    if type(base) is float and type(head) is float:
+        if abs(base - head) <= FLOAT_RTOL * (1.0 + abs(base)):
+            return []
+        return [f"{path}: {base!r} != {head!r}"]
+    if type(base) is not type(head) or base != head:
+        return [f"{path}: {base!r} != {head!r}"]
+    return []
+
+
+def _decode(stdout: str):
+    """Each stdout line as JSON; the raw text when a line is not JSON."""
+    try:
+        return [json.loads(line) for line in stdout.splitlines()]
+    except json.JSONDecodeError:
+        return stdout
+
+
+def compare_runs(base: tuple[int, str, str], head: tuple[int, str, str]) -> list[str]:
+    """Differences between two (exit code, stdout, stderr) results."""
+    out = []
+    if base[0] != head[0]:
+        out.append(f"exit code {base[0]} != {head[0]}")
+    if base[2] != head[2]:
+        out.append(f"stderr {base[2]!r} != {head[2]!r}")
+    return out + compare(_decode(base[1]), _decode(head[1]))
+
+
+# -- corpus -------------------------------------------------------------------
+
+
+def _write(path: str, doc: dict) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def build_corpus(workdir: str) -> list[list[str]]:
+    """Write the corpus inputs under ``workdir``; returns the argv lists."""
+    sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "bench")]
+    import workloads
+
+    fam = _write(os.path.join(workdir, "criterion10-discrete.json"), CRITERION_10_DOCS["discrete"])
+    fus = _write(os.path.join(workdir, "criterion10-fusion.json"), CRITERION_10_DOCS["fusion"])
+    corpus = [
+        ["analyze", fam],
+        ["woven", fam],
+        ["woven", fam, "--samples", "64", "--seed", "13"],
+        ["perturb", fus, "--method", "pw", "--lambda1", "0.01",
+         "--lambda2", "0.01", "--mu", "0.005", "--seed", "4"],
+        ["perturb", fus, "--method", "proj", "--K", "0.5"],
+    ]
+    for seed in SEEDS:
+        for name, variants in (
+            ("woven-exhaustive", (["woven"], ["woven", "--eps", "5"],
+                                  ["woven", "--samples", "7"], ["analyze"])),
+            ("ingest-analyze", (["analyze"],)),
+        ):
+            seed_dir = os.path.join(workdir, f"{name}-seed{seed}")
+            os.makedirs(seed_dir)
+            workloads.WORKLOADS[name](seed, seed_dir)
+            for doc in sorted(os.listdir(seed_dir)):
+                path = os.path.join(seed_dir, doc)
+                corpus += [v[:1] + [path] + v[1:] for v in variants]
+    for instance_id in INSTANCE_IDS:
+        for dim in REPRODUCE_DIMS:
+            corpus.append(["reproduce", "--id", instance_id, "--dim", str(dim)])
+    return corpus
+
+
+# -- running ------------------------------------------------------------------
+
+
+def export_src(rev: str, dest: str) -> str:
+    """Extract ``src/`` of ``rev`` into ``dest``; returns its src path."""
+    archive = subprocess.run(
+        ["git", "-C", REPO, "archive", rev, "src"], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return os.path.join(dest, "src")
+
+
+def run_command(src: str, argv: list[str], cwd: str) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=src)
+    # one BLAS thread on both sides, so both runs reduce in the same order
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    # a caller's cap override would make both sides fail alike
+    env.pop("WOVEN_MAX_PARTITIONS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "wovenframes", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="outdiff-") as tmp:
+        base_dir = os.path.join(tmp, "base")
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(base_dir)
+        os.makedirs(inputs)
+        trees = (export_src(args.base, base_dir), os.path.join(REPO, "src"))
+        corpus = build_corpus(inputs)
+        with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+            runs = [
+                [pool.submit(run_command, src, cmd, tmp) for src in trees]
+                for cmd in corpus
+            ]
+            differences = 0
+            for cmd, (base, head) in zip(corpus, runs):
+                label = " ".join(
+                    os.path.relpath(a, inputs) if a.startswith(inputs) else a for a in cmd
+                )
+                for line in compare_runs(base.result(), head.result()):
+                    print(f"{label}: {line}")
+                    differences += 1
+    print(f"{len(corpus)} commands, {differences} differences (base {args.base})")
+    return 0 if differences == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
