@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -102,7 +103,11 @@ def parse_family_document(doc) -> WovenFamily:
     """Validate a parsed JSON document and build the woven family."""
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim", "positive integer required")
+    _require(
+        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
+        "dim",
+        "positive integer required",
+    )
     kind = doc.get("kind")
     _require(kind in (DISCRETE, FUSION), "kind", "must be 'discrete' or 'fusion'")
     systems = doc.get("systems")
@@ -143,9 +148,7 @@ def parse_family_document(doc) -> WovenFamily:
             w = []
             for wi, value in enumerate(weights):
                 _require(
-                    isinstance(value, (int, float))
-                    and np.isfinite(value)
-                    and value > 0,
+                    _finite_number(value) and value > 0,
                     f"{path}.weights[{wi}]",
                     "weights must be finite and positive",
                 )
@@ -175,24 +178,24 @@ def parse_family_document(doc) -> WovenFamily:
     return WovenFamily(kind, tuple(built))
 
 
+def _finite_number(value) -> bool:
+    """A JSON number (never a boolean) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _float_matrix(rows, path: str, dim: int) -> np.ndarray:
-    out = []
     for ri, row in enumerate(rows):
-        _require(
-            isinstance(row, list) and len(row) == dim,
-            f"{path}[{ri}]",
-            f"vector of length {dim} required",
-        )
-        vals = []
+        if not (isinstance(row, list) and len(row) == dim):
+            raise DocumentInvalid(f"{path}[{ri}]: vector of length {dim} required")
         for ci, value in enumerate(row):
-            _require(
-                isinstance(value, (int, float)) and np.isfinite(value),
-                f"{path}[{ri}][{ci}]",
-                "finite number required",
-            )
-            vals.append(float(value))
-        out.append(vals)
-    return np.array(out)
+            if not _finite_number(value):
+                raise DocumentInvalid(f"{path}[{ri}][{ci}]: finite number required")
+    return np.array(rows, dtype=float)
 
 
 def load_family(path: str) -> tuple[WovenFamily, str]:

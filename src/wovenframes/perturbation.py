@@ -5,6 +5,10 @@ close in the sense of one closeness condition, and emits the woven
 interval that condition predicts. Certificates are sampled evidence,
 never proofs: ``hypothesis_holds`` means no violation was found on the
 examined batch.
+
+The subset checks (``op``, ``proj``) sum the per-index parts of every
+sample over every examined index subset as one matrix product per chunk
+of 0/1 subset masks, chunked by the budget ``linalg.CHUNK_FLOATS``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import ConstantOutOfRange, IndexMismatch, WeightMismatch
 from .fusion import FusionFrame, _member_operators, fusion_frame_operator
-from .linalg import sym_eig
+from .linalg import row_chunks, sym_eig
 
 _HOLD_SLACK = 1e-9
 _SUBSET_CAP = 4096
@@ -202,16 +206,20 @@ def op_perturbation_check(
     w_parts = np.einsum("sd,nde->nse", batch, pw_sq)
     v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
+    # per index and sample: S_W part, S_V part, ||U_W part||^2
+    parts = np.concatenate([w_parts, v_parts, w_normsq[:, :, None]], axis=2)
+    flat = parts.reshape(n, -1)
 
     worst = -np.inf
-    for mask in _subset_masks(n, rng):
-        s_w = np.tensordot(mask, w_parts, axes=(0, 0))
-        s_v = np.tensordot(mask, v_parts, axes=(0, 0))
-        lhs = np.linalg.norm(s_w - s_v, axis=1)
-        u_norm = np.sqrt(np.maximum(np.tensordot(mask, w_normsq, axes=(0, 0)), 0.0))
+    for chunk in row_chunks(_subset_masks(n, rng), flat.shape[1]):
+        sums = (chunk @ flat).reshape(len(chunk), *parts.shape[1:])
+        s_w = sums[:, :, :d]
+        s_v = sums[:, :, d : 2 * d]
+        lhs = np.linalg.norm(s_w - s_v, axis=2)
+        u_norm = np.sqrt(np.maximum(sums[:, :, 2 * d], 0.0))
         rhs = (
-            lam * np.linalg.norm(s_w, axis=1)
-            + mu * np.linalg.norm(s_v, axis=1)
+            lam * np.linalg.norm(s_w, axis=2)
+            + mu * np.linalg.norm(s_v, axis=2)
             + gamma * u_norm
         )
         worst = max(worst, float((lhs - rhs).max()))
@@ -277,15 +285,15 @@ def proj_perturbation_check(
     vn = np.linalg.norm(pv_f, axis=2)
     if squared:
         diff, wn, vn = diff**2, wn**2, vn**2
-    diff, wn, vn = diff * wsq, wn * wsq, vn * wsq
+    # per index and sample: the weighted difference, W and V norms
+    parts = np.stack([diff * wsq, wn * wsq, vn * wsq], axis=2)
+    flat = parts.reshape(n, -1)
 
     worst = -np.inf
-    for mask in _subset_masks(n, rng):
-        lhs = np.tensordot(mask, diff, axes=(0, 0))
-        rhs = kconst * np.minimum(
-            np.tensordot(mask, wn, axes=(0, 0)),
-            np.tensordot(mask, vn, axes=(0, 0)),
-        )
+    for chunk in row_chunks(_subset_masks(n, rng), flat.shape[1]):
+        sums = (chunk @ flat).reshape(len(chunk), *parts.shape[1:])
+        lhs = sums[:, :, 0]
+        rhs = kconst * np.minimum(sums[:, :, 1], sums[:, :, 2])
         worst = max(worst, float((lhs - rhs).max()))
     inequality_violation = worst
 

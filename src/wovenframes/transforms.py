@@ -36,7 +36,7 @@ from .weaving import (
     WovenFamily,
     WovenReport,
     _partitions,
-    _weaving_operator,
+    _weaving_operators,
     contribution_stacks,
     weave,
     woven_bounds_exhaustive,
@@ -255,9 +255,9 @@ def intersection_weaving_report(
     stacks = contribution_stacks(intersected)
     worst_low = -np.inf
     worst_high = -np.inf
-    for assignment in _partitions(intersected.n, intersected.m):
-        op = _weaving_operator(stacks, assignment)
-        sums = np.einsum("sd,de,se->s", vectors, op, vectors)
+    for chunk in _partitions(intersected.n, intersected.m, intersected.dim):
+        ops = _weaving_operators(stacks, chunk)
+        sums = np.einsum("sd,rde,se->rs", vectors, ops, vectors)
         worst_low = max(worst_low, float((base.universal_lower - sums).max()))
         worst_high = max(worst_high, float((sums - base.universal_upper).max()))
     return IntersectionReport(

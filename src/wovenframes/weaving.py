@@ -6,11 +6,17 @@ index to one system; the weaving takes element i from the assigned
 system. Universal bounds are the min/max of the weaving operator
 spectra over partitions, found exhaustively (lexicographic order over
 base-m assignment strings) or by seeded sampling.
+
+Every scan runs in chunks of assignments: a chunk's weaving operators
+are gathered from the contribution stacks and summed in one call, and
+their spectra come from one stacked LAPACK ``eigh`` call. The chunk
+size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
+chunks in order keeps the first lexicographic extremum and the first
+lexicographic witness, as a one-partition-at-a-time loop would.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -27,7 +33,7 @@ from .errors import (
 )
 from .frames import FRAME_TOL, DiscreteFrame, _clamp_small_negative, _is_frame
 from .fusion import FusionFrame, _member_operators, is_riesz_decomposition
-from .linalg import sym_eig
+from .linalg import chunk_rows, row_chunks, stacked_eigenvalues, sym_eig
 
 PARTITION_CAP = 2**22
 
@@ -60,19 +66,29 @@ def _require_eps(eps: float, name: str = "eps") -> None:
         raise InvalidEps(f"{name} must be finite and positive, got {eps}")
 
 
-def _partitions(n: int, m: int):
+def _partitions(n: int, m: int, d: int):
     """Every assignment of n indices to m systems, in lexicographic order.
 
-    The one place the enumeration cap is enforced: raises
-    TooManyPartitions before any work when m^n exceeds it.
+    Returns a generator of (rows, n) int arrays, sized for (rows, n, d, d)
+    temporaries. The one place the enumeration cap is enforced: raises
+    TooManyPartitions at the call, before any work, when m^n exceeds it.
     """
     cap = partition_cap()
-    if m**n > cap:
+    total = m**n
+    if total > cap:
         raise TooManyPartitions(
-            f"{m}^{n} = {m**n} partitions exceeds the cap {cap}; "
+            f"{m}^{n} = {total} partitions exceeds the cap {cap}; "
             "use the sampled search instead"
         )
-    return itertools.product(range(m), repeat=n)
+    powers = np.array([m ** (n - 1 - k) for k in range(n)], dtype=np.int64)
+    step = chunk_rows(n * d * d)
+
+    def chunks():
+        for start in range(0, total, step):
+            ranks = np.arange(start, min(start + step, total), dtype=np.int64)
+            yield ranks[:, None] // powers % m
+
+    return chunks()
 
 
 @dataclass(frozen=True)
@@ -219,51 +235,69 @@ def contribution_stacks(family: WovenFamily) -> np.ndarray:
     return np.stack(members, axis=1)
 
 
-def _weaving_operator(stacks: np.ndarray, assignment) -> np.ndarray:
+def _weaving_operators(stacks: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Weaving operators of a (rows, n) chunk of assignments, (rows, d, d).
+
+    One gathered sum over the index axis: numpy reduces it in the order
+    it reduces a single partition's (n, d, d) stack, so each row equals
+    the one-partition sum bit for bit (pairwise summation included).
+    """
     n = stacks.shape[0]
-    return stacks[np.arange(n), list(assignment)].sum(axis=0)
+    return stacks[np.arange(n), chunk].sum(axis=1)
 
 
 def _scan(
     stacks: np.ndarray,
-    assignments,
+    chunks,
     method: str,
     frame_tol: float,
     seed: int | None = None,
     eps: float | None = None,
+    stop_at_witness: bool = False,
 ) -> WovenReport:
-    """Fold the weaving spectra of ``assignments`` into one report.
+    """Fold the weaving spectra of the assignment ``chunks`` into one report.
 
-    With ``eps`` the report also carries the first assignment whose
-    smallest eigenvalue is below ``eps``, with its unit eigenvector and
-    that value.
+    Each chunk takes one stacked eigensolve; an extremum or witness is
+    replaced only by a strictly more extreme later one, so ties go to
+    the first assignment in scan order. With ``eps`` the report also
+    carries the first assignment whose smallest eigenvalue is below
+    ``eps``, with its unit eigenvector (from sym_eig, for its sign
+    rule) and that value; ``stop_at_witness`` ends the scan after the
+    chunk that holds it.
     """
     lo_val = np.inf
     hi_val = -np.inf
-    lo_part: tuple[int, ...] | None = None
-    hi_part: tuple[int, ...] | None = None
+    lo_part = hi_part = None
     witness = None
     count = 0
-    for assignment in assignments:
-        spec = sym_eig(_weaving_operator(stacks, assignment))
-        count += 1
-        if spec.smallest < lo_val:
-            lo_val = spec.smallest
-            lo_part = tuple(assignment)
-        if spec.largest > hi_val:
-            hi_val = spec.largest
-            hi_part = tuple(assignment)
-        if witness is None and eps is not None and spec.smallest < eps:
-            witness = (
-                Partition(assignment),
-                spec.eigenvectors[:, 0].copy(),
-                spec.smallest,
-            )
-    lower = _clamp_small_negative(lo_val, hi_val)
+    for chunk in chunks:
+        ops = _weaving_operators(stacks, chunk)
+        values = stacked_eigenvalues(ops)
+        count += len(chunk)
+        k = int(np.argmin(values[:, 0]))
+        if values[k, 0] < lo_val:
+            lo_val, lo_part = values[k, 0], chunk[k]
+        k = int(np.argmax(values[:, -1]))
+        if values[k, -1] > hi_val:
+            hi_val, hi_part = values[k, -1], chunk[k]
+        if witness is None and eps is not None:
+            below = np.flatnonzero(values[:, 0] < eps)
+            if below.size:
+                k = int(below[0])
+                spec = sym_eig(ops[k])
+                witness = (
+                    Partition(chunk[k]),
+                    spec.eigenvectors[:, 0].copy(),
+                    spec.smallest,
+                )
+                if stop_at_witness:
+                    break
+    upper = float(hi_val)
+    lower = _clamp_small_negative(float(lo_val), upper)
     return WovenReport(
-        universal_lower=float(lower),
-        universal_upper=float(hi_val),
-        is_woven=_is_frame(lower, hi_val, frame_tol),
+        universal_lower=lower,
+        universal_upper=upper,
+        is_woven=_is_frame(lower, upper, frame_tol),
         worst_partition=Partition(lo_part),
         best_upper_partition=Partition(hi_part),
         method=method,
@@ -286,8 +320,8 @@ def woven_bounds_from_contributions(
     """
     if eps is not None:
         _require_eps(eps)
-    n, m = stacks.shape[0], stacks.shape[1]
-    return _scan(stacks, _partitions(n, m), "exhaustive", frame_tol, eps=eps)
+    n, m, d = stacks.shape[:3]
+    return _scan(stacks, _partitions(n, m, d), "exhaustive", frame_tol, eps=eps)
 
 
 def woven_bounds_exhaustive(
@@ -297,8 +331,11 @@ def woven_bounds_exhaustive(
 
     ``eps`` as in woven_bounds_from_contributions.
     """
+    if eps is not None:
+        _require_eps(eps)
+    chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    return woven_bounds_from_contributions(stacks, frame_tol, eps)
+    return _scan(stacks, chunks, "exhaustive", frame_tol, eps=eps)
 
 
 def woven_bounds_sampled(
@@ -319,21 +356,20 @@ def woven_bounds_sampled(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     stacks = contribution_stacks(family)
-    n, m = family.n, family.m
+    n, m, d = family.n, family.m, family.dim
     rng = np.random.default_rng(seed)
     drawn = rng.integers(0, m, size=(samples, n))
-    assignments = itertools.chain(
-        (tuple([j] * n) for j in range(m)),
-        (tuple(int(a) for a in row) for row in drawn),
-    )
-    return _scan(stacks, assignments, "sampled", frame_tol, seed=seed)
+    pure = np.repeat(np.arange(m)[:, None], n, axis=1)
+    rows = np.concatenate([pure, drawn])
+    chunks = row_chunks(rows, n * d * d)
+    return _scan(stacks, chunks, "sampled", frame_tol, seed=seed)
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
     """Largest eigenvalue of the weaving's (fusion) frame operator."""
     _check_partition(family, p)
     stacks = contribution_stacks(family)
-    return sym_eig(_weaving_operator(stacks, p.assignment)).largest
+    return sym_eig(_weaving_operators(stacks, np.array([p.assignment]))[0]).largest
 
 
 def find_nonwoven_witness(
@@ -344,17 +380,12 @@ def find_nonwoven_witness(
     value. None when every weaving clears the threshold. Raises
     InvalidEps unless ``eps`` is finite and positive."""
     _require_eps(eps)
-    assignments = _partitions(family.n, family.m)
+    chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    for assignment in assignments:
-        spec = sym_eig(_weaving_operator(stacks, assignment))
-        if spec.smallest < eps:
-            return (
-                Partition(assignment),
-                spec.eigenvectors[:, 0].copy(),
-                spec.smallest,
-            )
-    return None
+    report = _scan(
+        stacks, chunks, "exhaustive", FRAME_TOL, eps=eps, stop_at_witness=True
+    )
+    return report.witness
 
 
 @dataclass(frozen=True)
@@ -374,11 +405,12 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
         raise WrongKind("Riesz weaving check applies to fusion families only")
     failing: list[Partition] = []
     count = 0
-    for assignment in _partitions(family.n, family.m):
-        p = Partition(assignment)
-        count += 1
-        if not is_riesz_decomposition(weave(family, p)):
-            failing.append(p)
+    for chunk in _partitions(family.n, family.m, family.dim):
+        for assignment in chunk:
+            p = Partition(assignment)
+            count += 1
+            if not is_riesz_decomposition(weave(family, p)):
+                failing.append(p)
     return RieszWeavingReport(
         all_pass=not failing,
         failing=tuple(failing),

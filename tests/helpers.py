@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from wovenframes import DiscreteFrame, FusionFrame, Subspace, WovenFamily
+from wovenframes.fusion import _member_operators
+from wovenframes.linalg import sym_eig
+from wovenframes.perturbation import _extremal_vectors, _subset_masks, _unit_rows
 
 
 def eig2(matrix) -> tuple[float, float]:
@@ -197,3 +201,86 @@ def woven_pair_random(rng: np.random.Generator, dim: int, members: int) -> Woven
         subs[-1] = Subspace(dim, np.eye(dim))
         systems.append(FusionFrame(dim, tuple(subs), np.ones(members)))
     return WovenFamily.fusion(tuple(systems))
+
+
+# -- per-item loop oracles for the chunked scans ---------------------------
+
+
+def scan_oracle(stacks: np.ndarray, assignments, eps: float | None = None) -> dict:
+    """One sym_eig per assignment, in order.
+
+    Returns the smallest and largest eigenvalue over the assignments, the
+    first assignment attaining each, the first assignment below ``eps``
+    as (assignment, eigenvector, value), and the count.
+    """
+    n = stacks.shape[0]
+    out = {"lower": np.inf, "upper": -np.inf, "worst": None, "best": None,
+           "witness": None, "count": 0}
+    for assignment in assignments:
+        assignment = tuple(int(a) for a in assignment)
+        spec = sym_eig(stacks[np.arange(n), list(assignment)].sum(axis=0))
+        out["count"] += 1
+        if spec.smallest < out["lower"]:
+            out["lower"], out["worst"] = spec.smallest, assignment
+        if spec.largest > out["upper"]:
+            out["upper"], out["best"] = spec.largest, assignment
+        if out["witness"] is None and eps is not None and spec.smallest < eps:
+            out["witness"] = (assignment, spec.eigenvectors[:, 0], spec.smallest)
+    return out
+
+
+def all_assignments(n: int, m: int):
+    return itertools.product(range(m), repeat=n)
+
+
+def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
+    rng = np.random.default_rng(seed)
+    batch = np.concatenate(
+        [_unit_rows(rng, samples, w.dim), _extremal_vectors(w, v)], axis=0
+    )
+    return batch, rng
+
+
+def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
+    """The ``op`` inequality's worst sampled slack, one tensordot per mask."""
+    batch, rng = _sample_batch(w, v, samples, seed)
+    pw_sq = _member_operators(w)
+    pv_sq = _member_operators(v)
+    w_parts = np.einsum("sd,nde->nse", batch, pw_sq)
+    v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
+    w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
+    worst = -np.inf
+    for mask in _subset_masks(w.size, rng):
+        s_w = np.tensordot(mask, w_parts, axes=(0, 0))
+        s_v = np.tensordot(mask, v_parts, axes=(0, 0))
+        lhs = np.linalg.norm(s_w - s_v, axis=1)
+        u_norm = np.sqrt(np.maximum(np.tensordot(mask, w_normsq, axes=(0, 0)), 0.0))
+        rhs = (
+            lam * np.linalg.norm(s_w, axis=1)
+            + mu * np.linalg.norm(s_v, axis=1)
+            + gamma * u_norm
+        )
+        worst = max(worst, float((lhs - rhs).max()))
+    return worst
+
+
+def proj_violation_oracle(w, v, kconst, samples, seed, squared=False) -> float:
+    """The ``proj`` inequality's worst sampled slack, one tensordot per mask."""
+    batch, rng = _sample_batch(w, v, samples, seed)
+    pw_f = np.einsum("sd,nde->nse", batch, _member_operators(w, np.ones(w.size)))
+    pv_f = np.einsum("sd,nde->nse", batch, _member_operators(v, np.ones(v.size)))
+    diff = np.linalg.norm(pw_f - pv_f, axis=2)
+    wn = np.linalg.norm(pw_f, axis=2)
+    vn = np.linalg.norm(pv_f, axis=2)
+    if squared:
+        diff, wn, vn = diff**2, wn**2, vn**2
+    wsq = (w.weights**2)[:, None]
+    diff, wn, vn = diff * wsq, wn * wsq, vn * wsq
+    worst = -np.inf
+    for mask in _subset_masks(w.size, rng):
+        lhs = np.tensordot(mask, diff, axes=(0, 0))
+        rhs = kconst * np.minimum(
+            np.tensordot(mask, wn, axes=(0, 0)), np.tensordot(mask, vn, axes=(0, 0))
+        )
+        worst = max(worst, float((lhs - rhs).max()))
+    return worst

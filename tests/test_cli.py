@@ -361,3 +361,53 @@ class TestPartitionCapVariable:
         assert captured.out == ""
         assert "WOVEN_MAX_PARTITIONS" in captured.err
         assert "positive integer" in captured.err
+
+
+
+def _replaced(doc, keys, value):
+    """A deep copy of ``doc`` with the entry at the key path set to ``value``."""
+    copy = json.loads(json.dumps(doc))
+    target = copy
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return copy
+
+
+class TestNumberEntries:
+    @pytest.mark.parametrize(
+        "doc, keys, value, path, message",
+        [
+            (EX3_2_DOC, ["systems", 0, "vectors", 1, 0], True,
+             "systems[0].vectors[1][0]", "finite number required"),
+            (EX3_2_DOC, ["systems", 1, "vectors", 2, 1], False,
+             "systems[1].vectors[2][1]", "finite number required"),
+            (COORDINATE_PAIR_DOC, ["systems", 0, "weights", 0], True,
+             "systems[0].weights[0]", "weights must be finite and positive"),
+            (COORDINATE_PAIR_DOC, ["systems", 1, "subspaces", 1, "spanning", 0, 3], True,
+             "systems[1].subspaces[1].spanning[0][3]", "finite number required"),
+            (EX3_2_DOC, ["dim"], True, "dim", "positive integer required"),
+            (EX3_2_DOC, ["systems", 0, "vectors", 0, 1], 10**400,
+             "systems[0].vectors[0][1]", "finite number required"),
+        ],
+        ids=["vector-true", "vector-false", "weight-true", "spanning-true", "dim-true",
+             "int-beyond-float"],
+    )
+    def test_booleans_and_unrepresentable_numbers_exit_two(
+        self, tmp_path, capsys, doc, keys, value, path, message
+    ):
+        code = main(["analyze", write_doc(tmp_path, _replaced(doc, keys, value))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_integer_and_float_entries_parse_alike(self, tmp_path, capsys):
+        floats = _replaced(
+            EX3_2_DOC,
+            ["systems", 0, "vectors"],
+            [[float(x) for x in row] for row in EX3_2_DOC["systems"][0]["vectors"]],
+        )
+        _, out_ints = run_main(capsys, ["woven", write_doc(tmp_path, EX3_2_DOC)])
+        _, out_floats = run_main(capsys, ["woven", write_doc(tmp_path, floats, "f.json")])
+        assert json.loads(out_ints)["report"] == json.loads(out_floats)["report"]

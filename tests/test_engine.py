@@ -1,0 +1,216 @@
+"""The chunked scans against per-item loop oracles.
+
+Every check runs with chunks forced to 1 row, 3 rows and the default
+budget, so extrema, ties and witnesses are exercised on both sides of
+chunk boundaries.
+"""
+
+import numpy as np
+import pytest
+
+from wovenframes import (
+    DiscreteFrame,
+    FusionFrame,
+    Subspace,
+    WovenFamily,
+    find_nonwoven_witness,
+    op_perturbation_check,
+    proj_perturbation_check,
+    woven_bounds_exhaustive,
+    woven_bounds_sampled,
+)
+from wovenframes import linalg, weaving
+from wovenframes.frames import _clamp_small_negative
+from wovenframes.weaving import contribution_stacks
+
+from helpers import all_assignments, op_violation_oracle, proj_violation_oracle, scan_oracle
+
+
+@pytest.fixture(params=[1, 3, None], ids=["1-row", "3-row", "default"])
+def rows_per_chunk(request, monkeypatch):
+    """Returns ``force(row_floats)``: sets the chunk budget so a scan whose
+    rows hold ``row_floats`` floats runs in chunks of the fixture's row
+    count (the default budget for None), and returns that row count."""
+
+    def force(row_floats: int) -> int:
+        if request.param is not None:
+            monkeypatch.setattr(linalg, "CHUNK_FLOATS", request.param * row_floats)
+        return linalg.chunk_rows(row_floats)
+
+    return force
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts the stacked eigensolves the weaving scans make."""
+    calls = []
+    original = weaving.stacked_eigenvalues
+
+    def spy(matrices):
+        calls.append(len(matrices))
+        return original(matrices)
+
+    monkeypatch.setattr(weaving, "stacked_eigenvalues", spy)
+    return calls
+
+
+def assert_matches(report, expected):
+    assert report.partitions_examined == expected["count"]
+    assert report.universal_upper == expected["upper"]
+    assert report.universal_lower == _clamp_small_negative(
+        expected["lower"], expected["upper"]
+    )
+    assert report.worst_partition.assignment == expected["worst"]
+    assert report.best_upper_partition.assignment == expected["best"]
+    if expected["witness"] is None:
+        assert report.witness is None
+    else:
+        partition, vector, value = report.witness
+        assert partition.assignment == expected["witness"][0]
+        assert np.array_equal(vector, expected["witness"][1])
+        assert value == expected["witness"][2]
+
+
+def random_discrete(rng, d: int, n: int, m: int, zero_share: float = 0.0) -> WovenFamily:
+    """m Gaussian systems; about ``zero_share`` of the vectors are zeroed,
+    which spreads the weaving spectra towards 0."""
+    return WovenFamily.discrete(
+        [
+            DiscreteFrame(d, rng.standard_normal((n, d)) * (rng.random((n, 1)) >= zero_share))
+            for _ in range(m)
+        ]
+    )
+
+
+def nonwoven_pair(rng, d: int, n: int) -> WovenFamily:
+    """Coordinate 0 is missing from system 0 at indices 1..n-1 and from
+    system 1 at index 0, so (1, 0, ..., 0), of lexicographic rank
+    2^(n-1), is the first singular weaving."""
+    frames = []
+    for zeroed in (range(1, n), range(1)):
+        vectors = rng.standard_normal((n, d))
+        vectors[list(zeroed), 0] = 0.0
+        frames.append(DiscreteFrame(d, vectors))
+    return WovenFamily.discrete(frames)
+
+
+def near_fusion_pair(rng, d: int, n: int, rank: int):
+    weights = rng.uniform(0.5, 1.5, n)
+    span_w = rng.standard_normal((n, rank, d))
+    span_v = span_w + 0.02 * rng.standard_normal((n, rank, d))
+    return tuple(
+        FusionFrame(d, tuple(Subspace.from_spanning(d, list(s)) for s in spans), weights)
+        for spans in (span_w, span_v)
+    )
+
+
+# d = 1 with n >= 8 is where numpy sums an index stack pairwise
+@pytest.mark.parametrize("d, n, m", [(1, 9, 2), (1, 12, 2), (3, 7, 2), (2, 5, 3)])
+def test_chunk_operators_equal_one_partition_sums(d, n, m):
+    stacks = contribution_stacks(random_discrete(np.random.default_rng(n), d, n, m))
+    chunk = np.array(list(all_assignments(n, m)))
+    expected = [stacks[np.arange(n), a].sum(axis=0) for a in chunk]
+    assert np.array_equal(weaving._weaving_operators(stacks, chunk), expected)
+
+
+@pytest.mark.parametrize("d, n, m", [(1, 9, 2), (3, 7, 2), (2, 5, 3)])
+def test_exhaustive_matches_oracle(rows_per_chunk, eig_calls, d, n, m):
+    family = random_discrete(np.random.default_rng(d * 100 + n), d, n, m, 0.3)
+    rows = rows_per_chunk(n * d * d)
+    stacks = contribution_stacks(family)
+    eps = 1.0
+    report = woven_bounds_exhaustive(family, eps=eps)
+    assert_matches(report, scan_oracle(stacks, all_assignments(n, m), eps))
+    assert eig_calls == [min(rows, m**n - k) for k in range(0, m**n, rows)]
+
+
+@pytest.mark.parametrize("n, m", [(7, 2), (5, 3)])
+def test_ties_go_to_the_first_partition(rows_per_chunk, n, m):
+    frame = DiscreteFrame(3, np.random.default_rng(n).standard_normal((n, 3)))
+    family = WovenFamily.discrete([frame] * m)
+    rows_per_chunk(n * 9)
+    report = woven_bounds_exhaustive(family)
+    assert report.worst_partition.assignment == (0,) * n
+    assert report.best_upper_partition.assignment == (0,) * n
+    assert_matches(report, scan_oracle(contribution_stacks(family), all_assignments(n, m)))
+
+
+def test_witness_in_a_later_chunk(rows_per_chunk, eig_calls):
+    d, n = 2, 11
+    family = nonwoven_pair(np.random.default_rng(5), d, n)
+    rows = rows_per_chunk(n * d * d)
+    star = (1,) + (0,) * (n - 1)
+    assert 2 ** (n - 1) >= rows  # not in the first chunk
+
+    report = woven_bounds_exhaustive(family, eps=1e-8)
+    expected = scan_oracle(contribution_stacks(family), all_assignments(n, 2), 1e-8)
+    assert expected["witness"][0] == star
+    assert_matches(report, expected)
+
+    del eig_calls[:]
+    partition, vector, value = find_nonwoven_witness(family, eps=1e-8)
+    assert partition.assignment == star
+    assert np.array_equal(vector, expected["witness"][1])
+    assert value == expected["witness"][2]
+    # the search stops after the chunk that holds rank 2^(n-1)
+    assert len(eig_calls) == 2 ** (n - 1) // rows + 1
+
+
+@pytest.mark.parametrize("d, n, m", [(2, 6, 2), (3, 5, 3)])
+@pytest.mark.parametrize("eps", [0.01, 1.0, 10.0, 1e6])
+def test_witness_search_matches_the_full_scan(rows_per_chunk, d, n, m, eps):
+    family = random_discrete(np.random.default_rng(n + m), d, n, m)
+    # universal lower bounds 0.21 and 0.020: no witness below 0.01
+    rows_per_chunk(n * d * d)
+    found = find_nonwoven_witness(family, eps=eps)
+    scanned = woven_bounds_exhaustive(family, eps=eps).witness
+    if scanned is None:
+        assert found is None
+    else:
+        assert found[0] == scanned[0]
+        assert np.array_equal(found[1], scanned[1])
+        assert found[2] == scanned[2]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_matches_oracle(rows_per_chunk, seed):
+    d, n, m, samples = 3, 10, 3, 40
+    family = random_discrete(np.random.default_rng(seed), d, n, m)
+    rows_per_chunk(n * d * d)
+    drawn = np.random.default_rng(seed).integers(0, m, size=(samples, n))
+    rows = [(j,) * n for j in range(m)] + [tuple(r) for r in drawn]
+    report = woven_bounds_sampled(family, samples, seed)
+    assert_matches(report, scan_oracle(contribution_stacks(family), rows))
+    assert report.method == "sampled" and report.seed == seed
+
+
+def close(a: float, b: float) -> bool:
+    # a GEMM and a per-mask tensordot may round in another order
+    return abs(a - b) <= 1e-12 * (1.0 + abs(b))
+
+
+# n = 9 enumerates all 512 masks; n = 13 draws 4096 of 8192
+@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("c", [0.02, 0.1])
+def test_op_matches_oracle(rows_per_chunk, n, c):
+    d, samples, seed = 3, 10, 4
+    w, v = near_fusion_pair(np.random.default_rng(n), d, n, 2)
+    rows_per_chunk((samples + 6) * (2 * d + 1))
+    cert = op_perturbation_check(w, v, c, c, c, samples, seed)
+    expected = op_violation_oracle(w, v, c, c, c, samples, seed)
+    assert close(cert.inequality_violation, expected)
+    assert cert.hypothesis_holds == (max(cert.gate_margin, expected) <= 1e-9)
+
+
+@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("kconst", [0.05, 0.5])
+def test_proj_matches_oracle(rows_per_chunk, n, squared, kconst):
+    d, samples, seed = 3, 10, 2
+    w, v = near_fusion_pair(np.random.default_rng(n), d, n, 2)
+    rows_per_chunk((samples + 6) * 3)
+    cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+    expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
+    assert close(cert.inequality_violation, expected)
+    assert cert.hypothesis_holds == (expected <= 1e-9)
+

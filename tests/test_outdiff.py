@@ -7,7 +7,10 @@ import os
 
 import pytest
 
-from wovenframes.cli import main
+from wovenframes import find_nonwoven_witness
+from wovenframes.cli import main, parse_family_document
+from wovenframes.linalg import chunk_rows
+from wovenframes.perturbation import _SUBSET_CAP
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
 _spec = importlib.util.spec_from_file_location("outdiff", _TOOL)
@@ -81,3 +84,17 @@ def test_integer_becoming_float_is_flagged():
 def test_exit_code_and_stderr_are_exact():
     assert outdiff.compare_runs((0, "", ""), (1, "", "")) == ["exit code 0 != 1"]
     assert outdiff.compare_runs((2, "", "error: a\n"), (2, "", "error: b\n")) != []
+
+
+@pytest.mark.parametrize("kind", ["discrete", "fusion"])
+@pytest.mark.parametrize("m, n", [(2, 13), (3, 9)])
+def test_late_witness_documents_place_the_witness_past_the_first_chunk(kind, m, n):
+    family = parse_family_document(outdiff.late_witness_doc(m * 100 + n, kind, m, n))
+    partition, _, _ = find_nonwoven_witness(family)
+    assert partition.assignment == (1,) + (0,) * (n - 1)
+    assert m ** (n - 1) >= chunk_rows(n * family.dim**2)
+
+
+def test_near_pair_document_samples_its_subset_masks():
+    family = parse_family_document(outdiff.near_fusion_pair_doc(13))
+    assert family.m == 2 and family.n == 13 and 2**family.n > _SUBSET_CAP

@@ -20,9 +20,12 @@ from wovenframes import (
     woven_bounds_sampled,
     woven_riesz_decomposition_check,
 )
+from wovenframes import transforms, weaving
 from wovenframes.errors import (
     InvalidEps,
     InvalidPartitionCap,
+    NonFinite,
+    NotSymmetric,
     PartitionLengthMismatch,
     ToolkitError,
     TooManyPartitions,
@@ -30,7 +33,12 @@ from wovenframes.errors import (
 )
 from wovenframes.instances import build_ex3_2, build_ex4_1
 from wovenframes.transforms import intersection_weaving_report
-from wovenframes.weaving import member_bessel_bounds, partition_cap
+from wovenframes.weaving import (
+    contribution_stacks,
+    member_bessel_bounds,
+    partition_cap,
+    woven_bounds_from_contributions,
+)
 
 from helpers import basis_vec, eig2, ex3_2_frames, woven_pair_random
 
@@ -331,6 +339,21 @@ class TestPartitionCap:
             with pytest.raises(TooManyPartitions):
                 call()
 
+    def test_cap_is_checked_before_the_stacks_are_built(self, monkeypatch):
+        built = []
+
+        def spy(family):
+            built.append(family)
+            return contribution_stacks(family)
+
+        for module in (weaving, transforms):
+            monkeypatch.setattr(module, "contribution_stacks", spy)
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "4")
+        for call in self._exhaustive_calls():
+            with pytest.raises(TooManyPartitions):
+                call()
+        assert built == []
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
     def test_invalid_override_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("WOVEN_MAX_PARTITIONS", raw)
@@ -344,3 +367,29 @@ class TestPartitionCap:
         assert partition_cap() == 8
         report = woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
         assert report.partitions_examined == 8
+
+
+class TestStackValidation:
+    """The chunked scan keeps sym_eig's checks on every weaving operator."""
+
+    @staticmethod
+    def _stacks():
+        return contribution_stacks(WovenFamily.discrete(ex3_2_frames()))
+
+    def test_asymmetric_stack(self):
+        stacks = self._stacks()
+        stacks[2, 1, 0, 1] += 1e-6
+        with pytest.raises(NotSymmetric):
+            woven_bounds_from_contributions(stacks)
+
+    def test_asymmetry_within_tolerance_passes(self):
+        stacks = self._stacks()
+        stacks[2, 1, 0, 1] += 1e-12
+        report = woven_bounds_from_contributions(stacks)
+        assert report.partitions_examined == 8
+
+    def test_nan_stack(self):
+        stacks = self._stacks()
+        stacks[1, 0, 1, 1] = np.nan
+        with pytest.raises(NonFinite):
+            woven_bounds_from_contributions(stacks)

@@ -12,12 +12,18 @@ Runs a fixed command corpus, one subprocess per command, against the
   witnesses): equal norms, and equal up to sign with
   ``|<u, v>| >= (1 - 1e-10) |u| |v|``.
 
-The corpus: the byte-identity commands of acceptance criterion 10;
-``woven``, ``woven --eps 5``, ``woven --samples 7`` and ``analyze`` on
-every woven-exhaustive input, and ``analyze`` on every ingest-analyze
-input, that the benchmark generators in ``bench/workloads.py`` build for
-seeds 1-4; ``reproduce`` for every instance id at ``--dim`` 4, 6 and 8.
-Two commands run at a time.
+The corpus: the byte-identity commands of acceptance criterion 10, plus
+``perturb --method op`` on its fusion document; ``woven``, ``woven --eps
+5``, ``woven --samples 7`` and ``analyze`` on every woven-exhaustive
+input, and ``analyze`` on every ingest-analyze input, that the benchmark
+generators in ``bench/workloads.py`` build for seeds 1-4; ``reproduce``
+for every instance id at ``--dim`` 4, 6 and 8. Documents written here
+from fixed seeds add ``perturb --method op`` and ``proj`` (K = 0.5 and
+1) on a near fusion pair with n = 13, above 2^12 index subsets, so the
+subset masks are sampled; and ``woven`` and ``woven --eps 0.5`` on
+discrete and fusion families with m = 2, n = 13 and m = 3, n = 9, whose
+first singular weaving (1, 0, ..., 0) has lexicographic rank m^(n-1),
+many scan chunks into the enumeration. Two commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
@@ -35,6 +41,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,6 +72,43 @@ CRITERION_10_DOCS = {
     },
     "fusion": {"dim": 4, "kind": "fusion", "systems": [COORDINATE_PLANES, COORDINATE_PLANES]},
 }
+
+
+# -- generated documents ------------------------------------------------------
+
+
+def _spanning(spans: np.ndarray) -> list:
+    return [{"spanning": span.tolist()} for span in spans]
+
+
+def near_fusion_pair_doc(seed: int, d: int = 4, n: int = 13, rank: int = 2) -> dict:
+    """Two-system fusion document, V_i a 1% tilt of W_i, shared weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n).tolist()
+    span_w = rng.standard_normal((n, rank, d))
+    span_v = span_w + 0.01 * rng.standard_normal((n, rank, d))
+    systems = [{"weights": weights, "subspaces": _spanning(s)} for s in (span_w, span_v)]
+    return {"dim": d, "kind": "fusion", "systems": systems}
+
+
+def late_witness_doc(seed: int, kind: str, m: int, n: int, d: int = 4) -> dict:
+    """Coordinate 0 is zeroed in system 0 at indices 1..n-1 and in
+    system 1 at index 0, so (1, 0, ..., 0) is the first singular
+    weaving; further systems are generic."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for j in range(m):
+        zeroed = {0: range(1, n), 1: range(1)}.get(j, ())
+        if kind == "discrete":
+            vectors = rng.standard_normal((n, d))
+            vectors[list(zeroed), 0] = 0.0
+            systems.append({"vectors": vectors.tolist()})
+        else:
+            spans = rng.standard_normal((n, 2, d))
+            spans[list(zeroed), :, 0] = 0.0
+            weights = rng.uniform(0.5, 1.5, n).tolist()
+            systems.append({"weights": weights, "subspaces": _spanning(spans)})
+    return {"dim": d, "kind": kind, "systems": systems}
 
 
 # -- comparison --------------------------------------------------------------
@@ -154,7 +199,21 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["perturb", fus, "--method", "pw", "--lambda1", "0.01",
          "--lambda2", "0.01", "--mu", "0.005", "--seed", "4"],
         ["perturb", fus, "--method", "proj", "--K", "0.5"],
+        ["perturb", fus, "--method", "op", "--lambda", "0.01", "--mu", "0.01",
+         "--gamma", "0.01", "--seed", "4"],
     ]
+    pair = _write(os.path.join(workdir, "near-pair-n13.json"), near_fusion_pair_doc(13))
+    corpus += [
+        ["perturb", pair, "--method", "op", "--lambda", "0.02", "--mu", "0.02",
+         "--gamma", "0.02", "--samples", "50", "--seed", "2"],
+        ["perturb", pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
+        ["perturb", pair, "--method", "proj", "--K", "1", "--samples", "50", "--seed", "2"],
+    ]
+    for kind in ("discrete", "fusion"):
+        for m, n in ((2, 13), (3, 9)):
+            doc = late_witness_doc(m * 100 + n, kind, m, n)
+            path = _write(os.path.join(workdir, f"late-witness-{kind}-m{m}-n{n}.json"), doc)
+            corpus += [["woven", path], ["woven", path, "--eps", "0.5"]]
     for seed in SEEDS:
         for name, variants in (
             ("woven-exhaustive", (["woven"], ["woven", "--eps", "5"],
