@@ -8,8 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, NotAFrame
 from .linalg import SpectrumReport, sym_eig
-
-FRAME_TOL = 1e-10
+from .tolerances import CLAMP_TOL, FRAME_TOL
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,8 @@ class DiscreteFrame:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Optimal lower/upper bounds with the unit vectors achieving them."""
+    """Optimal lower/upper bounds with the unit vectors achieving them;
+    for a fusion frame, ``is_frame`` says whether it is a fusion frame."""
 
     lower: float
     upper: float
@@ -61,35 +61,35 @@ def analysis_matrix(frame: DiscreteFrame) -> np.ndarray:
     return frame.vectors.copy()
 
 
-def _is_frame(lower: float, upper: float, frame_tol: float) -> bool:
-    return lower > frame_tol * max(1.0, upper)
+def _is_frame(lower: float, upper: float) -> bool:
+    return lower > FRAME_TOL * max(1.0, upper)
 
 
 def _clamp_small_negative(value: float, scale: float) -> float:
-    if value < 0.0 and abs(value) <= 1e-12 * max(1.0, scale):
+    if value < 0.0 and abs(value) <= CLAMP_TOL * max(1.0, scale):
         return 0.0
     return value
 
 
-def bounds_from_spectrum(spec: SpectrumReport, frame_tol: float) -> BoundsReport:
+def bounds_from_spectrum(spec: SpectrumReport) -> BoundsReport:
     lower = _clamp_small_negative(spec.smallest, spec.largest)
     upper = spec.largest
     return BoundsReport(
         lower=lower,
         upper=upper,
-        is_frame=_is_frame(lower, upper, frame_tol),
+        is_frame=_is_frame(lower, upper),
         witness_low=spec.eigenvectors[:, 0].copy(),
         witness_high=spec.eigenvectors[:, -1].copy(),
     )
 
 
-def optimal_bounds(frame: DiscreteFrame, frame_tol: float = FRAME_TOL) -> BoundsReport:
+def optimal_bounds(frame: DiscreteFrame) -> BoundsReport:
     """Optimal bounds: extremal eigenvalues of the frame operator.
 
     The witnesses are the corresponding unit eigenvectors, so
     sum_i <witness, f_i>^2 reproduces the reported bound.
     """
-    return bounds_from_spectrum(sym_eig(frame_operator(frame)), frame_tol)
+    return bounds_from_spectrum(sym_eig(frame_operator(frame)))
 
 
 def bessel_bound(frame: DiscreteFrame) -> float:
@@ -97,18 +97,18 @@ def bessel_bound(frame: DiscreteFrame) -> float:
     return sym_eig(frame_operator(frame)).largest
 
 
-def dual_frame(frame: DiscreteFrame, frame_tol: float = FRAME_TOL) -> DiscreteFrame:
+def dual_frame(frame: DiscreteFrame) -> DiscreteFrame:
     """Standard dual {S^-1 f_i}, giving the reconstruction identity."""
     spec = sym_eig(frame_operator(frame))
-    if not _is_frame(spec.smallest, spec.largest, frame_tol):
+    if not _is_frame(spec.smallest, spec.largest):
         raise NotAFrame("lower bound is numerically zero; no dual exists")
     inv = spec.eigenvectors @ np.diag(1.0 / spec.eigenvalues) @ spec.eigenvectors.T
     return DiscreteFrame(frame.dim, frame.vectors @ inv)
 
 
-def is_riesz_basis(frame: DiscreteFrame, frame_tol: float = FRAME_TOL) -> bool:
+def is_riesz_basis(frame: DiscreteFrame) -> bool:
     """Exactly dim vectors forming a frame: a linearly independent spanning set."""
     if frame.size != frame.dim:
         return False
     spec = sym_eig(frame_operator(frame))
-    return _is_frame(spec.smallest, spec.largest, frame_tol)
+    return _is_frame(spec.smallest, spec.largest)

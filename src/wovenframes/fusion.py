@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotOrthonormal
-from .frames import FRAME_TOL, bounds_from_spectrum
-from .linalg import GRAM_TOL, RANK_TOL, orthonormalize, projector, sym_eig
+from .frames import BoundsReport, bounds_from_spectrum
+from .linalg import orthonormalize, projector, sym_eig
+from .tolerances import GRAM_TOL, RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,12 @@ class Subspace:
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def from_spanning(cls, dim: int, vectors, tol: float = 1e-10) -> "Subspace":
+    def from_spanning(cls, dim: int, vectors) -> "Subspace":
         """Orthonormalize a spanning set; an empty or all-zero set gives k = 0."""
         vecs = list(vectors)
         if not vecs:
             return cls(dim, np.zeros((dim, 0)))
-        basis, _ = orthonormalize(vecs, tol=tol)
+        basis, _ = orthonormalize(vecs)
         if basis.shape[0] != dim:
             raise DimensionMismatch(
                 f"spanning vectors live in R^{basis.shape[0]}, expected R^{dim}"
@@ -101,15 +102,6 @@ class FusionFrame:
         )
 
 
-@dataclass(frozen=True)
-class FusionBoundsReport:
-    lower: float
-    upper: float
-    is_fusion_frame: bool
-    witness_low: np.ndarray
-    witness_high: np.ndarray
-
-
 def _member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
     """Per-member operators ``scale_i * P_i``, shape (size, dim, dim).
 
@@ -129,16 +121,9 @@ def fusion_frame_operator(ff: FusionFrame) -> np.ndarray:
     return _member_operators(ff).sum(axis=0)
 
 
-def fusion_bounds(ff: FusionFrame, frame_tol: float = FRAME_TOL) -> FusionBoundsReport:
+def fusion_bounds(ff: FusionFrame) -> BoundsReport:
     """Optimal bounds: extremal eigenvalues of the fusion frame operator."""
-    rep = bounds_from_spectrum(sym_eig(fusion_frame_operator(ff)), frame_tol)
-    return FusionBoundsReport(
-        lower=rep.lower,
-        upper=rep.upper,
-        is_fusion_frame=rep.is_frame,
-        witness_low=rep.witness_low,
-        witness_high=rep.witness_high,
-    )
+    return bounds_from_spectrum(sym_eig(fusion_frame_operator(ff)))
 
 
 def analysis_apply(ff: FusionFrame, f) -> list[np.ndarray]:

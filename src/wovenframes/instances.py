@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionTooSmall, OddDimension, ToolkitError
 from .frames import DiscreteFrame, frame_operator, optimal_bounds
 from .fusion import FusionFrame, Subspace, fusion_bounds
+from .tolerances import ENTRY_TOL, EX4_2_WITNESS_BOUND, HOLD_SLACK, WITNESS_EPS
 from .transforms import (
     LocalSystem,
     flatten_local_system,
@@ -193,7 +194,7 @@ def build_ex4_2(dim: int = 6, first_block_absent: bool = False) -> ReferenceInst
     expected = {
         "nonwoven": Expected(True, REFERENCE),
         "witness_assignment": Expected(witness_assignment, REFERENCE),
-        "witness_value_at_most": Expected(1e-12, REFERENCE),
+        "witness_value_at_most": Expected(EX4_2_WITNESS_BOUND, REFERENCE),
         "witness_vector_first_coordinate": Expected(True, REFERENCE),
         "equivalence_verdicts": Expected((False, False, False), REFERENCE),
         "first_flat_bounds": Expected((1.0, 1.0), COMPUTED),
@@ -258,12 +259,12 @@ def build_instance(instance_id: str, dim: int = 6, delta: float = 1.0) -> Refere
     raise ToolkitError(f"unknown instance id {instance_id!r}")
 
 
-def _pair_close(actual, expected, tol: float = 1e-9) -> bool:
-    return all(abs(a - e) <= tol for a, e in zip(actual, expected))
+def _pair_close(actual, expected) -> bool:
+    return all(abs(a - e) <= HOLD_SLACK for a, e in zip(actual, expected))
 
 
-def _pair_inside(actual, stated, tol: float = 1e-9) -> bool:
-    return actual[0] >= stated[0] - tol and actual[1] <= stated[1] + tol
+def _pair_inside(actual, stated) -> bool:
+    return actual[0] >= stated[0] - HOLD_SLACK and actual[1] <= stated[1] + HOLD_SLACK
 
 
 def _verify_ex3_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
@@ -284,7 +285,8 @@ def _verify_ex3_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
         ("second_optimal_bounds", _pair_close(second, want["second_optimal_bounds"]), second),
         (
             "first_frame_operator",
-            float(np.abs(op - np.array(want["first_frame_operator"])).max()) <= 1e-12,
+            float(np.abs(op - np.array(want["first_frame_operator"])).max())
+            <= ENTRY_TOL,
             tuple(tuple(row) for row in op.tolist()),
         ),
         (
@@ -343,7 +345,7 @@ def _verify_ex4_1(inst: ReferenceInstance, want: dict) -> list[tuple]:
 
 def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
     lf, lg = inst.local_systems
-    witness = find_nonwoven_witness(inst.payload, eps=1e-8)
+    witness = find_nonwoven_witness(inst.payload, eps=WITNESS_EPS)
     rows = [("nonwoven", witness is not None, witness is not None)]
     if witness is not None:
         partition, vector, value = witness
@@ -360,7 +362,7 @@ def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
             ),
             (
                 "witness_vector_first_coordinate",
-                abs(float(vector[0])) >= 1.0 - 1e-9,
+                abs(float(vector[0])) >= 1.0 - HOLD_SLACK,
                 tuple(vector.tolist()),
             ),
         ]

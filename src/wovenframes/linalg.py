@@ -23,9 +23,7 @@ from .errors import (
     NotOrthonormal,
     NotSymmetric,
 )
-
-RANK_TOL = 1e-10
-GRAM_TOL = 1e-9
+from .tolerances import GRAM_TOL, RANK_TOL, SYM_TOL
 
 # Floats per temporary in the chunked partition and subset scans. A
 # constant: results do not depend on it, budgets from 2^12 to 2^18 ran
@@ -67,17 +65,15 @@ class SpectrumReport:
         return float(self.eigenvalues[-1])
 
 
-def orthonormalize(spanning, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+def orthonormalize(spanning) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of the given vectors.
 
     Returns ``(basis, rank)`` where ``basis`` has shape (d, rank) with
     orthonormal columns spanning the same space as the input. A vector
     counts as dependent when its residual after projection onto the
-    already accepted columns has norm at most ``tol * (1 + N)`` with N
-    the largest input norm; zero vectors are skipped, not errors.
+    already accepted columns has norm at most ``RANK_TOL * (1 + N)`` with
+    N the largest input norm; zero vectors are skipped, not errors.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     vecs = [np.asarray(v, dtype=float).ravel() for v in spanning]
     if not vecs:
         raise EmptyInput("need at least one spanning vector")
@@ -95,12 +91,12 @@ def orthonormalize(spanning, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
     cols: list[np.ndarray] = []
     for v in arr:
         w = v.copy()
-        # two projection passes keep the basis orthonormal to ~1e-15
+        # two projection passes keep the basis orthonormal to rounding level
         for _ in range(2):
             for b in cols:
                 w -= (b @ w) * b
         norm = float(np.linalg.norm(w))
-        if norm <= tol * scale:
+        if norm <= RANK_TOL * scale:
             continue
         cols.append(w / norm)
     if cols:
@@ -146,12 +142,12 @@ def stacked_eigenvalues(matrices: np.ndarray) -> np.ndarray:
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """0.5 * (m + m^T) over the last two axes, after checking that every
-    entry is finite and m is symmetric within 1e-10."""
+    entry is finite and m is symmetric within SYM_TOL."""
     if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf")
     mt = np.swapaxes(m, -1, -2)
-    if m.size and float(np.abs(m - mt).max()) > 1e-10:
-        raise NotSymmetric("matrix is not symmetric within 1e-10")
+    if m.size and float(np.abs(m - mt).max()) > SYM_TOL:
+        raise NotSymmetric(f"matrix is not symmetric within {SYM_TOL}")
     return 0.5 * (m + mt)
 
 
@@ -159,7 +155,7 @@ def projector(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector B @ B.T onto the column span of ``basis``.
 
     The columns must be orthonormal: the Gram matrix may deviate from
-    the identity by at most 1e-9 entrywise.
+    the identity by at most GRAM_TOL entrywise.
     """
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2:
@@ -169,5 +165,5 @@ def projector(basis: np.ndarray) -> np.ndarray:
         return np.zeros((dim, dim))
     gram = b.T @ b
     if float(np.abs(gram - np.eye(k)).max()) > GRAM_TOL:
-        raise NotOrthonormal("basis columns are not orthonormal within 1e-9")
+        raise NotOrthonormal(f"basis columns are not orthonormal within {GRAM_TOL}")
     return b @ b.T

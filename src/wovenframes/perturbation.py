@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ConstantOutOfRange, IndexMismatch, WeightMismatch
 from .fusion import FusionFrame, _member_operators, fusion_frame_operator
 from .linalg import row_chunks, sym_eig
+from .tolerances import HOLD_SLACK, WEIGHT_TOL
 
-_HOLD_SLACK = 1e-9
 _SUBSET_CAP = 4096
 
 
@@ -34,7 +34,7 @@ class PerturbationCertificate:
     the gate holds, None for methods without a gate),
     ``inequality_violation`` the worst sampled slack of the defining
     inequality, and ``max_violation`` the larger of the two, so
-    hypothesis_holds is equivalent to max_violation <= 1e-9.
+    hypothesis_holds is equivalent to max_violation <= HOLD_SLACK.
     """
 
     method: str
@@ -151,7 +151,7 @@ def pw_check(
     )
     inequality_violation = float((lhs - rhs).max())
 
-    holds = gate_margin <= _HOLD_SLACK and inequality_violation <= _HOLD_SLACK
+    holds = gate_margin <= HOLD_SLACK and inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="pw",
         hypothesis_holds=holds,
@@ -225,7 +225,7 @@ def op_perturbation_check(
         worst = max(worst, float((lhs - rhs).max()))
     inequality_violation = worst
 
-    holds = gate_margin <= _HOLD_SLACK and inequality_violation <= _HOLD_SLACK
+    holds = gate_margin <= HOLD_SLACK and inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="op",
         hypothesis_holds=holds,
@@ -263,7 +263,7 @@ def proj_perturbation_check(
     if not np.isfinite(kconst) or kconst <= 0.0:
         raise ConstantOutOfRange(f"K must be positive and finite, got {kconst}")
     _check_pair(w, v)
-    if float(np.abs(w.weights - v.weights).max()) > 1e-12:
+    if float(np.abs(w.weights - v.weights).max()) > WEIGHT_TOL:
         raise WeightMismatch("families must share the same weights")
 
     a_w, b_w = _extremal_bounds(w)
@@ -297,7 +297,7 @@ def proj_perturbation_check(
         worst = max(worst, float((lhs - rhs).max()))
     inequality_violation = worst
 
-    holds = inequality_violation <= _HOLD_SLACK
+    holds = inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="proj",
         hypothesis_holds=holds,

@@ -22,14 +22,23 @@ from .errors import (
     SingularOperator,
     WrongKind,
 )
-from .frames import FRAME_TOL, DiscreteFrame
+from .frames import DiscreteFrame
 from .fusion import (
     FusionFrame,
     Subspace,
+    _member_operators,
     fusion_bounds,
     fusion_frame_operator,
 )
 from .linalg import orthonormalize, sym_eig
+from .tolerances import (
+    HOLD_SLACK,
+    INTERSECT_TOL,
+    INVARIANCE_TOL,
+    PATTERN_TOL,
+    PIVOT_TOL,
+    SELF_ADJOINT_TOL,
+)
 from .weaving import (
     FUSION,
     Partition,
@@ -43,17 +52,14 @@ from .weaving import (
     woven_bounds_from_contributions,
 )
 
-_PIVOT_TOL = 1e-10
-_INTERSECT_TOL = 1e-8
 
-
-def invert_matrix(matrix: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
+def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix.
 
     Raises SingularOperator when the smallest singular value is at most
-    ``pivot_tol * max(1, max|m|)``, with max|m| the largest input entry.
+    ``PIVOT_TOL * max(1, max|m|)``, with max|m| the largest input entry.
     """
-    return InvertibleOperator.from_matrix(matrix, pivot_tol).inv
+    return InvertibleOperator.from_matrix(matrix).inv
 
 
 @dataclass(frozen=True)
@@ -66,25 +72,23 @@ class InvertibleOperator:
     inv_norm: float
 
     @classmethod
-    def from_matrix(cls, matrix, pivot_tol: float = _PIVOT_TOL) -> "InvertibleOperator":
+    def from_matrix(cls, matrix) -> "InvertibleOperator":
         """One SVD decides invertibility as in invert_matrix and gives both
         norms: ||m|| = s_max and ||m^-1|| = 1 / s_min."""
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("only square matrices can be inverted")
         svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] <= pivot_tol * max(1.0, float(np.abs(m).max())):
+        if svals[-1] <= PIVOT_TOL * max(1.0, float(np.abs(m).max())):
             raise SingularOperator(
                 f"smallest singular value {svals[-1]:.3g} is at most "
-                f"{pivot_tol} * max(1, max|m|)"
+                f"{PIVOT_TOL} * max(1, max|m|)"
             )
         return cls(m, np.linalg.inv(m), float(svals[0]), float(1.0 / svals[-1]))
 
 
 def apply_operator_discrete(
-    op: InvertibleOperator,
-    family: WovenFamily,
-    frame_tol: float = FRAME_TOL,
+    op: InvertibleOperator, family: WovenFamily
 ) -> tuple[WovenFamily, tuple[float, float]]:
     """Image family {E f_ij} plus its predicted universal interval.
 
@@ -94,7 +98,7 @@ def apply_operator_discrete(
     """
     if family.kind != "discrete":
         raise WrongKind("operator images are defined for discrete families here")
-    base = woven_bounds_exhaustive(family, frame_tol)
+    base = woven_bounds_exhaustive(family)
     image = WovenFamily.discrete(
         tuple(
             DiscreteFrame(s.dim, s.vectors @ op.matrix.T)
@@ -109,10 +113,7 @@ def apply_operator_discrete(
 
 
 def conjugation_check(
-    op: InvertibleOperator,
-    family: WovenFamily,
-    p: Partition,
-    invariance_tol: float = 1e-8,
+    op: InvertibleOperator, family: WovenFamily, p: Partition
 ) -> float:
     """Residual ``max|S' - E S E^-1|`` for one weaving of a fusion pair.
 
@@ -127,8 +128,8 @@ def conjugation_check(
     if family.m != 2:
         raise IndexMismatch("conjugation check requires exactly two systems")
     e = op.matrix
-    if float(np.abs(e - e.T).max()) > 1e-9:
-        raise NotSelfAdjoint("operator is not symmetric within 1e-9")
+    if float(np.abs(e - e.T).max()) > SELF_ADJOINT_TOL:
+        raise NotSelfAdjoint(f"operator is not symmetric within {SELF_ADJOINT_TOL}")
     ete = e.T @ e
     scale = 1.0 + float(np.abs(ete).max())
     for system in family.systems:
@@ -137,7 +138,7 @@ def conjugation_check(
                 continue
             image = ete @ sub.basis
             resid = image - sub.basis @ (sub.basis.T @ image)
-            if float(np.abs(resid).max()) > invariance_tol * scale:
+            if float(np.abs(resid).max()) > INVARIANCE_TOL * scale:
                 raise InvarianceViolated(
                     "E^T E does not keep every member subspace invariant"
                 )
@@ -162,14 +163,12 @@ def conjugation_check(
     return float(np.abs(s_image - conjugated).max())
 
 
-def subspace_intersection(
-    w: Subspace, k: Subspace, tol: float = _INTERSECT_TOL
-) -> Subspace:
+def subspace_intersection(w: Subspace, k: Subspace) -> Subspace:
     """Numerical intersection of two subspaces.
 
     Null directions of the stacked system [B_w | -B_k] (detected on its
-    Gram matrix, singular values at most ``tol``) give the coefficients
-    of shared vectors.
+    Gram matrix, singular values at most INTERSECT_TOL) give the
+    coefficients of shared vectors.
     """
     if w.dim != k.dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
@@ -178,7 +177,7 @@ def subspace_intersection(
     stacked = np.hstack([w.basis, -k.basis])
     gram = stacked.T @ stacked
     spec = sym_eig(gram)
-    null_mask = spec.eigenvalues <= tol * tol
+    null_mask = spec.eigenvalues <= INTERSECT_TOL * INTERSECT_TOL
     if not null_mask.any():
         return Subspace(w.dim, np.zeros((w.dim, 0)))
     coeffs = spec.eigenvectors[:, null_mask]
@@ -187,9 +186,7 @@ def subspace_intersection(
     return Subspace(w.dim, basis)
 
 
-def intersect_family(
-    family: WovenFamily, k: Subspace, tol: float = _INTERSECT_TOL
-) -> WovenFamily:
+def intersect_family(family: WovenFamily, k: Subspace) -> WovenFamily:
     """Member-wise intersection with ``k``; trivial intersections stay as
     zero-dimensional markers so index bookkeeping survives."""
     if family.kind != FUSION:
@@ -199,9 +196,7 @@ def intersect_family(
     new_systems = []
     any_nontrivial = False
     for system in family.systems:
-        subs = tuple(
-            subspace_intersection(sub, k, tol) for sub in system.subspaces
-        )
+        subs = tuple(subspace_intersection(sub, k) for sub in system.subspaces)
         if any(s.rank for s in subs):
             any_nontrivial = True
         new_systems.append(FusionFrame(family.dim, subs, system.weights))
@@ -227,7 +222,6 @@ def intersection_weaving_report(
     k: Subspace,
     samples: int = 200,
     seed: int = 0,
-    tol: float = _INTERSECT_TOL,
 ) -> IntersectionReport:
     """Evaluate, for random unit vectors of ``k``, how the intersected
     family's weaving sums sit against the original universal interval.
@@ -237,14 +231,14 @@ def intersection_weaving_report(
     commuting case). Violations are reported, never asserted.
     """
     base = woven_bounds_exhaustive(family)
-    intersected = intersect_family(family, k, tol)
+    intersected = intersect_family(family, k)
 
     pattern = True
     pk = k.projector()
     for orig_sys, new_sys in zip(family.systems, intersected.systems):
         for orig_sub, new_sub in zip(orig_sys.subspaces, new_sys.subspaces):
             composed = orig_sub.projector() @ pk
-            if float(np.abs(composed - new_sub.projector()).max()) > 1e-8:
+            if float(np.abs(composed - new_sub.projector()).max()) > PATTERN_TOL:
                 pattern = False
 
     rng = np.random.default_rng(seed)
@@ -380,7 +374,7 @@ class EquivalenceReport:
 
 
 def local_global_equivalence_report(
-    lf: LocalSystem, lg: LocalSystem, frame_tol: float = FRAME_TOL
+    lf: LocalSystem, lg: LocalSystem
 ) -> EquivalenceReport:
     """Compare the woven verdicts of (a) the flattened weighted vector
     systems, (b) the induced weighted fusion families, and (c) the
@@ -395,19 +389,18 @@ def local_global_equivalence_report(
     the orthonormalized local bases with the local weights, so its
     contribution stacks are the orthonormalized local systems' blocked
     Gram stacks ``w_i^2 * E_i E_i^T``, entry for entry. The one scan of
-    those stacks therefore serves as both reports.
+    those stacks therefore serves as both reports. That scan runs first:
+    its cap check refuses before any (n, 2, d, d) stack is built.
     """
     if lf.size != lg.size or lf.dim != lg.dim:
         raise IndexMismatch("local systems must share index set and dim")
 
-    vector_report = woven_bounds_from_contributions(
-        _blocked_vector_stacks(lf, lg), frame_tol
-    )
     fusion_family = WovenFamily.fusion(
         (lf.induced_fusion_frame(), lg.induced_fusion_frame())
     )
-    fusion_report = woven_bounds_exhaustive(fusion_family, frame_tol)
+    fusion_report = woven_bounds_exhaustive(fusion_family)
     orthonormal_report = fusion_report
+    vector_report = woven_bounds_from_contributions(_blocked_vector_stacks(lf, lg))
 
     verdicts = (
         vector_report.is_woven,
@@ -419,7 +412,8 @@ def local_global_equivalence_report(
     l_vec = vector_report.universal_lower
     l_fus = fusion_report.universal_lower
     chain_ok = (
-        l_vec >= floor * l_fus - 1e-9 and l_fus >= l_vec / ceiling - 1e-9
+        l_vec >= floor * l_fus - HOLD_SLACK
+        and l_fus >= l_vec / ceiling - HOLD_SLACK
     )
     return EquivalenceReport(
         vector_report=vector_report,
@@ -454,9 +448,7 @@ class RemovalReport:
     restricted_members_are_fusion_frames: bool | None
 
 
-def remove_subset_check(
-    family: WovenFamily, removed, frame_tol: float = FRAME_TOL
-) -> RemovalReport:
+def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
     """Check the index-removal bound for a two-system fusion family."""
     if family.kind != FUSION:
         raise WrongKind("removal check applies to fusion families")
@@ -469,10 +461,9 @@ def remove_subset_check(
     if len(rem) >= family.n:
         raise IndexMismatch("cannot remove every index")
 
-    stacks = contribution_stacks(family)
-    partial_upper = sym_eig(stacks[list(rem), 0].sum(axis=0)).largest
-
-    base = woven_bounds_from_contributions(stacks, frame_tol)
+    base = woven_bounds_exhaustive(family)
+    first_parts = _member_operators(family.systems[0])
+    partial_upper = sym_eig(first_parts[list(rem)].sum(axis=0)).largest
     hypothesis_met = partial_upper < base.universal_lower
     if not hypothesis_met:
         return RemovalReport(
@@ -489,15 +480,13 @@ def remove_subset_check(
 
     keep = [i for i in range(family.n) if i not in rem]
     restricted = family.restrict(keep)
-    sub_report = woven_bounds_exhaustive(restricted, frame_tol)
+    sub_report = woven_bounds_exhaustive(restricted)
     containment = (
-        sub_report.universal_lower >= base.universal_lower - partial_upper - 1e-9
-        and sub_report.universal_upper <= base.universal_upper + 1e-9
+        sub_report.universal_lower
+        >= base.universal_lower - partial_upper - HOLD_SLACK
+        and sub_report.universal_upper <= base.universal_upper + HOLD_SLACK
     )
-    members_ok = all(
-        fusion_bounds(system, frame_tol).is_fusion_frame
-        for system in restricted.systems
-    )
+    members_ok = all(fusion_bounds(system).is_frame for system in restricted.systems)
     return RemovalReport(
         removed=rem,
         partial_upper=partial_upper,

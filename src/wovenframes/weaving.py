@@ -31,11 +31,14 @@ from .errors import (
     TooManyPartitions,
     WrongKind,
 )
-from .frames import FRAME_TOL, DiscreteFrame, _clamp_small_negative, _is_frame
+from .frames import DiscreteFrame, _clamp_small_negative, _is_frame
 from .fusion import FusionFrame, _member_operators, is_riesz_decomposition
 from .linalg import chunk_rows, row_chunks, stacked_eigenvalues, sym_eig
+from .tolerances import WITNESS_EPS
 
 PARTITION_CAP = 2**22
+# partitions are ranked in int64, so no cap may exceed its largest value
+_RANK_MAX = int(np.iinfo(np.int64).max)
 
 DISCRETE = "discrete"
 FUSION = "fusion"
@@ -44,7 +47,8 @@ FUSION = "fusion"
 def partition_cap() -> int:
     """Enumeration cap; WOVEN_MAX_PARTITIONS overrides the default 2^22.
 
-    Raises InvalidPartitionCap unless the override is a positive integer.
+    Raises InvalidPartitionCap unless the override is a positive integer
+    of at most 2^63 - 1.
     """
     raw = os.environ.get("WOVEN_MAX_PARTITIONS")
     if raw is None:
@@ -53,9 +57,10 @@ def partition_cap() -> int:
         cap = int(raw)
     except ValueError:
         cap = 0
-    if cap < 1:
+    if not 1 <= cap <= _RANK_MAX:
         raise InvalidPartitionCap(
-            f"WOVEN_MAX_PARTITIONS must be a positive integer, got {raw!r}"
+            "WOVEN_MAX_PARTITIONS must be a positive integer of at most "
+            f"2^63 - 1, got {raw!r}"
         )
     return cap
 
@@ -250,7 +255,6 @@ def _scan(
     stacks: np.ndarray,
     chunks,
     method: str,
-    frame_tol: float,
     seed: int | None = None,
     eps: float | None = None,
     stop_at_witness: bool = False,
@@ -297,7 +301,7 @@ def _scan(
     return WovenReport(
         universal_lower=lower,
         universal_upper=upper,
-        is_woven=_is_frame(lower, upper, frame_tol),
+        is_woven=_is_frame(lower, upper),
         worst_partition=Partition(lo_part),
         best_upper_partition=Partition(hi_part),
         method=method,
@@ -308,9 +312,7 @@ def _scan(
 
 
 def woven_bounds_from_contributions(
-    stacks: np.ndarray,
-    frame_tol: float = FRAME_TOL,
-    eps: float | None = None,
+    stacks: np.ndarray, *, eps: float | None = None
 ) -> WovenReport:
     """Exhaustive universal bounds for explicit contribution stacks.
 
@@ -321,11 +323,11 @@ def woven_bounds_from_contributions(
     if eps is not None:
         _require_eps(eps)
     n, m, d = stacks.shape[:3]
-    return _scan(stacks, _partitions(n, m, d), "exhaustive", frame_tol, eps=eps)
+    return _scan(stacks, _partitions(n, m, d), "exhaustive", eps=eps)
 
 
 def woven_bounds_exhaustive(
-    family: WovenFamily, frame_tol: float = FRAME_TOL, eps: float | None = None
+    family: WovenFamily, *, eps: float | None = None
 ) -> WovenReport:
     """Universal bounds over all m^n partitions (lexicographic order).
 
@@ -335,15 +337,10 @@ def woven_bounds_exhaustive(
         _require_eps(eps)
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", frame_tol, eps=eps)
+    return _scan(stacks, chunks, "exhaustive", eps=eps)
 
 
-def woven_bounds_sampled(
-    family: WovenFamily,
-    samples: int,
-    seed: int,
-    frame_tol: float = FRAME_TOL,
-) -> WovenReport:
+def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenReport:
     """Universal-bound estimate from sampled partitions.
 
     Scans the m pure partitions plus ``samples`` partitions drawn
@@ -362,7 +359,7 @@ def woven_bounds_sampled(
     pure = np.repeat(np.arange(m)[:, None], n, axis=1)
     rows = np.concatenate([pure, drawn])
     chunks = row_chunks(rows, n * d * d)
-    return _scan(stacks, chunks, "sampled", frame_tol, seed=seed)
+    return _scan(stacks, chunks, "sampled", seed=seed)
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
@@ -373,7 +370,7 @@ def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
 
 
 def find_nonwoven_witness(
-    family: WovenFamily, eps: float = 1e-8
+    family: WovenFamily, eps: float = WITNESS_EPS
 ) -> tuple[Partition, np.ndarray, float] | None:
     """First partition (lexicographic) whose weaving has smallest
     eigenvalue below ``eps``, with the minimizing unit vector and the
@@ -382,10 +379,7 @@ def find_nonwoven_witness(
     _require_eps(eps)
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    report = _scan(
-        stacks, chunks, "exhaustive", FRAME_TOL, eps=eps, stop_at_witness=True
-    )
-    return report.witness
+    return _scan(stacks, chunks, "exhaustive", eps=eps, stop_at_witness=True).witness
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def test_criterion_05_operator_image_property_suite():
 def test_criterion_06_synthesis_equivalence_suite():
     instances = onto_equivalence_instances(100, 20)
     ok = all(
-        synthesis_is_onto(ff) == fusion_bounds(ff).is_fusion_frame
+        synthesis_is_onto(ff) == fusion_bounds(ff).is_frame
         for ff in instances
     )
     _report(6, bool(ok), "synthesis onto <=> fusion frame on 100 seeded instances")

@@ -362,6 +362,51 @@ class TestPartitionCapVariable:
         assert "WOVEN_MAX_PARTITIONS" in captured.err
         assert "positive integer" in captured.err
 
+    def test_cap_beyond_int64_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 2^64 partitions fit under a cap of 10^23, but not in int64 ranks
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", str(10**23))
+        doc = {
+            "dim": 1,
+            "kind": "discrete",
+            "systems": [{"vectors": [[1.0]] * 64}, {"vectors": [[2.0]] * 64}],
+        }
+        code = main(["woven", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "WOVEN_MAX_PARTITIONS" in captured.err
+        assert "positive integer" in captured.err
+
+    def test_perturb_over_the_cap_has_no_exhaustive_interval(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "2")
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code, out = run_main(capsys, ["perturb", path, "--method", "proj", "--K", "0.5"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certificate"]["hypothesis_holds"] is True
+        assert doc["exhaustive_interval"] is None
+        assert doc["prediction_contains_exhaustive"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{path}", "--format", "json"],
+        ["woven", "{path}", "--exhaustive"],
+        ["perturb", "{path}", "--method", "pw", "--format", "json"],
+        ["reproduce", "--id", "ex3_2", "--format", "json"],
+    ],
+)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+    code = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
 
 
 def _replaced(doc, keys, value):

@@ -93,7 +93,7 @@ class TestFusionBounds:
     def test_parseval_split(self):
         rep = fusion_bounds(even_odd_split(4))
         assert abs(rep.lower - 1.0) <= 1e-9 and abs(rep.upper - 1.0) <= 1e-9
-        assert rep.is_fusion_frame
+        assert rep.is_frame
 
     def test_scaled_spanning_sets_stay_parseval(self):
         dim = 4
@@ -106,7 +106,7 @@ class TestFusionBounds:
         sub = Subspace.from_spanning(3, [[1.0, 0.0, 0.0]])
         rep = fusion_bounds(FusionFrame(3, (sub,), np.ones(1)))
         assert rep.lower <= 1e-12
-        assert not rep.is_fusion_frame
+        assert not rep.is_frame
 
     def test_witnesses_and_containment(self, rng):
         ff = random_fusion_frame(rng, 4, [2, 2, 1])
@@ -165,13 +165,13 @@ class TestSynthesisOnto:
                 ff = rank_deficient_fusion_frame(rng, dim, member_dims)
             else:
                 ff = random_fusion_frame(rng, dim, member_dims)
-            assert synthesis_is_onto(ff) == fusion_bounds(ff).is_fusion_frame
+            assert synthesis_is_onto(ff) == fusion_bounds(ff).is_frame
 
 
 def test_equivalence_suite_hundred_instances():
     # onto-ness of synthesis matches the spectral fusion-frame verdict
     for ff in onto_equivalence_instances(100, 20):
-        assert synthesis_is_onto(ff) == fusion_bounds(ff).is_fusion_frame
+        assert synthesis_is_onto(ff) == fusion_bounds(ff).is_frame
 
 
 class TestRieszDecomposition:

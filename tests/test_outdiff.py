@@ -11,6 +11,7 @@ from wovenframes import find_nonwoven_witness
 from wovenframes.cli import main, parse_family_document
 from wovenframes.linalg import chunk_rows
 from wovenframes.perturbation import _SUBSET_CAP
+from wovenframes.weaving import PARTITION_CAP
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
 _spec = importlib.util.spec_from_file_location("outdiff", _TOOL)
@@ -98,3 +99,10 @@ def test_late_witness_documents_place_the_witness_past_the_first_chunk(kind, m, 
 def test_near_pair_document_samples_its_subset_masks():
     family = parse_family_document(outdiff.near_fusion_pair_doc(13))
     assert family.m == 2 and family.n == 13 and 2**family.n > _SUBSET_CAP
+
+
+def test_over_cap_documents_exceed_the_default_cap():
+    pair = parse_family_document(outdiff.near_fusion_pair_doc(23, n=23))
+    woven = parse_family_document(outdiff.late_witness_doc(223, "discrete", 2, 23))
+    for family in (pair, woven):
+        assert family.m**family.n > PARTITION_CAP

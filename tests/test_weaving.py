@@ -32,7 +32,7 @@ from wovenframes.errors import (
     WrongKind,
 )
 from wovenframes.instances import build_ex3_2, build_ex4_1
-from wovenframes.transforms import intersection_weaving_report
+from wovenframes.transforms import intersection_weaving_report, remove_subset_check
 from wovenframes.weaving import (
     contribution_stacks,
     member_bessel_bounds,
@@ -331,6 +331,7 @@ class TestPartitionCap:
             lambda: woven_riesz_decomposition_check(inst.payload),
             lambda: intersection_weaving_report(inst.payload, target, samples=5),
             lambda: local_global_equivalence_report(*inst.local_systems),
+            lambda: remove_subset_check(inst.payload, [0]),
         ]
 
     def test_every_exhaustive_routine_honours_the_cap(self, monkeypatch):
@@ -346,8 +347,15 @@ class TestPartitionCap:
             built.append(family)
             return contribution_stacks(family)
 
+        blocked = transforms._blocked_vector_stacks
+
+        def blocked_spy(lf, lg):
+            built.append((lf, lg))
+            return blocked(lf, lg)
+
         for module in (weaving, transforms):
             monkeypatch.setattr(module, "contribution_stacks", spy)
+        monkeypatch.setattr(transforms, "_blocked_vector_stacks", blocked_spy)
         monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "4")
         for call in self._exhaustive_calls():
             with pytest.raises(TooManyPartitions):
@@ -361,6 +369,20 @@ class TestPartitionCap:
             partition_cap()
         with pytest.raises(InvalidPartitionCap):
             woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
+
+    @pytest.mark.parametrize("raw", [str(2**63), str(10**23)])
+    def test_override_beyond_int64_ranks_is_invalid(self, monkeypatch, raw):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", raw)
+        with pytest.raises(InvalidPartitionCap, match="WOVEN_MAX_PARTITIONS"):
+            partition_cap()
+        with pytest.raises(InvalidPartitionCap, match="positive integer"):
+            woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
+
+    def test_largest_int64_override_is_valid(self, monkeypatch):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", str(2**63 - 1))
+        assert partition_cap() == 2**63 - 1
+        report = woven_bounds_exhaustive(WovenFamily.discrete(ex3_2_frames()))
+        assert report.partitions_examined == 8
 
     def test_valid_override(self, monkeypatch):
         monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "8")

@@ -23,7 +23,11 @@ from fixed seeds add ``perturb --method op`` and ``proj`` (K = 0.5 and
 subset masks are sampled; and ``woven`` and ``woven --eps 0.5`` on
 discrete and fusion families with m = 2, n = 13 and m = 3, n = 9, whose
 first singular weaving (1, 0, ..., 0) has lexicographic rank m^(n-1),
-many scan chunks into the enumeration. Two commands run at a time.
+many scan chunks into the enumeration. Refusals and over-cap paths,
+above the default cap of 2^22 partitions: ``reproduce --id ex4_1 --dim
+30`` (exit 2), ``woven`` on a discrete family with m = 2, n = 23 (exit
+2), and ``perturb --method proj`` on a near fusion pair with n = 23,
+whose ``exhaustive_interval`` is null. Two commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
@@ -208,6 +212,16 @@ def build_corpus(workdir: str) -> list[list[str]]:
          "--gamma", "0.02", "--samples", "50", "--seed", "2"],
         ["perturb", pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
         ["perturb", pair, "--method", "proj", "--K", "1", "--samples", "50", "--seed", "2"],
+    ]
+    over_pair = _write(os.path.join(workdir, "near-pair-n23.json"), near_fusion_pair_doc(23, n=23))
+    over_woven = _write(
+        os.path.join(workdir, "late-witness-discrete-m2-n23.json"),
+        late_witness_doc(223, "discrete", 2, 23),
+    )
+    corpus += [
+        ["reproduce", "--id", "ex4_1", "--dim", "30"],
+        ["woven", over_woven],
+        ["perturb", over_pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
     ]
     for kind in ("discrete", "fusion"):
         for m, n in ((2, 13), (3, 9)):
