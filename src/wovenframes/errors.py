@@ -47,6 +47,10 @@ class InvalidEps(ToolkitError, ValueError):
     """A witness threshold that is not a finite positive number."""
 
 
+class InvalidSampleCount(ToolkitError, ValueError):
+    """A sample count below the least the sampling routine accepts."""
+
+
 class WrongKind(ToolkitError):
     """Operation applies only to discrete or only to fusion families."""
 

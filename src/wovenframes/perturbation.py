@@ -8,19 +8,33 @@ examined batch.
 
 The subset checks (``op``, ``proj``) sum the per-index parts of every
 sample over every examined index subset as one matrix product per chunk
-of 0/1 subset masks, chunked by the budget ``linalg.CHUNK_FLOATS``.
+of 0/1 subset masks, chunked by the budget ``linalg.CHUNK_FLOATS``. For
+``op`` that product sums the per-index parts of S_W f, S_V f and of
+their difference into contiguous (mask, 3, d, sample) blocks; the three
+norms are square roots of one sum of squares over d per chunk, the
+squared ``U_W`` norms come from a second, (mask, sample) product, and
+the slack is one weighted sum of the four norms. The sums stay explicit
+per-mask sums: a Gram or quadratic-form shortcut would lose to
+cancellation the small differences the verdict turns on.
+
+Each check solves S_W, S_V and S_W - S_V once; the optimal bounds and
+the extremal sample vectors come from those three spectra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantOutOfRange, IndexMismatch, WeightMismatch
+from .errors import (
+    ConstantOutOfRange,
+    IndexMismatch,
+    InvalidSampleCount,
+    WeightMismatch,
+)
 from .fusion import FusionFrame, _member_operators, fusion_frame_operator
-from .linalg import row_chunks, sym_eig
+from .linalg import SpectrumReport, row_chunks, sym_eig
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 
 _SUBSET_CAP = 4096
@@ -62,9 +76,21 @@ def _check_unit_interval(**constants: float) -> None:
             raise ConstantOutOfRange(f"{name} must lie in [0, 1), got {value}")
 
 
-def _extremal_bounds(ff: FusionFrame) -> tuple[float, float]:
-    spec = sym_eig(fusion_frame_operator(ff))
-    return spec.smallest, spec.largest
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise InvalidSampleCount(f"samples must be non-negative, got {samples}")
+
+
+def _spectra(
+    w: FusionFrame, v: FusionFrame
+) -> tuple[SpectrumReport, SpectrumReport, np.ndarray]:
+    """Spectra of S_W and S_V, and the extremal eigenvectors of S_W, S_V
+    and S_W - S_V as the rows of one array."""
+    sw = fusion_frame_operator(w)
+    sv = fusion_frame_operator(v)
+    specs = [sym_eig(op) for op in (sw, sv, sw - sv)]
+    extremal = np.array([s.eigenvectors[:, k] for s in specs for k in (0, -1)])
+    return specs[0], specs[1], extremal
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -72,21 +98,12 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _extremal_vectors(w: FusionFrame, v: FusionFrame) -> np.ndarray:
-    """Extremal eigenvectors of S_W, S_V and S_W - S_V, as rows."""
-    sw = fusion_frame_operator(w)
-    sv = fusion_frame_operator(v)
-    rows = []
-    for op in (sw, sv, sw - sv):
-        spec = sym_eig(op)
-        rows.append(spec.eigenvectors[:, 0])
-        rows.append(spec.eigenvectors[:, -1])
-    return np.array(rows)
-
-
 def _subset_masks(n: int, rng: np.random.Generator) -> np.ndarray:
+    """0/1 index-subset masks as float rows: all 2^n in lexicographic
+    order (index 0 the most significant bit) up to _SUBSET_CAP, else
+    _SUBSET_CAP drawn rows led by the empty and the full subset."""
     if 2**n <= _SUBSET_CAP:
-        return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
     drawn = rng.integers(0, 2, size=(_SUBSET_CAP, n)).astype(float)
     drawn[0] = 0.0
     drawn[1] = 1.0
@@ -117,8 +134,10 @@ def pw_check(
     """
     _check_unit_interval(lam1=lam1, lam2=lam2, mu=mu)
     _check_pair(w, v)
-    a_w, b_w = _extremal_bounds(w)
-    _, b_v = _extremal_bounds(v)
+    _check_samples(samples)
+    spec_w, spec_v, extremal = _spectra(w, v)
+    a_w, b_w = spec_w.smallest, spec_w.largest
+    b_v = spec_v.largest
 
     if a_w > 0.0:
         gate_value = (
@@ -134,7 +153,7 @@ def pw_check(
     rng = np.random.default_rng(seed)
     flat = _unit_rows(rng, samples, n * d)
     blocks = flat.reshape(samples, n, d)
-    diag = _extremal_vectors(w, v) / np.sqrt(n)
+    diag = extremal / np.sqrt(n)
     embedded = np.repeat(diag[:, None, :], n, axis=1)
     batch = np.concatenate([blocks, embedded], axis=0)
 
@@ -189,40 +208,36 @@ def op_perturbation_check(
     """
     _check_unit_interval(lam=lam, mu=mu, gamma=gamma)
     _check_pair(w, v)
-    a_w, b_w = _extremal_bounds(w)
-    _, b_v = _extremal_bounds(v)
+    _check_samples(samples)
+    spec_w, spec_v, extremal = _spectra(w, v)
+    a_w, b_w = spec_w.smallest, spec_w.largest
+    b_v = spec_v.largest
 
     gate_value = lam * b_w + mu * b_v + gamma * np.sqrt(b_w)
     gate_margin = float(gate_value - a_w)
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch = np.concatenate(
-        [_unit_rows(rng, samples, d), _extremal_vectors(w, v)], axis=0
-    )
+    batch = np.concatenate([_unit_rows(rng, samples, d), extremal], axis=0)
+    count = batch.shape[0]
 
     pw_sq = _member_operators(w)
-    pv_sq = _member_operators(v)
-    w_parts = np.einsum("sd,nde->nse", batch, pw_sq)
-    v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
+    w_parts = np.einsum("sd,nde->nes", batch, pw_sq)
+    v_parts = np.einsum("sd,nde->nes", batch, _member_operators(v))
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
-    # per index and sample: S_W part, S_V part, ||U_W part||^2
-    parts = np.concatenate([w_parts, v_parts, w_normsq[:, :, None]], axis=2)
-    flat = parts.reshape(n, -1)
+    # per index: S_W, S_V and S_W - S_V parts as contiguous (d, sample) blocks
+    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
+    # lhs - rhs as one weighted sum of ||S_W||, ||S_V||, ||S_W - S_V||, ||U_W||
+    coefficients = np.array([-lam, -mu, 1.0, -gamma])
 
     worst = -np.inf
-    for chunk in row_chunks(_subset_masks(n, rng), flat.shape[1]):
-        sums = (chunk @ flat).reshape(len(chunk), *parts.shape[1:])
-        s_w = sums[:, :, :d]
-        s_v = sums[:, :, d : 2 * d]
-        lhs = np.linalg.norm(s_w - s_v, axis=2)
-        u_norm = np.sqrt(np.maximum(sums[:, :, 2 * d], 0.0))
-        rhs = (
-            lam * np.linalg.norm(s_w, axis=2)
-            + mu * np.linalg.norm(s_v, axis=2)
-            + gamma * u_norm
-        )
-        worst = max(worst, float((lhs - rhs).max()))
+    for chunk in row_chunks(_subset_masks(n, rng), count * (3 * d + 1)):
+        sums = (chunk @ flat).reshape(len(chunk), 3, d, count)
+        norms = np.empty((len(chunk), 4, count))
+        np.einsum("kjds,kjds->kjs", sums, sums, out=norms[:, :3])
+        np.maximum(chunk @ w_normsq, 0.0, out=norms[:, 3])
+        np.sqrt(norms, out=norms)
+        worst = max(worst, float((coefficients @ norms).max()))
     inequality_violation = worst
 
     holds = gate_margin <= HOLD_SLACK and inequality_violation <= HOLD_SLACK
@@ -266,14 +281,14 @@ def proj_perturbation_check(
     if float(np.abs(w.weights - v.weights).max()) > WEIGHT_TOL:
         raise WeightMismatch("families must share the same weights")
 
-    a_w, b_w = _extremal_bounds(w)
-    a_v, b_v = _extremal_bounds(v)
+    _check_samples(samples)
+    spec_w, spec_v, extremal = _spectra(w, v)
+    a_w, b_w = spec_w.smallest, spec_w.largest
+    a_v, b_v = spec_v.smallest, spec_v.largest
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch = np.concatenate(
-        [_unit_rows(rng, samples, d), _extremal_vectors(w, v)], axis=0
-    )
+    batch = np.concatenate([_unit_rows(rng, samples, d), extremal], axis=0)
 
     proj_w = _member_operators(w, np.ones(n))
     proj_v = _member_operators(v, np.ones(n))

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     InvalidEps,
     InvalidPartitionCap,
+    InvalidSampleCount,
     PartitionLengthMismatch,
     TooManyPartitions,
     WrongKind,
@@ -351,7 +352,7 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     fixed seed.
     """
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise InvalidSampleCount("samples must be at least 1")
     stacks = contribution_stacks(family)
     n, m, d = family.n, family.m, family.dim
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ import numpy as np
 from wovenframes import DiscreteFrame, FusionFrame, Subspace, WovenFamily
 from wovenframes.fusion import _member_operators
 from wovenframes.linalg import sym_eig
-from wovenframes.perturbation import _extremal_vectors, _subset_masks, _unit_rows
+from wovenframes.perturbation import _spectra, _subset_masks, _unit_rows
 
 
 def eig2(matrix) -> tuple[float, float]:
@@ -236,7 +236,7 @@ def all_assignments(n: int, m: int):
 def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     batch = np.concatenate(
-        [_unit_rows(rng, samples, w.dim), _extremal_vectors(w, v)], axis=0
+        [_unit_rows(rng, samples, w.dim), _spectra(w, v)[2]], axis=0
     )
     return batch, rng
 

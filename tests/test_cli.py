@@ -346,6 +346,33 @@ class TestEpsValidation:
         assert "finite and positive" in captured.err
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("method", ["pw", "op", "proj"])
+    def test_negative_perturb_samples_exit_two(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code = main(["perturb", path, "--method", method, "--samples", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: samples must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("method", ["pw", "op", "proj"])
+    def test_zero_perturb_samples_check_the_extremal_vectors(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code, out = run_main(capsys, ["perturb", path, "--method", method, "--samples", "0"])
+        assert code == 0
+        assert json.loads(out)["certificate"]["sample_count"] == 6
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_woven_samples_below_one_exit_two(self, tmp_path, capsys, samples):
+        path = write_doc(tmp_path, EX3_2_DOC)
+        code = main(["woven", path, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: samples must be at least 1\n"
+
+
 class TestPartitionCapVariable:
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     @pytest.mark.parametrize(

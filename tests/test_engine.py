@@ -5,6 +5,8 @@ budget, so extrema, ties and witnesses are exercised on both sides of
 chunk boundaries.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
     woven_bounds_sampled,
 )
-from wovenframes import linalg, weaving
+from wovenframes import linalg, perturbation, weaving
 from wovenframes.frames import _clamp_small_negative
 from wovenframes.weaving import contribution_stacks
 
@@ -94,10 +96,10 @@ def nonwoven_pair(rng, d: int, n: int) -> WovenFamily:
     return WovenFamily.discrete(frames)
 
 
-def near_fusion_pair(rng, d: int, n: int, rank: int):
+def near_fusion_pair(rng, d: int, n: int, rank: int, tilt: float = 0.02):
     weights = rng.uniform(0.5, 1.5, n)
     span_w = rng.standard_normal((n, rank, d))
-    span_v = span_w + 0.02 * rng.standard_normal((n, rank, d))
+    span_v = span_w + tilt * rng.standard_normal((n, rank, d))
     return tuple(
         FusionFrame(d, tuple(Subspace.from_spanning(d, list(s)) for s in spans), weights)
         for spans in (span_w, span_v)
@@ -195,11 +197,45 @@ def close(a: float, b: float) -> bool:
 def test_op_matches_oracle(rows_per_chunk, n, c):
     d, samples, seed = 3, 10, 4
     w, v = near_fusion_pair(np.random.default_rng(n), d, n, 2)
-    rows_per_chunk((samples + 6) * (2 * d + 1))
+    # each mask holds the S_W, S_V and difference sums and the U_W norm
+    rows_per_chunk((samples + 6) * (3 * d + 1))
     cert = op_perturbation_check(w, v, c, c, c, samples, seed)
     expected = op_violation_oracle(w, v, c, c, c, samples, seed)
     assert close(cert.inequality_violation, expected)
     assert cert.hypothesis_holds == (max(cert.gate_margin, expected) <= 1e-9)
+
+
+# unequal constants tell the S_W, S_V and U_W terms apart
+@pytest.mark.parametrize("lam, mu, gamma", [(0.05, 0.0, 0.0), (0.0, 0.05, 0.0), (0.0, 0.0, 0.05)])
+def test_op_matches_oracle_per_term(rows_per_chunk, lam, mu, gamma):
+    d, n, samples, seed = 3, 9, 10, 4
+    w, v = near_fusion_pair(np.random.default_rng(11), d, n, 2, tilt=0.2)
+    rows_per_chunk((samples + 6) * (3 * d + 1))
+    cert = op_perturbation_check(w, v, lam, mu, gamma, samples, seed)
+    expected = op_violation_oracle(w, v, lam, mu, gamma, samples, seed)
+    assert close(cert.inequality_violation, expected)
+
+
+# V_i tilts W_i by 1e-10, so every subset's S_W^s f - S_V^s f cancels to
+# about 1e-10 against sums of order 1; a Gram or quadratic-form shortcut
+# (||sum_i m_i x_i||^2 = m^T G m) leaves an error near sqrt(1e-16) there
+@pytest.mark.parametrize("c", [0.0, 1e-10])
+def test_op_keeps_cancelling_sums_exact(rows_per_chunk, c):
+    d, n, samples, seed = 4, 9, 20, 6
+    w, v = near_fusion_pair(np.random.default_rng(3), d, n, 2, tilt=1e-10)
+    rows_per_chunk((samples + 6) * (3 * d + 1))
+    cert = op_perturbation_check(w, v, c, c, c, samples, seed)
+    expected = op_violation_oracle(w, v, c, c, c, samples, seed)
+    assert 1e-11 < expected < 1e-8
+    assert abs(cert.inequality_violation - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_subset_masks_enumerate_lexicographically(n):
+    masks = perturbation._subset_masks(n, np.random.default_rng(0))
+    expected = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    assert masks.dtype == expected.dtype
+    assert np.array_equal(masks, expected)
 
 
 @pytest.mark.parametrize("n", [9, 13])

@@ -101,6 +101,13 @@ def test_near_pair_document_samples_its_subset_masks():
     assert family.m == 2 and family.n == 13 and 2**family.n > _SUBSET_CAP
 
 
+def test_d6_pair_documents_enumerate_their_subsets_over_many_chunks():
+    family = parse_family_document(outdiff.near_fusion_pair_doc(609, d=6, n=9))
+    assert family.m == 2 and family.dim == 6 and 2**family.n <= _SUBSET_CAP
+    # default 1000 samples plus 6 extremal vectors, as the op check lays rows out
+    assert 2**family.n > 10 * chunk_rows((1000 + 6) * (3 * family.dim + 1))
+
+
 def test_over_cap_documents_exceed_the_default_cap():
     pair = parse_family_document(outdiff.near_fusion_pair_doc(23, n=23))
     woven = parse_family_document(outdiff.late_witness_doc(223, "discrete", 2, 23))

@@ -5,12 +5,20 @@ from wovenframes import (
     FusionFrame,
     Subspace,
     fusion_bounds,
+    fusion_frame_operator,
     op_perturbation_check,
     proj_perturbation_check,
     pw_check,
     woven_bounds_exhaustive,
 )
-from wovenframes.errors import ConstantOutOfRange, IndexMismatch, WeightMismatch
+from wovenframes import linalg, perturbation
+from wovenframes.errors import (
+    ConstantOutOfRange,
+    IndexMismatch,
+    InvalidSampleCount,
+    ToolkitError,
+    WeightMismatch,
+)
 from wovenframes.weaving import WovenFamily
 
 from helpers import (
@@ -20,6 +28,12 @@ from helpers import (
     inplane_rotated_planes,
     tilted_planes,
 )
+
+CHECKS = {
+    "pw": lambda w, v, samples: pw_check(w, v, 0.01, 0.01, 0.01, samples),
+    "op": lambda w, v, samples: op_perturbation_check(w, v, 0.01, 0.01, 0.01, samples),
+    "proj": lambda w, v, samples: proj_perturbation_check(w, v, 0.5, samples),
+}
 
 
 def exhaustive_interval(w, v):
@@ -210,3 +224,56 @@ class TestValidation:
         v = FusionFrame(4, w.subspaces, np.array([1.0, 2.0]))
         with pytest.raises(WeightMismatch):
             proj_perturbation_check(w, v, 0.5)
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    @pytest.mark.parametrize("samples", [-1, -1000])
+    def test_negative_samples(self, method, samples):
+        w = coordinate_planes()
+        with pytest.raises(InvalidSampleCount, match=f"non-negative, got {samples}"):
+            CHECKS[method](w, w, samples)
+
+    def test_invalid_sample_count_is_a_toolkit_and_value_error(self):
+        w = coordinate_planes()
+        with pytest.raises(ToolkitError):
+            pw_check(w, w, 0.01, 0.01, 0.01, -1)
+        with pytest.raises(ValueError):
+            proj_perturbation_check(w, w, 0.5, -1)
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_zero_samples_check_the_extremal_vectors(self, method):
+        w, v = coordinate_planes(), tilted_planes(1e-3)
+        cert = CHECKS[method](w, v, 0)
+        assert cert.sample_count == 6
+        assert np.isfinite(cert.inequality_violation)
+
+
+class TestSharedSpectra:
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_three_solves_per_check(self, monkeypatch, method):
+        calls = []
+        original = linalg.sym_eig
+
+        def spy(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(perturbation, "sym_eig", spy)
+        w, v = coordinate_planes(), tilted_planes(1e-3)
+        CHECKS[method](w, v, 10)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_bounds_are_those_of_the_operators(self, method):
+        weights = np.array([1.0, 1.5])
+        w = FusionFrame(4, coordinate_planes().subspaces, weights)
+        v = FusionFrame(4, tilted_planes(0.2).subspaces, weights)
+        a_w, b_w = (float(x) for x in np.linalg.eigvalsh(fusion_frame_operator(w))[[0, -1]])
+        a_v, b_v = (float(x) for x in np.linalg.eigvalsh(fusion_frame_operator(v))[[0, -1]])
+        gate = 0.01 * b_w + 0.01 * b_v + 0.01 * np.sqrt(b_w)
+        expected = {
+            "pw": (a_w / 2.0, b_w + b_v),
+            "op": (a_w - gate, a_w + gate),
+            "proj": ((a_w + a_v) / 2.0, b_w + b_v),
+        }[method]
+        cert = CHECKS[method](w, v, 10)
+        assert (cert.predicted_lower, cert.predicted_upper) == pytest.approx(expected, abs=1e-14)

@@ -20,7 +20,10 @@ generators in ``bench/workloads.py`` build for seeds 1-4; ``reproduce``
 for every instance id at ``--dim`` 4, 6 and 8. Documents written here
 from fixed seeds add ``perturb --method op`` and ``proj`` (K = 0.5 and
 1) on a near fusion pair with n = 13, above 2^12 index subsets, so the
-subset masks are sampled; and ``woven`` and ``woven --eps 0.5`` on
+subset masks are sampled; ``perturb --method op`` and ``proj --K 0.5`` at
+the default 1000 samples on two near fusion pairs with d = 6, n = 9 (all
+512 subsets, many mask chunks), and ``pw``, ``op`` and ``proj`` with
+``--samples 0`` (the six extremal vectors alone) on one of them; and ``woven`` and ``woven --eps 0.5`` on
 discrete and fusion families with m = 2, n = 13 and m = 3, n = 9, whose
 first singular weaving (1, 0, ..., 0) has lexicographic rank m^(n-1),
 many scan chunks into the enumeration. Refusals and over-cap paths,
@@ -212,6 +215,21 @@ def build_corpus(workdir: str) -> list[list[str]]:
          "--gamma", "0.02", "--samples", "50", "--seed", "2"],
         ["perturb", pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
         ["perturb", pair, "--method", "proj", "--K", "1", "--samples", "50", "--seed", "2"],
+    ]
+    op_args = ["--lambda", "0.02", "--mu", "0.02", "--gamma", "0.02"]
+    for seed in (609, 619):
+        pair = _write(
+            os.path.join(workdir, f"near-pair-d6-n9-{seed}.json"),
+            near_fusion_pair_doc(seed, d=6, n=9),
+        )
+        corpus += [
+            ["perturb", pair, "--method", "op", *op_args, "--seed", "3"],
+            ["perturb", pair, "--method", "proj", "--K", "0.5", "--seed", "3"],
+        ]
+    corpus += [
+        ["perturb", pair, "--method", "pw", "--mu", "0.05", "--samples", "0"],
+        ["perturb", pair, "--method", "op", *op_args, "--samples", "0"],
+        ["perturb", pair, "--method", "proj", "--K", "0.5", "--samples", "0"],
     ]
     over_pair = _write(os.path.join(workdir, "near-pair-n23.json"), near_fusion_pair_doc(23, n=23))
     over_woven = _write(
