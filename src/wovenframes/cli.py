@@ -9,7 +9,9 @@ floats), so reruns with identical input and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -27,6 +29,7 @@ from .fusion import (
     synthesis_is_onto,
 )
 from .instances import INSTANCE_IDS, build_instance, verify_instance
+from .linalg import orthonormalize_each
 from .perturbation import (
     PerturbationCertificate,
     op_perturbation_check,
@@ -153,7 +156,7 @@ def parse_family_document(doc) -> WovenFamily:
                     "weights must be finite and positive",
                 )
                 w.append(float(value))
-            subs = []
+            spans = []
             for ki, sub_doc in enumerate(subspaces):
                 sub_path = f"{path}.subspaces[{ki}]"
                 _require(
@@ -167,11 +170,12 @@ def parse_family_document(doc) -> WovenFamily:
                     f"{sub_path}.spanning",
                     "list of vectors required",
                 )
-                if spanning:
-                    arr = _float_matrix(spanning, f"{sub_path}.spanning", dim)
-                    subs.append(Subspace.from_spanning(dim, list(arr)))
-                else:
-                    subs.append(Subspace(dim, np.zeros((dim, 0))))
+                spans.append(
+                    _float_matrix(spanning, f"{sub_path}.spanning", dim)
+                    if spanning
+                    else np.zeros((0, dim))
+                )
+            subs = [Subspace(dim, basis) for basis in orthonormalize_each(spans)]
             counts.add(len(subs))
             built.append(FusionFrame(dim, tuple(subs), np.array(w)))
     _require(len(counts) == 1, "systems", "systems must share the member count")
@@ -189,6 +193,20 @@ def _finite_number(value) -> bool:
 
 
 def _float_matrix(rows, path: str, dim: int) -> np.ndarray:
+    # one pass for well-formed rows; anything else takes the entry-by-entry
+    # walk below, which names the first offending entry
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {dim}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}
+    ):
+        try:
+            arr = np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
     for ri, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == dim):
             raise DocumentInvalid(f"{path}[{ri}]: vector of length {dim} required")
@@ -402,7 +420,10 @@ def cmd_reproduce(args) -> int:
     return 0 if reference_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call of ``main`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="wovenframes",
         description="Frame, fusion frame, and woven family analysis",

@@ -51,6 +51,10 @@ class InvalidSampleCount(ToolkitError, ValueError):
     """A sample count below the least the sampling routine accepts."""
 
 
+class InvalidSeed(ToolkitError, ValueError):
+    """A sampling seed that is not a non-negative integer."""
+
+
 class WrongKind(ToolkitError):
     """Operation applies only to discrete or only to fusion families."""
 

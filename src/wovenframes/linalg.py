@@ -1,13 +1,16 @@
 """Dense real linear algebra kernels.
 
-Orthonormalization with rank detection, the symmetric eigensolver (LAPACK
-``eigh`` with a fixed order and sign convention) for one matrix or a
-stack of them, the chunk budget shared by every batched scan, and
-orthogonal projectors. Everything is pure and deterministic: identical
-input bytes produce identical output bytes, which the report tooling
-depends on.
-``orthonormalize`` stays a Gram-Schmidt loop because its basis is
-serialized into family documents and their digests.
+Orthonormalization with rank detection for one spanning set or a stack
+of them, the symmetric eigensolver (LAPACK ``eigh`` with a fixed order
+and sign convention) for one matrix or a stack of them, the chunk budget
+shared by every batched scan, and orthogonal projectors. Everything is
+pure and deterministic: identical input bytes produce identical output
+bytes, which the report tooling depends on.
+Orthonormalization stays Gram-Schmidt because its basis is serialized
+into family documents and their digests. ``orthonormalize_stack`` runs
+it on every member of an (M, k, d) stack at once, with each member's
+basis bit for bit what a member-by-member loop gives; ``orthonormalize``
+is its M = 1 case.
 """
 
 from __future__ import annotations
@@ -83,27 +86,83 @@ def orthonormalize(spanning) -> tuple[np.ndarray, int]:
             raise DimensionMismatch(
                 f"spanning vectors mix lengths {dim} and {v.size}"
             )
-    arr = np.array(vecs, dtype=float)
+    (basis,) = orthonormalize_stack(np.array(vecs, dtype=float)[None])
+    return basis, basis.shape[1]
+
+
+def orthonormalize_stack(stack) -> list[np.ndarray]:
+    """Orthonormal bases of the row spans of every member of an
+    (M, k, d) stack, as M C-ordered (d, rank) matrices.
+
+    Each member gets ``orthonormalize``'s two-pass Gram-Schmidt and
+    dependence rule, with the same floating-point operations in the same
+    order, so its basis is bit for bit the member-by-member result: dots
+    are BLAS ``ddot`` over contiguous rows (as 1-D ``b @ w``) and norms
+    are ``sqrt(w . w)`` (as ``np.linalg.norm`` of a vector). A column
+    that only some members accept is masked out for the others, not
+    subtracted as a zero or residual row: subtracting a ``-0.0`` step
+    would turn a ``-0.0`` entry into ``+0.0``.
+    """
+    arr = np.asarray(stack, dtype=float)
+    if arr.ndim != 3:
+        raise DimensionMismatch(f"expected an (M, k, d) stack, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("spanning set contains NaN or Inf")
-
-    scale = 1.0 + float(np.sqrt((arr * arr).sum(axis=1)).max())
-    cols: list[np.ndarray] = []
-    for v in arr:
-        w = v.copy()
+    # work[j] holds column j of every member as contiguous rows (BLAS ddot
+    # sums a strided row in another order); each is orthogonalized and
+    # normalized in place
+    work = np.array(np.swapaxes(arr, 0, 1), order="C")
+    members, dim = work.shape[1:]
+    # sqrt is monotone, so this is the largest input norm bit for bit
+    largest = np.sqrt((work * work).sum(axis=2).max(axis=0, initial=0.0))
+    limit = RANK_TOL * (1.0 + largest)[:, None]
+    # accepted columns with the members that accepted them (None: all)
+    cols: list[tuple[np.ndarray, np.ndarray | None]] = []
+    for w in work:
         # two projection passes keep the basis orthonormal to rounding level
         for _ in range(2):
-            for b in cols:
-                w -= (b @ w) * b
-        norm = float(np.linalg.norm(w))
-        if norm <= RANK_TOL * scale:
+            for b, keep in cols:
+                step = np.vecdot(b, w, keepdims=True) * b
+                if keep is None:
+                    w -= step
+                else:
+                    np.subtract(w, step, out=w, where=keep)
+        norm = np.sqrt(np.vecdot(w, w, keepdims=True))
+        keep = norm > limit
+        kept = np.count_nonzero(keep)
+        if kept == 0:
             continue
-        cols.append(w / norm)
-    if cols:
-        basis = np.column_stack(cols)
-    else:
-        basis = np.zeros((dim, 0))
-    return basis, len(cols)
+        if kept == members:
+            w /= norm
+            keep = None
+        else:
+            np.divide(w, norm, out=w, where=keep)
+        cols.append((w, keep))
+    if not cols:
+        return [np.zeros((dim, 0)) for _ in range(members)]
+    bases = np.stack([w for w, _ in cols], axis=2)
+    if all(keep is None for _, keep in cols):
+        return list(bases)
+    accepted = np.concatenate(
+        [np.ones((members, 1), bool) if keep is None else keep for _, keep in cols],
+        axis=1,
+    )
+    return [np.ascontiguousarray(b[:, a]) for b, a in zip(bases, accepted)]
+
+
+def orthonormalize_each(spans) -> list[np.ndarray]:
+    """``orthonormalize_stack`` over a sequence of (k, d) spanning
+    matrices with any counts k (k = 0 included): one stacked call per
+    distinct k, bases returned in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, span in enumerate(spans):
+        groups.setdefault(len(span), []).append(i)
+    bases = [None] * len(spans)
+    for members in groups.values():
+        stack = np.array([spans[i] for i in members])
+        for i, basis in zip(members, orthonormalize_stack(stack)):
+            bases[i] = basis
+    return bases
 
 
 def sym_eig(matrix) -> SpectrumReport:

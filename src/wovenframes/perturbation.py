@@ -36,6 +36,7 @@ from .errors import (
 from .fusion import FusionFrame, _member_operators, fusion_frame_operator
 from .linalg import SpectrumReport, row_chunks, sym_eig
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
+from .weaving import _require_seed
 
 _SUBSET_CAP = 4096
 
@@ -135,6 +136,7 @@ def pw_check(
     _check_unit_interval(lam1=lam1, lam2=lam2, mu=mu)
     _check_pair(w, v)
     _check_samples(samples)
+    _require_seed(seed)
     spec_w, spec_v, extremal = _spectra(w, v)
     a_w, b_w = spec_w.smallest, spec_w.largest
     b_v = spec_v.largest
@@ -209,6 +211,7 @@ def op_perturbation_check(
     _check_unit_interval(lam=lam, mu=mu, gamma=gamma)
     _check_pair(w, v)
     _check_samples(samples)
+    _require_seed(seed)
     spec_w, spec_v, extremal = _spectra(w, v)
     a_w, b_w = spec_w.smallest, spec_w.largest
     b_v = spec_v.largest
@@ -282,6 +285,7 @@ def proj_perturbation_check(
         raise WeightMismatch("families must share the same weights")
 
     _check_samples(samples)
+    _require_seed(seed)
     spec_w, spec_v, extremal = _spectra(w, v)
     a_w, b_w = spec_w.smallest, spec_w.largest
     a_v, b_v = spec_v.smallest, spec_v.largest

@@ -30,7 +30,7 @@ from .fusion import (
     fusion_bounds,
     fusion_frame_operator,
 )
-from .linalg import orthonormalize, sym_eig
+from .linalg import orthonormalize, orthonormalize_each, sym_eig
 from .tolerances import (
     HOLD_SLACK,
     INTERSECT_TOL,
@@ -284,21 +284,20 @@ class LocalSystem:
         w = np.asarray(weights, dtype=float).ravel()
         lists = [np.array([np.asarray(v, float) for v in lst]) for lst in vector_lists]
         blocks = []
-        bases = []
-        bounds: list[tuple[float, float] | None] = []
+        nonzero = []
         for arr in lists:
             if arr.size == 0:
                 arr = arr.reshape(0, dim)
             if arr.ndim != 2 or arr.shape[1] != dim:
                 raise DimensionMismatch("local vectors must have the ambient dim")
             blocks.append(arr)
-            nonzero = arr[np.linalg.norm(arr, axis=1) > 0] if arr.shape[0] else arr
-            if nonzero.shape[0] == 0:
-                bases.append(np.zeros((dim, 0)))
+            nonzero.append(arr[np.linalg.norm(arr, axis=1) > 0] if arr.shape[0] else arr)
+        bases = orthonormalize_each(nonzero)
+        bounds: list[tuple[float, float] | None] = []
+        for arr, rows, basis in zip(blocks, nonzero, bases):
+            if rows.shape[0] == 0:
                 bounds.append(None)
                 continue
-            basis, rank = orthonormalize(list(nonzero))
-            bases.append(basis)
             coords = arr @ basis
             spec = sym_eig(coords.T @ coords)
             bounds.append((spec.smallest, spec.largest))

@@ -28,6 +28,7 @@ from .errors import (
     InvalidEps,
     InvalidPartitionCap,
     InvalidSampleCount,
+    InvalidSeed,
     PartitionLengthMismatch,
     TooManyPartitions,
     WrongKind,
@@ -70,6 +71,12 @@ def _require_eps(eps: float, name: str = "eps") -> None:
     """Raise InvalidEps unless the witness threshold is finite and positive."""
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEps(f"{name} must be finite and positive, got {eps}")
+
+
+def _require_seed(seed: int) -> None:
+    """Raise InvalidSeed for a negative sampling seed."""
+    if seed < 0:
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
 
 
 def _partitions(n: int, m: int, d: int):
@@ -353,6 +360,7 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     """
     if samples < 1:
         raise InvalidSampleCount("samples must be at least 1")
+    _require_seed(seed)
     stacks = contribution_stacks(family)
     n, m, d = family.n, family.m, family.dim
     rng = np.random.default_rng(seed)

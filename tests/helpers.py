@@ -11,6 +11,7 @@ from wovenframes import DiscreteFrame, FusionFrame, Subspace, WovenFamily
 from wovenframes.fusion import _member_operators
 from wovenframes.linalg import sym_eig
 from wovenframes.perturbation import _spectra, _subset_masks, _unit_rows
+from wovenframes.tolerances import RANK_TOL
 
 
 def eig2(matrix) -> tuple[float, float]:
@@ -78,6 +79,31 @@ def jacobi(sym) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
     return np.diagonal(a).copy(), v
+
+
+def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
+    """Member-by-member two-pass Gram-Schmidt, the bit-identity oracle for
+    ``linalg.orthonormalize_stack``.
+
+    Returns ``(basis, rank)`` like ``orthonormalize``: a vector is
+    dependent when its residual norm is at most RANK_TOL * (1 + N), N the
+    largest input norm; accepted columns are stacked in input order.
+    """
+    arr = np.array(spanning, dtype=float, order="C")
+    scale = 1.0 + float(np.sqrt((arr * arr).sum(axis=1)).max())
+    cols: list[np.ndarray] = []
+    for v in arr:
+        w = v.copy()
+        for _ in range(2):
+            for b in cols:
+                w -= (b @ w) * b
+        norm = float(np.linalg.norm(w))
+        if norm <= RANK_TOL * scale:
+            continue
+        cols.append(w / norm)
+    if cols:
+        return np.column_stack(cols), len(cols)
+    return np.zeros((arr.shape[1], 0)), 0
 
 
 def basis_vec(dim: int, i: int) -> np.ndarray:

@@ -373,6 +373,55 @@ class TestSampleCount:
         assert captured.err == "error: samples must be at least 1\n"
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (EX3_2_DOC, ["woven", "--samples", "3"]),
+            (COORDINATE_PAIR_DOC, ["perturb", "--method", "pw"]),
+            (COORDINATE_PAIR_DOC, ["perturb", "--method", "op"]),
+            (COORDINATE_PAIR_DOC, ["perturb", "--method", "proj"]),
+        ],
+        ids=["woven-sampled", "pw", "op", "proj"],
+    )
+    def test_negative_seed_exits_two(self, tmp_path, capsys, doc, argv):
+        path = write_doc(tmp_path, doc)
+        code = main(argv[:1] + [path] + argv[1:] + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_runs(self, tmp_path, capsys, monkeypatch):
+        # help text wraps at the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        fam = write_doc(tmp_path, EX3_2_DOC)
+        fus = write_doc(tmp_path, COORDINATE_PAIR_DOC, "fusion.json")
+        commands = [
+            ["analyze", fam],
+            ["woven", fam, "--samples", "5"],
+            ["woven", fam],
+            ["perturb", fus, "--method", "proj", "--K", "0.5", "--seed", "2"],
+            ["reproduce", "--id", "ex3_2"],
+            ["woven", fam, "--samples"],
+            ["--help"],
+        ]
+        fresh = {}
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wovenframes", *argv], capture_output=True, text=True
+            )
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+        # forward, plain woven follows --samples 5 and must not inherit it
+        for order in (commands, commands[::-1]):
+            for argv in order:
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
+
+
 class TestPartitionCapVariable:
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     @pytest.mark.parametrize(
@@ -461,9 +510,27 @@ class TestNumberEntries:
             (EX3_2_DOC, ["dim"], True, "dim", "positive integer required"),
             (EX3_2_DOC, ["systems", 0, "vectors", 0, 1], 10**400,
              "systems[0].vectors[0][1]", "finite number required"),
+            (EX3_2_DOC, ["systems", 1, "vectors", 1, 0], "1",
+             "systems[1].vectors[1][0]", "finite number required"),
+            (EX3_2_DOC, ["systems", 0, "vectors", 2, 1], None,
+             "systems[0].vectors[2][1]", "finite number required"),
+            (EX3_2_DOC, ["systems", 0, "vectors", 1, 1], [1.0],
+             "systems[0].vectors[1][1]", "finite number required"),
+            (EX3_2_DOC, ["systems", 0, "vectors", 2], [1.0],
+             "systems[0].vectors[2]", "vector of length 2 required"),
+            (COORDINATE_PAIR_DOC, ["systems", 0, "subspaces", 1, "spanning", 1, 0], "x",
+             "systems[0].subspaces[1].spanning[1][0]", "finite number required"),
+            (COORDINATE_PAIR_DOC, ["systems", 1, "subspaces", 0, "spanning", 0, 2], None,
+             "systems[1].subspaces[0].spanning[0][2]", "finite number required"),
+            (COORDINATE_PAIR_DOC, ["systems", 1, "subspaces", 0, "spanning", 1], [[0, 1, 0, 0]],
+             "systems[1].subspaces[0].spanning[1]", "vector of length 4 required"),
+            (COORDINATE_PAIR_DOC, ["systems", 0, "subspaces", 0, "spanning", 0, 1], 10**400,
+             "systems[0].subspaces[0].spanning[0][1]", "finite number required"),
         ],
         ids=["vector-true", "vector-false", "weight-true", "spanning-true", "dim-true",
-             "int-beyond-float"],
+             "int-beyond-float", "vector-string", "vector-null", "vector-nested",
+             "vector-short-row", "spanning-string", "spanning-null", "spanning-nested-row",
+             "spanning-int-beyond-float"],
     )
     def test_booleans_and_unrepresentable_numbers_exit_two(
         self, tmp_path, capsys, doc, keys, value, path, message
@@ -473,6 +540,26 @@ class TestNumberEntries:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, keys, path",
+        [
+            (EX3_2_DOC, ["systems", 1, "vectors", 0, 1], "systems[1].vectors[0][1]"),
+            (COORDINATE_PAIR_DOC, ["systems", 1, "subspaces", 1, "spanning", 1, 3],
+             "systems[1].subspaces[1].spanning[1][3]"),
+        ],
+        ids=["vector", "spanning"],
+    )
+    def test_literal_beyond_float_range_exits_two(self, tmp_path, capsys, doc, keys, path):
+        # JSON text 1e400 parses as a float infinity
+        text = json.dumps(_replaced(doc, keys, "HUGE")).replace('"HUGE"', "1e400")
+        doc_path = tmp_path / "huge.json"
+        doc_path.write_text(text)
+        code = main(["analyze", str(doc_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: finite number required\n"
 
     def test_integer_and_float_entries_parse_alike(self, tmp_path, capsys):
         floats = _replaced(

@@ -1,15 +1,17 @@
 """The numpy-backed kernels against independent oracles: the Jacobi
-eigensolver in helpers, Gram-Schmidt rank detection, and numpy's 2-norm."""
+eigensolver in helpers, the member-by-member Gram-Schmidt loop in helpers
+(bit for bit), Gram-Schmidt rank detection, and numpy's 2-norm."""
 
 import numpy as np
 import pytest
 
 from wovenframes import FusionFrame, InvertibleOperator, Subspace, orthonormalize, sym_eig
-from wovenframes.errors import DimensionMismatch, SingularOperator
+from wovenframes.errors import DimensionMismatch, NonFinite, SingularOperator
 from wovenframes.fusion import _stacked_columns, _stacked_rank
+from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
 from wovenframes.transforms import invert_matrix
 
-from helpers import jacobi
+from helpers import gram_schmidt, jacobi
 
 
 def symmetric_with_repeats(rng, d: int) -> np.ndarray:
@@ -115,3 +117,101 @@ class TestInvertibleOperatorNorms:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             invert_matrix(np.ones((2, 3)))
+
+
+def spanning_members(rng, count: int, d: int, members: int) -> np.ndarray:
+    """An (members, count, d) stack mixing generic, rank-deficient,
+    all-zero, tiny, and -0.0-carrying members."""
+    stack = rng.standard_normal((members, count, d))
+    for m in range(members):
+        kind = rng.integers(6)
+        if kind == 1:
+            stack[m] = 0.0
+        elif kind == 2 and count > 1:
+            # the last vector repeats a combination of the others
+            stack[m, -1] = rng.standard_normal(count - 1) @ stack[m, :-1]
+        elif kind == 3 and count > 1:
+            stack[m, 1:] = stack[m, 0]
+        elif kind == 4:
+            stack[m][rng.random((count, d)) < 0.5] = -0.0
+        elif kind == 5:
+            stack[m] *= 1e-12
+    return stack
+
+
+def assert_bit_identical(actual: np.ndarray, spanning) -> None:
+    expected, rank = gram_schmidt(spanning)
+    assert actual.shape == expected.shape
+    assert actual.shape[1] == rank
+    assert actual.flags.c_contiguous
+    # byte comparison also tells -0.0 from +0.0
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestStackedGramSchmidt:
+    def test_matches_member_loop_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            d = int(rng.integers(1, 16))
+            count = int(rng.integers(1, 5))
+            stack = spanning_members(rng, count, d, int(rng.integers(1, 13)))
+            bases = orthonormalize_stack(stack)
+            assert len(bases) == stack.shape[0]
+            for basis, member in zip(bases, stack):
+                assert_bit_identical(basis, member)
+                assert_bit_identical(orthonormalize(list(member))[0], member)
+
+    def test_dimension_one(self):
+        stack = np.array([[[2.0]], [[0.0]], [[-0.0]], [[-3.0]], [[1e-300]]])
+        bases = orthonormalize_stack(stack)
+        assert [b.shape[1] for b in bases] == [1, 0, 0, 1, 0]
+        for basis, member in zip(bases, stack):
+            assert_bit_identical(basis, member)
+
+    def test_mixed_counts_in_one_system(self):
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            d = int(rng.integers(1, 9))
+            spans = [
+                spanning_members(rng, int(rng.integers(0, 5)), d, 1)[0]
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            for basis, span in zip(orthonormalize_each(spans), spans):
+                if len(span):
+                    assert_bit_identical(basis, span)
+                else:
+                    assert basis.shape == (d, 0)
+
+    def test_negative_zero_entries_survive(self):
+        # the second member rejects its middle column, whose residual is
+        # (0, -0, 0); masking it out keeps the -0.0 of the third column,
+        # which subtracting that residual's projection would turn into +0.0
+        stack = np.array(
+            [
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0, 0.0], [2.0, -0.0, 0.0], [0.0, -0.0, 1.0]],
+            ]
+        )
+        bases = orthonormalize_stack(stack)
+        assert [b.shape[1] for b in bases] == [3, 2]
+        assert np.signbit(bases[1][1, 1])
+        for basis, member in zip(bases, stack):
+            assert_bit_identical(basis, member)
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(63)
+        big = spanning_members(rng, 6, 14, 16)
+        views = [big[::2], big[:, ::2], big[:, :, ::3], big[::-1]]
+        views.append(np.asfortranarray(spanning_members(rng, 3, 5, 7)))
+        for view in views:
+            assert not view.flags.c_contiguous
+            before = view.copy()
+            for basis, member in zip(orthonormalize_stack(view), view):
+                assert_bit_identical(basis, member)
+            assert view.tobytes() == before.tobytes()
+
+    def test_errors(self):
+        with pytest.raises(DimensionMismatch):
+            orthonormalize_stack(np.ones((2, 3)))
+        with pytest.raises(NonFinite):
+            orthonormalize_stack(np.array([[[1.0, 0.0]], [[np.inf, 0.0]]]))

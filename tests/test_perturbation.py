@@ -16,6 +16,7 @@ from wovenframes.errors import (
     ConstantOutOfRange,
     IndexMismatch,
     InvalidSampleCount,
+    InvalidSeed,
     ToolkitError,
     WeightMismatch,
 )
@@ -30,9 +31,11 @@ from helpers import (
 )
 
 CHECKS = {
-    "pw": lambda w, v, samples: pw_check(w, v, 0.01, 0.01, 0.01, samples),
-    "op": lambda w, v, samples: op_perturbation_check(w, v, 0.01, 0.01, 0.01, samples),
-    "proj": lambda w, v, samples: proj_perturbation_check(w, v, 0.5, samples),
+    "pw": lambda w, v, samples, seed=0: pw_check(w, v, 0.01, 0.01, 0.01, samples, seed),
+    "op": lambda w, v, samples, seed=0: op_perturbation_check(
+        w, v, 0.01, 0.01, 0.01, samples, seed
+    ),
+    "proj": lambda w, v, samples, seed=0: proj_perturbation_check(w, v, 0.5, samples, seed),
 }
 
 
@@ -231,6 +234,15 @@ class TestValidation:
         w = coordinate_planes()
         with pytest.raises(InvalidSampleCount, match=f"non-negative, got {samples}"):
             CHECKS[method](w, w, samples)
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed(self, method, seed):
+        w = coordinate_planes()
+        with pytest.raises(InvalidSeed, match=f"non-negative integer, got {seed}$"):
+            CHECKS[method](w, w, 5, seed)
+        with pytest.raises(ToolkitError):
+            CHECKS[method](w, w, 0, seed)
 
     def test_invalid_sample_count_is_a_toolkit_and_value_error(self):
         w = coordinate_planes()

@@ -24,6 +24,7 @@ from wovenframes import transforms, weaving
 from wovenframes.errors import (
     InvalidEps,
     InvalidPartitionCap,
+    InvalidSeed,
     NonFinite,
     NotSymmetric,
     PartitionLengthMismatch,
@@ -173,6 +174,13 @@ class TestSampled:
         report = woven_bounds_sampled(inst.payload, samples=500, seed=5)
         assert report.universal_lower >= 1.0 - 1e-9
         assert report.universal_upper <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_rejects_negative_seed(self, plane_family, seed):
+        with pytest.raises(InvalidSeed, match=f"non-negative integer, got {seed}$"):
+            woven_bounds_sampled(plane_family, samples=3, seed=seed)
+        with pytest.raises(ValueError):
+            woven_bounds_sampled(plane_family, samples=3, seed=seed)
 
 
 class TestWeavingBessel:

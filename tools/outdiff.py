@@ -26,7 +26,10 @@ the default 1000 samples on two near fusion pairs with d = 6, n = 9 (all
 ``--samples 0`` (the six extremal vectors alone) on one of them; and ``woven`` and ``woven --eps 0.5`` on
 discrete and fusion families with m = 2, n = 13 and m = 3, n = 9, whose
 first singular weaving (1, 0, ..., 0) has lexicographic rank m^(n-1),
-many scan chunks into the enumeration. Refusals and over-cap paths,
+many scan chunks into the enumeration; ``analyze`` and ``woven`` on
+fusion documents with d = 1, 3 and 5 whose members mix spanning counts
+within a system and include dependent vectors, an all-zero spanning set,
+an empty spanning list and -0.0 entries. Refusals and over-cap paths,
 above the default cap of 2^22 partitions: ``reproduce --id ex4_1 --dim
 30`` (exit 2), ``woven`` on a discrete family with m = 2, n = 23 (exit
 2), and ``perturb --method proj`` on a near fusion pair with n = 23,
@@ -95,6 +98,30 @@ def near_fusion_pair_doc(seed: int, d: int = 4, n: int = 13, rank: int = 2) -> d
     span_w = rng.standard_normal((n, rank, d))
     span_v = span_w + 0.01 * rng.standard_normal((n, rank, d))
     systems = [{"weights": weights, "subspaces": _spanning(s)} for s in (span_w, span_v)]
+    return {"dim": d, "kind": "fusion", "systems": systems}
+
+
+def grouping_doc(seed: int, d: int, n: int = 7) -> dict:
+    """Two-system fusion document whose members mix spanning counts 1-3
+    within each system, so ingest orthonormalizes several count groups;
+    member 1 is an empty spanning list in system 0 and an all-zero pair in
+    system 1, member 2 appends a dependent vector, member 3 carries -0.0
+    entries."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for j in range(2):
+        spans = []
+        for i in range(n):
+            span = rng.standard_normal((1 + (i + j) % 3, d))
+            if i == 1:
+                span = span[:0] if j == 0 else np.zeros((2, d))
+            elif i == 2:
+                span = np.vstack([span, 2.0 * span[:1] - span[-1:]])
+            elif i == 3:
+                span[:, ::2] = -0.0
+            spans.append(span)
+        weights = rng.uniform(0.5, 1.5, n).tolist()
+        systems.append({"weights": weights, "subspaces": _spanning(spans)})
     return {"dim": d, "kind": "fusion", "systems": systems}
 
 
@@ -241,6 +268,9 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["woven", over_woven],
         ["perturb", over_pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
     ]
+    for d in (1, 3, 5):
+        path = _write(os.path.join(workdir, f"grouping-d{d}.json"), grouping_doc(700 + d, d))
+        corpus += [["analyze", path], ["woven", path]]
     for kind in ("discrete", "fusion"):
         for m, n in ((2, 13), (3, 9)):
             doc = late_witness_doc(m * 100 + n, kind, m, n)
