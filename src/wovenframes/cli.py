@@ -1,9 +1,11 @@
 """Command line surface: ingest family documents, emit canonical reports.
 
 Exit codes: 0 when the checked property holds, 1 when it fails (the
-report carries a witness), 2 on input or usage errors. Reports are
-canonical JSON (sorted keys, compact separators, shortest round-trip
-floats), so reruns with identical input and seed are byte-identical.
+report carries a witness), 2 on input or usage errors, 3 on an internal
+fault (stderr starts with ``internal error:`` and carries the traceback).
+Reports are canonical JSON (sorted keys, compact separators, shortest
+round-trip floats), so reruns with identical input and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ import numpy as np
 
 from .errors import ToolkitError, TooManyPartitions
 from .frames import DiscreteFrame, optimal_bounds
-from .fusion import (
-    FusionFrame,
-    Subspace,
-    fusion_bounds,
-    is_orthonormal_fusion_basis,
-    is_riesz_decomposition,
-    synthesis_is_onto,
-)
+from .fusion import FusionFrame, Subspace, decomposition_flags, fusion_bounds
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
 from .perturbation import (
@@ -148,36 +143,11 @@ def parse_family_document(doc) -> WovenFamily:
                 f"{path}.subspaces",
                 "one subspace per weight required",
             )
-            w = []
-            for wi, value in enumerate(weights):
-                _require(
-                    _finite_number(value) and value > 0,
-                    f"{path}.weights[{wi}]",
-                    "weights must be finite and positive",
-                )
-                w.append(float(value))
-            spans = []
-            for ki, sub_doc in enumerate(subspaces):
-                sub_path = f"{path}.subspaces[{ki}]"
-                _require(
-                    isinstance(sub_doc, dict) and "spanning" in sub_doc,
-                    sub_path,
-                    "object with a 'spanning' list required",
-                )
-                spanning = sub_doc["spanning"]
-                _require(
-                    isinstance(spanning, list),
-                    f"{sub_path}.spanning",
-                    "list of vectors required",
-                )
-                spans.append(
-                    _float_matrix(spanning, f"{sub_path}.spanning", dim)
-                    if spanning
-                    else np.zeros((0, dim))
-                )
-            subs = [Subspace(dim, basis) for basis in orthonormalize_each(spans)]
+            w = _weight_vector(weights, f"{path}.weights")
+            spans = _spanning_matrices(subspaces, path, dim)
+            subs = Subspace.from_bases(dim, orthonormalize_each(spans))
             counts.add(len(subs))
-            built.append(FusionFrame(dim, tuple(subs), np.array(w)))
+            built.append(FusionFrame(dim, subs, w))
     _require(len(counts) == 1, "systems", "systems must share the member count")
     return WovenFamily(kind, tuple(built))
 
@@ -192,21 +162,88 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _float_matrix(rows, path: str, dim: int) -> np.ndarray:
-    # one pass for well-formed rows; anything else takes the entry-by-entry
-    # walk below, which names the first offending entry
-    if (
-        set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {dim}
-        and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}
-    ):
+def _weight_vector(weights, path: str) -> np.ndarray:
+    # one pass for finite positive numbers; anything else takes the entry
+    # walk, which names the first offending weight
+    w = _fast_floats(weights)
+    if w is not None and (w > 0).all():
+        return w
+    for wi, value in enumerate(weights):
+        _require(
+            _finite_number(value) and value > 0,
+            f"{path}[{wi}]",
+            "weights must be finite and positive",
+        )
+    return np.array(weights, dtype=float)
+
+
+def _spanning_matrices(subspaces, path: str, dim: int) -> list[np.ndarray]:
+    """Each member's spanning rows as a (count, dim) float matrix."""
+    # one conversion of the system's rows, split by member, when every
+    # member is well-formed; otherwise the member-by-member walk, which
+    # names the first offending member or entry
+    spannings = [
+        sub_doc.get("spanning") if isinstance(sub_doc, dict) else None
+        for sub_doc in subspaces
+    ]
+    if all(isinstance(spanning, list) for spanning in spannings):
+        rows = list(itertools.chain.from_iterable(spannings))
+        arr = _fast_float_matrix(rows, dim) if rows else np.zeros((0, dim))
+        if arr is not None:
+            bounds = itertools.accumulate(map(len, spannings), initial=0)
+            return [arr[start:end] for start, end in itertools.pairwise(bounds)]
+    spans = []
+    for ki, sub_doc in enumerate(subspaces):
+        sub_path = f"{path}.subspaces[{ki}]"
+        _require(
+            isinstance(sub_doc, dict) and "spanning" in sub_doc,
+            sub_path,
+            "object with a 'spanning' list required",
+        )
+        spanning = sub_doc["spanning"]
+        _require(
+            isinstance(spanning, list),
+            f"{sub_path}.spanning",
+            "list of vectors required",
+        )
+        spans.append(
+            _float_matrix(spanning, f"{sub_path}.spanning", dim)
+            if spanning
+            else np.zeros((0, dim))
+        )
+    return spans
+
+
+def _fast_floats(values) -> np.ndarray | None:
+    """The values as one float array in one pass when every entry is a
+    float or int (never a bool) with a finite float value; None otherwise."""
+    if set(map(type, values)) <= {float, int}:
         try:
-            arr = np.array(rows, dtype=float)
+            arr = np.array(values, dtype=float)
         except OverflowError:  # an integer beyond the float range
-            pass
-        else:
-            if np.isfinite(arr).all():
-                return arr
+            return None
+        if np.isfinite(arr).all():
+            return arr
+    return None
+
+
+def _fast_float_matrix(rows, dim: int) -> np.ndarray | None:
+    """The rows as one (count, dim) float matrix in one pass when every row
+    is a list of ``dim`` entries that ``_fast_floats`` accepts; None
+    otherwise."""
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
+        arr = _fast_floats(list(itertools.chain.from_iterable(rows)))
+        if arr is not None:
+            return arr.reshape(len(rows), dim)
+    return None
+
+
+def _float_matrix(rows, path: str, dim: int) -> np.ndarray:
+    # anything but well-formed rows takes the entry-by-entry walk below,
+    # which names the first offending entry
+    arr = _fast_float_matrix(rows, dim)
+    if arr is not None:
+        return arr
     for ri, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == dim):
             raise DocumentInvalid(f"{path}[{ri}]: vector of length {dim} required")
@@ -285,14 +322,15 @@ def cmd_analyze(args) -> int:
             )
         else:
             rep = fusion_bounds(s)
+            onto, riesz, orthonormal_basis = decomposition_flags(s)
             systems.append(
                 {
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_fusion_frame": rep.is_frame,
-                    "synthesis_is_onto": synthesis_is_onto(s),
-                    "is_riesz_decomposition": is_riesz_decomposition(s),
-                    "is_orthonormal_fusion_basis": is_orthonormal_fusion_basis(s),
+                    "synthesis_is_onto": onto,
+                    "is_riesz_decomposition": riesz,
+                    "is_orthonormal_fusion_basis": orthonormal_basis,
                 }
             )
     _emit(
@@ -475,9 +513,13 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # malformed input must not produce a traceback
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:  # a fault in the toolkit, never an input error
+        # imported here: no other path loads it, and it costs start-up time
+        import traceback
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,13 @@
-"""Fusion frames: weighted subspaces, their operators and classifications."""
+"""Fusion frames: weighted subspaces, their operators and classifications.
+
+Members are handled as stacks grouped by rank. One validation kernel
+checks an (M, dim, k) stack of bases (shape, finite entries, Gram matrix
+within GRAM_TOL of the identity); a single ``Subspace`` is its M = 1
+case and ``Subspace.from_bases`` builds a whole system from it. The
+member operators ``scale_i * B_i B_i^T`` come from one batched matmul
+per rank group over a C-ordered stack, bit for bit the per-member
+product ``scale_i * (B_i @ B_i.T)``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotOrthonormal
 from .frames import BoundsReport, bounds_from_spectrum
-from .linalg import orthonormalize, projector, sym_eig
+from .linalg import orthonormalize, projector, size_groups, sym_eig
 from .tolerances import GRAM_TOL, RANK_TOL
 
 
@@ -25,20 +34,21 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"basis must be {self.dim} x k, got shape {b.shape}"
-            )
-        if b.shape[1] > self.dim:
-            raise DimensionMismatch("subspace rank exceeds ambient dimension")
-        if not np.isfinite(b).all():
-            raise NonFinite("basis contains NaN or Inf")
-        if b.shape[1]:
-            gram = b.T @ b
-            if float(np.abs(gram - np.eye(b.shape[1])).max()) > GRAM_TOL:
-                raise NotOrthonormal("basis columns are not orthonormal")
+        (b,) = _checked_bases(self.dim, [self.basis])
         object.__setattr__(self, "basis", b)
+
+    @classmethod
+    def from_bases(cls, dim: int, bases) -> tuple["Subspace", ...]:
+        """One subspace per basis, each checked as ``Subspace(dim, basis)``
+        checks it, with one stacked check per rank group."""
+        subs = []
+        for b in _checked_bases(dim, bases):
+            # built past __init__, whose __post_init__ would check each again
+            sub = object.__new__(cls)
+            object.__setattr__(sub, "dim", dim)
+            object.__setattr__(sub, "basis", b)
+            subs.append(sub)
+        return tuple(subs)
 
     @classmethod
     def from_spanning(cls, dim: int, vectors) -> "Subspace":
@@ -64,6 +74,28 @@ class Subspace:
         if self.rank == 0:
             return np.zeros(self.dim)
         return self.basis @ (self.basis.T @ f)
+
+
+def _checked_bases(dim: int, bases) -> list[np.ndarray]:
+    """The bases as float arrays, after checking that each is dim x k with
+    k <= dim, finite, and has a Gram matrix within GRAM_TOL of the
+    identity entrywise; one stacked Gram product per rank k."""
+    arrays = [np.asarray(b, dtype=float) for b in bases]
+    for b in arrays:
+        if b.ndim != 2 or b.shape[0] != dim:
+            raise DimensionMismatch(f"basis must be {dim} x k, got shape {b.shape}")
+        if b.shape[1] > dim:
+            raise DimensionMismatch("subspace rank exceeds ambient dimension")
+    for k, members in size_groups(b.shape[1] for b in arrays).items():
+        if not k:
+            continue
+        stack = np.array([arrays[i] for i in members])
+        if not np.isfinite(stack).all():
+            raise NonFinite("basis contains NaN or Inf")
+        gram = np.swapaxes(stack, 1, 2) @ stack
+        if float(np.abs(gram - np.eye(k)).max()) > GRAM_TOL:
+            raise NotOrthonormal("basis columns are not orthonormal")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -102,17 +134,26 @@ class FusionFrame:
         )
 
 
+def _rank_groups(ff: FusionFrame):
+    """``(members, stack)`` per nonzero member rank k: the members'
+    positions and their bases as one C-ordered (M, dim, k) stack (a
+    Fortran-ordered stack would sum the products in another order)."""
+    for k, members in size_groups(sub.rank for sub in ff.subspaces).items():
+        if k:
+            yield members, np.array([ff.subspaces[i].basis for i in members])
+
+
 def _member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
     """Per-member operators ``scale_i * P_i``, shape (size, dim, dim).
 
     ``scale`` defaults to the squared weights, which gives the summands
     of the fusion frame operator; a zero-dimensional member gives zeros.
     """
-    scale = ff.weights * ff.weights if scale is None else scale
+    scale = ff.weights * ff.weights if scale is None else np.asarray(scale)
     out = np.zeros((ff.size, ff.dim, ff.dim))
-    for i, sub in enumerate(ff.subspaces):
-        if sub.rank:
-            out[i] = scale[i] * (sub.basis @ sub.basis.T)
+    for members, stack in _rank_groups(ff):
+        products = stack @ np.swapaxes(stack, 1, 2)
+        out[members] = scale[members][:, None, None] * products
     return out
 
 
@@ -137,12 +178,15 @@ def analysis_apply(ff: FusionFrame, f) -> list[np.ndarray]:
 
 
 def _stacked_columns(ff: FusionFrame) -> np.ndarray:
-    blocks = [
-        w * sub.basis for sub, w in zip(ff.subspaces, ff.weights) if sub.rank
-    ]
-    if not blocks:
-        return np.zeros((ff.dim, 0))
-    return np.hstack(blocks)
+    """The weighted bases ``weight_i * B_i`` side by side in member order,
+    shape (dim, total rank)."""
+    offsets = np.cumsum([0] + [sub.rank for sub in ff.subspaces])
+    out = np.zeros((ff.dim, offsets[-1]))
+    for members, stack in _rank_groups(ff):
+        cols = offsets[members][:, None] + np.arange(stack.shape[2])
+        weighted = ff.weights[members][:, None, None] * stack
+        out[:, cols.ravel()] = np.swapaxes(weighted, 0, 1).reshape(ff.dim, -1)
+    return out
 
 
 def _stacked_rank(ff: FusionFrame) -> int:
@@ -170,8 +214,19 @@ def is_riesz_decomposition(ff: FusionFrame) -> bool:
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """Riesz decomposition with mutually orthogonal members."""
-    if not is_riesz_decomposition(ff):
-        return False
+    return is_riesz_decomposition(ff) and _members_orthogonal(ff)
+
+
+def decomposition_flags(ff: FusionFrame) -> tuple[bool, bool, bool]:
+    """``(synthesis_is_onto, is_riesz_decomposition,
+    is_orthonormal_fusion_basis)`` from one stacked rank."""
+    onto = synthesis_is_onto(ff)
+    riesz = onto and sum(sub.rank for sub in ff.subspaces) == ff.dim
+    return onto, riesz, riesz and _members_orthogonal(ff)
+
+
+def _members_orthogonal(ff: FusionFrame) -> bool:
+    """Every two nonzero members' bases have cross Gram entries within GRAM_TOL."""
     for i, a in enumerate(ff.subspaces):
         if a.rank == 0:
             continue

@@ -150,15 +150,21 @@ def orthonormalize_stack(stack) -> list[np.ndarray]:
     return [np.ascontiguousarray(b[:, a]) for b, a in zip(bases, accepted)]
 
 
+def size_groups(sizes) -> dict[int, list[int]]:
+    """Positions of equal sizes, ``{size: [positions]}``, in order of first
+    appearance: the grouping behind every per-size stacked call."""
+    groups: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
+    return groups
+
+
 def orthonormalize_each(spans) -> list[np.ndarray]:
     """``orthonormalize_stack`` over a sequence of (k, d) spanning
     matrices with any counts k (k = 0 included): one stacked call per
     distinct k, bases returned in input order."""
-    groups: dict[int, list[int]] = {}
-    for i, span in enumerate(spans):
-        groups.setdefault(len(span), []).append(i)
     bases = [None] * len(spans)
-    for members in groups.values():
+    for members in size_groups(map(len, spans)).values():
         stack = np.array([spans[i] for i in members])
         for i, basis in zip(members, orthonormalize_stack(stack)):
             bases[i] = basis

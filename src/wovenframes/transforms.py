@@ -148,14 +148,9 @@ def conjugation_check(
 
     image_systems = []
     for system in family.systems:
-        subs = []
-        for sub in system.subspaces:
-            if sub.rank == 0:
-                subs.append(sub)
-                continue
-            basis, _ = orthonormalize(list((e @ sub.basis).T))
-            subs.append(Subspace(family.dim, basis))
-        image_systems.append(FusionFrame(family.dim, tuple(subs), system.weights))
+        bases = orthonormalize_each([(e @ sub.basis).T for sub in system.subspaces])
+        subs = Subspace.from_bases(family.dim, bases)
+        image_systems.append(FusionFrame(family.dim, subs, system.weights))
     image_family = WovenFamily.fusion(tuple(image_systems))
     s_image = fusion_frame_operator(weave(image_family, p))
 
@@ -322,7 +317,7 @@ class LocalSystem:
         return max(vals)
 
     def induced_fusion_frame(self) -> FusionFrame:
-        subs = tuple(Subspace(self.dim, b) for b in self.bases)
+        subs = Subspace.from_bases(self.dim, self.bases)
         return FusionFrame(self.dim, subs, self.weights)
 
 

@@ -106,6 +106,17 @@ def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
     return np.zeros((arr.shape[1], 0)), 0
 
 
+def member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
+    """Member-by-member ``scale_i * (B_i @ B_i.T)``, the bit-identity oracle
+    for ``fusion._member_operators``; a zero-dimensional member gives zeros."""
+    scale = ff.weights * ff.weights if scale is None else scale
+    out = np.zeros((ff.size, ff.dim, ff.dim))
+    for i, sub in enumerate(ff.subspaces):
+        if sub.rank:
+            out[i] = scale[i] * (sub.basis @ sub.basis.T)
+    return out
+
+
 def basis_vec(dim: int, i: int) -> np.ndarray:
     v = np.zeros(dim)
     v[i] = 1.0

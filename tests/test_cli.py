@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from wovenframes import find_nonwoven_witness
-from wovenframes.cli import load_family, main
+from wovenframes import Subspace, cli, find_nonwoven_witness, fusion
+from wovenframes.cli import load_family, main, parse_family_document
 
 
 EX3_2_DOC = {
@@ -64,6 +64,27 @@ GAP_DOC = {
 }
 
 
+def _sixty_member_system(seed: int) -> dict:
+    """60 members in R^3 with 0-3 spanning rows each: every seventh list
+    is empty, and the rest mix ints, floats, -0.0 and dependent rows."""
+    rng = np.random.default_rng(seed)
+    subspaces = []
+    for i in range(60):
+        rows = rng.integers(-3, 4, size=(i % 4, 3)).tolist()
+        if rows:
+            rows[0][int(rng.integers(3))] = -0.0
+            rows.append([2.5 * x for x in rows[0]])
+        subspaces.append({"spanning": [] if i % 7 == 0 else rows})
+    return {"weights": rng.uniform(0.5, 1.5, 60).tolist(), "subspaces": subspaces}
+
+
+SIXTY_MEMBER_DOC = {
+    "dim": 3,
+    "kind": "fusion",
+    "systems": [_sixty_member_system(0), _sixty_member_system(1)],
+}
+
+
 def write_doc(tmp_path, doc, name="family.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -115,6 +136,46 @@ class TestAnalyze:
             assert system["synthesis_is_onto"]
             assert system["is_riesz_decomposition"]
             assert system["is_orthonormal_fusion_basis"]
+
+    def test_fusion_flags_take_one_stacked_rank_per_system(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # both systems are Riesz-shaped (ranks 2 + 2 = dim 4), where each of
+        # the three flags alone would take the rank
+        calls = []
+        original = fusion._stacked_rank
+        monkeypatch.setattr(
+            fusion, "_stacked_rank", lambda ff: calls.append(ff) or original(ff)
+        )
+        code, out = run_main(capsys, ["analyze", write_doc(tmp_path, COORDINATE_PAIR_DOC)])
+        assert code == 0
+        assert len(calls) == 2
+        assert all(s["is_orthonormal_fusion_basis"] for s in json.loads(out)["systems"])
+
+    def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = fusion._checked_bases
+        monkeypatch.setattr(
+            fusion,
+            "_checked_bases",
+            lambda dim, bases: calls.append(len(bases)) or original(dim, bases),
+        )
+        load_family(write_doc(tmp_path, SIXTY_MEMBER_DOC))
+        assert calls == [60, 60]
+
+    def test_internal_fault_exits_three(self, tmp_path, capsys, monkeypatch):
+        def faulty(path):
+            return 1 / 0
+
+        monkeypatch.setattr(cli, "load_family", faulty)
+        code = main(["analyze", write_doc(tmp_path, EX3_2_DOC)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        first, *rest = captured.err.splitlines()
+        assert first == "internal error: ZeroDivisionError: division by zero"
+        assert rest[0] == "Traceback (most recent call last):"
+        assert rest[-1] == "ZeroDivisionError: division by zero"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -526,11 +587,46 @@ class TestNumberEntries:
              "systems[1].subspaces[0].spanning[1]", "vector of length 4 required"),
             (COORDINATE_PAIR_DOC, ["systems", 0, "subspaces", 0, "spanning", 0, 1], 10**400,
              "systems[0].subspaces[0].spanning[0][1]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 0, 2], True,
+             "systems[1].subspaces[59].spanning[0][2]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 1, 0], "1",
+             "systems[1].subspaces[59].spanning[1][0]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 0, 1], None,
+             "systems[1].subspaces[59].spanning[0][1]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 1, 2], 10**400,
+             "systems[1].subspaces[59].spanning[1][2]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 1], [1.0, 2.0],
+             "systems[1].subspaces[59].spanning[1]", "vector of length 3 required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning"], {"rows": []},
+             "systems[1].subspaces[59].spanning", "list of vectors required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning"], None,
+             "systems[1].subspaces[59].spanning", "list of vectors required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59], {"span": []},
+             "systems[1].subspaces[59]", "object with a 'spanning' list required"),
+            (SIXTY_MEMBER_DOC, ["systems", 0, "subspaces", 59], [[1, 0, 0]],
+             "systems[0].subspaces[59]", "object with a 'spanning' list required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], -0.5,
+             "systems[1].weights[59]", "weights must be finite and positive"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], 0,
+             "systems[1].weights[59]", "weights must be finite and positive"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], True,
+             "systems[1].weights[59]", "weights must be finite and positive"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], "1",
+             "systems[1].weights[59]", "weights must be finite and positive"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], None,
+             "systems[1].weights[59]", "weights must be finite and positive"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], 10**400,
+             "systems[1].weights[59]", "weights must be finite and positive"),
         ],
         ids=["vector-true", "vector-false", "weight-true", "spanning-true", "dim-true",
              "int-beyond-float", "vector-string", "vector-null", "vector-nested",
              "vector-short-row", "spanning-string", "spanning-null", "spanning-nested-row",
-             "spanning-int-beyond-float"],
+             "spanning-int-beyond-float", "last-member-true", "last-member-string",
+             "last-member-null", "last-member-int-beyond-float", "last-member-short-row",
+             "last-member-spanning-object", "last-member-spanning-null",
+             "last-member-no-spanning", "last-member-not-an-object", "last-weight-negative",
+             "last-weight-zero", "last-weight-true", "last-weight-string", "last-weight-null",
+             "last-weight-int-beyond-float"],
     )
     def test_booleans_and_unrepresentable_numbers_exit_two(
         self, tmp_path, capsys, doc, keys, value, path, message
@@ -542,15 +638,22 @@ class TestNumberEntries:
         assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
-        "doc, keys, path",
+        "doc, keys, path, message",
         [
-            (EX3_2_DOC, ["systems", 1, "vectors", 0, 1], "systems[1].vectors[0][1]"),
+            (EX3_2_DOC, ["systems", 1, "vectors", 0, 1], "systems[1].vectors[0][1]",
+             "finite number required"),
             (COORDINATE_PAIR_DOC, ["systems", 1, "subspaces", 1, "spanning", 1, 3],
-             "systems[1].subspaces[1].spanning[1][3]"),
+             "systems[1].subspaces[1].spanning[1][3]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "subspaces", 59, "spanning", 0, 0],
+             "systems[1].subspaces[59].spanning[0][0]", "finite number required"),
+            (SIXTY_MEMBER_DOC, ["systems", 1, "weights", 59], "systems[1].weights[59]",
+             "weights must be finite and positive"),
         ],
-        ids=["vector", "spanning"],
+        ids=["vector", "spanning", "last-member", "last-weight"],
     )
-    def test_literal_beyond_float_range_exits_two(self, tmp_path, capsys, doc, keys, path):
+    def test_literal_beyond_float_range_exits_two(
+        self, tmp_path, capsys, doc, keys, path, message
+    ):
         # JSON text 1e400 parses as a float infinity
         text = json.dumps(_replaced(doc, keys, "HUGE")).replace('"HUGE"', "1e400")
         doc_path = tmp_path / "huge.json"
@@ -559,7 +662,18 @@ class TestNumberEntries:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {path}: finite number required\n"
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_members_mixing_empty_and_nonempty_lists_parse_per_member(self):
+        family = parse_family_document(SIXTY_MEMBER_DOC)
+        for system, sys_doc in zip(family.systems, SIXTY_MEMBER_DOC["systems"]):
+            assert system.weights.tobytes() == np.array(sys_doc["weights"]).tobytes()
+            for sub, sub_doc in zip(system.subspaces, sys_doc["subspaces"]):
+                expected = Subspace.from_spanning(3, sub_doc["spanning"])
+                assert sub.basis.tobytes() == expected.basis.tobytes()
+                assert sub.rank == expected.rank
+        ranks = [sub.rank for sub in family.systems[0].subspaces]
+        assert 0 in ranks and len(set(ranks)) > 2
 
     def test_integer_and_float_entries_parse_alike(self, tmp_path, capsys):
         floats = _replaced(

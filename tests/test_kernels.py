@@ -1,17 +1,32 @@
 """The numpy-backed kernels against independent oracles: the Jacobi
-eigensolver in helpers, the member-by-member Gram-Schmidt loop in helpers
-(bit for bit), Gram-Schmidt rank detection, and numpy's 2-norm."""
+eigensolver in helpers, the member-by-member Gram-Schmidt loop and
+member-operator loop in helpers (bit for bit), Gram-Schmidt rank
+detection, and numpy's 2-norm."""
 
 import numpy as np
 import pytest
 
-from wovenframes import FusionFrame, InvertibleOperator, Subspace, orthonormalize, sym_eig
-from wovenframes.errors import DimensionMismatch, NonFinite, SingularOperator
-from wovenframes.fusion import _stacked_columns, _stacked_rank
+from wovenframes import (
+    FusionFrame,
+    InvertibleOperator,
+    Subspace,
+    WovenFamily,
+    fusion_frame_operator,
+    orthonormalize,
+    sym_eig,
+)
+from wovenframes.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NotOrthonormal,
+    SingularOperator,
+)
+from wovenframes.fusion import _member_operators, _stacked_columns, _stacked_rank
 from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
 from wovenframes.transforms import invert_matrix
+from wovenframes.weaving import contribution_stacks
 
-from helpers import gram_schmidt, jacobi
+from helpers import gram_schmidt, jacobi, member_operators
 
 
 def symmetric_with_repeats(rng, d: int) -> np.ndarray:
@@ -215,3 +230,100 @@ class TestStackedGramSchmidt:
             orthonormalize_stack(np.ones((2, 3)))
         with pytest.raises(NonFinite):
             orthonormalize_stack(np.array([[[1.0, 0.0]], [[np.inf, 0.0]]]))
+
+
+def mixed_rank_frame(rng, d: int, count: int) -> FusionFrame:
+    """Members of ranks 0..d, some bases with -0.0 rows, every other one
+    Fortran-ordered."""
+    subs = []
+    for i in range(count):
+        k = int(rng.integers(0, d + 1))
+        span = int(rng.integers(k, d + 1))
+        basis = np.zeros((d, k))
+        if k:
+            basis[:span] = np.linalg.qr(rng.standard_normal((span, k)))[0]
+        basis[span:] = -0.0
+        basis = basis[rng.permutation(d)]
+        subs.append(Subspace(d, np.asfortranarray(basis) if i % 2 else basis))
+    return FusionFrame(d, tuple(subs), rng.uniform(0.5, 2.0, size=count))
+
+
+def seeded_mixed_rank_frames():
+    rng = np.random.default_rng(71)
+    frames = [
+        mixed_rank_frame(rng, int(rng.integers(1, 16)), int(rng.integers(1, 12)))
+        for _ in range(150)
+    ]
+    assert any(sub.basis.flags.f_contiguous and not sub.basis.flags.c_contiguous
+               for ff in frames for sub in ff.subspaces)
+    assert any(sub.rank == 0 for ff in frames for sub in ff.subspaces)
+    return frames
+
+
+class TestBatchedMemberOperators:
+    def test_match_member_loop_bit_for_bit(self):
+        negative_zeros = 0
+        for ff in seeded_mixed_rank_frames():
+            # a negative scale turns +0.0 products into -0.0 entries
+            for scale in (None, ff.weights, np.ones(ff.size), -np.ones(ff.size)):
+                expected = member_operators(ff, scale)
+                actual = _member_operators(ff, scale)
+                # byte comparison also tells -0.0 from +0.0
+                assert actual.tobytes() == expected.tobytes()
+                negative_zeros += int((np.signbit(actual) & (actual == 0)).sum())
+            operator = fusion_frame_operator(ff)
+            assert operator.tobytes() == member_operators(ff).sum(axis=0).tobytes()
+        assert negative_zeros
+
+    def test_contribution_stacks_match_member_loop(self):
+        frames = seeded_mixed_rank_frames()
+        for first, second in zip(frames[::2], frames[1::2]):
+            if first.dim != second.dim:
+                continue
+            n = min(first.size, second.size)
+            family = WovenFamily.fusion(
+                (first.restrict(range(n)), second.restrict(range(n)))
+            )
+            expected = np.stack(
+                [member_operators(s) for s in family.systems], axis=1
+            )
+            assert contribution_stacks(family).tobytes() == expected.tobytes()
+
+    def test_stacked_columns_keep_member_order(self):
+        for ff in seeded_mixed_rank_frames():
+            blocks = [w * s.basis for s, w in zip(ff.subspaces, ff.weights) if s.rank]
+            expected = np.hstack(blocks) if blocks else np.zeros((ff.dim, 0))
+            assert _stacked_columns(ff).tobytes() == expected.tobytes()
+            assert _stacked_columns(ff).shape == expected.shape
+
+
+class TestBatchSubspaces:
+    def test_from_bases_matches_one_by_one(self):
+        for ff in seeded_mixed_rank_frames()[:40]:
+            bases = [sub.basis for sub in ff.subspaces]
+            built = Subspace.from_bases(ff.dim, bases)
+            assert built == tuple(ff.subspaces)
+            for sub, basis in zip(built, bases):
+                assert sub.basis.tobytes() == basis.tobytes()
+                assert sub.basis.flags.f_contiguous == basis.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), NotOrthonormal),
+            (np.array([[np.nan], [0.0], [1.0]]), NonFinite),
+            (np.eye(2), DimensionMismatch),
+            (np.ones(3), DimensionMismatch),
+            (np.zeros((3, 4)), DimensionMismatch),
+        ],
+        ids=["skewed", "nan", "wrong-dim", "one-dimensional", "rank-above-dim"],
+    )
+    def test_every_member_is_checked(self, bad, error):
+        good = [np.eye(3)[:, :2], np.zeros((3, 0)), np.eye(3)[:, [1]]]
+        with pytest.raises(error) as single:
+            Subspace(3, bad)
+        for position in range(len(good) + 1):
+            bases = good[:position] + [bad] + good[position:]
+            with pytest.raises(error) as batch:
+                Subspace.from_bases(3, bases)
+            assert str(batch.value) == str(single.value)
