@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import ToolkitError, TooManyPartitions
 from .frames import DiscreteFrame, optimal_bounds
-from .fusion import FusionFrame, Subspace, decomposition_flags, fusion_bounds
+from .fusion import (
+    FusionFrame,
+    Subspace,
+    fusion_bounds,
+    is_orthonormal_fusion_basis,
+    is_riesz_decomposition,
+    synthesis_is_onto,
+)
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
 from .perturbation import (
@@ -50,6 +57,11 @@ NOTE_UPPER_IS_MAX = (
 
 class DocumentInvalid(ToolkitError):
     pass
+
+
+# the largest document dim: operators are dense dim x dim matrices, stacked
+# per member and eigen-solved, so a larger dim would only exhaust memory
+MAX_DIM = 1024
 
 
 def canonical_json(obj) -> str:
@@ -106,6 +118,7 @@ def parse_family_document(doc) -> WovenFamily:
         "dim",
         "positive integer required",
     )
+    _require(dim <= MAX_DIM, "dim", f"at most {MAX_DIM} supported")
     kind = doc.get("kind")
     _require(kind in (DISCRETE, FUSION), "kind", "must be 'discrete' or 'fusion'")
     systems = doc.get("systems")
@@ -143,11 +156,18 @@ def parse_family_document(doc) -> WovenFamily:
                 f"{path}.subspaces",
                 "one subspace per weight required",
             )
-            w = _weight_vector(weights, f"{path}.weights")
+            w = []
+            for wi, value in enumerate(weights):
+                _require(
+                    _finite_number(value) and value > 0,
+                    f"{path}.weights[{wi}]",
+                    "weights must be finite and positive",
+                )
+                w.append(float(value))
             spans = _spanning_matrices(subspaces, path, dim)
             subs = Subspace.from_bases(dim, orthonormalize_each(spans))
             counts.add(len(subs))
-            built.append(FusionFrame(dim, subs, w))
+            built.append(FusionFrame(dim, subs, np.array(w)))
     _require(len(counts) == 1, "systems", "systems must share the member count")
     return WovenFamily(kind, tuple(built))
 
@@ -160,21 +180,6 @@ def _finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
-
-
-def _weight_vector(weights, path: str) -> np.ndarray:
-    # one pass for finite positive numbers; anything else takes the entry
-    # walk, which names the first offending weight
-    w = _fast_floats(weights)
-    if w is not None and (w > 0).all():
-        return w
-    for wi, value in enumerate(weights):
-        _require(
-            _finite_number(value) and value > 0,
-            f"{path}[{wi}]",
-            "weights must be finite and positive",
-        )
-    return np.array(weights, dtype=float)
 
 
 def _spanning_matrices(subspaces, path: str, dim: int) -> list[np.ndarray]:
@@ -214,27 +219,21 @@ def _spanning_matrices(subspaces, path: str, dim: int) -> list[np.ndarray]:
     return spans
 
 
-def _fast_floats(values) -> np.ndarray | None:
-    """The values as one float array in one pass when every entry is a
-    float or int (never a bool) with a finite float value; None otherwise."""
-    if set(map(type, values)) <= {float, int}:
+def _fast_float_matrix(rows, dim: int) -> np.ndarray | None:
+    """The rows as one (count, dim) float matrix in one pass when every row
+    is a list of ``dim`` entries, each a float or int (never a bool) with a
+    finite float value; None otherwise."""
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {dim}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}
+    ):
         try:
-            arr = np.array(values, dtype=float)
+            arr = np.array(rows, dtype=float)
         except OverflowError:  # an integer beyond the float range
             return None
         if np.isfinite(arr).all():
             return arr
-    return None
-
-
-def _fast_float_matrix(rows, dim: int) -> np.ndarray | None:
-    """The rows as one (count, dim) float matrix in one pass when every row
-    is a list of ``dim`` entries that ``_fast_floats`` accepts; None
-    otherwise."""
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
-        arr = _fast_floats(list(itertools.chain.from_iterable(rows)))
-        if arr is not None:
-            return arr.reshape(len(rows), dim)
     return None
 
 
@@ -268,8 +267,20 @@ def load_family(path: str) -> tuple[WovenFamily, str]:
         raise DocumentInvalid(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentInvalid(f"{path}: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise DocumentInvalid(f"{path}: {exc}") from exc
     family = parse_family_document(doc)
-    digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    # fields the schema ignores are digested too, and may still be too
+    # deep to serialize or hold NaN or Infinity literals
+    try:
+        canonical = canonical_json(doc)
+    except RecursionError as exc:
+        raise DocumentInvalid(f"{path}: nested too deeply") from exc
+    except ValueError as exc:
+        raise DocumentInvalid(f"{path}: {exc}") from exc
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return family, digest
 
 
@@ -322,15 +333,14 @@ def cmd_analyze(args) -> int:
             )
         else:
             rep = fusion_bounds(s)
-            onto, riesz, orthonormal_basis = decomposition_flags(s)
             systems.append(
                 {
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_fusion_frame": rep.is_frame,
-                    "synthesis_is_onto": onto,
-                    "is_riesz_decomposition": riesz,
-                    "is_orthonormal_fusion_basis": orthonormal_basis,
+                    "synthesis_is_onto": synthesis_is_onto(s),
+                    "is_riesz_decomposition": is_riesz_decomposition(s),
+                    "is_orthonormal_fusion_basis": is_orthonormal_fusion_basis(s),
                 }
             )
     _emit(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotOrthonormal
+from .errors import DimensionMismatch, NonFinite, NotOrthonormal, ToolkitError
 from .frames import BoundsReport, bounds_from_spectrum
 from .linalg import orthonormalize, projector, size_groups, sym_eig
 from .tolerances import GRAM_TOL, RANK_TOL
@@ -40,7 +40,8 @@ class Subspace:
     @classmethod
     def from_bases(cls, dim: int, bases) -> tuple["Subspace", ...]:
         """One subspace per basis, each checked as ``Subspace(dim, basis)``
-        checks it, with one stacked check per rank group."""
+        checks it, with one stacked check per rank group; when several are
+        bad, the error is the first bad one's."""
         subs = []
         for b in _checked_bases(dim, bases):
             # built past __init__, whose __post_init__ would check each again
@@ -79,23 +80,38 @@ class Subspace:
 def _checked_bases(dim: int, bases) -> list[np.ndarray]:
     """The bases as float arrays, after checking that each is dim x k with
     k <= dim, finite, and has a Gram matrix within GRAM_TOL of the
-    identity entrywise; one stacked Gram product per rank k."""
+    identity entrywise: one stacked check per rank k. When a check fails
+    the members are checked again one at a time, in order, so the error is
+    the first bad member's, as ``Subspace(dim, basis)`` raises it."""
     arrays = [np.asarray(b, dtype=float) for b in bases]
+    fault = _first_fault(dim, arrays)
+    if fault is not None:
+        for b in arrays:
+            member_fault = _first_fault(dim, [b])
+            if member_fault is not None:
+                raise member_fault
+        raise fault
+    return arrays
+
+
+def _first_fault(dim: int, arrays) -> ToolkitError | None:
+    """The first failed check, or None: shapes member by member, then
+    finite entries and the Gram matrix per rank group."""
     for b in arrays:
         if b.ndim != 2 or b.shape[0] != dim:
-            raise DimensionMismatch(f"basis must be {dim} x k, got shape {b.shape}")
+            return DimensionMismatch(f"basis must be {dim} x k, got shape {b.shape}")
         if b.shape[1] > dim:
-            raise DimensionMismatch("subspace rank exceeds ambient dimension")
+            return DimensionMismatch("subspace rank exceeds ambient dimension")
     for k, members in size_groups(b.shape[1] for b in arrays).items():
         if not k:
             continue
         stack = np.array([arrays[i] for i in members])
         if not np.isfinite(stack).all():
-            raise NonFinite("basis contains NaN or Inf")
+            return NonFinite("basis contains NaN or Inf")
         gram = np.swapaxes(stack, 1, 2) @ stack
         if float(np.abs(gram - np.eye(k)).max()) > GRAM_TOL:
-            raise NotOrthonormal("basis columns are not orthonormal")
-    return arrays
+            return NotOrthonormal("basis columns are not orthonormal")
+    return None
 
 
 @dataclass(frozen=True)
@@ -214,19 +230,8 @@ def is_riesz_decomposition(ff: FusionFrame) -> bool:
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """Riesz decomposition with mutually orthogonal members."""
-    return is_riesz_decomposition(ff) and _members_orthogonal(ff)
-
-
-def decomposition_flags(ff: FusionFrame) -> tuple[bool, bool, bool]:
-    """``(synthesis_is_onto, is_riesz_decomposition,
-    is_orthonormal_fusion_basis)`` from one stacked rank."""
-    onto = synthesis_is_onto(ff)
-    riesz = onto and sum(sub.rank for sub in ff.subspaces) == ff.dim
-    return onto, riesz, riesz and _members_orthogonal(ff)
-
-
-def _members_orthogonal(ff: FusionFrame) -> bool:
-    """Every two nonzero members' bases have cross Gram entries within GRAM_TOL."""
+    if not is_riesz_decomposition(ff):
+        return False
     for i, a in enumerate(ff.subspaces):
         if a.rank == 0:
             continue

@@ -137,21 +137,6 @@ class TestAnalyze:
             assert system["is_riesz_decomposition"]
             assert system["is_orthonormal_fusion_basis"]
 
-    def test_fusion_flags_take_one_stacked_rank_per_system(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # both systems are Riesz-shaped (ranks 2 + 2 = dim 4), where each of
-        # the three flags alone would take the rank
-        calls = []
-        original = fusion._stacked_rank
-        monkeypatch.setattr(
-            fusion, "_stacked_rank", lambda ff: calls.append(ff) or original(ff)
-        )
-        code, out = run_main(capsys, ["analyze", write_doc(tmp_path, COORDINATE_PAIR_DOC)])
-        assert code == 0
-        assert len(calls) == 2
-        assert all(s["is_orthonormal_fusion_basis"] for s in json.loads(out)["systems"])
-
     def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = fusion._checked_bases
@@ -191,6 +176,66 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _ = run_main(capsys, ["analyze", "/no/such/file.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 2, "x": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply"),
+            ('{"dim": ' + "7" * 5000 + "}", "Exceeds the limit"),
+            ('{"dim": 2, "kind": "fusion", "systems": [{"weights": [' + "7" * 5000
+             + '], "subspaces": [{"spanning": []}]}]}', "Exceeds the limit"),
+        ],
+        ids=["deep-array", "long-integer-dim", "long-integer-weight"],
+    )
+    def test_unparsable_json_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("dim", [cli.MAX_DIM + 1, 10**12, 10**400])
+    def test_dim_above_the_limit_exits_two(self, tmp_path, capsys, dim):
+        member = {"weights": [1.0], "subspaces": [{"spanning": []}]}
+        doc = {"dim": dim, "kind": "fusion", "systems": [member, member]}
+        code = main(["analyze", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: dim: at most {cli.MAX_DIM} supported\n"
+
+    def test_dim_at_the_limit_parses(self):
+        member = {"weights": [1.0], "subspaces": [{"spanning": []}]}
+        doc = {"dim": cli.MAX_DIM, "kind": "fusion", "systems": [member, member]}
+        assert parse_family_document(doc).dim == cli.MAX_DIM
+
+    def test_nan_in_an_ignored_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(EX3_2_DOC)[:-1] + ', "note": NaN}')
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: {path}: Out of range float values are not JSON compliant\n"
+        )
+
+    def test_deep_ignored_field_never_exits_three(self, tmp_path, capsys):
+        # near the recursion limit a document can parse and still be too deep
+        # to serialize for its digest; the window spans that boundary
+        codes = set()
+        for depth in range(800, 1001):
+            path = tmp_path / "family.json"
+            note = "[" * depth + "]" * depth
+            path.write_text(json.dumps(EX3_2_DOC)[:-1] + f', "note": {note}}}')
+            code = main(["analyze", str(path)])
+            captured = capsys.readouterr()
+            assert code in (0, 2)
+            if code == 2:
+                assert captured.err == f"error: {path}: nested too deeply\n"
+            codes.add(code)
+        assert codes == {0, 2}
 
 
 class TestWoven:

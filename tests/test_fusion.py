@@ -13,7 +13,6 @@ from wovenframes import (
     synthesis_is_onto,
 )
 from wovenframes.errors import DimensionMismatch, NonFinite, NotOrthonormal
-from wovenframes.fusion import decomposition_flags
 
 from helpers import (
     basis_vec,
@@ -210,37 +209,3 @@ class TestOrthonormalFusionBasis:
             ff = FusionFrame(dim, (first, second), rng.uniform(0.5, 2.0, 2))
             if is_orthonormal_fusion_basis(ff):
                 assert is_riesz_decomposition(ff)
-
-
-def decomposition_instances():
-    """Seeded onto and deficient frames, plus Riesz-shaped ones (member
-    ranks summing to dim): orthogonal, oblique and rank-deficient."""
-    rng = np.random.default_rng(2027)
-    out = list(onto_equivalence_instances(60, 12))
-    for dim in range(1, 7):
-        cut = int(rng.integers(0, dim + 1))
-        out.append(FusionFrame(
-            dim,
-            (Subspace(dim, np.eye(dim)[:, :cut]), Subspace(dim, np.eye(dim)[:, cut:])),
-            rng.uniform(0.5, 2.0, 2),
-        ))
-        out.append(random_fusion_frame(rng, dim, [1] * dim))
-        out.append(rank_deficient_fusion_frame(rng, dim, [1] * dim))
-    out.append(even_odd_split(6))
-    a = Subspace.from_spanning(2, [[1.0, 0.0]])
-    out.append(FusionFrame(2, (a, a), np.ones(2)))
-    return out
-
-
-def test_decomposition_flags_match_the_three_tests():
-    seen = set()
-    for ff in decomposition_instances():
-        flags = decomposition_flags(ff)
-        assert flags == (
-            synthesis_is_onto(ff),
-            is_riesz_decomposition(ff),
-            is_orthonormal_fusion_basis(ff),
-        )
-        seen.add(flags)
-    assert seen == {(False, False, False), (True, False, False),
-                    (True, True, False), (True, True, True)}

@@ -327,3 +327,41 @@ class TestBatchSubspaces:
             with pytest.raises(error) as batch:
                 Subspace.from_bases(3, bases)
             assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            (np.array([[np.nan], [0.0], [1.0]]), np.eye(2), NonFinite),
+            (np.eye(2), np.array([[np.nan], [0.0], [1.0]]), DimensionMismatch),
+            (
+                np.array([[1.0], [1.0], [0.0]]),
+                np.array([[np.nan], [0.0], [1.0]]),
+                NotOrthonormal,
+            ),
+            (
+                np.array([[np.nan], [0.0], [1.0]]),
+                np.array([[1.0], [1.0], [0.0]]),
+                NonFinite,
+            ),
+            (
+                np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+                np.array([[np.inf], [0.0], [0.0]]),
+                NotOrthonormal,
+            ),
+        ],
+        ids=[
+            "nan-then-wrong-dim",
+            "wrong-dim-then-nan",
+            "skewed-then-nan",
+            "nan-then-skewed",
+            "skewed-rank-two-then-inf-rank-one",
+        ],
+    )
+    def test_first_bad_member_decides_the_error(self, first, second, error):
+        good = np.eye(3)[:, [2]]
+        with pytest.raises(error) as single:
+            Subspace(3, first)
+        for bases in ([first, second], [good, first, good, second, good]):
+            with pytest.raises(error) as batch:
+                Subspace.from_bases(3, bases)
+            assert str(batch.value) == str(single.value)
