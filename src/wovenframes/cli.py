@@ -313,6 +313,7 @@ def _certificate_payload(cert: PerturbationCertificate) -> dict:
         "max_violation": cert.max_violation,
         "gate_margin": cert.gate_margin,
         "inequality_violation": cert.inequality_violation,
+        "subset_search": cert.subset_search,
     }
 
 
@@ -435,6 +436,7 @@ def cmd_reproduce(args) -> int:
         raise DocumentInvalid(
             f"unknown id {args.id!r}; choose one of {', '.join(INSTANCE_IDS)}"
         )
+    _require(args.dim <= MAX_DIM, "--dim", f"at most {MAX_DIM} supported")
     inst = build_instance(args.id, dim=args.dim)
     outcomes = verify_instance(inst)
     digest = hashlib.sha256(

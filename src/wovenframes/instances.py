@@ -27,6 +27,7 @@ from .transforms import (
 from .weaving import (
     Partition,
     WovenFamily,
+    _require_partition_count,
     find_nonwoven_witness,
     weave,
     woven_bounds_exhaustive,
@@ -248,6 +249,11 @@ def build_ex5_4(dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
 
 
 def build_instance(instance_id: str, dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
+    """The instance to verify. ex4_1 and ex4_2 are refused before any member
+    is built when their 2^dim partitions exceed the enumeration cap, since
+    verifying them enumerates every partition."""
+    if instance_id in ("ex4_1", "ex4_2"):
+        _require_partition_count(dim, 2)
     if instance_id == "ex3_2":
         return build_ex3_2()
     if instance_id == "ex4_1":

@@ -172,7 +172,8 @@ def orthonormalize_each(spans) -> list[np.ndarray]:
 
 
 def sym_eig(matrix) -> SpectrumReport:
-    """Eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
+    """Eigendecomposition of a symmetric matrix via LAPACK ``eigh``: the
+    M = 1 case of ``stacked_spectra``.
 
     Output is deterministic: eigenvalues ascending, each eigenvector
     scaled so its largest-magnitude entry is positive.
@@ -180,18 +181,36 @@ def sym_eig(matrix) -> SpectrumReport:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    return stacked_spectra(m[None])[0]
+
+
+def stacked_spectra(matrices) -> list[SpectrumReport]:
+    """Spectra of each matrix in an (M, d, d) stack from one LAPACK
+    ``eigh`` call, with sym_eig's checks, order, sign rule and residual.
+
+    Matrix k's report equals ``sym_eig(matrices[k])`` bit for bit: LAPACK
+    solves each matrix of the stack on its own, and the sign flip and
+    the residual's products and sums run per matrix in the same order.
+    """
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise NotSymmetric(f"expected an (M, d, d) stack, got shape {m.shape}")
     sym = _symmetrized(m)
     values, vectors = np.linalg.eigh(sym)
-    cols = np.arange(vectors.shape[1])
-    peaks = vectors[np.argmax(np.abs(vectors), axis=0), cols]
-    vectors[:, peaks < 0.0] *= -1.0
-
-    residual = 0.0
-    if values.size:
-        residual = float(
-            np.linalg.norm(sym @ vectors - vectors * values, axis=0).max()
-        )
-    return SpectrumReport(values, vectors, residual)
+    count, dim = values.shape
+    # each eigenvector (column) signed so its largest-magnitude entry is positive
+    rows = np.argmax(np.abs(vectors), axis=1)
+    peaks = vectors[np.arange(count)[:, None], rows, np.arange(dim)]
+    np.negative(vectors, out=vectors, where=(peaks < 0.0)[:, None, :])
+    errors = sym @ vectors - vectors * values[:, None, :]
+    # the largest column norm; sqrt is monotone, so sqrt of the largest
+    # sum of squares is np.linalg.norm(..., axis=0).max() bit for bit
+    residuals = np.sqrt((errors * errors).sum(axis=1).max(axis=1))
+    # indexed, not zipped: iterating an ndarray costs more than M views
+    return [
+        SpectrumReport(values[k], vectors[k], r)
+        for k, r in enumerate(residuals.tolist())
+    ]
 
 
 def stacked_eigenvalues(matrices: np.ndarray) -> np.ndarray:

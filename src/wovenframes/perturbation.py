@@ -4,21 +4,36 @@ Each checker certifies, by seeded sampling, that two fusion frames are
 close in the sense of one closeness condition, and emits the woven
 interval that condition predicts. Certificates are sampled evidence,
 never proofs: ``hypothesis_holds`` means no violation was found on the
-examined batch.
+examined batch of unit vectors. ``subset_search`` says how the index
+subsets were covered for each vector.
 
-The subset checks (``op``, ``proj``) sum the per-index parts of every
-sample over every examined index subset as one matrix product per chunk
-of 0/1 subset masks, chunked by the budget ``linalg.CHUNK_FLOATS``. For
-``op`` that product sums the per-index parts of S_W f, S_V f and of
-their difference into contiguous (mask, 3, d, sample) blocks; the three
-norms are square roots of one sum of squares over d per chunk, the
-squared ``U_W`` norms come from a second, (mask, sample) product, and
-the slack is one weighted sum of the four norms. The sums stay explicit
-per-mask sums: a Gram or quadratic-form shortcut would lose to
-cancellation the small differences the verdict turns on.
+``proj`` needs no subset search: at fixed f, with a_i, b_i, c_i the
+weighted norms of P_{W_i} f - P_{V_i} f, P_{W_i} f and P_{V_i} f, the
+worst slack over all subsets s is
 
-Each check solves S_W, S_V and S_W - S_V once; the optimal bounds and
-the extremal sample vectors come from those three spectra.
+    max_s sum_{i in s} a_i - K min(sum_s b_i, sum_s c_i)
+        = max(sum_i (a_i - K b_i)_+, sum_i (a_i - K c_i)_+)
+
+since -K min(x, y) = max(-K x, -K y), and each sum is largest over the
+indices whose term is positive. So ``proj`` is exact over subsets at
+every n (``closed_form``).
+
+``op`` has no such form and keeps explicit per-mask sums: every subset
+up to 2^12 (``exhaustive``), else 4096 drawn ones (``sampled``), as one
+matrix product per chunk of 0/1 subset masks, chunked by the budget
+``linalg.CHUNK_FLOATS``. That product sums the per-index parts of
+S_W f, S_V f and of their difference into contiguous (mask, 3, d,
+sample) blocks; the three norms are square roots of one sum of squares
+over d per chunk, the squared ``U_W`` norms come from a second,
+(mask, sample) product, and the slack is one weighted sum of the four
+norms. A Gram or quadratic-form shortcut would lose to cancellation the
+small differences the verdict turns on.
+
+Each check builds each frame's member projectors P_i once, as one
+(n, d, d) stack, and scales it (by w_i^2 for S and ``op``, by w_i for
+``pw``); it solves S_W, S_V and S_W - S_V in one stacked eigen-solve,
+and the optimal bounds and the extremal sample vectors come from those
+three spectra.
 """
 
 from __future__ import annotations
@@ -33,8 +48,8 @@ from .errors import (
     InvalidSampleCount,
     WeightMismatch,
 )
-from .fusion import FusionFrame, _member_operators, fusion_frame_operator
-from .linalg import SpectrumReport, row_chunks, sym_eig
+from .fusion import FusionFrame, _member_operators
+from .linalg import SpectrumReport, row_chunks, stacked_spectra
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
@@ -50,6 +65,10 @@ class PerturbationCertificate:
     ``inequality_violation`` the worst sampled slack of the defining
     inequality, and ``max_violation`` the larger of the two, so
     hypothesis_holds is equivalent to max_violation <= HOLD_SLACK.
+    ``subset_search`` is how the index subsets were covered at each
+    sample: ``closed_form`` (exact, ``proj``), ``exhaustive`` (every
+    subset, ``op`` up to 2^12 subsets), ``sampled`` (drawn subsets,
+    ``op`` above that) or None (``pw`` has no subsets).
     """
 
     method: str
@@ -62,6 +81,7 @@ class PerturbationCertificate:
     max_violation: float
     gate_margin: float | None
     inequality_violation: float
+    subset_search: str | None
 
 
 def _check_pair(w: FusionFrame, v: FusionFrame) -> None:
@@ -82,14 +102,24 @@ def _check_samples(samples: int) -> None:
         raise InvalidSampleCount(f"samples must be non-negative, got {samples}")
 
 
+def _stacks(ff: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Member projectors P_i as one (size, dim, dim) stack, and the fusion
+    frame operator's summands w_i^2 P_i scaled from it. Scaling the stack
+    by s_i gives ``_member_operators(ff, s)`` bit for bit, since 1.0 * P
+    is exact."""
+    projectors = _member_operators(ff, np.ones(ff.size))
+    return projectors, (ff.weights * ff.weights)[:, None, None] * projectors
+
+
 def _spectra(
-    w: FusionFrame, v: FusionFrame
+    w_parts: np.ndarray, v_parts: np.ndarray
 ) -> tuple[SpectrumReport, SpectrumReport, np.ndarray]:
-    """Spectra of S_W and S_V, and the extremal eigenvectors of S_W, S_V
-    and S_W - S_V as the rows of one array."""
-    sw = fusion_frame_operator(w)
-    sv = fusion_frame_operator(v)
-    specs = [sym_eig(op) for op in (sw, sv, sw - sv)]
+    """Spectra of S_W and S_V, given their summands w_i^2 P_i, and the
+    extremal eigenvectors of S_W, S_V and S_W - S_V as the rows of one
+    array, from one stacked eigen-solve."""
+    sw = w_parts.sum(axis=0)
+    sv = v_parts.sum(axis=0)
+    specs = stacked_spectra(np.stack([sw, sv, sw - sv]))
     extremal = np.array([s.eigenvectors[:, k] for s in specs for k in (0, -1)])
     return specs[0], specs[1], extremal
 
@@ -137,7 +167,9 @@ def pw_check(
     _check_pair(w, v)
     _check_samples(samples)
     _require_seed(seed)
-    spec_w, spec_v, extremal = _spectra(w, v)
+    proj_w, sq_w = _stacks(w)
+    proj_v, sq_v = _stacks(v)
+    spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
     a_w, b_w = spec_w.smallest, spec_w.largest
     b_v = spec_v.largest
 
@@ -159,10 +191,8 @@ def pw_check(
     embedded = np.repeat(diag[:, None, :], n, axis=1)
     batch = np.concatenate([blocks, embedded], axis=0)
 
-    pw_ = _member_operators(w, w.weights)
-    pv_ = _member_operators(v, v.weights)
-    t_w = np.einsum("snd,nde->se", batch, pw_)
-    t_v = np.einsum("snd,nde->se", batch, pv_)
+    t_w = np.einsum("snd,nde->se", batch, w.weights[:, None, None] * proj_w)
+    t_v = np.einsum("snd,nde->se", batch, v.weights[:, None, None] * proj_v)
     norms_c = np.linalg.norm(batch.reshape(batch.shape[0], -1), axis=1)
     lhs = np.linalg.norm(t_w - t_v, axis=1)
     rhs = (
@@ -184,6 +214,7 @@ def pw_check(
         max_violation=float(max(gate_margin, inequality_violation)),
         gate_margin=gate_margin,
         inequality_violation=inequality_violation,
+        subset_search=None,
     )
 
 
@@ -212,7 +243,9 @@ def op_perturbation_check(
     _check_pair(w, v)
     _check_samples(samples)
     _require_seed(seed)
-    spec_w, spec_v, extremal = _spectra(w, v)
+    _, pw_sq = _stacks(w)
+    _, pv_sq = _stacks(v)
+    spec_w, spec_v, extremal = _spectra(pw_sq, pv_sq)
     a_w, b_w = spec_w.smallest, spec_w.largest
     b_v = spec_v.largest
 
@@ -224,9 +257,8 @@ def op_perturbation_check(
     batch = np.concatenate([_unit_rows(rng, samples, d), extremal], axis=0)
     count = batch.shape[0]
 
-    pw_sq = _member_operators(w)
     w_parts = np.einsum("sd,nde->nes", batch, pw_sq)
-    v_parts = np.einsum("sd,nde->nes", batch, _member_operators(v))
+    v_parts = np.einsum("sd,nde->nes", batch, pv_sq)
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
     # per index: S_W, S_V and S_W - S_V parts as contiguous (d, sample) blocks
     flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
@@ -255,6 +287,7 @@ def op_perturbation_check(
         max_violation=float(max(gate_margin, inequality_violation)),
         gate_margin=gate_margin,
         inequality_violation=inequality_violation,
+        subset_search="exhaustive" if 2**n <= _SUBSET_CAP else "sampled",
     )
 
 
@@ -268,7 +301,8 @@ def proj_perturbation_check(
 ) -> PerturbationCertificate:
     """Projection-difference closeness check for families sharing weights.
 
-    Samples unit f and every index subset s, requiring
+    Samples unit f and takes the worst index subset s in closed form
+    (see the module docstring), requiring
 
         sum_{i in s} w_i^2 ||P_{W_i} f - P_{V_i} f||
             <= K min( sum_{i in s} w_i^2 ||P_{W_i} f||,
@@ -286,16 +320,15 @@ def proj_perturbation_check(
 
     _check_samples(samples)
     _require_seed(seed)
-    spec_w, spec_v, extremal = _spectra(w, v)
+    proj_w, sq_w = _stacks(w)
+    proj_v, sq_v = _stacks(v)
+    spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
     a_w, b_w = spec_w.smallest, spec_w.largest
     a_v, b_v = spec_v.smallest, spec_v.largest
 
-    n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch = np.concatenate([_unit_rows(rng, samples, d), extremal], axis=0)
+    batch = np.concatenate([_unit_rows(rng, samples, w.dim), extremal], axis=0)
 
-    proj_w = _member_operators(w, np.ones(n))
-    proj_v = _member_operators(v, np.ones(n))
     wsq = (w.weights**2)[:, None]
     pw_f = np.einsum("sd,nde->nse", batch, proj_w)
     pv_f = np.einsum("sd,nde->nse", batch, proj_v)
@@ -304,17 +337,11 @@ def proj_perturbation_check(
     vn = np.linalg.norm(pv_f, axis=2)
     if squared:
         diff, wn, vn = diff**2, wn**2, vn**2
-    # per index and sample: the weighted difference, W and V norms
-    parts = np.stack([diff * wsq, wn * wsq, vn * wsq], axis=2)
-    flat = parts.reshape(n, -1)
-
-    worst = -np.inf
-    for chunk in row_chunks(_subset_masks(n, rng), flat.shape[1]):
-        sums = (chunk @ flat).reshape(len(chunk), *parts.shape[1:])
-        lhs = sums[:, :, 0]
-        rhs = kconst * np.minimum(sums[:, :, 1], sums[:, :, 2])
-        worst = max(worst, float((lhs - rhs).max()))
-    inequality_violation = worst
+    # per index and sample: a_i, b_i and c_i of the module docstring; the
+    # worst subset takes exactly the indices with a positive term
+    a = diff * wsq
+    terms = np.stack([a - kconst * (wn * wsq), a - kconst * (vn * wsq)])
+    inequality_violation = float(np.maximum(terms, 0.0).sum(axis=1).max())
 
     holds = inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
@@ -328,4 +355,5 @@ def proj_perturbation_check(
         max_violation=inequality_violation,
         gate_margin=None,
         inequality_violation=inequality_violation,
+        subset_search="closed_form",
     )

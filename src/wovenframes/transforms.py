@@ -30,7 +30,13 @@ from .fusion import (
     fusion_bounds,
     fusion_frame_operator,
 )
-from .linalg import orthonormalize, orthonormalize_each, sym_eig
+from .linalg import (
+    orthonormalize,
+    orthonormalize_each,
+    size_groups,
+    stacked_spectra,
+    sym_eig,
+)
 from .tolerances import (
     HOLD_SLACK,
     INTERSECT_TOL,
@@ -288,14 +294,16 @@ class LocalSystem:
             blocks.append(arr)
             nonzero.append(arr[np.linalg.norm(arr, axis=1) > 0] if arr.shape[0] else arr)
         bases = orthonormalize_each(nonzero)
-        bounds: list[tuple[float, float] | None] = []
-        for arr, rows, basis in zip(blocks, nonzero, bases):
-            if rows.shape[0] == 0:
-                bounds.append(None)
+        # local frame operators in span coordinates, solved in one stacked
+        # call per span rank; a trivial span (rank 0) has no bounds
+        coords = [arr @ basis for arr, basis in zip(blocks, bases)]
+        bounds: list[tuple[float, float] | None] = [None] * len(blocks)
+        for k, members in size_groups(basis.shape[1] for basis in bases).items():
+            if not k:
                 continue
-            coords = arr @ basis
-            spec = sym_eig(coords.T @ coords)
-            bounds.append((spec.smallest, spec.largest))
+            grams = np.array([coords[i].T @ coords[i] for i in members])
+            for i, spec in zip(members, stacked_spectra(grams)):
+                bounds[i] = (spec.smallest, spec.largest)
         if w.size != len(blocks):
             raise DimensionMismatch("one weight per index required")
         return cls(dim, tuple(blocks), w, tuple(bases), tuple(bounds))

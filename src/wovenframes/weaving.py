@@ -79,13 +79,10 @@ def _require_seed(seed: int) -> None:
         raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
 
 
-def _partitions(n: int, m: int, d: int):
-    """Every assignment of n indices to m systems, in lexicographic order.
-
-    Returns a generator of (rows, n) int arrays, sized for (rows, n, d, d)
-    temporaries. The one place the enumeration cap is enforced: raises
-    TooManyPartitions at the call, before any work, when m^n exceeds it.
-    """
+def _require_partition_count(n: int, m: int) -> int:
+    """m^n, the number of assignments of n indices to m systems: the one
+    enumeration-cap check. Raises TooManyPartitions when m^n exceeds
+    partition_cap()."""
     cap = partition_cap()
     total = m**n
     if total > cap:
@@ -93,6 +90,16 @@ def _partitions(n: int, m: int, d: int):
             f"{m}^{n} = {total} partitions exceeds the cap {cap}; "
             "use the sampled search instead"
         )
+    return total
+
+
+def _partitions(n: int, m: int, d: int):
+    """Every assignment of n indices to m systems, in lexicographic order.
+
+    Returns a generator of (rows, n) int arrays, sized for (rows, n, d, d)
+    temporaries. Checks the enumeration cap at the call, before any work.
+    """
+    total = _require_partition_count(n, m)
     powers = np.array([m ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     step = chunk_rows(n * d * d)
 

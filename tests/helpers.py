@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 from wovenframes import DiscreteFrame, FusionFrame, Subspace, WovenFamily
-from wovenframes.fusion import _member_operators
+from wovenframes.fusion import _member_operators, fusion_frame_operator
 from wovenframes.linalg import sym_eig
-from wovenframes.perturbation import _spectra, _subset_masks, _unit_rows
+from wovenframes.perturbation import _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
 
 
@@ -79,6 +79,23 @@ def jacobi(sym) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
     return np.diagonal(a).copy(), v
+
+
+def one_matrix_spectrum(matrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """``sym_eig``'s values, vectors and residual computed on the one 2-D
+    matrix: a 2-D ``eigh``, the sign rule column by column (largest
+    magnitude entry positive, first one on ties) and the residual as the
+    largest column norm of ``A V - V diag(values)``."""
+    a = np.asarray(matrix, dtype=float)
+    sym = 0.5 * (a + a.T)
+    values, vectors = np.linalg.eigh(sym)
+    for j in range(vectors.shape[1]):
+        if vectors[np.argmax(np.abs(vectors[:, j])), j] < 0.0:
+            vectors[:, j] *= -1.0
+    residual = 0.0
+    if values.size:
+        residual = float(np.linalg.norm(sym @ vectors - vectors * values, axis=0).max())
+    return values, vectors, residual
 
 
 def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
@@ -271,10 +288,12 @@ def all_assignments(n: int, m: int):
 
 
 def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
+    """The checks' sample batch: seeded unit rows, then the extremal
+    eigenvectors of S_W, S_V and S_W - S_V, each from its own solve."""
     rng = np.random.default_rng(seed)
-    batch = np.concatenate(
-        [_unit_rows(rng, samples, w.dim), _spectra(w, v)[2]], axis=0
-    )
+    sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
+    extremal = [sym_eig(op).eigenvectors[:, k] for op in (sw, sv, sw - sv) for k in (0, -1)]
+    batch = np.concatenate([_unit_rows(rng, samples, w.dim), np.array(extremal)], axis=0)
     return batch, rng
 
 
@@ -301,9 +320,15 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
     return worst
 
 
-def proj_violation_oracle(w, v, kconst, samples, seed, squared=False) -> float:
-    """The ``proj`` inequality's worst sampled slack, one tensordot per mask."""
+def proj_violation_oracle(w, v, kconst, samples, seed, squared=False, masks=None) -> float:
+    """The ``proj`` inequality's worst slack over the sampled vectors and
+    index subsets, one tensordot per subset: all 2^n subsets, enumerated,
+    or the 0/1 rows of ``masks(n, rng)`` with rng as left by the batch."""
     batch, rng = _sample_batch(w, v, samples, seed)
+    if masks is None:
+        subsets = itertools.product((0.0, 1.0), repeat=w.size)
+    else:
+        subsets = masks(w.size, rng)
     pw_f = np.einsum("sd,nde->nse", batch, _member_operators(w, np.ones(w.size)))
     pv_f = np.einsum("sd,nde->nse", batch, _member_operators(v, np.ones(v.size)))
     diff = np.linalg.norm(pw_f - pv_f, axis=2)
@@ -314,7 +339,8 @@ def proj_violation_oracle(w, v, kconst, samples, seed, squared=False) -> float:
     wsq = (w.weights**2)[:, None]
     diff, wn, vn = diff * wsq, wn * wsq, vn * wsq
     worst = -np.inf
-    for mask in _subset_masks(w.size, rng):
+    for mask in subsets:
+        mask = np.array(mask)
         lhs = np.tensordot(mask, diff, axes=(0, 0))
         rhs = kconst * np.minimum(
             np.tensordot(mask, wn, axes=(0, 0)), np.tensordot(mask, vn, axes=(0, 0))

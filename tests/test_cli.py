@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wovenframes import Subspace, cli, find_nonwoven_witness, fusion
+from wovenframes import Subspace, cli, find_nonwoven_witness, fusion, instances
 from wovenframes.cli import load_family, main, parse_family_document
 
 
@@ -334,6 +334,15 @@ class TestPerturb:
         code, _ = run_main(capsys, ["perturb", path, "--method", "proj", "--K", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "method, search", [("pw", None), ("op", "exhaustive"), ("proj", "closed_form")]
+    )
+    def test_certificate_names_its_subset_search(self, tmp_path, capsys, method, search):
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code, out = run_main(capsys, ["perturb", path, "--method", method])
+        assert code == 0
+        assert json.loads(out)["certificate"]["subset_search"] == search
+
 
 class TestReproduce:
     @pytest.mark.parametrize("instance_id", ["ex3_2", "ex4_1", "ex4_2", "ex5_4"])
@@ -347,6 +356,29 @@ class TestReproduce:
     def test_unknown_id(self, capsys):
         code, _ = run_main(capsys, ["reproduce", "--id", "bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("instance_id", ["ex3_2", "ex4_1", "ex4_2", "ex5_4"])
+    @pytest.mark.parametrize("dim", ["1025", "1000000000000"])
+    def test_dim_above_the_limit_exits_two(self, monkeypatch, capsys, instance_id, dim):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(cli, "build_instance", refuse)
+        code = main(["reproduce", "--id", instance_id, "--dim", dim])
+        assert code == 2
+        assert "--dim: at most 1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance_id", ["ex4_1", "ex4_2"])
+    def test_partitions_over_the_cap_refused_before_building(
+        self, monkeypatch, capsys, instance_id
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a local system was built")
+
+        monkeypatch.setattr(instances.LocalSystem, "build", refuse)
+        code = main(["reproduce", "--id", instance_id, "--dim", "23"])
+        assert code == 2
+        assert "2^23 = 8388608 partitions exceeds the cap" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -25,7 +25,13 @@ from wovenframes import linalg, perturbation, weaving
 from wovenframes.frames import _clamp_small_negative
 from wovenframes.weaving import contribution_stacks
 
-from helpers import all_assignments, op_violation_oracle, proj_violation_oracle, scan_oracle
+from helpers import (
+    all_assignments,
+    basis_vec,
+    op_violation_oracle,
+    proj_violation_oracle,
+    scan_oracle,
+)
 
 
 @pytest.fixture(params=[1, 3, None], ids=["1-row", "3-row", "default"])
@@ -238,6 +244,8 @@ def test_subset_masks_enumerate_lexicographically(n):
     assert np.array_equal(masks, expected)
 
 
+# the oracle enumerates all 2^n subsets at both n; the closed form takes
+# no chunks, so no chunk budget may change it
 @pytest.mark.parametrize("n", [9, 13])
 @pytest.mark.parametrize("squared", [False, True])
 @pytest.mark.parametrize("kconst", [0.05, 0.5])
@@ -246,7 +254,39 @@ def test_proj_matches_oracle(rows_per_chunk, n, squared, kconst):
     w, v = near_fusion_pair(np.random.default_rng(n), d, n, 2)
     rows_per_chunk((samples + 6) * 3)
     cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+    assert cert.subset_search == "closed_form"
     expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
     assert close(cert.inequality_violation, expected)
     assert cert.hypothesis_holds == (expected <= 1e-9)
 
+
+def planted_proj_pair(n: int):
+    """Fusion pair in R^2 that differs only at index 0, span(e1) against
+    span(e2); every other member is R^2 in both. With K = 0.5 a subset
+    violates the proj inequality only if it holds index 0 and at most one
+    other index: n of the 2^n subsets."""
+    e1, e2 = basis_vec(2, 0), basis_vec(2, 1)
+    plane = Subspace.from_spanning(2, [e1, e2])
+    w = FusionFrame(2, (Subspace.from_spanning(2, [e1]),) + (plane,) * (n - 1), np.ones(n))
+    v = FusionFrame(2, (Subspace.from_spanning(2, [e2]),) + (plane,) * (n - 1), np.ones(n))
+    return w, v
+
+
+def at_most_two(n: int, rng):
+    """0/1 masks of the empty subset, the singletons and the pairs."""
+    for k in (0, 1, 2):
+        for chosen in itertools.combinations(range(n), k):
+            yield np.isin(np.arange(n), chosen).astype(float)
+
+
+def test_proj_closed_form_finds_the_subsets_sampling_misses():
+    n, kconst, samples, seed = 20, 0.5, 20, 0
+    w, v = planted_proj_pair(n)
+    cert = proj_perturbation_check(w, v, kconst, samples, seed)
+    # 4096 drawn masks, the search proj made above 2^12 subsets
+    sampled = proj_violation_oracle(w, v, kconst, samples, seed, masks=perturbation._subset_masks)
+    planted = proj_violation_oracle(w, v, kconst, samples, seed, masks=at_most_two)
+    assert sampled <= 0.0
+    assert planted > 0.5
+    assert close(cert.inequality_violation, planted)
+    assert not cert.hypothesis_holds and cert.subset_search == "closed_form"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wovenframes import orthonormalize, projector, sym_eig
+from wovenframes.linalg import stacked_spectra
 from wovenframes.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -9,6 +10,8 @@ from wovenframes.errors import (
     NotOrthonormal,
     NotSymmetric,
 )
+
+from helpers import one_matrix_spectrum
 
 
 class TestOrthonormalize:
@@ -119,6 +122,54 @@ class TestSymEig:
         spec = sym_eig(np.zeros((4, 4)))
         assert np.allclose(spec.eigenvalues, 0.0)
         assert spec.residual == 0.0
+
+
+def mixed_stack(rng, d: int) -> np.ndarray:
+    """Symmetric, rank-deficient PSD, zero, repeated-eigenvalue and
+    negative semidefinite d x d matrices as one stack."""
+    sym = rng.standard_normal((d, d))
+    low = rng.standard_normal((d, max(1, d // 2)))
+    return np.array(
+        [sym + sym.T, low @ low.T, np.zeros((d, d)), 2.0 * np.eye(d), -(low @ low.T)]
+    )
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12])
+    def test_each_matrix_matches_the_one_matrix_solve_bit_for_bit(self, rng, d):
+        stack = mixed_stack(rng, d)
+        specs = stacked_spectra(stack)
+        assert len(specs) == len(stack)
+        for matrix, spec in zip(stack, specs):
+            values, vectors, residual = one_matrix_spectrum(matrix)
+            for got in (spec, sym_eig(matrix)):
+                assert got.eigenvalues.tobytes() == values.tobytes()
+                assert got.eigenvectors.tobytes() == vectors.tobytes()
+                assert got.residual == residual
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 1, 1)])
+    def test_zero_stack(self, shape):
+        for spec in stacked_spectra(np.zeros(shape)):
+            assert spec.eigenvalues.tobytes() == np.zeros(shape[1]).tobytes()
+            assert np.array_equal(spec.eigenvectors, np.eye(shape[1]))
+            assert spec.residual == 0.0
+
+    def test_empty_stack(self):
+        assert stacked_spectra(np.zeros((0, 3, 3))) == []
+
+    def test_checks_every_matrix(self, rng):
+        stack = mixed_stack(rng, 3)
+        with pytest.raises(NotSymmetric):
+            stacked_spectra(stack[0])
+        with pytest.raises(NotSymmetric):
+            stacked_spectra(np.zeros((2, 3, 4)))
+        skewed = stack.copy()
+        skewed[-1, 0, 1] += 1.0
+        with pytest.raises(NotSymmetric):
+            stacked_spectra(skewed)
+        stack[-1, 2, 2] = np.nan
+        with pytest.raises(NonFinite):
+            stacked_spectra(stack)
 
 
 class TestProjector:

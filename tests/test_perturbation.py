@@ -20,6 +20,7 @@ from wovenframes.errors import (
     ToolkitError,
     WeightMismatch,
 )
+from wovenframes.fusion import _member_operators
 from wovenframes.weaving import WovenFamily
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     complement_planes,
     coordinate_planes,
     inplane_rotated_planes,
+    random_subspace,
     tilted_planes,
 )
 
@@ -205,6 +207,16 @@ class TestSamplingBehavior:
         assert cert.inequality_violation <= 0.0
 
 
+class TestSubsetSearch:
+    @pytest.mark.parametrize("n, op_search", [(12, "exhaustive"), (13, "sampled")])
+    def test_each_certificate_names_how_subsets_were_covered(self, n, op_search):
+        subs = tuple(Subspace.from_spanning(3, [basis_vec(3, i % 3)]) for i in range(n))
+        w = FusionFrame(3, subs, np.ones(n))
+        assert pw_check(w, w, 0.01, 0.01, 0.01, 5).subset_search is None
+        assert op_perturbation_check(w, w, 0.01, 0.01, 0.01, 5).subset_search == op_search
+        assert proj_perturbation_check(w, w, 0.5, 5).subset_search == "closed_form"
+
+
 class TestValidation:
     def test_constant_ranges(self):
         w = coordinate_planes()
@@ -262,17 +274,46 @@ class TestValidation:
 class TestSharedSpectra:
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_three_solves_per_check(self, monkeypatch, method):
-        calls = []
-        original = linalg.sym_eig
+        # S_W, S_V and S_W - S_V in one stacked solve, S bit for bit the
+        # fusion frame operator
+        stacks = []
+        original = linalg.stacked_spectra
 
-        def spy(matrix):
-            calls.append(matrix)
-            return original(matrix)
+        def spy(matrices):
+            stacks.append(np.array(matrices))
+            return original(matrices)
 
-        monkeypatch.setattr(perturbation, "sym_eig", spy)
+        monkeypatch.setattr(perturbation, "stacked_spectra", spy)
         w, v = coordinate_planes(), tilted_planes(1e-3)
         CHECKS[method](w, v, 10)
-        assert len(calls) == 3
+        assert len(stacks) == 1
+        sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
+        assert stacks[0].tobytes() == np.array([sw, sv, sw - sv]).tobytes()
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_one_projector_stack_per_frame(self, monkeypatch, method):
+        built = []
+        original = perturbation._member_operators
+
+        def spy(ff, scale=None):
+            built.append(ff)
+            return original(ff, scale)
+
+        monkeypatch.setattr(perturbation, "_member_operators", spy)
+        w, v = coordinate_planes(), tilted_planes(1e-3)
+        CHECKS[method](w, v, 10)
+        assert len(built) == 2 and built[0] is w and built[1] is v
+
+    def test_scaled_projector_stacks_are_the_member_operators(self):
+        # mixed ranks and an empty member, which contributes zeros
+        rng = np.random.default_rng(8)
+        subs = tuple(random_subspace(rng, 5, k) for k in (2, 0, 3, 2, 1))
+        ff = FusionFrame(5, subs, rng.uniform(0.5, 1.5, 5))
+        projectors, summands = perturbation._stacks(ff)
+        assert projectors.tobytes() == _member_operators(ff, np.ones(5)).tobytes()
+        assert summands.tobytes() == _member_operators(ff).tobytes()
+        scaled = ff.weights[:, None, None] * projectors
+        assert scaled.tobytes() == _member_operators(ff, ff.weights).tobytes()
 
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_bounds_are_those_of_the_operators(self, method):

@@ -5,8 +5,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wovenframes import Subspace
+from wovenframes import FusionFrame, Subspace, proj_perturbation_check
 from wovenframes.cli import parse_family_document
+
+from helpers import proj_violation_oracle
 
 FIXED = settings(
     max_examples=60,
@@ -73,3 +75,37 @@ def test_ingested_bases_equal_per_member_orthonormalization(doc):
             assert sub.basis.shape == expected.basis.shape
             # byte comparison also tells -0.0 from +0.0
             assert sub.basis.tobytes() == expected.basis.tobytes()
+
+
+@st.composite
+def fusion_pairs(draw):
+    """Pairs sharing weights, n <= 8 members of any rank (0 included) in
+    R^1..R^4, V_i a tilt of W_i from none to large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    tilt = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    weights = rng.uniform(0.5, 1.5, n)
+    pair = [[], []]
+    for _ in range(n):
+        span = rng.standard_normal((draw(st.integers(0, dim)), dim))
+        moved = span + tilt * rng.standard_normal(span.shape)
+        for members, rows in zip(pair, (span, moved)):
+            members.append(Subspace.from_spanning(dim, list(rows)))
+    return tuple(FusionFrame(dim, tuple(members), weights) for members in pair)
+
+
+@FIXED
+@given(
+    fusion_pairs(),
+    st.sampled_from([0.05, 0.5, 2.0]),
+    st.booleans(),
+    st.integers(0, 5),
+    st.integers(0, 1000),
+)
+def test_proj_closed_form_equals_subset_enumeration(pair, kconst, squared, samples, seed):
+    w, v = pair
+    cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+    expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
+    # the closed form and the enumeration sum in another order
+    assert abs(cert.inequality_violation - expected) <= 1e-12 * (1.0 + abs(expected))

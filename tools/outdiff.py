@@ -19,8 +19,10 @@ input, and ``analyze`` on every ingest-analyze input, that the benchmark
 generators in ``bench/workloads.py`` build for seeds 1-4; ``reproduce``
 for every instance id at ``--dim`` 4, 6 and 8. Documents written here
 from fixed seeds add ``perturb --method op`` and ``proj`` (K = 0.5 and
-1) on a near fusion pair with n = 13, above 2^12 index subsets, so the
-subset masks are sampled; ``perturb --method op`` and ``proj --K 0.5`` at
+1) on a near fusion pair with n = 13, above 2^12 index subsets, so
+``op``'s subset masks are sampled (``proj`` takes its worst subset in
+closed form at every n, so neither there nor at n = 23 does it sample
+subsets); ``perturb --method op`` and ``proj --K 0.5`` at
 the default 1000 samples on two near fusion pairs with d = 6, n = 9 (all
 512 subsets, many mask chunks), and ``pw``, ``op`` and ``proj`` with
 ``--samples 0`` (the six extremal vectors alone) on one of them; and ``woven`` and ``woven --eps 0.5`` on
