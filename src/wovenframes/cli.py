@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -32,12 +33,7 @@ from .fusion import (
 )
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
-from .perturbation import (
-    PerturbationCertificate,
-    op_perturbation_check,
-    proj_perturbation_check,
-    pw_check,
-)
+from .perturbation import op_perturbation_check, proj_perturbation_check, pw_check
 from .tolerances import HOLD_SLACK, WITNESS_EPS
 from .weaving import (
     DISCRETE,
@@ -64,25 +60,19 @@ class DocumentInvalid(ToolkitError):
 MAX_DIM = 1024
 
 
+def _plain(value):
+    """numpy arrays and scalars as the Python values ``tolist`` gives."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, compact, shortest float repr."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _round_trip_floats(value):
-    if isinstance(value, dict):
-        return {str(k): _round_trip_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_trip_floats(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _round_trip_floats(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    """Deterministic JSON: sorted keys, compact, shortest float repr;
+    numpy values encode as their Python equivalents."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain
+    )
 
 
 def family_to_document(family: WovenFamily) -> dict:
@@ -285,7 +275,7 @@ def load_family(path: str) -> tuple[WovenFamily, str]:
 
 
 def _emit(document: dict) -> None:
-    sys.stdout.write(canonical_json(_round_trip_floats(document)) + "\n")
+    sys.stdout.write(canonical_json(document) + "\n")
 
 
 def _woven_report_payload(report: WovenReport) -> dict:
@@ -298,22 +288,6 @@ def _woven_report_payload(report: WovenReport) -> dict:
         "method": report.method,
         "partitions_examined": report.partitions_examined,
         "seed": report.seed,
-    }
-
-
-def _certificate_payload(cert: PerturbationCertificate) -> dict:
-    return {
-        "method": cert.method,
-        "hypothesis_holds": cert.hypothesis_holds,
-        "constants": list(cert.constants),
-        "predicted_lower": cert.predicted_lower,
-        "predicted_upper": cert.predicted_upper,
-        "sample_count": cert.sample_count,
-        "seed": cert.seed,
-        "max_violation": cert.max_violation,
-        "gate_margin": cert.gate_margin,
-        "inequality_violation": cert.inequality_violation,
-        "subset_search": cert.subset_search,
     }
 
 
@@ -421,7 +395,7 @@ def cmd_perturb(args) -> int:
         {
             "command": "perturb",
             "input_digest": digest,
-            "certificate": _certificate_payload(cert),
+            "certificate": dataclasses.asdict(cert),
             "exhaustive_interval": exhaustive_interval,
             "prediction_contains_exhaustive": containment,
             "notes": [],
@@ -440,20 +414,9 @@ def cmd_reproduce(args) -> int:
     inst = build_instance(args.id, dim=args.dim)
     outcomes = verify_instance(inst)
     digest = hashlib.sha256(
-        canonical_json(_round_trip_floats(family_to_document(inst.payload))).encode(
-            "utf-8"
-        )
+        canonical_json(family_to_document(inst.payload)).encode("utf-8")
     ).hexdigest()
-    checks = [
-        {
-            "name": o.name,
-            "source": o.source,
-            "ok": o.ok,
-            "expected": _round_trip_floats(o.expected),
-            "actual": _round_trip_floats(o.actual),
-        }
-        for o in outcomes
-    ]
+    checks = [dataclasses.asdict(o) for o in outcomes]
     reference_ok = all(o.ok for o in outcomes if o.source == "reference")
     _emit(
         {

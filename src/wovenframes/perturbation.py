@@ -38,7 +38,7 @@ three spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +63,10 @@ class PerturbationCertificate:
     ``gate_margin`` is the slack of the constant gate (non-positive when
     the gate holds, None for methods without a gate),
     ``inequality_violation`` the worst sampled slack of the defining
-    inequality, and ``max_violation`` the larger of the two, so
-    hypothesis_holds is equivalent to max_violation <= HOLD_SLACK.
+    inequality. Both verdict fields are derived here, never passed:
+    ``max_violation`` is the larger of the two (the inequality's slack
+    alone without a gate), and hypothesis_holds is max_violation <=
+    HOLD_SLACK.
     ``subset_search`` is how the index subsets were covered at each
     sample: ``closed_form`` (exact, ``proj``), ``exhaustive`` (every
     subset, ``op`` up to 2^12 subsets), ``sampled`` (drawn subsets,
@@ -72,16 +74,23 @@ class PerturbationCertificate:
     """
 
     method: str
-    hypothesis_holds: bool
+    hypothesis_holds: bool = field(init=False)
     constants: tuple[float, ...]
     predicted_lower: float
     predicted_upper: float
     sample_count: int
     seed: int
-    max_violation: float
+    max_violation: float = field(init=False)
     gate_margin: float | None
     inequality_violation: float
     subset_search: str | None
+
+    def __post_init__(self):
+        worst = self.inequality_violation
+        if self.gate_margin is not None:
+            worst = max(self.gate_margin, worst)
+        object.__setattr__(self, "max_violation", worst)
+        object.__setattr__(self, "hypothesis_holds", worst <= HOLD_SLACK)
 
 
 def _check_pair(w: FusionFrame, v: FusionFrame) -> None:
@@ -202,16 +211,13 @@ def pw_check(
     )
     inequality_violation = float((lhs - rhs).max())
 
-    holds = gate_margin <= HOLD_SLACK and inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="pw",
-        hypothesis_holds=holds,
         constants=(lam1, lam2, mu),
         predicted_lower=a_w / 2.0,
         predicted_upper=b_w + b_v,
         sample_count=int(batch.shape[0]),
         seed=seed,
-        max_violation=float(max(gate_margin, inequality_violation)),
         gate_margin=gate_margin,
         inequality_violation=inequality_violation,
         subset_search=None,
@@ -275,16 +281,13 @@ def op_perturbation_check(
         worst = max(worst, float((coefficients @ norms).max()))
     inequality_violation = worst
 
-    holds = gate_margin <= HOLD_SLACK and inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="op",
-        hypothesis_holds=holds,
         constants=(lam, mu, gamma),
         predicted_lower=float(a_w - gate_value),
         predicted_upper=float(a_w + gate_value),
         sample_count=int(batch.shape[0]),
         seed=seed,
-        max_violation=float(max(gate_margin, inequality_violation)),
         gate_margin=gate_margin,
         inequality_violation=inequality_violation,
         subset_search="exhaustive" if 2**n <= _SUBSET_CAP else "sampled",
@@ -343,16 +346,13 @@ def proj_perturbation_check(
     terms = np.stack([a - kconst * (wn * wsq), a - kconst * (vn * wsq)])
     inequality_violation = float(np.maximum(terms, 0.0).sum(axis=1).max())
 
-    holds = inequality_violation <= HOLD_SLACK
     return PerturbationCertificate(
         method="proj",
-        hypothesis_holds=holds,
         constants=(kconst,),
         predicted_lower=float((a_w + a_v) / (2.0 * kconst + 1.0)),
         predicted_upper=float(b_w + b_v),
         sample_count=int(batch.shape[0]),
         seed=seed,
-        max_violation=inequality_violation,
         gate_margin=None,
         inequality_violation=inequality_violation,
         subset_search="closed_form",

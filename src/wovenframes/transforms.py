@@ -8,7 +8,7 @@ families, and removal of a weakly contributing index subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -363,11 +363,12 @@ def _blocked_vector_stacks(lf: LocalSystem, lg: LocalSystem) -> np.ndarray:
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Three routes to the same woven verdict and the bound chain tying
-    the vector-level and fusion-level universal lower bounds together."""
+    the vector-level and fusion-level universal lower bounds together.
+    ``verdicts`` is (vector, fusion, orthonormalized local); the last two
+    routes share one scan, so both read ``fusion_report.is_woven``."""
 
     vector_report: WovenReport
     fusion_report: WovenReport
-    orthonormal_report: WovenReport
     verdicts: tuple[bool, bool, bool]
     verdicts_agree: bool
     lower_floor: float
@@ -391,8 +392,9 @@ def local_global_equivalence_report(
     the orthonormalized local bases with the local weights, so its
     contribution stacks are the orthonormalized local systems' blocked
     Gram stacks ``w_i^2 * E_i E_i^T``, entry for entry. The one scan of
-    those stacks therefore serves as both reports. That scan runs first:
-    its cap check refuses before any (n, 2, d, d) stack is built.
+    those stacks, ``fusion_report``, therefore gives the verdicts of both
+    routes. That scan runs first: its cap check refuses before any
+    (n, 2, d, d) stack is built.
     """
     if lf.size != lg.size or lf.dim != lg.dim:
         raise IndexMismatch("local systems must share index set and dim")
@@ -401,14 +403,9 @@ def local_global_equivalence_report(
         (lf.induced_fusion_frame(), lg.induced_fusion_frame())
     )
     fusion_report = woven_bounds_exhaustive(fusion_family)
-    orthonormal_report = fusion_report
     vector_report = woven_bounds_from_contributions(_blocked_vector_stacks(lf, lg))
 
-    verdicts = (
-        vector_report.is_woven,
-        fusion_report.is_woven,
-        orthonormal_report.is_woven,
-    )
+    verdicts = (vector_report.is_woven, fusion_report.is_woven, fusion_report.is_woven)
     floor = min(lf.bound_floor(), lg.bound_floor())
     ceiling = max(lf.bound_ceiling(), lg.bound_ceiling())
     l_vec = vector_report.universal_lower
@@ -420,7 +417,6 @@ def local_global_equivalence_report(
     return EquivalenceReport(
         vector_report=vector_report,
         fusion_report=fusion_report,
-        orthonormal_report=orthonormal_report,
         verdicts=verdicts,
         verdicts_agree=len(set(verdicts)) == 1,
         lower_floor=floor,
@@ -444,10 +440,10 @@ class RemovalReport:
     universal_lower: float
     universal_upper: float
     hypothesis_met: bool
-    restricted_lower: float | None
-    restricted_upper: float | None
-    containment_ok: bool | None
-    restricted_members_are_fusion_frames: bool | None
+    restricted_lower: float | None = None
+    restricted_upper: float | None = None
+    containment_ok: bool | None = None
+    restricted_members_are_fusion_frames: bool | None = None
 
 
 def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
@@ -466,19 +462,15 @@ def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
     base = woven_bounds_exhaustive(family)
     first_parts = _member_operators(family.systems[0])
     partial_upper = sym_eig(first_parts[list(rem)].sum(axis=0)).largest
-    hypothesis_met = partial_upper < base.universal_lower
-    if not hypothesis_met:
-        return RemovalReport(
-            removed=rem,
-            partial_upper=partial_upper,
-            universal_lower=base.universal_lower,
-            universal_upper=base.universal_upper,
-            hypothesis_met=False,
-            restricted_lower=None,
-            restricted_upper=None,
-            containment_ok=None,
-            restricted_members_are_fusion_frames=None,
-        )
+    report = RemovalReport(
+        removed=rem,
+        partial_upper=partial_upper,
+        universal_lower=base.universal_lower,
+        universal_upper=base.universal_upper,
+        hypothesis_met=partial_upper < base.universal_lower,
+    )
+    if not report.hypothesis_met:
+        return report
 
     keep = [i for i in range(family.n) if i not in rem]
     restricted = family.restrict(keep)
@@ -489,12 +481,8 @@ def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
         and sub_report.universal_upper <= base.universal_upper + HOLD_SLACK
     )
     members_ok = all(fusion_bounds(system).is_frame for system in restricted.systems)
-    return RemovalReport(
-        removed=rem,
-        partial_upper=partial_upper,
-        universal_lower=base.universal_lower,
-        universal_upper=base.universal_upper,
-        hypothesis_met=True,
+    return replace(
+        report,
         restricted_lower=sub_report.universal_lower,
         restricted_upper=sub_report.universal_upper,
         containment_ok=containment,

@@ -84,13 +84,18 @@ def _require_partition_count(n: int, m: int) -> int:
     enumeration-cap check. Raises TooManyPartitions when m^n exceeds
     partition_cap()."""
     cap = partition_cap()
-    total = m**n
-    if total > cap:
-        raise TooManyPartitions(
-            f"{m}^{n} = {total} partitions exceeds the cap {cap}; "
-            "use the sampled search instead"
-        )
-    return total
+    # past 63 indices m^n >= 2^64 exceeds every cap, and may have more
+    # digits than Python converts to a string: the message names m^n alone
+    if m >= 2 and n > 63:
+        count = f"{m}^{n}"
+    else:
+        total = m**n
+        if total <= cap:
+            return total
+        count = f"{m}^{n} = {total}"
+    raise TooManyPartitions(
+        f"{count} partitions exceeds the cap {cap}; use the sampled search instead"
+    )
 
 
 def _partitions(n: int, m: int, d: int):

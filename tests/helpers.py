@@ -14,6 +14,25 @@ from wovenframes.perturbation import _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
 
 
+def plain_values(value):
+    """Every numpy value in a nested report as the Python value JSON
+    encodes: arrays as nested lists, numpy scalars as bool, int or float,
+    tuples as lists and keys as strings, one node at a time."""
+    if isinstance(value, dict):
+        return {str(k): plain_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_values(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return plain_values(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
 def eig2(matrix) -> tuple[float, float]:
     """Closed-form eigenvalues of a symmetric 2x2 matrix (ascending)."""
     (a, b), (_, d) = np.asarray(matrix, dtype=float)

@@ -603,6 +603,26 @@ class TestPartitionCapVariable:
         assert doc["exhaustive_interval"] is None
         assert doc["prediction_contains_exhaustive"] is None
 
+    def test_huge_partition_count_exits_two(self, tmp_path, capsys):
+        vectors = [[1.0]] * 15_000
+        doc = {"dim": 1, "kind": "discrete", "systems": [{"vectors": vectors}] * 2}
+        code = main(["woven", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: 2^15000 partitions exceeds the cap")
+
+    def test_perturb_with_a_huge_partition_count_has_no_exhaustive_interval(
+        self, tmp_path, capsys
+    ):
+        system = {"weights": [1.0] * 15_000, "subspaces": [{"spanning": [[1.0]]}] * 15_000}
+        doc = {"dim": 1, "kind": "fusion", "systems": [system, system]}
+        path = write_doc(tmp_path, doc)
+        argv = ["perturb", path, "--method", "proj", "--samples", "5"]
+        code, out = run_main(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["exhaustive_interval"] is None
+
 
 @pytest.mark.parametrize(
     "argv",

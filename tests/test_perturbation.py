@@ -21,6 +21,8 @@ from wovenframes.errors import (
     WeightMismatch,
 )
 from wovenframes.fusion import _member_operators
+from wovenframes.perturbation import PerturbationCertificate
+from wovenframes.tolerances import HOLD_SLACK
 from wovenframes.weaving import WovenFamily
 
 from helpers import (
@@ -162,6 +164,46 @@ class TestGates:
         cert = pw_check(w, w, 0.3, 0.3, 0.3)
         assert cert.gate_margin > 0.0
         assert not cert.hypothesis_holds
+
+
+def certificate(gate_margin, inequality_violation, **extra):
+    return PerturbationCertificate(
+        method="pw",
+        constants=(0.1,),
+        predicted_lower=0.5,
+        predicted_upper=2.0,
+        sample_count=6,
+        seed=0,
+        gate_margin=gate_margin,
+        inequality_violation=inequality_violation,
+        subset_search=None,
+        **extra,
+    )
+
+
+class TestDerivedVerdict:
+    @pytest.mark.parametrize(
+        "gate, inequality, worst",
+        [
+            (None, -0.25, -0.25),
+            (None, 0.5 * HOLD_SLACK, 0.5 * HOLD_SLACK),
+            (None, 2.0 * HOLD_SLACK, 2.0 * HOLD_SLACK),
+            (-0.5, -0.25, -0.25),
+            (-0.25, -0.5, -0.25),
+            (0.1, -0.5, 0.1),
+            (-0.5, 0.1, 0.1),
+            (float("inf"), -0.5, float("inf")),
+        ],
+    )
+    def test_verdict_follows_the_worst_slack(self, gate, inequality, worst):
+        cert = certificate(gate, inequality)
+        assert cert.max_violation == worst
+        assert cert.hypothesis_holds is (worst <= HOLD_SLACK)
+
+    @pytest.mark.parametrize("derived", ["max_violation", "hypothesis_holds"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        with pytest.raises(TypeError):
+            certificate(None, 0.0, **{derived: 0.0})
 
 
 class TestSamplingBehavior:

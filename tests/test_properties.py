@@ -2,13 +2,15 @@
 every run draws the same examples."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wovenframes import FusionFrame, Subspace, proj_perturbation_check
-from wovenframes.cli import parse_family_document
+from wovenframes.cli import canonical_json, parse_family_document
 
-from helpers import proj_violation_oracle
+from helpers import plain_values, proj_violation_oracle
 
 FIXED = settings(
     max_examples=60,
@@ -109,3 +111,60 @@ def test_proj_closed_form_equals_subset_enumeration(pair, kconst, squared, sampl
     expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
     # the closed form and the enumeration sum in another order
     assert abs(cert.inequality_violation - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    FINITE,
+    st.text(max_size=4),
+    FINITE.map(np.float64),
+    FINITE32.map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, SHAPES, elements=FINITE),
+    hnp.arrays(np.float32, SHAPES, elements=FINITE32),
+    hnp.arrays(np.int64, SHAPES),
+    hnp.arrays(np.bool_, SHAPES),
+)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@FIXED
+@given(REPORTS)
+def test_encoder_hook_equals_the_plain_value_walk(payload):
+    assert canonical_json(payload) == canonical_json(plain_values(payload))
+
+
+EXTREME_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("x", EXTREME_FLOATS)
+def test_extreme_floats_encode_as_python_floats(x):
+    payload = {"scalar": np.float64(x), "array": np.array([x, -x]), "plain": x}
+    assert canonical_json(payload) == canonical_json(plain_values(payload))
+    assert canonical_json(np.float64(x)) == repr(x)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.datetime64("2000-01-01")])
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        canonical_json({"report": value})
+
+
+@pytest.mark.parametrize("value", [np.float64("nan"), np.array([1.0, np.nan]), np.float32("inf")])
+def test_non_finite_values_raise_value_error(value):
+    with pytest.raises(ValueError):
+        canonical_json({"report": value})

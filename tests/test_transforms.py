@@ -336,10 +336,10 @@ class TestEquivalenceReport:
         lf = LocalSystem.build(dim, lists, np.ones(2))
         lg = LocalSystem.build(dim, lists[::-1], np.ones(2))
         report = local_global_equivalence_report(lf, lg)
-        assert report.vector_report.is_woven == report.orthonormal_report.is_woven
+        assert report.vector_report.is_woven == report.fusion_report.is_woven
         assert abs(
             report.vector_report.universal_lower
-            - report.orthonormal_report.universal_lower
+            - report.fusion_report.universal_lower
         ) <= 1e-9
 
     def test_index_mismatch(self):
@@ -413,10 +413,10 @@ def test_orthonormal_route_equals_induced_fusion_stacks():
         except EmptyInput:
             continue
         direct = woven_bounds_from_contributions(blocked)
-        assert report.orthonormal_report.is_woven == direct.is_woven
-        assert report.orthonormal_report.universal_lower == pytest.approx(
+        assert report.fusion_report.is_woven == direct.is_woven
+        assert report.fusion_report.universal_lower == pytest.approx(
             direct.universal_lower, abs=1e-9
         )
-        assert report.orthonormal_report.universal_upper == pytest.approx(
+        assert report.fusion_report.universal_upper == pytest.approx(
             direct.universal_upper, abs=1e-9
         )

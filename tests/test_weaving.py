@@ -348,6 +348,17 @@ class TestPartitionCap:
             with pytest.raises(TooManyPartitions):
                 call()
 
+    @pytest.mark.parametrize(
+        "n, count",
+        [(63, "2^63 = 9223372036854775808"), (64, "2^64"), (15_000, "2^15000")],
+    )
+    def test_huge_partition_counts_are_refused(self, n, count):
+        # 2^15000 has more digits than Python converts to a string
+        frame = DiscreteFrame(1, np.ones((n, 1)))
+        with pytest.raises(TooManyPartitions) as refused:
+            woven_bounds_exhaustive(WovenFamily.discrete((frame, frame)))
+        assert str(refused.value).startswith(f"{count} partitions exceeds the cap")
+
     def test_cap_is_checked_before_the_stacks_are_built(self, monkeypatch):
         built = []
 

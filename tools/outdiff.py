@@ -35,7 +35,11 @@ an empty spanning list and -0.0 entries. Refusals and over-cap paths,
 above the default cap of 2^22 partitions: ``reproduce --id ex4_1 --dim
 30`` (exit 2), ``woven`` on a discrete family with m = 2, n = 23 (exit
 2), and ``perturb --method proj`` on a near fusion pair with n = 23,
-whose ``exhaustive_interval`` is null. Two commands run at a time.
+whose ``exhaustive_interval`` is null; at n = 15,000, where m^n has
+more digits than Python converts to a string, ``woven`` on a discrete
+family with d = 1, n = 15,000 (exit 2) and ``perturb --method proj
+--samples 5`` on a near fusion pair with d = 1, n = 15,000 (exit 0,
+``exhaustive_interval`` null). Two commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
@@ -265,10 +269,20 @@ def build_corpus(workdir: str) -> list[list[str]]:
         os.path.join(workdir, "late-witness-discrete-m2-n23.json"),
         late_witness_doc(223, "discrete", 2, 23),
     )
+    huge_woven = _write(
+        os.path.join(workdir, "late-witness-discrete-d1-n15000.json"),
+        late_witness_doc(15_000, "discrete", 2, 15_000, d=1),
+    )
+    huge_pair = _write(
+        os.path.join(workdir, "near-pair-d1-n15000.json"),
+        near_fusion_pair_doc(15_000, d=1, n=15_000, rank=1),
+    )
     corpus += [
         ["reproduce", "--id", "ex4_1", "--dim", "30"],
         ["woven", over_woven],
         ["perturb", over_pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
+        ["woven", huge_woven],
+        ["perturb", huge_pair, "--method", "proj", "--samples", "5"],
     ]
     for d in (1, 3, 5):
         path = _write(os.path.join(workdir, f"grouping-d{d}.json"), grouping_doc(700 + d, d))
