@@ -11,7 +11,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -41,6 +40,7 @@ from .weaving import (
     WovenFamily,
     WovenReport,
     _require_eps,
+    _riesz_failing_rows,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
 )
@@ -395,7 +395,7 @@ def cmd_perturb(args) -> int:
         {
             "command": "perturb",
             "input_digest": digest,
-            "certificate": dataclasses.asdict(cert),
+            "certificate": vars(cert),
             "exhaustive_interval": exhaustive_interval,
             "prediction_contains_exhaustive": containment,
             "notes": [],
@@ -403,6 +403,33 @@ def cmd_perturb(args) -> int:
         }
     )
     return 0 if cert.hypothesis_holds else 1
+
+
+def cmd_riesz(args) -> int:
+    family, digest = load_family(args.input)
+    # counted per chunk: no Partition is built for the failing rows
+    examined = failing = 0
+    first = None
+    for rows, fails in _riesz_failing_rows(family):
+        examined += rows
+        failing += len(fails)
+        if first is None and len(fails):
+            first = fails[0]
+    _emit(
+        {
+            "command": "riesz",
+            "input_digest": digest,
+            "report": {
+                "all_pass": not failing,
+                "failing_count": failing,
+                "first_failing": first,
+                "partitions_examined": examined,
+            },
+            "notes": [],
+            "seed": None,
+        }
+    )
+    return 0 if not failing else 1
 
 
 def cmd_reproduce(args) -> int:
@@ -416,7 +443,7 @@ def cmd_reproduce(args) -> int:
     digest = hashlib.sha256(
         canonical_json(family_to_document(inst.payload)).encode("utf-8")
     ).hexdigest()
-    checks = [dataclasses.asdict(o) for o in outcomes]
+    checks = [vars(o) for o in outcomes]
     reference_ok = all(o.ok for o in outcomes if o.source == "reference")
     _emit(
         {
@@ -468,6 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--samples", type=int, default=1000)
     p_perturb.add_argument("--seed", type=int, default=0)
     p_perturb.set_defaults(func=cmd_perturb)
+
+    p_riesz = sub.add_parser(
+        "riesz", help="whether every weaving is a Riesz decomposition"
+    )
+    p_riesz.add_argument("input", help="fusion family document (JSON)")
+    p_riesz.set_defaults(func=cmd_riesz)
 
     p_repro = sub.add_parser("reproduce", help="rebuild and verify an instance")
     p_repro.add_argument("--id", required=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionTooSmall, OddDimension, ToolkitError
 from .frames import DiscreteFrame, frame_operator, optimal_bounds
 from .fusion import FusionFrame, Subspace, fusion_bounds
-from .tolerances import ENTRY_TOL, EX4_2_WITNESS_BOUND, HOLD_SLACK, WITNESS_EPS
+from .tolerances import ENTRY_TOL, EX4_2_WITNESS_BOUND, HOLD_SLACK
 from .transforms import (
     LocalSystem,
     flatten_local_system,
@@ -28,7 +28,6 @@ from .weaving import (
     Partition,
     WovenFamily,
     _require_partition_count,
-    find_nonwoven_witness,
     weave,
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
@@ -148,7 +147,7 @@ def build_ex4_1(dim: int = 6) -> ReferenceInstance:
     lf = LocalSystem.build(dim, f_lists, ones)
     lg = LocalSystem.build(dim, g_lists, ones)
     family = WovenFamily.fusion(
-        (lf.induced_fusion_frame(), lg.induced_fusion_frame())
+        (lf.fusion_frame, lg.fusion_frame)
     )
     expected = {
         "first_flat_bounds": Expected((1.0, 1.0), REFERENCE),
@@ -189,7 +188,7 @@ def build_ex4_2(dim: int = 6, first_block_absent: bool = False) -> ReferenceInst
     lf = LocalSystem.build(dim, f_lists, ones)
     lg = LocalSystem.build(dim, g_lists, ones)
     family = WovenFamily.fusion(
-        (lf.induced_fusion_frame(), lg.induced_fusion_frame())
+        (lf.fusion_frame, lg.fusion_frame)
     )
     witness_assignment = tuple([1] + [0] * (dim - 1))
     expected = {
@@ -351,7 +350,10 @@ def _verify_ex4_1(inst: ReferenceInstance, want: dict) -> list[tuple]:
 
 def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
     lf, lg = inst.local_systems
-    witness = find_nonwoven_witness(inst.payload, eps=WITNESS_EPS)
+    # the equivalence report's fusion scan is find_nonwoven_witness's scan
+    # of the payload, which the same induced fusion frames make up
+    report = local_global_equivalence_report(lf, lg)
+    witness = report.fusion_report.witness
     rows = [("nonwoven", witness is not None, witness is not None)]
     if witness is not None:
         partition, vector, value = witness
@@ -372,7 +374,6 @@ def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
                 tuple(vector.tolist()),
             ),
         ]
-    report = local_global_equivalence_report(lf, lg)
     fb = optimal_bounds(flatten_local_system(lf)[0])
     first = (fb.lower, fb.upper)
     return rows + [

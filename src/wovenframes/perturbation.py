@@ -46,6 +46,7 @@ from .errors import (
     ConstantOutOfRange,
     IndexMismatch,
     InvalidSampleCount,
+    NotAFrame,
     WeightMismatch,
 )
 from .fusion import FusionFrame, _member_operators
@@ -170,7 +171,8 @@ def pw_check(
 
     with the additive term scaled by ||c|| so the condition is
     homogeneous. On success the predicted woven interval is
-    [A_W / 2, B_W + B_V].
+    [A_W / 2, B_W + B_V]. Raises NotAFrame when A_W <= 0: W is then no
+    fusion frame and the gate is undefined.
     """
     _check_unit_interval(lam1=lam1, lam2=lam2, mu=mu)
     _check_pair(w, v)
@@ -182,15 +184,17 @@ def pw_check(
     a_w, b_w = spec_w.smallest, spec_w.largest
     b_v = spec_v.largest
 
-    if a_w > 0.0:
-        gate_value = (
-            (2.0 / a_w)
-            * (np.sqrt(b_w) + np.sqrt(b_v))
-            * (lam1 * np.sqrt(b_w) + lam2 * np.sqrt(b_v) + mu)
+    if a_w <= 0.0:
+        raise NotAFrame(
+            f"W is not a fusion frame: its lower bound A_W = {a_w!r} is not "
+            "positive, and the pw gate divides by A_W"
         )
-        gate_margin = float(gate_value - 1.0)
-    else:
-        gate_margin = float("inf")
+    gate_value = (
+        (2.0 / a_w)
+        * (np.sqrt(b_w) + np.sqrt(b_v))
+        * (lam1 * np.sqrt(b_w) + lam2 * np.sqrt(b_v) + mu)
+    )
+    gate_margin = float(gate_value - 1.0)
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)

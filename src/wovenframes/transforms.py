@@ -8,7 +8,7 @@ families, and removal of a weakly contributing index subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .tolerances import (
     PATTERN_TOL,
     PIVOT_TOL,
     SELF_ADJOINT_TOL,
+    WITNESS_EPS,
 )
 from .weaving import (
     FUSION,
@@ -271,7 +272,10 @@ class LocalSystem:
     ``blocks[i]`` holds the local vectors at index i as rows (possibly
     none), ``bases[i]`` an orthonormal basis of their span, and
     ``local_bounds[i]`` the optimal bounds of the local system as a
-    frame for its span, or None for a trivial span.
+    frame for its span, or None for a trivial span. ``fusion_frame`` is
+    the induced fusion frame, the spans with the local weights, derived
+    here and never passed; a weight that is not finite and positive
+    raises NonFinite.
     """
 
     dim: int
@@ -279,9 +283,20 @@ class LocalSystem:
     weights: np.ndarray
     bases: tuple[np.ndarray, ...]
     local_bounds: tuple[tuple[float, float] | None, ...]
+    fusion_frame: FusionFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        subspaces = Subspace.from_bases(self.dim, self.bases)
+        object.__setattr__(
+            self, "fusion_frame", FusionFrame(self.dim, subspaces, self.weights)
+        )
 
     @classmethod
     def build(cls, dim: int, vector_lists, weights) -> "LocalSystem":
+        """Orthonormalize and bound every local system. Raises
+        DimensionMismatch for a vector off the ambient dim or a weight
+        count off the index count, and NonFinite for a weight that is not
+        finite and positive."""
         w = np.asarray(weights, dtype=float).ravel()
         lists = [np.array([np.asarray(v, float) for v in lst]) for lst in vector_lists]
         blocks = []
@@ -323,10 +338,6 @@ class LocalSystem:
         if not vals:
             raise EmptyInput("no nontrivial local system present")
         return max(vals)
-
-    def induced_fusion_frame(self) -> FusionFrame:
-        subs = Subspace.from_bases(self.dim, self.bases)
-        return FusionFrame(self.dim, subs, self.weights)
 
 
 def flatten_local_system(
@@ -394,15 +405,17 @@ def local_global_equivalence_report(
     Gram stacks ``w_i^2 * E_i E_i^T``, entry for entry. The one scan of
     those stacks, ``fusion_report``, therefore gives the verdicts of both
     routes. That scan runs first: its cap check refuses before any
-    (n, 2, d, d) stack is built.
+    (n, 2, d, d) stack is built. It runs with ``eps=WITNESS_EPS``, so
+    ``fusion_report.witness`` is the first partition below it, as
+    ``find_nonwoven_witness`` of the induced family gives it.
     """
     if lf.size != lg.size or lf.dim != lg.dim:
         raise IndexMismatch("local systems must share index set and dim")
 
     fusion_family = WovenFamily.fusion(
-        (lf.induced_fusion_frame(), lg.induced_fusion_frame())
+        (lf.fusion_frame, lg.fusion_frame)
     )
-    fusion_report = woven_bounds_exhaustive(fusion_family)
+    fusion_report = woven_bounds_exhaustive(fusion_family, eps=WITNESS_EPS)
     vector_report = woven_bounds_from_contributions(_blocked_vector_stacks(lf, lg))
 
     verdicts = (vector_report.is_woven, fusion_report.is_woven, fusion_report.is_woven)

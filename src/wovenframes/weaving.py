@@ -410,22 +410,43 @@ class RieszWeavingReport:
     partitions_examined: int
 
 
+def _riesz_failing_rows(family: WovenFamily):
+    """Per chunk of partitions, in lexicographic order: the chunk's row
+    count and the (k, n) array of its rows whose weaving is not a Riesz
+    decomposition.
+
+    ``is_riesz_decomposition``'s first test, member ranks adding up to
+    d, runs on the whole chunk from one (n, m) table of member ranks;
+    only the rows that pass it are woven and rank-tested, one by one.
+    Checks the kind and the enumeration cap at the call, before any work.
+    """
+    if family.kind != FUSION:
+        raise WrongKind("Riesz weaving check applies to fusion families only")
+    chunks = _partitions(family.n, family.m, family.dim)
+    ranks = np.array([[sub.rank for sub in s.subspaces] for s in family.systems]).T
+    index = np.arange(family.n)
+
+    def rows():
+        for chunk in chunks:
+            fails = ranks[index, chunk].sum(axis=1) != family.dim
+            for k in np.flatnonzero(~fails):
+                fails[k] = not is_riesz_decomposition(weave(family, Partition(chunk[k])))
+            yield len(chunk), chunk[fails]
+
+    return rows()
+
+
 def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
     """Whether every weaving splits the space as a direct sum of its members.
 
     Fusion families only; lists the failing partitions when the verdict
     is negative.
     """
-    if family.kind != FUSION:
-        raise WrongKind("Riesz weaving check applies to fusion families only")
     failing: list[Partition] = []
     count = 0
-    for chunk in _partitions(family.n, family.m, family.dim):
-        for assignment in chunk:
-            p = Partition(assignment)
-            count += 1
-            if not is_riesz_decomposition(weave(family, p)):
-                failing.append(p)
+    for rows, fails in _riesz_failing_rows(family):
+        count += rows
+        failing.extend(map(Partition, fails))
     return RieszWeavingReport(
         all_pass=not failing,
         failing=tuple(failing),

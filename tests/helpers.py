@@ -7,8 +7,19 @@ import math
 
 import numpy as np
 
-from wovenframes import DiscreteFrame, FusionFrame, Subspace, WovenFamily
-from wovenframes.fusion import _member_operators, fusion_frame_operator
+from wovenframes import (
+    DiscreteFrame,
+    FusionFrame,
+    Partition,
+    Subspace,
+    WovenFamily,
+    weave,
+)
+from wovenframes.fusion import (
+    _member_operators,
+    fusion_frame_operator,
+    is_riesz_decomposition,
+)
 from wovenframes.linalg import sym_eig
 from wovenframes.perturbation import _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
@@ -366,3 +377,47 @@ def proj_violation_oracle(w, v, kconst, samples, seed, squared=False, masks=None
         )
         worst = max(worst, float((lhs - rhs).max()))
     return worst
+
+
+# -- the per-partition Riesz-weaving oracle --------------------------------
+
+
+def riesz_failing(family: WovenFamily) -> tuple[Partition, ...]:
+    """Every partition, in lexicographic order, whose weaving is not a
+    Riesz decomposition: one ``weave`` and one ``is_riesz_decomposition``
+    per partition, the oracle for ``woven_riesz_decomposition_check``."""
+    partitions = map(Partition, all_assignments(family.n, family.m))
+    return tuple(p for p in partitions if not is_riesz_decomposition(weave(family, p)))
+
+
+def random_riesz_member(rng: np.random.Generator, dim: int, rank: int) -> Subspace:
+    """A rank-``rank`` subspace of R^dim: spanned by coordinate vectors, by
+    Gaussian vectors, or by Gaussian vectors plus dependent combinations
+    of them; rank 0 is an empty or an all-zero spanning set."""
+    if rank == 0:
+        return Subspace.from_spanning(dim, [] if rng.random() < 0.5 else [np.zeros(dim)])
+    kind = rng.integers(3)
+    if kind == 0:
+        return Subspace.from_spanning(
+            dim, [basis_vec(dim, int(i)) for i in rng.choice(dim, rank, replace=False)]
+        )
+    vectors = list(rng.standard_normal((rank, dim)))
+    if kind == 2:
+        vectors += [vectors[0] + vectors[-1], -2.0 * vectors[0]]
+    return Subspace.from_spanning(dim, vectors)
+
+
+def random_riesz_family(rng: np.random.Generator, dim: int, n: int, m: int) -> WovenFamily:
+    """m fusion systems of n members in R^dim. Half the time the systems
+    share a rank profile adding up to dim, so every weaving reaches the
+    rank test; otherwise ranks are drawn from 0..min(dim, 2)."""
+    if rng.random() < 0.5:
+        profile = rng.multinomial(dim, np.ones(n) / n)
+        ranks = np.repeat(profile[None], m, axis=0)
+    else:
+        ranks = rng.integers(0, min(dim, 2) + 1, size=(m, n))
+    systems = []
+    for row in ranks:
+        subs = tuple(random_riesz_member(rng, dim, int(k)) for k in row)
+        systems.append(FusionFrame(dim, subs, rng.uniform(0.5, 2.0, n)))
+    return WovenFamily.fusion(tuple(systems))

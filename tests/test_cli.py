@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from wovenframes import Subspace, cli, find_nonwoven_witness, fusion, instances
-from wovenframes.cli import load_family, main, parse_family_document
+from wovenframes import (
+    Subspace,
+    cli,
+    find_nonwoven_witness,
+    fusion,
+    instances,
+    linalg,
+    perturbation,
+    weaving,
+)
+from wovenframes.cli import canonical_json, load_family, main, parse_family_document
 
 
 EX3_2_DOC = {
@@ -60,6 +70,27 @@ GAP_DOC = {
                 {"spanning": [[0, 0, 1]]},
             ],
         },
+    ],
+}
+
+
+# both members of the first system span e_1, so W is no fusion frame
+DEGENERATE_W_DOC = {
+    "dim": 2,
+    "kind": "fusion",
+    "systems": [
+        {"weights": [1, 1], "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[1, 0]]}]},
+        {"weights": [1, 1], "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[0, 1]]}]},
+    ],
+}
+
+# coordinate axes against the swapped axes: the mixed weavings repeat one
+SWAPPED_AXES_DOC = {
+    "dim": 2,
+    "kind": "fusion",
+    "systems": [
+        {"weights": [1, 1], "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[0, 1]]}]},
+        {"weights": [1, 1], "subspaces": [{"spanning": [[0, 1]]}, {"spanning": [[1, 0]]}]},
     ],
 }
 
@@ -344,6 +375,100 @@ class TestPerturb:
         assert json.loads(out)["certificate"]["subset_search"] == search
 
 
+    def test_pw_on_a_w_that_is_not_a_fusion_frame_exits_two(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DEGENERATE_W_DOC)
+        code = main(["perturb", path, "--method", "pw", "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: W is not a fusion frame: ")
+        assert "A_W = 0.0" in captured.err
+
+    @pytest.mark.parametrize("method", ["op", "proj"])
+    def test_op_and_proj_on_that_pair_report_a_failure(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, DEGENERATE_W_DOC)
+        code, out = run_main(capsys, ["perturb", path, "--method", method, "--samples", "5"])
+        assert code == 1
+        assert not json.loads(out)["certificate"]["hypothesis_holds"]
+
+    @pytest.mark.parametrize("method", ["pw", "op", "proj"])
+    def test_certificate_encodes_alike_from_vars_and_asdict(self, method):
+        w, v = parse_family_document(COORDINATE_PAIR_DOC).systems
+        cert = {
+            "pw": lambda: perturbation.pw_check(w, v, 0.01, 0.01, 0.005, 20, 4),
+            "op": lambda: perturbation.op_perturbation_check(w, v, 0.01, 0.01, 0.01, 20, 4),
+            "proj": lambda: perturbation.proj_perturbation_check(w, v, 0.5, 20, 4),
+        }[method]()
+        assert canonical_json(vars(cert)) == canonical_json(dataclasses.asdict(cert))
+
+
+class TestRiesz:
+    def test_every_weaving_passes(self, tmp_path, capsys):
+        path = write_doc(tmp_path, COORDINATE_PAIR_DOC)
+        code, out = run_main(capsys, ["riesz", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {
+            "command": "riesz",
+            "input_digest": load_family(path)[1],
+            "report": {
+                "all_pass": True,
+                "failing_count": 0,
+                "first_failing": None,
+                "partitions_examined": 4,
+            },
+            "notes": [],
+            "seed": None,
+        }
+
+    def test_failing_weavings_exit_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, SWAPPED_AXES_DOC)
+        code, out = run_main(capsys, ["riesz", path])
+        assert code == 1
+        assert json.loads(out)["report"] == {
+            "all_pass": False,
+            "failing_count": 2,
+            "first_failing": [0, 1],
+            "partitions_examined": 4,
+        }
+
+    def test_all_fail_family_is_counted_across_chunks_without_weaving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # d = 1 with twelve lines per system: no weaving's ranks add up to 1
+        system = {"weights": [1] * 12, "subspaces": [{"spanning": [[1]]}] * 12}
+        path = write_doc(tmp_path, {"dim": 1, "kind": "fusion", "systems": [system] * 2})
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 12)
+
+        def no_weave(*args):
+            raise AssertionError("a failing rank sum needs no weaving")
+
+        monkeypatch.setattr(weaving, "weave", no_weave)
+        code, out = run_main(capsys, ["riesz", path])
+        assert code == 1
+        assert json.loads(out)["report"] == {
+            "all_pass": False,
+            "failing_count": 2**12,
+            "first_failing": [0] * 12,
+            "partitions_examined": 2**12,
+        }
+
+    def test_discrete_document_exits_two(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX3_2_DOC)
+        code = main(["riesz", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "fusion families only" in captured.err
+
+    def test_over_the_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "3")
+        path = write_doc(tmp_path, SWAPPED_AXES_DOC)
+        code = main(["riesz", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "2^2 = 4 partitions exceeds the cap 3" in captured.err
+
+
 class TestReproduce:
     @pytest.mark.parametrize("instance_id", ["ex3_2", "ex4_1", "ex4_2", "ex5_4"])
     def test_ids_pass(self, capsys, instance_id):
@@ -379,6 +504,13 @@ class TestReproduce:
         code = main(["reproduce", "--id", instance_id, "--dim", "23"])
         assert code == 2
         assert "2^23 = 8388608 partitions exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance_id", instances.INSTANCE_IDS)
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_checks_encode_alike_from_vars_and_asdict(self, instance_id, dim):
+        outcomes = instances.verify_instance(instances.build_instance(instance_id, dim=dim))
+        for o in outcomes:
+            assert canonical_json(vars(o)) == canonical_json(dataclasses.asdict(o))
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from wovenframes import (
     proj_perturbation_check,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
+    woven_riesz_decomposition_check,
 )
 from wovenframes import linalg, perturbation, weaving
 from wovenframes.frames import _clamp_small_negative
@@ -30,6 +31,8 @@ from helpers import (
     basis_vec,
     op_violation_oracle,
     proj_violation_oracle,
+    random_riesz_family,
+    riesz_failing,
     scan_oracle,
 )
 
@@ -290,3 +293,50 @@ def test_proj_closed_form_finds_the_subsets_sampling_misses():
     assert planted > 0.5
     assert close(cert.inequality_violation, planted)
     assert not cert.hypothesis_holds and cert.subset_search == "closed_form"
+
+
+def riesz_family(seed: int) -> WovenFamily:
+    """Seeded family with d <= 5, n <= 6 and m in {2, 3}."""
+    rng = np.random.default_rng(seed)
+    d, n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(2, 4))
+    return random_riesz_family(rng, d, n, m)
+
+
+def assert_riesz_matches(family: WovenFamily) -> None:
+    report = woven_riesz_decomposition_check(family)
+    failing = riesz_failing(family)
+    assert report.failing == failing
+    assert report.all_pass == (not failing)
+    assert report.partitions_examined == family.m**family.n
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_riesz_check_matches_the_weaving_loop(rows_per_chunk, seed):
+    family = riesz_family(seed)
+    rows_per_chunk(family.n * family.dim**2)
+    assert_riesz_matches(family)
+
+
+def test_riesz_check_weaves_only_the_rows_whose_ranks_add_up_to_d(rows_per_chunk, monkeypatch):
+    # d = 1 and three lines per system: every weaving has rank sum 3
+    line = Subspace.from_spanning(1, [[1.0]])
+    family = WovenFamily.fusion(
+        tuple(FusionFrame(1, (line,) * 3, np.ones(3)) for _ in range(2))
+    )
+    rows_per_chunk(family.n * family.dim**2)
+    woven = []
+    original = weaving.weave
+
+    def spy(fam, p):
+        woven.append(p)
+        return original(fam, p)
+
+    monkeypatch.setattr(weaving, "weave", spy)
+    assert_riesz_matches(family)
+    assert len(woven_riesz_decomposition_check(family).failing) == 8
+    assert woven == []
+
+
+def test_riesz_check_matches_the_weaving_loop_on_300_families():
+    for seed in range(100, 400):
+        assert_riesz_matches(riesz_family(seed))

@@ -14,7 +14,7 @@ from wovenframes.instances import (
     verify_instance,
 )
 from wovenframes.transforms import flatten_local_system, local_global_equivalence_report
-from wovenframes.weaving import woven_bounds_exhaustive
+from wovenframes.weaving import find_nonwoven_witness, woven_bounds_exhaustive
 
 
 ALL_BUILDERS = {
@@ -102,6 +102,31 @@ class TestEx4_2:
         lf, _ = inst.local_systems
         flat_f, _ = flatten_local_system(lf)
         assert np.allclose(flat_f.vectors, np.eye(6))
+
+
+class TestFusionWitness:
+    @pytest.mark.parametrize("dim", range(4, 11))
+    def test_ex4_2_report_witness_is_the_early_exit_search(self, dim):
+        inst = build_ex4_2(dim)
+        report = local_global_equivalence_report(*inst.local_systems)
+        partition, vector, value = report.fusion_report.witness
+        expected = find_nonwoven_witness(inst.payload)
+        assert partition == expected[0]
+        assert np.array_equal(vector, expected[1])
+        assert value == expected[2]
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_ex4_1_report_has_no_witness(self, dim):
+        inst = build_ex4_1(dim)
+        report = local_global_equivalence_report(*inst.local_systems)
+        assert report.fusion_report.witness is None
+
+    @pytest.mark.parametrize("build", [build_ex4_1, build_ex4_2])
+    def test_payload_shares_the_induced_fusion_frames(self, build):
+        inst = build(6)
+        lf, lg = inst.local_systems
+        assert inst.payload.systems[0] is lf.fusion_frame
+        assert inst.payload.systems[1] is lg.fusion_frame
 
 
 class TestEx5_4:

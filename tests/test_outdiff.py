@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from wovenframes import find_nonwoven_witness
+from wovenframes import find_nonwoven_witness, pw_check, woven_riesz_decomposition_check
+from wovenframes.errors import NotAFrame
 from wovenframes.cli import main, parse_family_document
 from wovenframes.linalg import chunk_rows
 from wovenframes.perturbation import _SUBSET_CAP
@@ -113,3 +114,22 @@ def test_over_cap_documents_exceed_the_default_cap():
     woven = parse_family_document(outdiff.late_witness_doc(223, "discrete", 2, 23))
     for family in (pair, woven):
         assert family.m**family.n > PARTITION_CAP
+
+
+def test_riesz_documents_pass_fail_and_span_many_chunks():
+    lines = parse_family_document(outdiff.lines_doc(6, 2, 6))
+    assert (lines.n, lines.dim) == (6, 6)
+    assert woven_riesz_decomposition_check(lines).all_pass
+    swapped = woven_riesz_decomposition_check(parse_family_document(outdiff.swapped_axes_doc()))
+    assert swapped.failing and not swapped.all_pass
+    many = parse_family_document(outdiff.lines_doc(38, 3, 8, repeat_first=True))
+    report = woven_riesz_decomposition_check(many)
+    assert report.failing and len(report.failing) < report.partitions_examined
+    # the Riesz check takes the scans' chunks, n * d * d floats per row
+    assert many.m**many.n > 10 * chunk_rows(many.n * many.dim**2)
+
+
+def test_degenerate_w_document_is_refused_by_pw():
+    w, v = parse_family_document(outdiff.degenerate_w_doc()).systems
+    with pytest.raises(NotAFrame):
+        pw_check(w, v, 0.0, 0.0, 0.0, samples=5)

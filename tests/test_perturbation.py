@@ -17,6 +17,7 @@ from wovenframes.errors import (
     IndexMismatch,
     InvalidSampleCount,
     InvalidSeed,
+    NotAFrame,
     ToolkitError,
     WeightMismatch,
 )
@@ -33,6 +34,12 @@ from helpers import (
     random_subspace,
     tilted_planes,
 )
+
+def coordinate_lines() -> FusionFrame:
+    """R^2 split into the span of e_1 and the span of e_2."""
+    lines = tuple(Subspace.from_spanning(2, [basis_vec(2, i)]) for i in range(2))
+    return FusionFrame(2, lines, np.ones(2))
+
 
 CHECKS = {
     "pw": lambda w, v, samples, seed=0: pw_check(w, v, 0.01, 0.01, 0.01, samples, seed),
@@ -156,6 +163,13 @@ class TestGates:
         assert cert.gate_margin > 0.0
         assert not cert.hypothesis_holds
         assert cert.inequality_violation <= 0.0
+
+    def test_pw_refuses_a_w_that_is_not_a_fusion_frame(self):
+        # both members span e_1, so A_W = 0 and the gate divides by zero
+        line = Subspace.from_spanning(2, [basis_vec(2, 0)])
+        w = FusionFrame(2, (line, line), np.ones(2))
+        with pytest.raises(NotAFrame, match="A_W = 0.0"):
+            pw_check(w, coordinate_lines(), 0.01, 0.01, 0.01, samples=5)
 
     def test_pw_gate_scales_with_lower_bound(self):
         # weights 0.1 shrink the lower bound, inflating the gate factor

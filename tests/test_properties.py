@@ -7,7 +7,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wovenframes import FusionFrame, Subspace, proj_perturbation_check
+from wovenframes import (
+    DiscreteFrame,
+    FusionFrame,
+    Partition,
+    Subspace,
+    WovenFamily,
+    frame_operator,
+    fusion_frame_operator,
+    proj_perturbation_check,
+    weave,
+    woven_bounds_exhaustive,
+)
 from wovenframes.cli import canonical_json, parse_family_document
 
 from helpers import plain_values, proj_violation_oracle
@@ -168,3 +179,80 @@ def test_unsupported_values_raise_type_error(value):
 def test_non_finite_values_raise_value_error(value):
     with pytest.raises(ValueError):
         canonical_json({"report": value})
+
+
+@st.composite
+def woven_families(draw):
+    """Discrete or fusion families with m in {2, 3}, n <= 6 and d <= 4.
+    Vectors are Gaussian and members Gaussian spans of rank 1..d, with
+    zero vectors or rank-0 members mixed in so that some families are
+    not woven."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["discrete", "fusion"]))
+    d, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    zero_share = draw(st.sampled_from([0.0, 0.3]))
+    systems = []
+    for _ in range(m):
+        kept = rng.random(n) >= zero_share
+        if kind == "discrete":
+            systems.append(DiscreteFrame(d, rng.standard_normal((n, d)) * kept[:, None]))
+        else:
+            spans = [rng.standard_normal((int(rng.integers(1, d + 1)) * k, d)) for k in kept]
+            subs = tuple(Subspace.from_spanning(d, list(span)) for span in spans)
+            systems.append(FusionFrame(d, subs, rng.uniform(0.5, 2.0, n)))
+    return WovenFamily(kind, tuple(systems))
+
+
+def weaving_eigenvalues(family: WovenFamily, p: Partition) -> np.ndarray:
+    """The weaving's spectrum through its own operator and ``eigvalsh``,
+    apart from the contribution stacks the scans use."""
+    woven = weave(family, p)
+    if family.kind == "discrete":
+        return np.linalg.eigvalsh(frame_operator(woven))
+    return np.linalg.eigvalsh(fusion_frame_operator(woven))
+
+
+def scaled(family: WovenFamily, c: float) -> WovenFamily:
+    """Every contribution times c^2: vectors times c, or weights times c."""
+    if family.kind == "discrete":
+        return WovenFamily.discrete(DiscreteFrame(s.dim, c * s.vectors) for s in family.systems)
+    return WovenFamily.fusion(
+        FusionFrame(s.dim, s.subspaces, c * s.weights) for s in family.systems
+    )
+
+
+def assert_bounds_close(found, expected, factor: float = 1.0) -> None:
+    """Both universal bounds equal ``factor`` times the expected ones,
+    within 1e-12 relative to the upper bound, the spectral scale: the
+    eigenvalues near 0 of a non-woven family carry rounding of that size."""
+    scale = 1e-12 * factor * expected.universal_upper
+    assert abs(found.universal_lower - factor * expected.universal_lower) <= scale
+    assert abs(found.universal_upper - factor * expected.universal_upper) <= scale
+
+
+@FIXED
+@given(woven_families(), st.integers(0, 1000))
+def test_every_weaving_lies_inside_the_universal_interval(family, seed):
+    report = woven_bounds_exhaustive(family)
+    slack = 1e-12 * max(1.0, report.universal_upper)
+    rng = np.random.default_rng(seed)
+    for assignment in rng.integers(0, family.m, size=(20, family.n)):
+        values = weaving_eigenvalues(family, Partition(assignment))
+        assert values[0] >= report.universal_lower - slack
+        assert values[-1] <= report.universal_upper + slack
+
+
+@FIXED
+@given(woven_families(), st.randoms(use_true_random=False))
+def test_permuting_the_indices_keeps_the_universal_bounds(family, random):
+    order = list(range(family.n))
+    random.shuffle(order)
+    report = woven_bounds_exhaustive(family)
+    assert_bounds_close(woven_bounds_exhaustive(family.restrict(order)), report)
+
+
+@FIXED
+@given(woven_families(), st.sampled_from([1e-3, 0.5, 0.7, 3.0, 1e3]))
+def test_scaling_the_contributions_scales_the_bounds_quadratically(family, c):
+    report = woven_bounds_exhaustive(family)
+    assert_bounds_close(woven_bounds_exhaustive(scaled(family, c)), report, c * c)

@@ -28,6 +28,7 @@ from wovenframes.errors import (
     EmptyIntersection,
     IndexMismatch,
     InvarianceViolated,
+    NonFinite,
     NotSelfAdjoint,
     SingularOperator,
 )
@@ -262,9 +263,29 @@ class TestLocalSystems:
             [7.0 * basis_vec(dim, 3), basis_vec(dim, 2) - basis_vec(dim, 3)],
         ]
         weights = rng.uniform(0.5, 2.0, 2)
-        op_a = fusion_frame_operator(LocalSystem.build(dim, blocks_a, weights).induced_fusion_frame())
-        op_b = fusion_frame_operator(LocalSystem.build(dim, blocks_b, weights).induced_fusion_frame())
+        op_a = fusion_frame_operator(LocalSystem.build(dim, blocks_a, weights).fusion_frame)
+        op_b = fusion_frame_operator(LocalSystem.build(dim, blocks_b, weights).fusion_frame)
         assert np.abs(op_a - op_b).max() <= 1e-9
+
+    def test_fusion_frame_is_derived_from_bases_and_weights(self):
+        system = LocalSystem.build(3, [[basis_vec(3, 0)], [basis_vec(3, 1)]], [1.0, 2.0])
+        induced = system.fusion_frame
+        assert system.fusion_frame is induced
+        assert np.array_equal(induced.weights, [1.0, 2.0])
+        for sub, basis in zip(induced.subspaces, system.bases):
+            assert np.array_equal(sub.basis, basis)
+        with pytest.raises(TypeError):
+            LocalSystem(3, system.blocks, system.weights, system.bases, system.local_bounds, induced)
+
+    def test_direct_construction_rejects_a_weight_that_is_not_positive(self):
+        system = LocalSystem.build(2, [[basis_vec(2, 0)], [basis_vec(2, 1)]], [1.0, 1.0])
+        with pytest.raises(NonFinite):
+            LocalSystem(2, system.blocks, np.array([1.0, 0.0]), system.bases, system.local_bounds)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_build_rejects_a_weight_that_is_not_positive_and_finite(self, weight):
+        with pytest.raises(NonFinite):
+            LocalSystem.build(2, [[basis_vec(2, 0)], [basis_vec(2, 1)]], [1.0, weight])
 
     def test_local_bounds(self):
         system = LocalSystem.build(
@@ -405,7 +426,7 @@ def test_orthonormal_route_equals_induced_fusion_stacks():
                 for e in local.bases[i].T:
                     v = local.weights[i] * e
                     blocked[i, j] += np.outer(v, v)
-        family = WovenFamily.fusion(tuple(local.induced_fusion_frame() for local in pair))
+        family = WovenFamily.fusion(tuple(local.fusion_frame for local in pair))
         assert np.abs(blocked - contribution_stacks(family)).max() <= 1e-12
 
         try:

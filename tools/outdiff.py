@@ -39,7 +39,14 @@ whose ``exhaustive_interval`` is null; at n = 15,000, where m^n has
 more digits than Python converts to a string, ``woven`` on a discrete
 family with d = 1, n = 15,000 (exit 2) and ``perturb --method proj
 --samples 5`` on a near fusion pair with d = 1, n = 15,000 (exit 0,
-``exhaustive_interval`` null). Two commands run at a time.
+``exhaustive_interval`` null); ``perturb --method pw --samples 5`` on a
+d = 2 pair whose two W members both span e_1 (exit 2: W is not a fusion
+frame). ``riesz`` on every woven-exhaustive fusion input for seeds 1-4
+(rank 2, so no weaving's ranks add up to d), on a random rank-1 family
+with n = d = 6 whose weavings all pass, on a coordinate family with
+swapped axes where some weavings fail, and on a rank-1 family with
+m = 3 and n = d = 8 whose 3^8 partitions span many chunks and whose
+third system repeats lines of the first. Two commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
@@ -151,6 +158,40 @@ def late_witness_doc(seed: int, kind: str, m: int, n: int, d: int = 4) -> dict:
     return {"dim": d, "kind": kind, "systems": systems}
 
 
+def degenerate_w_doc() -> dict:
+    """d = 2 fusion pair whose two W members both span e_1, so A_W = 0."""
+    e1, e2 = [[1.0, 0.0]], [[0.0, 1.0]]
+    systems = [
+        {"weights": [1.0, 1.0], "subspaces": [{"spanning": e1}, {"spanning": e1}]},
+        {"weights": [1.0, 1.0], "subspaces": [{"spanning": e1}, {"spanning": e2}]},
+    ]
+    return {"dim": 2, "kind": "fusion", "systems": systems}
+
+
+def lines_doc(seed: int, m: int, d: int, repeat_first: bool = False) -> dict:
+    """m systems of d random lines in R^d with random weights; with
+    ``repeat_first`` the last system holds the first one's lines shifted
+    by one index, so weavings that take a line twice fail."""
+    rng = np.random.default_rng(seed)
+    spans = rng.standard_normal((m, d, 1, d))
+    if repeat_first:
+        spans[-1] = np.roll(spans[0], -1, axis=0)
+    systems = [
+        {"weights": rng.uniform(0.5, 1.5, d).tolist(), "subspaces": _spanning(s)}
+        for s in spans
+    ]
+    return {"dim": d, "kind": "fusion", "systems": systems}
+
+
+def swapped_axes_doc(d: int = 4) -> dict:
+    """The coordinate axes against the same axes in reverse order."""
+    axes = np.eye(d)[:, None, :]
+    systems = [
+        {"weights": [1.0] * d, "subspaces": _spanning(s)} for s in (axes, axes[::-1])
+    ]
+    return {"dim": d, "kind": "fusion", "systems": systems}
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -225,6 +266,11 @@ def _write(path: str, doc: dict) -> str:
     return path
 
 
+def _kind(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["kind"]
+
+
 def build_corpus(workdir: str) -> list[list[str]]:
     """Write the corpus inputs under ``workdir``; returns the argv lists."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "bench")]
@@ -283,7 +329,15 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["perturb", over_pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
         ["woven", huge_woven],
         ["perturb", huge_pair, "--method", "proj", "--samples", "5"],
+        ["perturb", _write(os.path.join(workdir, "degenerate-w.json"), degenerate_w_doc()),
+         "--method", "pw", "--samples", "5"],
     ]
+    for name, doc in (
+        ("riesz-lines-d6.json", lines_doc(6, 2, 6)),
+        ("riesz-swapped-axes.json", swapped_axes_doc()),
+        ("riesz-lines-m3-d8.json", lines_doc(38, 3, 8, repeat_first=True)),
+    ):
+        corpus.append(["riesz", _write(os.path.join(workdir, name), doc)])
     for d in (1, 3, 5):
         path = _write(os.path.join(workdir, f"grouping-d{d}.json"), grouping_doc(700 + d, d))
         corpus += [["analyze", path], ["woven", path]]
@@ -304,6 +358,8 @@ def build_corpus(workdir: str) -> list[list[str]]:
             for doc in sorted(os.listdir(seed_dir)):
                 path = os.path.join(seed_dir, doc)
                 corpus += [v[:1] + [path] + v[1:] for v in variants]
+                if name == "woven-exhaustive" and _kind(path) == "fusion":
+                    corpus.append(["riesz", path])
     for instance_id in INSTANCE_IDS:
         for dim in REPRODUCE_DIMS:
             corpus.append(["reproduce", "--id", instance_id, "--dim", str(dim)])
