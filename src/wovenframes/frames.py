@@ -61,8 +61,11 @@ def analysis_matrix(frame: DiscreteFrame) -> np.ndarray:
     return frame.vectors.copy()
 
 
-def _is_frame(lower: float, upper: float) -> bool:
-    return lower > FRAME_TOL * max(1.0, upper)
+def _is_frame(lower, upper):
+    """The frame rule lower > FRAME_TOL * max(1, upper): a bool, or a bool
+    array for arrays of bounds. ``fmax`` ignores a NaN upper as ``max`` does."""
+    verdict = np.asarray(lower > FRAME_TOL * np.fmax(1.0, upper))
+    return verdict if verdict.ndim else bool(verdict)
 
 
 def _clamp_small_negative(value: float, scale: float) -> float:
@@ -108,7 +111,4 @@ def dual_frame(frame: DiscreteFrame) -> DiscreteFrame:
 
 def is_riesz_basis(frame: DiscreteFrame) -> bool:
     """Exactly dim vectors forming a frame: a linearly independent spanning set."""
-    if frame.size != frame.dim:
-        return False
-    spec = sym_eig(frame_operator(frame))
-    return _is_frame(spec.smallest, spec.largest)
+    return frame.size == frame.dim and optimal_bounds(frame).is_frame

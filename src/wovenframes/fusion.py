@@ -7,6 +7,9 @@ case and ``Subspace.from_bases`` builds a whole system from it. The
 member operators ``scale_i * B_i B_i^T`` come from one batched matmul
 per rank group over a C-ordered stack, bit for bit the per-member
 product ``scale_i * (B_i @ B_i.T)``.
+A finite system spans exactly when it is a fusion frame, so onto
+synthesis and Riesz decomposition read the frame rule on the fusion
+frame operator's spectrum, as ``fusion_bounds(...).is_frame`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite, NotOrthonormal, ToolkitError
 from .frames import BoundsReport, bounds_from_spectrum
 from .linalg import orthonormalize, projector, size_groups, sym_eig
-from .tolerances import GRAM_TOL, RANK_TOL
+from .tolerances import GRAM_TOL
 
 
 @dataclass(frozen=True)
@@ -193,51 +196,23 @@ def analysis_apply(ff: FusionFrame, f) -> list[np.ndarray]:
     return [w * sub.project(vec) for sub, w in zip(ff.subspaces, ff.weights)]
 
 
-def _stacked_columns(ff: FusionFrame) -> np.ndarray:
-    """The weighted bases ``weight_i * B_i`` side by side in member order,
-    shape (dim, total rank)."""
-    offsets = np.cumsum([0] + [sub.rank for sub in ff.subspaces])
-    out = np.zeros((ff.dim, offsets[-1]))
-    for members, stack in _rank_groups(ff):
-        cols = offsets[members][:, None] + np.arange(stack.shape[2])
-        weighted = ff.weights[members][:, None, None] * stack
-        out[:, cols.ravel()] = np.swapaxes(weighted, 0, 1).reshape(ff.dim, -1)
-    return out
-
-
-def _stacked_rank(ff: FusionFrame) -> int:
-    """Rank of the stacked weighted bases under orthonormalize's rule: the
-    singular values above RANK_TOL * (1 + largest column norm)."""
-    stacked = _stacked_columns(ff)
-    if stacked.shape[1] == 0:
-        return 0
-    scale = 1.0 + float(np.linalg.norm(stacked, axis=0).max())
-    return int((np.linalg.svd(stacked, compute_uv=False) > RANK_TOL * scale).sum())
-
-
 def synthesis_is_onto(ff: FusionFrame) -> bool:
-    """Whether the synthesis map covers R^dim: the stacked weighted bases
-    have full row rank."""
-    return _stacked_rank(ff) == ff.dim
+    """Whether the synthesis map covers R^dim: the members span, that is,
+    form a fusion frame."""
+    return fusion_bounds(ff).is_frame
 
 
 def is_riesz_decomposition(ff: FusionFrame) -> bool:
     """Every vector splits uniquely as a sum of per-member components:
-    the member dimensions add up to dim and the stacked bases have rank dim."""
+    the member dimensions add up to dim and the members span."""
     total = sum(sub.rank for sub in ff.subspaces)
-    return total == ff.dim and _stacked_rank(ff) == ff.dim
+    return total == ff.dim and fusion_bounds(ff).is_frame
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """Riesz decomposition with mutually orthogonal members."""
     if not is_riesz_decomposition(ff):
         return False
-    for i, a in enumerate(ff.subspaces):
-        if a.rank == 0:
-            continue
-        for b in ff.subspaces[i + 1 :]:
-            if b.rank == 0:
-                continue
-            if float(np.abs(a.basis.T @ b.basis).max()) > GRAM_TOL:
-                return False
-    return True
+    # the ranks add up to dim: the stacked bases form a dim x dim matrix
+    stacked = np.hstack([sub.basis for sub in ff.subspaces])
+    return float(np.abs(stacked.T @ stacked - np.eye(ff.dim)).max()) <= GRAM_TOL

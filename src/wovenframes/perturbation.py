@@ -33,7 +33,8 @@ Each check builds each frame's member projectors P_i once, as one
 (n, d, d) stack, and scales it (by w_i^2 for S and ``op``, by w_i for
 ``pw``); it solves S_W, S_V and S_W - S_V in one stacked eigen-solve,
 and the optimal bounds and the extremal sample vectors come from those
-three spectra.
+three spectra. Each gate or predicted interval is built on A_W, so every
+check raises NotAFrame unless W passes the frame rule.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
     NotAFrame,
     WeightMismatch,
 )
+from .frames import _is_frame
 from .fusion import FusionFrame, _member_operators
 from .linalg import SpectrumReport, row_chunks, stacked_spectra
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
@@ -134,6 +136,17 @@ def _spectra(
     return specs[0], specs[1], extremal
 
 
+def _frame_bounds(spec_w: SpectrumReport, use: str) -> tuple[float, float]:
+    """A_W and B_W; NotAFrame, naming the ``use`` of A_W, unless W is a frame."""
+    a_w, b_w = spec_w.smallest, spec_w.largest
+    if not _is_frame(a_w, b_w):
+        reason = "is not positive" if a_w <= 0.0 else "is at most FRAME_TOL * max(1, B_W)"
+        raise NotAFrame(
+            f"W is not a fusion frame: its lower bound A_W = {a_w!r} {reason}, and {use}"
+        )
+    return a_w, b_w
+
+
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -171,8 +184,7 @@ def pw_check(
 
     with the additive term scaled by ||c|| so the condition is
     homogeneous. On success the predicted woven interval is
-    [A_W / 2, B_W + B_V]. Raises NotAFrame when A_W <= 0: W is then no
-    fusion frame and the gate is undefined.
+    [A_W / 2, B_W + B_V].
     """
     _check_unit_interval(lam1=lam1, lam2=lam2, mu=mu)
     _check_pair(w, v)
@@ -181,14 +193,9 @@ def pw_check(
     proj_w, sq_w = _stacks(w)
     proj_v, sq_v = _stacks(v)
     spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
-    a_w, b_w = spec_w.smallest, spec_w.largest
+    a_w, b_w = _frame_bounds(spec_w, "the pw gate divides by A_W")
     b_v = spec_v.largest
 
-    if a_w <= 0.0:
-        raise NotAFrame(
-            f"W is not a fusion frame: its lower bound A_W = {a_w!r} is not "
-            "positive, and the pw gate divides by A_W"
-        )
     gate_value = (
         (2.0 / a_w)
         * (np.sqrt(b_w) + np.sqrt(b_v))
@@ -256,7 +263,7 @@ def op_perturbation_check(
     _, pw_sq = _stacks(w)
     _, pv_sq = _stacks(v)
     spec_w, spec_v, extremal = _spectra(pw_sq, pv_sq)
-    a_w, b_w = spec_w.smallest, spec_w.largest
+    a_w, b_w = _frame_bounds(spec_w, "the op gate and interval are measured against A_W")
     b_v = spec_v.largest
 
     gate_value = lam * b_w + mu * b_v + gamma * np.sqrt(b_w)
@@ -330,7 +337,7 @@ def proj_perturbation_check(
     proj_w, sq_w = _stacks(w)
     proj_v, sq_v = _stacks(v)
     spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
-    a_w, b_w = spec_w.smallest, spec_w.largest
+    a_w, b_w = _frame_bounds(spec_w, "the proj interval is predicted from A_W")
     a_v, b_v = spec_v.smallest, spec_v.largest
 
     rng = np.random.default_rng(seed)

@@ -3,9 +3,9 @@
 These are constants, not settings; no function takes a tolerance argument.
 """
 
-FRAME_TOL = 1e-10  # frame (or woven): lower bound > FRAME_TOL * max(1, upper)
+FRAME_TOL = 1e-10  # frame (woven, onto, Riesz): lower bound > FRAME_TOL * max(1, upper)
 CLAMP_TOL = 1e-12  # a smallest eigenvalue >= -CLAMP_TOL * max(1, largest) reads as 0
-RANK_TOL = 1e-10  # dependent: residual or singular value <= RANK_TOL * (1 + largest norm)
+RANK_TOL = 1e-10  # Gram-Schmidt: residual <= RANK_TOL * (1 + largest norm) is dependent
 GRAM_TOL = 1e-9  # orthonormal or mutually orthogonal columns, entrywise
 SYM_TOL = 1e-10  # symmetric matrix, entrywise
 PIVOT_TOL = 1e-10  # singular: s_min <= PIVOT_TOL * max(1, max|m|)

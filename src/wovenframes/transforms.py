@@ -357,18 +357,12 @@ def flatten_local_system(
 
 
 def _blocked_vector_stacks(lf: LocalSystem, lg: LocalSystem) -> np.ndarray:
-    n, d = lf.size, lf.dim
-    stacks = np.zeros((n, 2, d, d))
-    for i in range(n):
-        fb = lf.blocks[i]
-        gb = lg.blocks[i]
-        wf = lf.weights[i]
-        wg = lg.weights[i]
-        if fb.shape[0]:
-            stacks[i, 0] = (wf * wf) * (fb.T @ fb)
-        if gb.shape[0]:
-            stacks[i, 1] = (wg * wg) * (gb.T @ gb)
-    return stacks
+    """``w_i^2 * B_i^T B_i`` per block and system, (n, 2, d, d); an empty
+    block gives zeros through the matmul."""
+    return np.stack(
+        [[(w * w) * (b.T @ b) for b, w in zip(s.blocks, s.weights)] for s in (lf, lg)],
+        axis=1,
+    )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ their spectra come from one stacked LAPACK ``eigh`` call. The chunk
 size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
 chunks in order keeps the first lexicographic extremum and the first
 lexicographic witness, as a one-partition-at-a-time loop would.
+The Riesz-weaving check folds the same spectra: a weaving passes when
+its member ranks add up to d and the frame rule, which decides
+``is_woven``, accepts its extremal eigenvalues.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     WrongKind,
 )
 from .frames import DiscreteFrame, _clamp_small_negative, _is_frame
-from .fusion import FusionFrame, _member_operators, is_riesz_decomposition
+from .fusion import FusionFrame, _member_operators
 from .linalg import chunk_rows, row_chunks, stacked_eigenvalues, sym_eig
 from .tolerances import WITNESS_EPS
 
@@ -415,22 +418,23 @@ def _riesz_failing_rows(family: WovenFamily):
     count and the (k, n) array of its rows whose weaving is not a Riesz
     decomposition.
 
-    ``is_riesz_decomposition``'s first test, member ranks adding up to
-    d, runs on the whole chunk from one (n, m) table of member ranks;
-    only the rows that pass it are woven and rank-tested, one by one.
-    Checks the kind and the enumeration cap at the call, before any work.
+    A row fails when its member ranks, read from one (n, m) table, do not
+    add up to d, or when the frame rule rejects the spectrum ``_scan``
+    would solve for it. Checks the kind and the enumeration cap at the
+    call, before any work.
     """
     if family.kind != FUSION:
         raise WrongKind("Riesz weaving check applies to fusion families only")
     chunks = _partitions(family.n, family.m, family.dim)
+    stacks = contribution_stacks(family)
     ranks = np.array([[sub.rank for sub in s.subspaces] for s in family.systems]).T
     index = np.arange(family.n)
 
     def rows():
         for chunk in chunks:
-            fails = ranks[index, chunk].sum(axis=1) != family.dim
-            for k in np.flatnonzero(~fails):
-                fails[k] = not is_riesz_decomposition(weave(family, Partition(chunk[k])))
+            values = stacked_eigenvalues(_weaving_operators(stacks, chunk))
+            spans = _is_frame(values[:, 0], values[:, -1])
+            fails = ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
             yield len(chunk), chunk[fails]
 
     return rows()

@@ -84,6 +84,27 @@ DEGENERATE_W_DOC = {
     ],
 }
 
+# the second system's lines meet at angle 1e-7: its weavings with the
+# second line sit in the frame rule's tolerance band (lower about 5e-15)
+BAND_DOC = {
+    "dim": 2,
+    "kind": "fusion",
+    "systems": [
+        {"weights": [1, 1], "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[0, 1]]}]},
+        {"weights": [1, 1], "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[1, 1e-7]]}]},
+    ],
+}
+
+# an orthonormal fusion basis weighted 1e-160: A_W = 1e-320 fails the frame rule
+TINY_WEIGHTS_DOC = {
+    "dim": 2,
+    "kind": "fusion",
+    "systems": [
+        {"weights": [1e-160] * 2, "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[0, 1]]}]},
+    ]
+    * 2,
+}
+
 # coordinate axes against the swapped axes: the mixed weavings repeat one
 SWAPPED_AXES_DOC = {
     "dim": 2,
@@ -167,6 +188,16 @@ class TestAnalyze:
             assert system["synthesis_is_onto"]
             assert system["is_riesz_decomposition"]
             assert system["is_orthonormal_fusion_basis"]
+
+    def test_band_system_is_neither_onto_nor_riesz(self, tmp_path, capsys):
+        code, out = run_main(capsys, ["analyze", write_doc(tmp_path, BAND_DOC)])
+        assert code == 0
+        first, band = json.loads(out)["systems"]
+        assert first["is_fusion_frame"] and first["is_riesz_decomposition"]
+        assert band["lower"] < 1e-14
+        assert not band["is_fusion_frame"]
+        assert not band["synthesis_is_onto"]
+        assert not band["is_riesz_decomposition"]
 
     def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -386,10 +417,26 @@ class TestPerturb:
 
     @pytest.mark.parametrize("method", ["op", "proj"])
     def test_op_and_proj_on_that_pair_report_a_failure(self, tmp_path, capsys, method):
+        # refused as pw refuses it: W fails the frame rule
         path = write_doc(tmp_path, DEGENERATE_W_DOC)
-        code, out = run_main(capsys, ["perturb", path, "--method", method, "--samples", "5"])
-        assert code == 1
-        assert not json.loads(out)["certificate"]["hypothesis_holds"]
+        code = main(["perturb", path, "--method", method, "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: W is not a fusion frame: ")
+        assert "A_W = 0.0 is not positive" in captured.err
+
+    @pytest.mark.parametrize("method", ["pw", "op", "proj"])
+    def test_w_below_the_frame_rule_exits_two(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, TINY_WEIGHTS_DOC)
+        code = main(["perturb", path, "--method", method, "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: W is not a fusion frame: ")
+        assert "A_W = 1e-320 is at most FRAME_TOL * max(1, B_W)" in captured.err
+        # woven calls the same family non-woven
+        assert main(["woven", path]) == 1
 
     @pytest.mark.parametrize("method", ["pw", "op", "proj"])
     def test_certificate_encodes_alike_from_vars_and_asdict(self, method):
@@ -431,6 +478,20 @@ class TestRiesz:
             "first_failing": [0, 1],
             "partitions_examined": 4,
         }
+
+    def test_band_document_fails_as_woven_does(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BAND_DOC)
+        code, out = run_main(capsys, ["riesz", path])
+        assert code == 1
+        assert json.loads(out)["report"] == {
+            "all_pass": False,
+            "failing_count": 2,
+            "first_failing": [0, 1],
+            "partitions_examined": 4,
+        }
+        code, out = run_main(capsys, ["woven", path])
+        assert code == 1
+        assert json.loads(out)["report"]["witness"]["partition"] == [0, 1]
 
     def test_all_fail_family_is_counted_across_chunks_without_weaving(
         self, tmp_path, capsys, monkeypatch

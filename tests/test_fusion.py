@@ -13,6 +13,7 @@ from wovenframes import (
     synthesis_is_onto,
 )
 from wovenframes.errors import DimensionMismatch, NonFinite, NotOrthonormal
+from wovenframes.tolerances import GRAM_TOL
 
 from helpers import (
     basis_vec,
@@ -200,6 +201,28 @@ class TestOrthonormalFusionBasis:
     def test_full_space_single_member(self):
         full = Subspace(3, np.eye(3))
         assert is_orthonormal_fusion_basis(FusionFrame(3, (full,), np.ones(1)))
+
+    def test_matches_the_pairwise_cross_gram_check(self, rng):
+        # an orthonormal basis cut into members, one member tilted by 0 to
+        # 1e-1; the oracle checks every pair of members' cross-Gram matrix
+        verdicts = set()
+        for _ in range(200):
+            dim = int(rng.integers(1, 7))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            cuts = np.sort(rng.choice(np.arange(1, dim), int(rng.integers(0, dim)), replace=False))
+            spans = [list(block.T) for block in np.split(q, cuts, axis=1)]
+            tilt = rng.choice([0.0, 1e-12, 1e-8, 1e-1])
+            spans[0][0] = spans[0][0] + tilt * rng.standard_normal(dim)
+            subs = tuple(Subspace.from_spanning(dim, span) for span in spans)
+            ff = FusionFrame(dim, subs, rng.uniform(0.5, 2.0, len(subs)))
+            expected = is_riesz_decomposition(ff) and all(
+                float(np.abs(a.basis.T @ b.basis).max()) <= GRAM_TOL
+                for i, a in enumerate(subs)
+                for b in subs[i + 1 :]
+            )
+            assert is_orthonormal_fusion_basis(ff) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_implies_riesz_decomposition(self, rng):
         # orthogonal splittings always decompose uniquely

@@ -11,8 +11,10 @@ from wovenframes import (
     InvertibleOperator,
     Subspace,
     WovenFamily,
+    fusion_bounds,
     fusion_frame_operator,
     orthonormalize,
+    synthesis_is_onto,
     sym_eig,
 )
 from wovenframes.errors import (
@@ -21,7 +23,7 @@ from wovenframes.errors import (
     NotOrthonormal,
     SingularOperator,
 )
-from wovenframes.fusion import _member_operators, _stacked_columns, _stacked_rank
+from wovenframes.fusion import _member_operators
 from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
 from wovenframes.transforms import invert_matrix
 from wovenframes.weaving import contribution_stacks
@@ -99,13 +101,13 @@ def rank_deficient_fusion_frames():
     return out
 
 
-class TestStackedRank:
-    def test_matches_gram_schmidt_rank(self):
+class TestSpanningVerdicts:
+    def test_rank_deficient_systems_are_not_onto(self):
         for ff in rank_deficient_fusion_frames():
-            stacked = _stacked_columns(ff)
-            expected = orthonormalize(list(stacked.T))[1] if stacked.shape[1] else 0
-            assert expected < ff.dim
-            assert _stacked_rank(ff) == expected
+            columns = [w * col for s, w in zip(ff.subspaces, ff.weights) for col in s.basis.T]
+            assert orthonormalize(columns)[1] < ff.dim
+            assert not fusion_bounds(ff).is_frame
+            assert not synthesis_is_onto(ff)
 
 
 class TestInvertibleOperatorNorms:
@@ -288,13 +290,6 @@ class TestBatchedMemberOperators:
                 [member_operators(s) for s in family.systems], axis=1
             )
             assert contribution_stacks(family).tobytes() == expected.tobytes()
-
-    def test_stacked_columns_keep_member_order(self):
-        for ff in seeded_mixed_rank_frames():
-            blocks = [w * s.basis for s, w in zip(ff.subspaces, ff.weights) if s.rank]
-            expected = np.hstack(blocks) if blocks else np.zeros((ff.dim, 0))
-            assert _stacked_columns(ff).tobytes() == expected.tobytes()
-            assert _stacked_columns(ff).shape == expected.shape
 
 
 class TestBatchSubspaces:

@@ -7,7 +7,14 @@ import os
 
 import pytest
 
-from wovenframes import find_nonwoven_witness, pw_check, woven_riesz_decomposition_check
+from wovenframes import (
+    find_nonwoven_witness,
+    op_perturbation_check,
+    proj_perturbation_check,
+    pw_check,
+    woven_bounds_exhaustive,
+    woven_riesz_decomposition_check,
+)
 from wovenframes.errors import NotAFrame
 from wovenframes.cli import main, parse_family_document
 from wovenframes.linalg import chunk_rows
@@ -133,3 +140,22 @@ def test_degenerate_w_document_is_refused_by_pw():
     w, v = parse_family_document(outdiff.degenerate_w_doc()).systems
     with pytest.raises(NotAFrame):
         pw_check(w, v, 0.0, 0.0, 0.0, samples=5)
+
+
+def test_band_document_sits_in_the_tolerance_band_and_fails_both_checks():
+    family = parse_family_document(outdiff.band_doc())
+    woven = woven_bounds_exhaustive(family)
+    assert 0.0 < woven.universal_lower < 1e-10 and not woven.is_woven
+    report = woven_riesz_decomposition_check(family)
+    assert len(report.failing) == 2 and woven.worst_partition in report.failing
+
+
+def test_tiny_weights_document_is_refused_by_every_check():
+    w, v = parse_family_document(outdiff.tiny_weights_doc()).systems
+    for check in (
+        lambda: pw_check(w, v, 0.0, 0.0, 0.0, samples=5),
+        lambda: op_perturbation_check(w, v, 0.0, 0.0, 0.0, samples=5),
+        lambda: proj_perturbation_check(w, v, 0.5, samples=5),
+    ):
+        with pytest.raises(NotAFrame, match="A_W = 1e-320"):
+            check()

@@ -171,6 +171,18 @@ class TestGates:
         with pytest.raises(NotAFrame, match="A_W = 0.0"):
             pw_check(w, coordinate_lines(), 0.01, 0.01, 0.01, samples=5)
 
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    @pytest.mark.parametrize("weight", [1e-160, 1e-6])
+    def test_every_check_refuses_a_w_that_fails_the_frame_rule(self, method, weight):
+        # A_W = weight^2 is positive but at most FRAME_TOL * max(1, B_W);
+        # woven calls such a pair non-woven, so no check certifies it
+        lines = coordinate_lines()
+        w = FusionFrame(2, lines.subspaces, np.full(2, weight))
+        assert not fusion_bounds(w).is_frame
+        assert not woven_bounds_exhaustive(WovenFamily.fusion((w, w))).is_woven
+        with pytest.raises(NotAFrame, match="is at most FRAME_TOL"):
+            CHECKS[method](w, w, 5)
+
     def test_pw_gate_scales_with_lower_bound(self):
         # weights 0.1 shrink the lower bound, inflating the gate factor
         base = coordinate_planes()

@@ -3,7 +3,7 @@ every run draws the same examples."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,14 +14,18 @@ from wovenframes import (
     Subspace,
     WovenFamily,
     frame_operator,
+    fusion_bounds,
     fusion_frame_operator,
     proj_perturbation_check,
+    synthesis_is_onto,
     weave,
     woven_bounds_exhaustive,
+    woven_riesz_decomposition_check,
 )
 from wovenframes.cli import canonical_json, parse_family_document
+from wovenframes.errors import NotAFrame
 
-from helpers import plain_values, proj_violation_oracle
+from helpers import plain_values, proj_violation_oracle, random_riesz_family, riesz_failing
 
 FIXED = settings(
     max_examples=60,
@@ -118,6 +122,11 @@ def fusion_pairs(draw):
 )
 def test_proj_closed_form_equals_subset_enumeration(pair, kconst, squared, samples, seed):
     w, v = pair
+    if not fusion_bounds(w).is_frame:
+        with pytest.raises(NotAFrame):
+            proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+        # refused draws do not count: every counted example compares sums
+        reject()
     cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
     expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
     # the closed form and the enumeration sum in another order
@@ -256,3 +265,40 @@ def test_permuting_the_indices_keeps_the_universal_bounds(family, random):
 def test_scaling_the_contributions_scales_the_bounds_quadratically(family, c):
     report = woven_bounds_exhaustive(family)
     assert_bounds_close(woven_bounds_exhaustive(scaled(family, c)), report, c * c)
+
+
+def band_family(rng: np.random.Generator, t: float) -> WovenFamily:
+    """Two systems of the same d random lines in R^d, d = n in 2..5, except
+    that the second system's line j is line i tilted by t: the weavings
+    that take line i and the tilted line have a smallest eigenvalue of
+    order t^2, inside the frame rule's tolerance band for t <= 1e-6."""
+    d = int(rng.integers(2, 6))
+    lines = rng.standard_normal((d, d))
+    i, j = rng.choice(d, 2, replace=False)
+    tilted = lines.copy()
+    tilted[j] = lines[i] + t * rng.standard_normal(d)
+    systems = tuple(
+        FusionFrame(d, tuple(Subspace.from_spanning(d, [row]) for row in rows), rng.uniform(0.5, 2.0, d))
+        for rows in (lines, tilted)
+    )
+    return WovenFamily.fusion(systems)
+
+
+@FIXED
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1e-6, 1e-7, 1e-9]))
+def test_riesz_check_and_spanning_verdicts_take_the_frame_rule(seed, t):
+    rng = np.random.default_rng(seed)
+    if t is None:
+        d, n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        family = random_riesz_family(rng, d, n, m)
+    else:
+        family = band_family(rng, t)
+    report = woven_riesz_decomposition_check(family)
+    assert report.failing == riesz_failing(family)
+    if report.all_pass:
+        assert woven_bounds_exhaustive(family).is_woven
+    for system in family.systems:
+        assert synthesis_is_onto(system) == fusion_bounds(system).is_frame
+    for p in report.failing[:8]:
+        weaving = weave(family, p)
+        assert synthesis_is_onto(weaving) == fusion_bounds(weaving).is_frame

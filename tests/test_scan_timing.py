@@ -4,6 +4,12 @@ import importlib.util
 import json
 import os
 
+import numpy as np
+
+from wovenframes import woven_bounds_exhaustive, woven_riesz_decomposition_check
+
+from helpers import riesz_failing
+
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "scan_timing.py")
 
 
@@ -33,3 +39,16 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     for record in printed:
         assert record["runs"] == 3 and record["blas_threads"] == 1
         assert 0.0 < record["best_s"] < 60.0
+
+
+def test_d12_riesz_family_fails_where_woven_says_non_woven(monkeypatch):
+    # two weavings of the n = d = 12 grid family have smallest eigenvalues
+    # near 2.6e-10, under FRAME_TOL * max(1, upper): non-woven, so not Riesz
+    tool = _load_tool(monkeypatch)
+    family = tool.rank1_pair(np.random.default_rng([tool.SEED, 12]), 12)
+    woven = woven_bounds_exhaustive(family)
+    report = woven_riesz_decomposition_check(family)
+    assert not woven.is_woven and woven.universal_lower < 1e-9
+    assert not report.all_pass and len(report.failing) == 2
+    assert woven.worst_partition in report.failing
+    assert report.failing == riesz_failing(family)

@@ -46,7 +46,13 @@ frame). ``riesz`` on every woven-exhaustive fusion input for seeds 1-4
 with n = d = 6 whose weavings all pass, on a coordinate family with
 swapped axes where some weavings fail, and on a rank-1 family with
 m = 3 and n = d = 8 whose 3^8 partitions span many chunks and whose
-third system repeats lines of the first. Two commands run at a time.
+third system repeats lines of the first. On the tolerance band:
+``riesz``, ``woven`` and ``analyze`` on the d = 2 pair {e_1, e_2} /
+{e_1, span(1, 1e-7)}, whose weavings with the tilted line have smallest
+eigenvalue about 5e-15 (both ``riesz`` and ``woven`` exit 1), and ``perturb
+--method pw``, ``op`` and ``proj`` with ``--samples 5`` on a d = 2 pair
+weighted 1e-160, whose A_W = 1e-320 fails the frame rule (exit 2). Two
+commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
@@ -166,6 +172,28 @@ def degenerate_w_doc() -> dict:
         {"weights": [1.0, 1.0], "subspaces": [{"spanning": e1}, {"spanning": e2}]},
     ]
     return {"dim": 2, "kind": "fusion", "systems": systems}
+
+
+def band_doc(t: float = 1e-7) -> dict:
+    """d = 2 fusion pair {e_1, e_2} / {e_1, span(1, t)}, unit weights: the
+    weavings that take the tilted line have a smallest eigenvalue of
+    order t^2, inside the frame rule's tolerance band."""
+    e1, e2, tilted = [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, t]]
+    systems = [
+        {"weights": [1.0, 1.0], "subspaces": [{"spanning": e1}, {"spanning": e2}]},
+        {"weights": [1.0, 1.0], "subspaces": [{"spanning": e1}, {"spanning": tilted}]},
+    ]
+    return {"dim": 2, "kind": "fusion", "systems": systems}
+
+
+def tiny_weights_doc(weight: float = 1e-160) -> dict:
+    """d = 2 pair of coordinate-line systems weighted ``weight``: A_W =
+    weight^2 is positive (1e-320, subnormal) but fails the frame rule."""
+    system = {
+        "weights": [weight, weight],
+        "subspaces": [{"spanning": [[1.0, 0.0]]}, {"spanning": [[0.0, 1.0]]}],
+    }
+    return {"dim": 2, "kind": "fusion", "systems": [system, system]}
 
 
 def lines_doc(seed: int, m: int, d: int, repeat_first: bool = False) -> dict:
@@ -331,6 +359,14 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["perturb", huge_pair, "--method", "proj", "--samples", "5"],
         ["perturb", _write(os.path.join(workdir, "degenerate-w.json"), degenerate_w_doc()),
          "--method", "pw", "--samples", "5"],
+    ]
+    band = _write(os.path.join(workdir, "band-t1e-7.json"), band_doc())
+    corpus += [["riesz", band], ["woven", band], ["analyze", band]]
+    tiny = _write(os.path.join(workdir, "tiny-weights-1e-160.json"), tiny_weights_doc())
+    corpus += [
+        ["perturb", tiny, "--method", "pw", "--samples", "5"],
+        ["perturb", tiny, "--method", "op", "--samples", "5"],
+        ["perturb", tiny, "--method", "proj", "--samples", "5"],
     ]
     for name, doc in (
         ("riesz-lines-d6.json", lines_doc(6, 2, 6)),
