@@ -28,7 +28,6 @@ from .fusion import (
     fusion_bounds,
     is_orthonormal_fusion_basis,
     is_riesz_decomposition,
-    synthesis_is_onto,
 )
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
@@ -37,8 +36,8 @@ from .tolerances import HOLD_SLACK, WITNESS_EPS
 from .weaving import (
     DISCRETE,
     FUSION,
+    Partition,
     WovenFamily,
-    WovenReport,
     _require_eps,
     _riesz_failing_rows,
     woven_bounds_exhaustive,
@@ -61,7 +60,10 @@ MAX_DIM = 1024
 
 
 def _plain(value):
-    """numpy arrays and scalars as the Python values ``tolist`` gives."""
+    """numpy arrays and scalars as the Python values ``tolist`` gives, a
+    Partition as its assignment list."""
+    if isinstance(value, Partition):
+        return list(value.assignment)
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -274,21 +276,11 @@ def load_family(path: str) -> tuple[WovenFamily, str]:
     return family, digest
 
 
-def _emit(document: dict) -> None:
-    sys.stdout.write(canonical_json(document) + "\n")
-
-
-def _woven_report_payload(report: WovenReport) -> dict:
-    return {
-        "universal_lower": report.universal_lower,
-        "universal_upper": report.universal_upper,
-        "is_woven": report.is_woven,
-        "worst_partition": list(report.worst_partition.assignment),
-        "best_upper_partition": list(report.best_upper_partition.assignment),
-        "method": report.method,
-        "partitions_examined": report.partitions_examined,
-        "seed": report.seed,
-    }
+def _emit(command: str, digest: str, body: dict, notes=(), seed=None) -> None:
+    """Write one report: the envelope every command shares, merged with
+    the command's ``body``."""
+    envelope = {"command": command, "input_digest": digest, "notes": notes, "seed": seed}
+    sys.stdout.write(canonical_json(envelope | body) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -313,21 +305,13 @@ def cmd_analyze(args) -> int:
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_fusion_frame": rep.is_frame,
-                    "synthesis_is_onto": synthesis_is_onto(s),
+                    # the members span exactly when they form a fusion frame
+                    "synthesis_is_onto": rep.is_frame,
                     "is_riesz_decomposition": is_riesz_decomposition(s),
                     "is_orthonormal_fusion_basis": is_orthonormal_fusion_basis(s),
                 }
             )
-    _emit(
-        {
-            "command": "analyze",
-            "input_digest": digest,
-            "kind": family.kind,
-            "systems": systems,
-            "notes": [],
-            "seed": None,
-        }
-    )
+    _emit("analyze", digest, {"kind": family.kind, "systems": systems})
     return 0
 
 
@@ -338,25 +322,11 @@ def cmd_woven(args) -> int:
         report = woven_bounds_sampled(family, args.samples, args.seed)
     else:
         report = woven_bounds_exhaustive(family, eps=args.eps)
-    payload = _woven_report_payload(report)
     witness = None
     if not report.is_woven and report.witness is not None:
-        partition, vector, value = report.witness
-        witness = {
-            "partition": list(partition.assignment),
-            "vector": vector.tolist(),
-            "value": value,
-        }
-    payload["witness"] = witness
-    _emit(
-        {
-            "command": "woven",
-            "input_digest": digest,
-            "report": payload,
-            "notes": [NOTE_UPPER_IS_MAX],
-            "seed": report.seed,
-        }
-    )
+        witness = dict(zip(("partition", "vector", "value"), report.witness))
+    payload = {**vars(report), "witness": witness}
+    _emit("woven", digest, {"report": payload}, [NOTE_UPPER_IS_MAX], report.seed)
     return 0 if report.is_woven else 1
 
 
@@ -391,17 +361,12 @@ def cmd_perturb(args) -> int:
                 report.universal_lower >= cert.predicted_lower - HOLD_SLACK
                 and report.universal_upper <= cert.predicted_upper + HOLD_SLACK
             )
-    _emit(
-        {
-            "command": "perturb",
-            "input_digest": digest,
-            "certificate": vars(cert),
-            "exhaustive_interval": exhaustive_interval,
-            "prediction_contains_exhaustive": containment,
-            "notes": [],
-            "seed": cert.seed,
-        }
-    )
+    body = {
+        "certificate": vars(cert),
+        "exhaustive_interval": exhaustive_interval,
+        "prediction_contains_exhaustive": containment,
+    }
+    _emit("perturb", digest, body, seed=cert.seed)
     return 0 if cert.hypothesis_holds else 1
 
 
@@ -415,20 +380,13 @@ def cmd_riesz(args) -> int:
         failing += len(fails)
         if first is None and len(fails):
             first = fails[0]
-    _emit(
-        {
-            "command": "riesz",
-            "input_digest": digest,
-            "report": {
-                "all_pass": not failing,
-                "failing_count": failing,
-                "first_failing": first,
-                "partitions_examined": examined,
-            },
-            "notes": [],
-            "seed": None,
-        }
-    )
+    report = {
+        "all_pass": not failing,
+        "failing_count": failing,
+        "first_failing": first,
+        "partitions_examined": examined,
+    }
+    _emit("riesz", digest, {"report": report})
     return 0 if not failing else 1
 
 
@@ -443,20 +401,14 @@ def cmd_reproduce(args) -> int:
     digest = hashlib.sha256(
         canonical_json(family_to_document(inst.payload)).encode("utf-8")
     ).hexdigest()
-    checks = [vars(o) for o in outcomes]
     reference_ok = all(o.ok for o in outcomes if o.source == "reference")
-    _emit(
-        {
-            "command": "reproduce",
-            "id": inst.id,
-            "dim": inst.truncation_dim,
-            "input_digest": digest,
-            "checks": checks,
-            "all_reference_ok": reference_ok,
-            "notes": list(inst.notes),
-            "seed": None,
-        }
-    )
+    body = {
+        "id": inst.id,
+        "dim": inst.truncation_dim,
+        "checks": [vars(o) for o in outcomes],
+        "all_reference_ok": reference_ok,
+    }
+    _emit("reproduce", digest, body, inst.notes)
     return 0 if reference_ok else 1
 
 

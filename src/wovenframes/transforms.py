@@ -51,10 +51,10 @@ from .weaving import (
     Partition,
     WovenFamily,
     WovenReport,
+    _check_partition,
     _partitions,
     _weaving_operators,
     contribution_stacks,
-    weave,
     woven_bounds_exhaustive,
     woven_bounds_from_contributions,
 )
@@ -150,16 +150,15 @@ def conjugation_check(
                     "E^T E does not keep every member subspace invariant"
                 )
 
-    original = weave(family, p)
-    s_sigma = fusion_frame_operator(original)
+    _check_partition(family, p)
+    s_sigma = _weaving_operators(contribution_stacks(family), np.array([p.assignment]))[0]
 
-    image_systems = []
-    for system in family.systems:
-        bases = orthonormalize_each([(e @ sub.basis).T for sub in system.subspaces])
-        subs = Subspace.from_bases(family.dim, bases)
-        image_systems.append(FusionFrame(family.dim, subs, system.weights))
-    image_family = WovenFamily.fusion(tuple(image_systems))
-    s_image = fusion_frame_operator(weave(image_family, p))
+    # the image weaving: the members p chooses, carried by E, same weights
+    chosen = [(family.systems[a], i) for i, a in enumerate(p.assignment)]
+    bases = orthonormalize_each([(e @ s.subspaces[i].basis).T for s, i in chosen])
+    subs = Subspace.from_bases(family.dim, bases)
+    image = FusionFrame(family.dim, subs, [s.weights[i] for s, i in chosen])
+    s_image = fusion_frame_operator(image)
 
     conjugated = e @ s_sigma @ op.inv
     return float(np.abs(s_image - conjugated).max())

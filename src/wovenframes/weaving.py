@@ -202,6 +202,11 @@ class WovenReport:
     ``witness`` is (partition, unit eigenvector, smallest eigenvalue) of
     the first scanned partition below the scan's ``eps``; None when no
     ``eps`` was given or no weaving fell below it.
+
+    Every field is part of the ``woven`` command's JSON report, under its
+    own name: a Partition as its assignment list, and the witness as a
+    ``{partition, vector, value}`` object, null when the family is woven or
+    the scan recorded none.
     """
 
     universal_lower: float

@@ -20,7 +20,7 @@ from wovenframes.fusion import (
     fusion_frame_operator,
     is_riesz_decomposition,
 )
-from wovenframes.linalg import sym_eig
+from wovenframes.linalg import orthonormalize_each, sym_eig
 from wovenframes.perturbation import _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
 
@@ -28,7 +28,10 @@ from wovenframes.tolerances import RANK_TOL
 def plain_values(value):
     """Every numpy value in a nested report as the Python value JSON
     encodes: arrays as nested lists, numpy scalars as bool, int or float,
-    tuples as lists and keys as strings, one node at a time."""
+    tuples as lists, a Partition as its assignment list and keys as
+    strings, one node at a time."""
+    if isinstance(value, Partition):
+        return plain_values(value.assignment)
     if isinstance(value, dict):
         return {str(k): plain_values(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -377,6 +380,23 @@ def proj_violation_oracle(w, v, kconst, samples, seed, squared=False, masks=None
         )
         worst = max(worst, float((lhs - rhs).max()))
     return worst
+
+
+def conjugation_residual(op, family: WovenFamily, p: Partition) -> float:
+    """``max|S' - E S E^-1|`` through two woven families: S from ``weave``
+    on the family, S' from ``weave`` on the image family, every member of
+    both systems carried by E and orthonormalized. The oracle for
+    ``conjugation_check`` past its operator checks."""
+    e = op.matrix
+    s_sigma = fusion_frame_operator(weave(family, p))
+    image_systems = []
+    for system in family.systems:
+        bases = orthonormalize_each([(e @ sub.basis).T for sub in system.subspaces])
+        subs = Subspace.from_bases(family.dim, bases)
+        image_systems.append(FusionFrame(family.dim, subs, system.weights))
+    image = WovenFamily.fusion(tuple(image_systems))
+    s_image = fusion_frame_operator(weave(image, p))
+    return float(np.abs(s_image - e @ s_sigma @ op.inv).max())
 
 
 # -- the per-partition Riesz-weaving oracle --------------------------------

@@ -199,6 +199,31 @@ class TestAnalyze:
         assert not band["synthesis_is_onto"]
         assert not band["is_riesz_decomposition"]
 
+    def test_fusion_system_takes_one_eigensolve(self, tmp_path, capsys, monkeypatch):
+        # rank-3 members in R^12 whose ranks do not add up to 12: the one
+        # solve is fusion_bounds', which also decides synthesis_is_onto
+        rng = np.random.default_rng(12)
+        systems = [
+            {
+                "weights": rng.uniform(0.5, 1.5, 5).tolist(),
+                "subspaces": [{"spanning": s.tolist()} for s in rng.standard_normal((5, 3, 12))],
+            }
+            for _ in range(2)
+        ]
+        path = write_doc(tmp_path, {"dim": 12, "kind": "fusion", "systems": systems})
+        calls = []
+        original = linalg.stacked_spectra
+        monkeypatch.setattr(
+            linalg,
+            "stacked_spectra",
+            lambda matrices: calls.append(len(matrices)) or original(matrices),
+        )
+        code, out = run_main(capsys, ["analyze", path])
+        assert code == 0
+        assert calls == [1, 1]
+        for system in json.loads(out)["systems"]:
+            assert system["synthesis_is_onto"] and system["is_fusion_frame"]
+
     def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = fusion._checked_bases
@@ -325,6 +350,13 @@ class TestWoven:
         assert report["is_woven"]
         assert report["universal_lower"] == pytest.approx(1.0)
         assert report["universal_upper"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("extra", [[], ["--samples", "5"]])
+    def test_report_keys_are_the_woven_report_fields(self, tmp_path, capsys, extra):
+        for doc in (EX3_2_DOC, GAP_DOC):
+            _, out = run_main(capsys, ["woven", write_doc(tmp_path, doc), *extra])
+            report = json.loads(out)["report"]
+            assert set(report) == {f.name for f in dataclasses.fields(weaving.WovenReport)}
 
     def test_sampled_determinism(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX3_2_DOC)
@@ -493,7 +525,7 @@ class TestRiesz:
         assert code == 1
         assert json.loads(out)["report"]["witness"]["partition"] == [0, 1]
 
-    def test_all_fail_family_is_counted_across_chunks_without_weaving(
+    def test_all_fail_family_is_counted_across_chunks_without_partitions(
         self, tmp_path, capsys, monkeypatch
     ):
         # d = 1 with twelve lines per system: no weaving's ranks add up to 1
@@ -501,10 +533,10 @@ class TestRiesz:
         path = write_doc(tmp_path, {"dim": 1, "kind": "fusion", "systems": [system] * 2})
         monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 12)
 
-        def no_weave(*args):
-            raise AssertionError("a failing rank sum needs no weaving")
+        def no_partition(self):
+            raise AssertionError("failing rows are counted, never built as partitions")
 
-        monkeypatch.setattr(weaving, "weave", no_weave)
+        monkeypatch.setattr(weaving.Partition, "__post_init__", no_partition)
         code, out = run_main(capsys, ["riesz", path])
         assert code == 1
         assert json.loads(out)["report"] == {

@@ -317,24 +317,17 @@ def test_riesz_check_matches_the_weaving_loop(rows_per_chunk, seed):
     assert_riesz_matches(family)
 
 
-def test_riesz_check_weaves_only_the_rows_whose_ranks_add_up_to_d(rows_per_chunk, monkeypatch):
+def test_riesz_check_solves_one_stack_per_chunk(rows_per_chunk, eig_calls):
     # d = 1 and three lines per system: every weaving has rank sum 3
     line = Subspace.from_spanning(1, [[1.0]])
     family = WovenFamily.fusion(
         tuple(FusionFrame(1, (line,) * 3, np.ones(3)) for _ in range(2))
     )
-    rows_per_chunk(family.n * family.dim**2)
-    woven = []
-    original = weaving.weave
-
-    def spy(fam, p):
-        woven.append(p)
-        return original(fam, p)
-
-    monkeypatch.setattr(weaving, "weave", spy)
+    rows = rows_per_chunk(family.n * family.dim**2)
     assert_riesz_matches(family)
+    eig_calls.clear()
     assert len(woven_riesz_decomposition_check(family).failing) == 8
-    assert woven == []
+    assert eig_calls == [min(rows, 8 - start) for start in range(0, 8, rows)]
 
 
 def test_riesz_check_matches_the_weaving_loop_on_300_families():

@@ -95,6 +95,23 @@ def test_exit_code_and_stderr_are_exact():
     assert outdiff.compare_runs((2, "", "error: a\n"), (2, "", "error: b\n")) != []
 
 
+def test_summary_counts_commands_that_are_not_byte_identical(report):
+    text = json.dumps(report) + "\n"
+    moved = copy.deepcopy(report)
+    moved["report"]["universal_upper"] *= 1.0 + 1e-15
+    reordered = json.dumps(dict(reversed(report.items()))) + "\n"
+    lines, not_identical = outdiff.summarize(
+        [
+            ("same", (1, text, ""), (1, text, "")),
+            ("last bit", (1, text, ""), (1, json.dumps(moved) + "\n", "")),
+            ("key order", (1, text, ""), (1, reordered, "")),
+            ("exit", (0, "", ""), (1, "", "")),
+        ]
+    )
+    assert lines == ["exit: exit code 0 != 1"]
+    assert not_identical == 3
+
+
 @pytest.mark.parametrize("kind", ["discrete", "fusion"])
 @pytest.mark.parametrize("m, n", [(2, 13), (3, 9)])
 def test_late_witness_documents_place_the_witness_past_the_first_chunk(kind, m, n):

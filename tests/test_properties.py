@@ -24,8 +24,16 @@ from wovenframes import (
 )
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import NotAFrame
+from wovenframes.transforms import InvertibleOperator, conjugation_check
 
-from helpers import plain_values, proj_violation_oracle, random_riesz_family, riesz_failing
+from helpers import (
+    basis_vec,
+    conjugation_residual,
+    plain_values,
+    proj_violation_oracle,
+    random_riesz_family,
+    riesz_failing,
+)
 
 FIXED = settings(
     max_examples=60,
@@ -150,6 +158,7 @@ REPORT_LEAVES = st.one_of(
     hnp.arrays(np.float32, SHAPES, elements=FINITE32),
     hnp.arrays(np.int64, SHAPES),
     hnp.arrays(np.bool_, SHAPES),
+    st.lists(st.integers(0, 3), max_size=4).map(Partition),
 )
 REPORTS = st.recursive(
     REPORT_LEAVES,
@@ -302,3 +311,34 @@ def test_riesz_check_and_spanning_verdicts_take_the_frame_rule(seed, t):
     for p in report.failing[:8]:
         weaving = weave(family, p)
         assert synthesis_is_onto(weaving) == fusion_bounds(weaving).is_frame
+
+
+POSITIVE = st.floats(0.1, 10.0)
+
+
+@st.composite
+def coordinate_conjugations(draw):
+    """A fusion pair of coordinate subspaces (ranks 0..d, axes in drawn
+    order), drawn weights, a diagonal positive E, which keeps every member
+    invariant, and a partition."""
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    axes = st.lists(st.integers(0, dim - 1), max_size=dim, unique=True)
+    systems = []
+    for _ in range(2):
+        subs = tuple(
+            Subspace.from_spanning(dim, [basis_vec(dim, i) for i in draw(axes)])
+            for _ in range(n)
+        )
+        weights = [draw(POSITIVE) for _ in range(n)]
+        systems.append(FusionFrame(dim, subs, weights))
+    op = InvertibleOperator.from_matrix(np.diag([draw(POSITIVE) for _ in range(dim)]))
+    assignment = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return op, WovenFamily.fusion(tuple(systems)), Partition(assignment)
+
+
+@settings(FIXED, max_examples=300)
+@given(coordinate_conjugations())
+def test_conjugation_check_equals_the_woven_family_residual(case):
+    op, family, p = case
+    assert conjugation_check(op, family, p) == conjugation_residual(op, family, p)

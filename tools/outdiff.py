@@ -56,8 +56,10 @@ commands run at a time.
 
     python tools/outdiff.py --base HEAD~1
 
-Prints one line per difference and a summary; exits 0 when there are no
-differences and 1 otherwise.
+Prints one line per difference and a summary line that also counts the
+commands whose raw (exit code, stdout, stderr) are not byte-identical,
+as in ``277 commands, 0 differences, 0 not byte-identical``; exits 0
+when there are no differences and 1 otherwise, whatever the byte count.
 """
 
 from __future__ import annotations
@@ -285,6 +287,19 @@ def compare_runs(base: tuple[int, str, str], head: tuple[int, str, str]) -> list
     return out + compare(_decode(base[1]), _decode(head[1]))
 
 
+def summarize(runs) -> tuple[list[str], int]:
+    """Over (label, base, head) triples of a command's label and its two
+    (exit code, stdout, stderr) results: the difference lines, each
+    prefixed with its label, and the count of commands whose results are
+    not byte-identical."""
+    lines = []
+    not_identical = 0
+    for label, base, head in runs:
+        lines += [f"{label}: {line}" for line in compare_runs(base, head)]
+        not_identical += base != head
+    return lines, not_identical
+
+
 # -- corpus -------------------------------------------------------------------
 
 
@@ -428,6 +443,11 @@ def run_command(src: str, argv: list[str], cwd: str) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
+def _label(cmd: list[str], inputs: str) -> str:
+    """The command line, with input paths relative to ``inputs``."""
+    return " ".join(os.path.relpath(a, inputs) if a.startswith(inputs) else a for a in cmd)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -445,16 +465,17 @@ def main(argv=None) -> int:
                 [pool.submit(run_command, src, cmd, tmp) for src in trees]
                 for cmd in corpus
             ]
-            differences = 0
-            for cmd, (base, head) in zip(corpus, runs):
-                label = " ".join(
-                    os.path.relpath(a, inputs) if a.startswith(inputs) else a for a in cmd
-                )
-                for line in compare_runs(base.result(), head.result()):
-                    print(f"{label}: {line}")
-                    differences += 1
-    print(f"{len(corpus)} commands, {differences} differences (base {args.base})")
-    return 0 if differences == 0 else 1
+            lines, not_identical = summarize(
+                (_label(cmd, inputs), base.result(), head.result())
+                for cmd, (base, head) in zip(corpus, runs)
+            )
+    for line in lines:
+        print(line)
+    print(
+        f"{len(corpus)} commands, {len(lines)} differences, "
+        f"{not_identical} not byte-identical (base {args.base})"
+    )
+    return 0 if not lines else 1
 
 
 if __name__ == "__main__":
