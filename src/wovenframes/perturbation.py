@@ -29,6 +29,67 @@ over d per chunk, the squared ``U_W`` norms come from a second,
 norms. A Gram or quadratic-form shortcut would lose to cancellation the
 small differences the verdict turns on.
 
+A screen skips the chunks that cannot hold the worst slack. For a
+subset s and f != 0, with A, B and D the sums over s of the parts
+S_{W,i} f, S_{V,i} f and S_{W,i} f - S_{V,i} f, and U the sum of the
+squared weighted projection norms u_i:
+
+    ||A|| >= <A, f> / ||f||,    ||B|| >= <B, f> / ||f||,
+    ||D|| <= ||D_{s & H}|| + ||D_{s & L}||,
+    sqrt(max(0, a + b)) >= rho(a) + rho(b),
+    rho(x) = sqrt(max(x, 0) / 2) - sqrt(max(-x, 0)),
+
+H and L the first ceil(n/2) and the last floor(n/2) indices. So the
+slack at (s, f) is at most R_H(s & H, f) + R_L(s & L, f), read from one
+table per half over its 2^|H| or 2^|L| subsets, each entry the norm of
+the half's exact D sum, its linear terms and its share rho of the U
+term. Above 2^12 subsets the bound is the per-index one, ||D|| <= the
+sum of ||D_i||, with the U term summed whole. A chunk's bound is the
+largest over its masks and samples. Chunks run in decreasing order of
+their bounds (ties in mask order) until the first whose bound is below
+the running worst, which starts at the empty subset's slack, exactly
+0. A chunk that runs holds the same masks in the same rows as in the
+mask-order fold: the matrix product rounds a row differently with the
+chunk's size and the row's place in it, so reordering masks across
+chunks would move last bits. Every computed slack, and so the worst,
+is thus bit for bit the unscreened one.
+
+The bound must hold for the computed slacks, so it adds a rounding
+margin kappa T, with T = the sum over s of ||D_i|| + lam ||A_i|| +
+mu ||B_i||: relative to each (mask, sample) term, not global, so pairs
+whose differences cancel ten orders below their parts still prune.
+With u = 2^-53, g_k = k u / (1 - k u), Q the sum over s of |u_i|, and
+the computed parts taken as exact data:
+
+1. A mask sum of at most n parts (0/1 products are exact) and then its
+   norm, d squares and a square root, lands within g_{n+d+1} times the
+   sum of the parts' norms of the exact norm, in any summation order;
+   the U sum lands within g_n Q, and the pass's weighted sum of the four
+   norms adds g_4 of their weighted sum. So a computed slack is at most
+   ||D|| - (lam <A, f> + mu <B, f>) / ||f|| + g_{n+d+5} T
+   - gamma (1 - g_5) sqrt(max(0, U - g_n Q)).
+2. In the screen, <A_i, f> / ||f|| lands within g_{2d+2} ||A_i||, and
+   the per-index terms' other products and sums add g_{2d+6} T_i; a
+   table's D norms land within g_{n+d+1} as in 1, its sums of at most n
+   per-index terms within 2 g_n T, and the additions that assemble a
+   bound within g_5 T.
+3. The U sums enter as u_i - kappa |u_i|, which keeps each computed sum
+   below its exact U - g_n Q, and rho is increasing; the U term's
+   coefficient is gamma (1 - kappa) / sqrt 2 in a half table, or
+   gamma (1 + kappa) on a negative half sum (gamma (1 - kappa) on the
+   whole sum of the per-index bound), which covers that term's own g_8.
+
+So the computed bound exceeds the computed slack when kappa (1 -
+g_{d+8}) >= g_{4n+6d+19}, and kappa = g_{4n+8d+40} is used. These bounds
+assume no underflow or overflow, so the screen runs only when every
+nonzero entry of the samples, of the scaled projectors w_i^2 P_i and of
+the constants has magnitude in [2^-200, 2^200]. The parts are then
+integer multiples of 2^-504 and the u_i of 2^-756 (sums and rounding
+keep such a grid), the samples are unit vectors, and every product or
+quotient either side forms is 0 or at least 2^-1008 in magnitude, with
+every value below 2^900. Otherwise every chunk runs, in mask order. The
+screen's (mask, sample) blocks stay under the chunk budget.
+
 Each check builds each frame's member projectors P_i once, as one
 (n, d, d) stack, and scales it (by w_i^2 for S and ``op``, by w_i for
 ``pw``); it solves S_W, S_V and S_W - S_V in one stacked eigen-solve,
@@ -52,11 +113,13 @@ from .errors import (
 )
 from .frames import _is_frame
 from .fusion import FusionFrame, _member_operators
-from .linalg import SpectrumReport, row_chunks, stacked_spectra
+from .linalg import SpectrumReport, chunk_rows, row_chunks, stacked_spectra
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
 _SUBSET_CAP = 4096
+_UNIT_ROUNDOFF = 2.0**-53
+_SCREEN_RANGE = (2.0**-200, 2.0**200)
 
 
 @dataclass(frozen=True)
@@ -72,8 +135,9 @@ class PerturbationCertificate:
     HOLD_SLACK.
     ``subset_search`` is how the index subsets were covered at each
     sample: ``closed_form`` (exact, ``proj``), ``exhaustive`` (every
-    subset, ``op`` up to 2^12 subsets), ``sampled`` (drawn subsets,
-    ``op`` above that) or None (``pw`` has no subsets).
+    subset evaluated or ruled out by the screen's proven bound, ``op`` up
+    to 2^12 subsets), ``sampled`` (drawn subsets, ``op`` above that) or
+    None (``pw`` has no subsets).
     """
 
     method: str
@@ -152,16 +216,96 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _mask_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 float rows whose bits, index 0 the most significant, are ``keys``."""
+    return ((keys[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+
+
 def _subset_masks(n: int, rng: np.random.Generator) -> np.ndarray:
     """0/1 index-subset masks as float rows: all 2^n in lexicographic
     order (index 0 the most significant bit) up to _SUBSET_CAP, else
     _SUBSET_CAP drawn rows led by the empty and the full subset."""
     if 2**n <= _SUBSET_CAP:
-        return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+        return _mask_rows(np.arange(2**n), n)
     drawn = rng.integers(0, 2, size=(_SUBSET_CAP, n)).astype(float)
     drawn[0] = 0.0
     drawn[1] = 1.0
     return drawn
+
+
+def _screenable(*arrays: np.ndarray) -> bool:
+    """Whether every entry is 0 or of magnitude in _SCREEN_RANGE (see the
+    module docstring: then nothing in the op pass or its screen underflows
+    or overflows)."""
+    lo, hi = _SCREEN_RANGE
+    m = np.abs(np.concatenate([a.ravel() for a in arrays]))
+    m[m == 0.0] = lo
+    return bool(lo <= m.min() and m.max() <= hi)
+
+
+def _index_terms(batch, parts, w_normsq, lam, mu, kappa):
+    """Per index and sample: the linear terms of the bound, kappa t_i -
+    (lam <A_i, f> + mu <B_i, f>) / ||f||, the lowered u_i - kappa |u_i|,
+    and ||D_i||."""
+    f_norms = np.sqrt(np.einsum("sd,sd->s", batch, batch))
+    inner = np.einsum("njds,ds->njs", parts[:, :2], batch.T) / f_norms
+    norms = np.sqrt(np.einsum("njds,njds->njs", parts, parts))  # ||A_i||, ||B_i||, ||D_i||
+    linear = kappa * (np.array([lam, mu, 1.0]) @ norms) - np.array([lam, mu]) @ inner
+    return linear, w_normsq - kappa * np.abs(w_normsq), norms[:, 2]
+
+
+def _half_tables(diffs, linear, u_low, rho):
+    """One row per subset of H, then per subset of L (H the first ceil(n/2)
+    indices): the norm of the subset's D sum plus its linear terms plus
+    rho[0] sqrt(max(u, 0)) + rho[1] sqrt(max(-u, 0)) for its U sum u, per
+    sample."""
+    n, d, count = diffs.shape
+    high, low = (n + 1) // 2, n // 2
+    halves = _mask_rows(np.concatenate([np.arange(2**high) << low, np.arange(2**low)]), n)
+    diffs = diffs.reshape(n, d * count)
+    terms = np.stack([linear, u_low], axis=1).reshape(n, 2 * count)
+    table = []
+    for chunk in row_chunks(halves, (d + 2) * count):
+        sums = (chunk @ diffs).reshape(len(chunk), d, count)
+        linear_sums, u_sums = (chunk @ terms).reshape(len(chunk), 2, count).transpose(1, 0, 2)
+        table.append(
+            np.sqrt(np.einsum("kds,kds->ks", sums, sums))
+            + linear_sums
+            + rho[0] * np.sqrt(np.maximum(u_sums, 0.0))
+            + rho[1] * np.sqrt(np.maximum(-u_sums, 0.0))
+        )
+    return np.concatenate(table)
+
+
+def _slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma):
+    """Upper bounds on the computed op slack of every (mask, sample), in
+    blocks of consecutive masks: the screen of the module docstring."""
+    n, count = w_normsq.shape
+    d = batch.shape[1]
+    k = 4 * n + 8 * d + 40
+    kappa = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    parts = flat.reshape(n, 3, d, count)
+    linear, u_low, d_norms = _index_terms(batch, parts, w_normsq, lam, mu, kappa)
+    shrunk = gamma * (1.0 - kappa)
+
+    if 2**n > _SUBSET_CAP:
+        per_index = np.concatenate([d_norms + linear, u_low], axis=1)
+        for chunk in row_chunks(masks, 2 * count):
+            sums = (chunk @ per_index).reshape(len(chunk), 2, count)
+            yield sums[:, 0] - shrunk * np.sqrt(np.maximum(sums[:, 1], 0.0))
+        return
+
+    rho = (-shrunk * np.sqrt(0.5), gamma * (1.0 + kappa))
+    table = _half_tables(parts[:, 2], linear, u_low, rho)
+    high, low = (n + 1) // 2, n // 2
+    upper, lower = table[: 2**high, None], table[None, 2**high :]
+    # mask k joins subset k >> low of H and subset k & (2^low - 1) of L:
+    # blocks of whole rows of L subsets, or of parts of one row
+    rows = chunk_rows(count)
+    span, width = max(1, rows >> low), min(rows, 2**low)
+    for h in range(0, 2**high, span):
+        for l in range(0, 2**low, width):
+            yield (upper[h : h + span] + lower[:, l : l + width]).reshape(-1, count)
 
 
 def pw_check(
@@ -282,8 +426,23 @@ def op_perturbation_check(
     # lhs - rhs as one weighted sum of ||S_W||, ||S_V||, ||S_W - S_V||, ||U_W||
     coefficients = np.array([-lam, -mu, 1.0, -gamma])
 
-    worst = -np.inf
-    for chunk in row_chunks(_subset_masks(n, rng), count * (3 * d + 1)):
+    masks = _subset_masks(n, rng)
+    step = chunk_rows(count * (3 * d + 1))
+    starts = np.arange(0, len(masks), step)
+    # each chunk's largest slack bound; +inf runs every chunk in mask order
+    best = np.full(len(starts), np.inf)
+    if _screenable(batch, pw_sq, pv_sq, coefficients):
+        blocks = _slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma)
+        # map holds one block at a time
+        tops = np.concatenate(list(map(lambda b: b.max(axis=1), blocks)))
+        best = np.maximum.reduceat(tops, starts)
+
+    worst = 0.0  # the empty subset's slack
+    best = best.tolist()
+    for c in sorted(range(len(best)), key=best.__getitem__, reverse=True):  # stable
+        if best[c] < worst:
+            break
+        chunk = masks[starts[c] : starts[c] + step]
         sums = (chunk @ flat).reshape(len(chunk), 3, d, count)
         norms = np.empty((len(chunk), 4, count))
         np.einsum("kjds,kjds->kjs", sums, sums, out=norms[:, :3])

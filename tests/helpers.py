@@ -20,8 +20,8 @@ from wovenframes.fusion import (
     fusion_frame_operator,
     is_riesz_decomposition,
 )
-from wovenframes.linalg import orthonormalize_each, sym_eig
-from wovenframes.perturbation import _subset_masks, _unit_rows
+from wovenframes.linalg import orthonormalize_each, row_chunks, sym_eig
+from wovenframes.perturbation import _spectra, _stacks, _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
 
 
@@ -350,6 +350,53 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
             + gamma * u_norm
         )
         worst = max(worst, float((lhs - rhs).max()))
+    return worst
+
+
+def op_inputs(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
+    """What ``op`` sums over: its sample batch, the per-index parts of S_W f,
+    S_V f and their difference as (n, 3 d samples) rows, the squared U_W
+    norms and the subset masks, built as the check builds them."""
+    _, pw_sq = _stacks(w)
+    _, pv_sq = _stacks(v)
+    _, _, extremal = _spectra(pw_sq, pv_sq)
+    rng = np.random.default_rng(seed)
+    batch = np.concatenate([_unit_rows(rng, samples, w.dim), extremal], axis=0)
+    w_parts = np.einsum("sd,nde->nes", batch, pw_sq)
+    v_parts = np.einsum("sd,nde->nes", batch, pv_sq)
+    w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
+    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(w.size, -1)
+    return batch, flat, w_normsq, _subset_masks(w.size, rng)
+
+
+def _op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma):
+    """The unscreened ``op`` fold: every chunk of masks in mask order, each
+    yielding its (mask, sample) slacks."""
+    n, count = w_normsq.shape
+    d = flat.shape[1] // (3 * count)
+    coefficients = np.array([-lam, -mu, 1.0, -gamma])
+    for chunk in row_chunks(masks, count * (3 * d + 1)):
+        sums = (chunk @ flat).reshape(len(chunk), 3, d, count)
+        norms = np.empty((len(chunk), 4, count))
+        np.einsum("kjds,kjds->kjs", sums, sums, out=norms[:, :3])
+        np.maximum(chunk @ w_normsq, 0.0, out=norms[:, 3])
+        np.sqrt(norms, out=norms)
+        yield coefficients @ norms
+
+
+def op_slacks(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
+    """Every (mask, sample) slack the unscreened ``op`` fold computes."""
+    _, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
+    return np.concatenate(list(_op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma)))
+
+
+def op_violation_unscreened(w, v, lam, mu, gamma, samples, seed) -> float:
+    """``op``'s worst slack by the chunk fold without a screen: every chunk
+    evaluated, in mask order, the running worst from -inf."""
+    _, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
+    worst = -np.inf
+    for slacks in _op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma):
+        worst = max(worst, float(slacks.max()))
     return worst
 
 

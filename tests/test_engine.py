@@ -29,7 +29,10 @@ from wovenframes.weaving import contribution_stacks
 from helpers import (
     all_assignments,
     basis_vec,
+    op_inputs,
+    op_slacks,
     op_violation_oracle,
+    op_violation_unscreened,
     proj_violation_oracle,
     random_riesz_family,
     riesz_failing,
@@ -237,6 +240,113 @@ def test_op_keeps_cancelling_sums_exact(rows_per_chunk, c):
     expected = op_violation_oracle(w, v, c, c, c, samples, seed)
     assert 1e-11 < expected < 1e-8
     assert abs(cert.inequality_violation - expected) <= 1e-14
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# d = 6, n = 9 is the benchmark's shape, and n = 13 draws 4096 of 8192
+# masks; the tilts run from cancellation to unrelated members
+@pytest.mark.parametrize("d, n, samples", [(6, 9, 100), (6, 9, 20), (3, 13, 10)])
+@pytest.mark.parametrize("tilt", [1e-10, 0.02, 1.0])
+@pytest.mark.parametrize("constants", [(0.02, 0.02, 0.02), (0.0, 0.0, 0.0)])
+def test_op_screen_keeps_the_unscreened_worst(rows_per_chunk, d, n, samples, tilt, constants):
+    w, v = near_fusion_pair(np.random.default_rng(d + n), d, n, 2, tilt)
+    rows_per_chunk((samples + 6) * (3 * d + 1))
+    cert = op_perturbation_check(w, v, *constants, samples, 3)
+    expected = op_violation_unscreened(w, v, *constants, samples, 3)
+    assert same_bits(cert.inequality_violation, expected)
+
+
+def screen_bounds(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
+    """The screen's bound on every (mask, sample) slack."""
+    batch, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
+    blocks = perturbation._slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma)
+    return np.concatenate(list(blocks))
+
+
+def random_fusion_pair(rng, d: int, n: int, tilt: float):
+    """Members of drawn rank 0..d, V_i a tilt of W_i, shared weights."""
+    weights = rng.uniform(0.5, 1.5, n)
+    spans = [rng.standard_normal((int(rng.integers(0, d + 1)), d)) for _ in range(n)]
+    return tuple(
+        FusionFrame(d, tuple(Subspace.from_spanning(d, list(s)) for s in members), weights)
+        for members in (spans, [s + tilt * rng.standard_normal(s.shape) for s in spans])
+    )
+
+
+# n = 13 takes the per-index bound on drawn masks; tilt 1e-10 makes every
+# difference cancel to about 1e-10 against parts of order 1
+@pytest.mark.parametrize("tilt", [0.0, 1e-10, 1e-3, 1.0])
+@pytest.mark.parametrize("constants", [(0.0, 0.0, 0.0), (0.02, 0.02, 0.02), (0.5, 0.3, 0.9)])
+def test_screen_bounds_every_computed_slack(tilt, constants):
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(1, 7)), [3, 8, 9, 12, 13][seed % 5]
+        w, v = random_fusion_pair(rng, d, n, tilt)
+        samples = int(rng.integers(0, 12))
+        bounds = screen_bounds(w, v, *constants, samples, seed)
+        assert (bounds >= op_slacks(w, v, *constants, samples, seed)).all()
+
+
+def planted_tight_pair(rng, n: int):
+    """d = 1 and every member the whole line, weights w_i in W and w_i / 2
+    in V: at unit f every part (w_i^2 - w_i^2 / 4) f has the sign of f,
+    so ||D|| = ||D_H|| + ||D_L||, and A and B point along f. With gamma
+    = 0 the screen's bound equals the slack in exact arithmetic; the
+    rho split of the U_W term gives away at most gamma (1 - 1/sqrt 2)
+    ||U_W f||."""
+    weights = rng.uniform(1.0, 2.0, n)
+    line = (Subspace.from_spanning(1, [[1.0]]),) * n
+    return FusionFrame(1, line, weights), FusionFrame(1, line, weights / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 9, 12, 13])
+@pytest.mark.parametrize("constants", [(0.0, 0.0, 0.0), (0.3, 0.2, 0.0), (0.02, 0.02, 0.02)])
+def test_screen_bound_is_tight_on_a_planted_pair(n, constants):
+    w, v = planted_tight_pair(np.random.default_rng(n), n)
+    samples, seed = 30, 1
+    bounds = screen_bounds(w, v, *constants, samples, seed)
+    slacks = op_slacks(w, v, *constants, samples, seed)
+    _, _, w_normsq, masks = op_inputs(w, v, samples, seed)
+    given_away = constants[2] * (1.0 - 0.5**0.5) * np.sqrt(masks @ w_normsq)
+    if n > 12:  # the per-index bound sums the U_W term whole
+        given_away = 0.0
+    assert (bounds >= slacks).all()
+    assert (bounds - slacks <= given_away + 1e-12 * (1.0 + np.abs(slacks))).all()
+
+
+def test_screen_margin_is_what_keeps_the_planted_bound_sound(monkeypatch):
+    # without the rounding margin the tight bound falls below computed slacks
+    w, v = planted_tight_pair(np.random.default_rng(9), 9)
+    monkeypatch.setattr(perturbation, "_UNIT_ROUNDOFF", 0.0)
+    bounds = screen_bounds(w, v, 0.0, 0.0, 0.0, 30, 1)
+    assert (bounds < op_slacks(w, v, 0.0, 0.0, 0.0, 30, 1)).any()
+
+
+def test_screen_rules_out_most_chunks_at_the_benchmark_shape():
+    d, n, samples, seed = 6, 9, 100, 1
+    w, v = near_fusion_pair(np.random.default_rng(0), d, n, 2, tilt=0.01)
+    worst = op_perturbation_check(w, v, 0.02, 0.02, 0.02, samples, seed).inequality_violation
+    starts = np.arange(0, 2**n, linalg.chunk_rows((samples + 6) * (3 * d + 1)))
+    bounds = screen_bounds(w, v, 0.02, 0.02, 0.02, samples, seed).max(axis=1)
+    # only chunks whose bound reaches the worst slack can run
+    assert (np.maximum.reduceat(bounds, starts) >= worst).sum() <= len(starts) // 4
+
+
+# a tiny weight in W, or one in V whose square passes 2^200
+@pytest.mark.parametrize("member, weight", [(0, 1e-120), (1, 1e70)])
+def test_op_runs_every_chunk_outside_the_screened_range(monkeypatch, member, weight):
+    pair = list(near_fusion_pair(np.random.default_rng(4), 3, 9, 2))
+    x = pair[member]
+    pair[member] = FusionFrame(3, x.subspaces, np.r_[x.weights[:-1], weight])
+    w, v = pair
+    assert not perturbation._screenable(*(perturbation._stacks(x)[1] for x in pair))
+    monkeypatch.setattr(perturbation, "_slack_bounds", None)
+    cert = op_perturbation_check(w, v, 0.02, 0.02, 0.02, 10, 2)
+    expected = op_violation_unscreened(w, v, 0.02, 0.02, 0.02, 10, 2)
+    assert same_bits(cert.inequality_violation, expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])

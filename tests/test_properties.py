@@ -16,6 +16,7 @@ from wovenframes import (
     frame_operator,
     fusion_bounds,
     fusion_frame_operator,
+    op_perturbation_check,
     proj_perturbation_check,
     synthesis_is_onto,
     weave,
@@ -24,11 +25,14 @@ from wovenframes import (
 )
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import NotAFrame
+from wovenframes.linalg import stacked_spectra
 from wovenframes.transforms import InvertibleOperator, conjugation_check
 
 from helpers import (
     basis_vec,
     conjugation_residual,
+    jacobi,
+    op_violation_unscreened,
     plain_values,
     proj_violation_oracle,
     random_riesz_family,
@@ -103,13 +107,17 @@ def test_ingested_bases_equal_per_member_orthonormalization(doc):
 
 
 @st.composite
-def fusion_pairs(draw):
+def fusion_pairs(draw, tilts=(0.0, 1e-3, 0.1, 1.0)):
     """Pairs sharing weights, n <= 8 members of any rank (0 included) in
-    R^1..R^4, V_i a tilt of W_i from none to large."""
+    R^1..R^4, V_i a tilt of W_i drawn from ``tilts``; a tilt of None
+    pairs W with itself."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 4))
     n = draw(st.integers(1, 8))
-    tilt = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    tilt = draw(st.sampled_from(tilts))
+    if tilt is None:
+        w = draw(fusion_pairs(tilts=(0.0,)))[0]
+        return w, w
     weights = rng.uniform(0.5, 1.5, n)
     pair = [[], []]
     for _ in range(n):
@@ -139,6 +147,29 @@ def test_proj_closed_form_equals_subset_enumeration(pair, kconst, squared, sampl
     expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
     # the closed form and the enumeration sum in another order
     assert abs(cert.inequality_violation - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+# all constants 0, each one alone, and all 0.02
+OP_CONSTANTS = [(0.0, 0.0, 0.0), (0.02, 0.0, 0.0), (0.0, 0.02, 0.0), (0.0, 0.0, 0.02), (0.02,) * 3]
+
+
+@settings(FIXED, max_examples=200)
+@given(
+    fusion_pairs(tilts=(None, 0.0, 1e-10, 1.0)),
+    st.sampled_from(OP_CONSTANTS),
+    st.integers(0, 5),
+    st.integers(0, 1000),
+)
+def test_screened_op_equals_the_unscreened_fold(pair, constants, samples, seed):
+    w, v = pair
+    if not fusion_bounds(w).is_frame:
+        with pytest.raises(NotAFrame):
+            op_perturbation_check(w, v, *constants, samples, seed)
+        reject()
+    cert = op_perturbation_check(w, v, *constants, samples, seed)
+    expected = op_violation_unscreened(w, v, *constants, samples, seed)
+    # bit for bit, the sign of a zero included
+    assert np.float64(cert.inequality_violation).tobytes() == np.float64(expected).tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -342,3 +373,34 @@ def coordinate_conjugations(draw):
 def test_conjugation_check_equals_the_woven_family_residual(case):
     op, family, p = case
     assert conjugation_check(op, family, p) == conjugation_residual(op, family, p)
+
+
+@st.composite
+def planted_spectra(draw):
+    """1-3 symmetric matrices Q diag(values) Q^T of one size d in 1..12, Q
+    a seeded random orthogonal matrix, and their planted ascending
+    spectra: values drawn from a pool of at most three, so zeros and
+    repeated eigenvalues are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-3]) | st.floats(-10.0, 10.0)
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    matrices, spectra = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        values = np.array([draw(st.sampled_from(pool)) for _ in range(d)])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        matrices.append((q * values) @ q.T)
+        spectra.append(np.sort(values))
+    return np.array(matrices), spectra
+
+
+@FIXED
+@given(planted_spectra())
+def test_stacked_spectra_agree_with_the_jacobi_oracle(case):
+    matrices, planted = case
+    for report, matrix, values in zip(stacked_spectra(matrices), matrices, planted):
+        oracle = np.sort(jacobi(0.5 * (matrix + matrix.T))[0])
+        scale = 1e-10 * max(1.0, float(np.abs(values).max()))
+        assert np.abs(report.eigenvalues - oracle).max() <= scale
+        assert np.abs(report.eigenvalues - values).max() <= scale
+        assert report.residual <= scale

@@ -1,13 +1,20 @@
-"""Wall time of the exhaustive partition scans over a fixed grid.
+"""Wall time of the exhaustive partition scans and of the ``op`` subset
+search over a fixed grid.
 
 Times ``woven_riesz_decomposition_check`` on seeded rank-1 fusion pairs
 with n = d in {8, 10, 12} (2^n partitions, every weaving a Riesz
 decomposition) and ``woven_bounds_exhaustive`` on seeded Gaussian
-discrete pairs with d = 6 and n in {12, 14, 16}. Each grid point keeps
-the best of three runs in one process with one BLAS thread; the family
-is built before the clock starts. Prints one JSON line per grid point
-and writes them all, as a JSON list, to ``BENCH_scan.json`` in the
-working directory (``--out`` changes the path).
+discrete pairs with d = 6 and n in {12, 14, 16}. Times
+``op_perturbation_check`` at the CLI's default of 1000 samples on seeded
+near fusion pairs (rank 2, V_i a 0.01 tilt of W_i, constants 0.02):
+d = 6 with n = 9 and 12 (all subsets) and n = 13 (4096 drawn subsets);
+and on a d = 1 pair with n = 12 and all constants 0, where every line
+is the whole line, V = W, every slack and every screen bound is 0, and
+no chunk can be skipped: the screen's whole cost shows there. Each grid
+point keeps the best of three runs in one process with one BLAS thread;
+the family is built before the clock starts. Prints one JSON line per
+grid point and writes them all, as a JSON list, to ``BENCH_scan.json``
+in the working directory (``--out`` changes the path).
 
     python tools/scan_timing.py
 
@@ -38,6 +45,7 @@ from wovenframes import (  # noqa: E402
     FusionFrame,
     Subspace,
     WovenFamily,
+    op_perturbation_check,
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
@@ -47,6 +55,10 @@ RUNS = 3
 RIESZ_DIMS = (8, 10, 12)
 EXHAUSTIVE_D = 6
 EXHAUSTIVE_NS = (12, 14, 16)
+OP_SAMPLES = 1000
+# (d, n, constants): all subsets at n <= 12, 4096 drawn ones at n = 13;
+# the last row is the d = 1 pair whose chunks the screen cannot skip
+OP_ROWS = ((6, 9, (0.02,) * 3), (6, 12, (0.02,) * 3), (6, 13, (0.02,) * 3), (1, 12, (0.0,) * 3))
 
 
 def rank1_pair(rng: np.random.Generator, d: int) -> WovenFamily:
@@ -75,21 +87,59 @@ def best_time(run) -> tuple[float, object]:
     return best, result
 
 
+def near_pair(rng: np.random.Generator, d: int, n: int) -> tuple[FusionFrame, FusionFrame]:
+    """W of n Gaussian rank-2 members of R^d (rank 1 at d = 1), weights in
+    [0.5, 1.5], and V with each spanning set tilted by 0.01."""
+    rank = min(2, d)
+    weights = rng.uniform(0.5, 1.5, n)
+    spans = rng.standard_normal((n, rank, d))
+    return tuple(
+        FusionFrame(d, tuple(Subspace.from_spanning(d, list(s)) for s in rows), weights)
+        for rows in (spans, spans + 0.01 * rng.standard_normal(spans.shape))
+    )
+
+
 def grid():
-    """(scan, d, n, family, run, summary) per grid point."""
+    """(record fields, run, summary) per grid point; ``summary`` maps the
+    run's result to the record's count and result fields."""
     for d in RIESZ_DIMS:
         family = rank1_pair(np.random.default_rng([SEED, d]), d)
         yield (
-            "woven_riesz_decomposition_check", d, d, family,
+            {"scan": "woven_riesz_decomposition_check", "d": d, "n": d},
             lambda f=family: woven_riesz_decomposition_check(f),
-            lambda r: {"all_pass": r.all_pass, "failing_count": len(r.failing)},
+            lambda r, f=family: {
+                "m": f.m,
+                "kind": f.kind,
+                "partitions": r.partitions_examined,
+                "all_pass": r.all_pass,
+                "failing_count": len(r.failing),
+            },
         )
     for n in EXHAUSTIVE_NS:
         family = discrete_pair(np.random.default_rng([SEED, EXHAUSTIVE_D, n]), EXHAUSTIVE_D, n)
         yield (
-            "woven_bounds_exhaustive", EXHAUSTIVE_D, n, family,
+            {"scan": "woven_bounds_exhaustive", "d": EXHAUSTIVE_D, "n": n},
             lambda f=family: woven_bounds_exhaustive(f),
-            lambda r: {"universal_lower": r.universal_lower, "universal_upper": r.universal_upper},
+            lambda r, f=family: {
+                "m": f.m,
+                "kind": f.kind,
+                "partitions": r.partitions_examined,
+                "universal_lower": r.universal_lower,
+                "universal_upper": r.universal_upper,
+            },
+        )
+    for d, n, constants in OP_ROWS:
+        w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n)
+        yield (
+            {"scan": "op_perturbation_check", "d": d, "n": n},
+            lambda w=w, v=v, c=constants: op_perturbation_check(w, v, *c, OP_SAMPLES, SEED),
+            lambda r, n=n: {
+                "samples": OP_SAMPLES,
+                "constants": list(r.constants),
+                "subsets": min(2**n, 4096),
+                "subset_search": r.subset_search,
+                "inequality_violation": r.inequality_violation,
+            },
         )
 
 
@@ -98,23 +148,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_scan.json", help="JSON list of the records")
     args = parser.parse_args(argv)
     records = []
-    for scan, d, n, family, run, summary in grid():
+    for fields, run, summary in grid():
         seconds, result = best_time(run)
-        partitions = result.partitions_examined
         record = {
-            "scan": scan,
-            "d": d,
-            "n": n,
-            "m": family.m,
-            "kind": family.kind,
+            **fields,
             "seed": SEED,
-            "partitions": partitions,
             "best_s": seconds,
-            "us_per_partition": 1e6 * seconds / partitions,
             "runs": RUNS,
             "blas_threads": BLAS_THREADS,
             **summary(result),
         }
+        unit = "partitions" if "partitions" in record else "subsets"
+        record[f"us_per_{unit[:-1]}"] = 1e6 * seconds / record[unit]
         print(json.dumps(record, sort_keys=True), flush=True)
         records.append(record)
     with open(args.out, "w", encoding="utf-8") as fh:
