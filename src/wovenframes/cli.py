@@ -39,9 +39,9 @@ from .weaving import (
     Partition,
     WovenFamily,
     _require_eps,
-    _riesz_failing_rows,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
+    woven_riesz_decomposition_check,
 )
 
 NOTE_UPPER_IS_MAX = (
@@ -372,22 +372,9 @@ def cmd_perturb(args) -> int:
 
 def cmd_riesz(args) -> int:
     family, digest = load_family(args.input)
-    # counted per chunk: no Partition is built for the failing rows
-    examined = failing = 0
-    first = None
-    for rows, fails in _riesz_failing_rows(family):
-        examined += rows
-        failing += len(fails)
-        if first is None and len(fails):
-            first = fails[0]
-    report = {
-        "all_pass": not failing,
-        "failing_count": failing,
-        "first_failing": first,
-        "partitions_examined": examined,
-    }
-    _emit("riesz", digest, {"report": report})
-    return 0 if not failing else 1
+    report = woven_riesz_decomposition_check(family)
+    _emit("riesz", digest, {"report": vars(report)})
+    return 0 if report.all_pass else 1
 
 
 def cmd_reproduce(args) -> int:

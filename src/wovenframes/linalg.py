@@ -203,9 +203,19 @@ def stacked_spectra(matrices) -> list[SpectrumReport]:
     peaks = vectors[np.arange(count)[:, None], rows, np.arange(dim)]
     np.negative(vectors, out=vectors, where=(peaks < 0.0)[:, None, :])
     errors = sym @ vectors - vectors * values[:, None, :]
+    # error columns have norms up to about 2 max|lambda|, so squares can
+    # overflow only past |lambda| = 2^500; then a matrix whose errors pass
+    # 2^500 has them scaled by a power of two (exact) and its norm back
+    exponents = None
+    if float(np.abs(values).max(initial=0.0)) > 2.0**500:
+        worst = np.abs(errors).max(axis=(1, 2))
+        exponents = np.where(worst > 2.0**500, np.frexp(worst)[1], 0)
+        errors = np.ldexp(errors, -exponents[:, None, None])
     # the largest column norm; sqrt is monotone, so sqrt of the largest
     # sum of squares is np.linalg.norm(..., axis=0).max() bit for bit
     residuals = np.sqrt((errors * errors).sum(axis=1).max(axis=1))
+    if exponents is not None:
+        residuals = np.ldexp(residuals, exponents)
     # indexed, not zipped: iterating an ndarray costs more than M views
     return [
         SpectrumReport(values[k], vectors[k], r)

@@ -17,6 +17,7 @@ from .errors import (
     EmptyInput,
     EmptyIntersection,
     IndexMismatch,
+    InvalidSampleCount,
     InvarianceViolated,
     NotSelfAdjoint,
     SingularOperator,
@@ -52,7 +53,7 @@ from .weaving import (
     WovenFamily,
     WovenReport,
     _check_partition,
-    _partitions,
+    _require_seed,
     _weaving_operators,
     contribution_stacks,
     woven_bounds_exhaustive,
@@ -227,10 +228,19 @@ def intersection_weaving_report(
     """Evaluate, for random unit vectors of ``k``, how the intersected
     family's weaving sums sit against the original universal interval.
 
+    The weaving sum splits by index, f^T S_sigma f = sum_i q_{i sigma_i}
+    with q_ij = f^T C_ij f, so the worst sums over all partitions take
+    the least and the greatest q_ij at each index: no partition is
+    enumerated (the original family's own scan still checks the cap).
     ``projector_pattern_holds`` records whether P_W P_K equals the
     projector of the computed intersection for every member (the
-    commuting case). Violations are reported, never asserted.
+    commuting case). Violations are reported, never asserted. Raises
+    InvalidSampleCount for ``samples`` < 1 and InvalidSeed for a negative
+    ``seed``.
     """
+    if samples < 1:
+        raise InvalidSampleCount("samples must be at least 1")
+    _require_seed(seed)
     base = woven_bounds_exhaustive(family)
     intersected = intersect_family(family, k)
 
@@ -247,18 +257,11 @@ def intersection_weaving_report(
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     vectors = coeffs @ k.basis.T
 
-    stacks = contribution_stacks(intersected)
-    worst_low = -np.inf
-    worst_high = -np.inf
-    for chunk in _partitions(intersected.n, intersected.m, intersected.dim):
-        ops = _weaving_operators(stacks, chunk)
-        sums = np.einsum("sd,rde,se->rs", vectors, ops, vectors)
-        worst_low = max(worst_low, float((base.universal_lower - sums).max()))
-        worst_high = max(worst_high, float((sums - base.universal_upper).max()))
+    q = np.einsum("sd,nmde,se->snm", vectors, contribution_stacks(intersected), vectors)
     return IntersectionReport(
         projector_pattern_holds=pattern,
-        max_lower_violation=worst_low,
-        max_upper_violation=worst_high,
+        max_lower_violation=float((base.universal_lower - q.min(axis=2).sum(axis=1)).max()),
+        max_upper_violation=float((q.max(axis=2).sum(axis=1) - base.universal_upper).max()),
         samples=samples,
         seed=seed,
     )

@@ -13,9 +13,10 @@ their spectra come from one stacked LAPACK ``eigh`` call. The chunk
 size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
 chunks in order keeps the first lexicographic extremum and the first
 lexicographic witness, as a one-partition-at-a-time loop would.
-The Riesz-weaving check folds the same spectra: a weaving passes when
-its member ranks add up to d and the frame rule, which decides
-``is_woven``, accepts its extremal eigenvalues.
+That fold, ``_scan``, also counts the rows a row flag marks: the woven
+scans flag a smallest eigenvalue below ``eps``, the Riesz-weaving check
+a weaving whose member ranks miss d or whose spectrum fails the frame
+rule.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ class WovenFamily:
             raise DimensionMismatch("a woven family needs at least two systems")
         if self.kind not in (DISCRETE, FUSION):
             raise WrongKind(f"unknown family kind {self.kind!r}")
+        member = DiscreteFrame if self.kind == DISCRETE else FusionFrame
+        if not all(isinstance(s, member) for s in systems):
+            raise WrongKind(f"a {self.kind} family holds {member.__name__} systems only")
         sizes = {s.size for s in systems}
         dims = {s.dim for s in systems}
         if len(sizes) != 1 or len(dims) != 1:
@@ -279,29 +283,39 @@ def _weaving_operators(stacks: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     return stacks[np.arange(n), chunk].sum(axis=1)
 
 
+def _below(eps: float | None):
+    """The woven scans' row flag: smallest eigenvalue below ``eps``, which
+    must be finite and positive (else InvalidEps); None without ``eps``."""
+    if eps is None:
+        return None
+    _require_eps(eps)
+    return lambda chunk, values: values[:, 0] < eps
+
+
 def _scan(
     stacks: np.ndarray,
     chunks,
     method: str,
     seed: int | None = None,
-    eps: float | None = None,
+    flag=None,
     stop_at_witness: bool = False,
-) -> WovenReport:
-    """Fold the weaving spectra of the assignment ``chunks`` into one report.
+) -> tuple[WovenReport, int]:
+    """Fold the weaving spectra of the assignment ``chunks`` into one
+    report and the count of flagged rows.
 
-    Each chunk takes one stacked eigensolve; an extremum or witness is
-    replaced only by a strictly more extreme later one, so ties go to
-    the first assignment in scan order. With ``eps`` the report also
-    carries the first assignment whose smallest eigenvalue is below
-    ``eps``, with its unit eigenvector (from sym_eig, for its sign
-    rule) and that value; ``stop_at_witness`` ends the scan after the
-    chunk that holds it.
+    Each chunk takes one stacked eigensolve; an extremum is replaced
+    only by a strictly more extreme later one, so ties go to the first
+    assignment in scan order. ``flag(chunk, values)`` marks rows of a
+    chunk, given its ascending eigenvalues; the report's witness is the
+    first marked assignment with its unit eigenvector (from sym_eig, for
+    its sign rule) and smallest eigenvalue, and ``stop_at_witness`` ends
+    the scan after the chunk that holds it.
     """
     lo_val = np.inf
     hi_val = -np.inf
     lo_part = hi_part = None
     witness = None
-    count = 0
+    count = flagged = 0
     for chunk in chunks:
         ops = _weaving_operators(stacks, chunk)
         values = stacked_eigenvalues(ops)
@@ -312,18 +326,16 @@ def _scan(
         k = int(np.argmax(values[:, -1]))
         if values[k, -1] > hi_val:
             hi_val, hi_part = values[k, -1], chunk[k]
-        if witness is None and eps is not None:
-            below = np.flatnonzero(values[:, 0] < eps)
-            if below.size:
-                k = int(below[0])
-                spec = sym_eig(ops[k])
-                witness = (
-                    Partition(chunk[k]),
-                    spec.eigenvectors[:, 0].copy(),
-                    spec.smallest,
-                )
-                if stop_at_witness:
-                    break
+        if flag is None:
+            continue
+        marked = np.flatnonzero(flag(chunk, values))
+        flagged += marked.size
+        if witness is None and marked.size:
+            k = int(marked[0])
+            spec = sym_eig(ops[k])
+            witness = (Partition(chunk[k]), spec.eigenvectors[:, 0].copy(), spec.smallest)
+            if stop_at_witness:
+                break
     upper = float(hi_val)
     lower = _clamp_small_negative(float(lo_val), upper)
     return WovenReport(
@@ -336,7 +348,7 @@ def _scan(
         partitions_examined=count,
         seed=seed,
         witness=witness,
-    )
+    ), flagged
 
 
 def woven_bounds_from_contributions(
@@ -348,10 +360,9 @@ def woven_bounds_from_contributions(
     partition whose smallest eigenvalue is below ``eps`` as the report's
     witness; ``eps`` must then be finite and positive (else InvalidEps).
     """
-    if eps is not None:
-        _require_eps(eps)
+    flag = _below(eps)
     n, m, d = stacks.shape[:3]
-    return _scan(stacks, _partitions(n, m, d), "exhaustive", eps=eps)
+    return _scan(stacks, _partitions(n, m, d), "exhaustive", flag=flag)[0]
 
 
 def woven_bounds_exhaustive(
@@ -361,11 +372,9 @@ def woven_bounds_exhaustive(
 
     ``eps`` as in woven_bounds_from_contributions.
     """
-    if eps is not None:
-        _require_eps(eps)
+    flag = _below(eps)
     chunks = _partitions(family.n, family.m, family.dim)
-    stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", eps=eps)
+    return _scan(contribution_stacks(family), chunks, "exhaustive", flag=flag)[0]
 
 
 def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenReport:
@@ -388,7 +397,7 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     pure = np.repeat(np.arange(m)[:, None], n, axis=1)
     rows = np.concatenate([pure, drawn])
     chunks = row_chunks(rows, n * d * d)
-    return _scan(stacks, chunks, "sampled", seed=seed)
+    return _scan(stacks, chunks, "sampled", seed=seed)[0]
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
@@ -405,28 +414,33 @@ def find_nonwoven_witness(
     eigenvalue below ``eps``, with the minimizing unit vector and the
     value. None when every weaving clears the threshold. Raises
     InvalidEps unless ``eps`` is finite and positive."""
-    _require_eps(eps)
+    flag = _below(eps)
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", eps=eps, stop_at_witness=True).witness
+    return _scan(stacks, chunks, "exhaustive", flag=flag, stop_at_witness=True)[0].witness
 
 
 @dataclass(frozen=True)
 class RieszWeavingReport:
+    """Whether every weaving is a Riesz decomposition: the number of
+    failing partitions and the first of them in lexicographic order (None
+    when all pass). Every field is part of the ``riesz`` command's JSON
+    report, under its own name."""
+
     all_pass: bool
-    failing: tuple[Partition, ...]
+    failing_count: int
+    first_failing: Partition | None
     partitions_examined: int
 
 
-def _riesz_failing_rows(family: WovenFamily):
-    """Per chunk of partitions, in lexicographic order: the chunk's row
-    count and the (k, n) array of its rows whose weaving is not a Riesz
-    decomposition.
+def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
+    """Whether every weaving splits the space as a direct sum of its members.
 
-    A row fails when its member ranks, read from one (n, m) table, do not
-    add up to d, or when the frame rule rejects the spectrum ``_scan``
-    would solve for it. Checks the kind and the enumeration cap at the
-    call, before any work.
+    Fusion families only. A weaving fails when its member ranks, read
+    from one (n, m) table, do not add up to d, or when the frame rule
+    rejects the spectrum ``_scan`` solves for it; the scan counts the
+    failing rows and builds a Partition for the first alone. Checks the
+    kind and the enumeration cap at the call, before any work.
     """
     if family.kind != FUSION:
         raise WrongKind("Riesz weaving check applies to fusion families only")
@@ -435,31 +449,16 @@ def _riesz_failing_rows(family: WovenFamily):
     ranks = np.array([[sub.rank for sub in s.subspaces] for s in family.systems]).T
     index = np.arange(family.n)
 
-    def rows():
-        for chunk in chunks:
-            values = stacked_eigenvalues(_weaving_operators(stacks, chunk))
-            spans = _is_frame(values[:, 0], values[:, -1])
-            fails = ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
-            yield len(chunk), chunk[fails]
+    def fails(chunk, values):
+        spans = _is_frame(values[:, 0], values[:, -1])
+        return ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
 
-    return rows()
-
-
-def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
-    """Whether every weaving splits the space as a direct sum of its members.
-
-    Fusion families only; lists the failing partitions when the verdict
-    is negative.
-    """
-    failing: list[Partition] = []
-    count = 0
-    for rows, fails in _riesz_failing_rows(family):
-        count += rows
-        failing.extend(map(Partition, fails))
+    report, failing = _scan(stacks, chunks, "exhaustive", flag=fails)
     return RieszWeavingReport(
         all_pass=not failing,
-        failing=tuple(failing),
-        partitions_examined=count,
+        failing_count=failing,
+        first_failing=None if report.witness is None else report.witness[0],
+        partitions_examined=report.partitions_examined,
     )
 
 

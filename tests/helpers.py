@@ -23,6 +23,13 @@ from wovenframes.fusion import (
 from wovenframes.linalg import orthonormalize_each, row_chunks, sym_eig
 from wovenframes.perturbation import _spectra, _stacks, _subset_masks, _unit_rows
 from wovenframes.tolerances import RANK_TOL
+from wovenframes.transforms import intersect_family
+from wovenframes.weaving import (
+    _partitions,
+    _weaving_operators,
+    contribution_stacks,
+    woven_bounds_exhaustive,
+)
 
 
 def plain_values(value):
@@ -444,6 +451,30 @@ def conjugation_residual(op, family: WovenFamily, p: Partition) -> float:
     image = WovenFamily.fusion(tuple(image_systems))
     s_image = fusion_frame_operator(weave(image, p))
     return float(np.abs(s_image - e @ s_sigma @ op.inv).max())
+
+
+def intersection_violations(
+    family: WovenFamily, k: Subspace, samples: int, seed: int
+) -> tuple[float, float]:
+    """(max lower, max upper) violation of the intersected family's weaving
+    sums against the family's universal interval, by a chunked loop over
+    every partition's summed operator: the oracle for
+    ``intersection_weaving_report``'s closed form. Draws the unit vectors
+    of ``k`` as the report does."""
+    base = woven_bounds_exhaustive(family)
+    intersected = intersect_family(family, k)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((samples, k.rank))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    vectors = coeffs @ k.basis.T
+    stacks = contribution_stacks(intersected)
+    worst_low = worst_high = -np.inf
+    for chunk in _partitions(intersected.n, intersected.m, intersected.dim):
+        ops = _weaving_operators(stacks, chunk)
+        sums = np.einsum("sd,rde,se->rs", vectors, ops, vectors)
+        worst_low = max(worst_low, float((base.universal_lower - sums).max()))
+        worst_high = max(worst_high, float((sums - base.universal_upper).max()))
+    return worst_low, worst_high
 
 
 # -- the per-partition Riesz-weaving oracle --------------------------------

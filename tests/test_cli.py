@@ -533,10 +533,14 @@ class TestRiesz:
         path = write_doc(tmp_path, {"dim": 1, "kind": "fusion", "systems": [system] * 2})
         monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 12)
 
-        def no_partition(self):
-            raise AssertionError("failing rows are counted, never built as partitions")
+        built = []
+        init = weaving.Partition.__post_init__
 
-        monkeypatch.setattr(weaving.Partition, "__post_init__", no_partition)
+        def counted(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(weaving.Partition, "__post_init__", counted)
         code, out = run_main(capsys, ["riesz", path])
         assert code == 1
         assert json.loads(out)["report"] == {
@@ -545,6 +549,8 @@ class TestRiesz:
             "first_failing": [0] * 12,
             "partitions_examined": 2**12,
         }
+        # the scan's extremes and first failing row, never one per failing row
+        assert len(built) <= 3
 
     def test_discrete_document_exits_two(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX3_2_DOC)
@@ -634,6 +640,28 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["is_woven"]
+
+
+def test_huge_weight_leaves_stderr_empty(tmp_path):
+    # S entries near 1e240: the eigen-residual's squared errors would
+    # overflow a float unless scaled first
+    rng = np.random.default_rng(0)
+    systems = [
+        {
+            "weights": weights,
+            "subspaces": [{"spanning": rng.standard_normal((1, 4)).round(3).tolist()} for _ in range(4)],
+        }
+        for weights in ([1e120, 1, 1, 1], [1, 1, 1, 1])
+    ]
+    path = write_doc(tmp_path, {"dim": 4, "kind": "fusion", "systems": systems})
+    for command, code in (("analyze", 0), ("woven", 1), ("riesz", 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wovenframes", command, path],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, ""), command
+        assert json.loads(proc.stdout)["command"] == command
 
 
 def nonwoven_discrete_doc(rng):

@@ -147,6 +147,21 @@ class TestStackedSpectra:
                 assert got.eigenvectors.tobytes() == vectors.tobytes()
                 assert got.residual == residual
 
+    def test_huge_matrix_gets_a_finite_residual_and_leaves_the_others_alone(self, rng):
+        # a column of A V - V diag(values) near 1e240 would square past the
+        # float range; the other matrices of the stack keep their residuals
+        stack = mixed_stack(rng, 4)
+        huge = 1e240 * stack[1]
+        specs = stacked_spectra(np.concatenate([stack, huge[None]]))
+        for matrix, spec in zip(stack, specs):
+            assert spec.residual == one_matrix_spectrum(matrix)[2]
+        spec = specs[-1]
+        errors = huge @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
+        expected = np.linalg.norm(errors * 2.0**-800, axis=0).max() * 2.0**800
+        assert 0.0 < spec.residual == pytest.approx(expected, rel=1e-12)
+        assert spec.residual <= 1e-12 * spec.largest
+        assert sym_eig(huge).residual == spec.residual
+
     @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 1, 1)])
     def test_zero_stack(self, shape):
         for spec in stacked_spectra(np.zeros(shape)):

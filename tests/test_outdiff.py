@@ -21,6 +21,8 @@ from wovenframes.linalg import chunk_rows
 from wovenframes.perturbation import _SUBSET_CAP
 from wovenframes.weaving import PARTITION_CAP
 
+from helpers import riesz_failing
+
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
 _spec = importlib.util.spec_from_file_location("outdiff", _TOOL)
 outdiff = importlib.util.module_from_spec(_spec)
@@ -145,10 +147,10 @@ def test_riesz_documents_pass_fail_and_span_many_chunks():
     assert (lines.n, lines.dim) == (6, 6)
     assert woven_riesz_decomposition_check(lines).all_pass
     swapped = woven_riesz_decomposition_check(parse_family_document(outdiff.swapped_axes_doc()))
-    assert swapped.failing and not swapped.all_pass
+    assert swapped.failing_count and not swapped.all_pass
     many = parse_family_document(outdiff.lines_doc(38, 3, 8, repeat_first=True))
     report = woven_riesz_decomposition_check(many)
-    assert report.failing and len(report.failing) < report.partitions_examined
+    assert 0 < report.failing_count < report.partitions_examined
     # the Riesz check takes the scans' chunks, n * d * d floats per row
     assert many.m**many.n > 10 * chunk_rows(many.n * many.dim**2)
 
@@ -164,7 +166,9 @@ def test_band_document_sits_in_the_tolerance_band_and_fails_both_checks():
     woven = woven_bounds_exhaustive(family)
     assert 0.0 < woven.universal_lower < 1e-10 and not woven.is_woven
     report = woven_riesz_decomposition_check(family)
-    assert len(report.failing) == 2 and woven.worst_partition in report.failing
+    failing = riesz_failing(family)
+    assert report.failing_count == len(failing) == 2 and woven.worst_partition in failing
+    assert report.first_failing == failing[0]
 
 
 def test_tiny_weights_document_is_refused_by_every_check():

@@ -24,18 +24,24 @@ from wovenframes import (
     woven_riesz_decomposition_check,
 )
 from wovenframes.cli import canonical_json, parse_family_document
-from wovenframes.errors import NotAFrame
+from wovenframes.errors import EmptyIntersection, NotAFrame
 from wovenframes.linalg import stacked_spectra
-from wovenframes.transforms import InvertibleOperator, conjugation_check
+from wovenframes.transforms import (
+    InvertibleOperator,
+    conjugation_check,
+    intersection_weaving_report,
+)
 
 from helpers import (
     basis_vec,
     conjugation_residual,
+    intersection_violations,
     jacobi,
     op_violation_unscreened,
     plain_values,
     proj_violation_oracle,
     random_riesz_family,
+    random_subspace,
     riesz_failing,
 )
 
@@ -334,12 +340,14 @@ def test_riesz_check_and_spanning_verdicts_take_the_frame_rule(seed, t):
     else:
         family = band_family(rng, t)
     report = woven_riesz_decomposition_check(family)
-    assert report.failing == riesz_failing(family)
+    failing = riesz_failing(family)
+    assert report.failing_count == len(failing)
+    assert report.first_failing == (failing[0] if failing else None)
     if report.all_pass:
         assert woven_bounds_exhaustive(family).is_woven
     for system in family.systems:
         assert synthesis_is_onto(system) == fusion_bounds(system).is_frame
-    for p in report.failing[:8]:
+    for p in failing[:8]:
         weaving = weave(family, p)
         assert synthesis_is_onto(weaving) == fusion_bounds(weaving).is_frame
 
@@ -404,3 +412,43 @@ def test_stacked_spectra_agree_with_the_jacobi_oracle(case):
         assert np.abs(report.eigenvalues - oracle).max() <= scale
         assert np.abs(report.eigenvalues - values).max() <= scale
         assert report.residual <= scale
+
+
+@st.composite
+def intersection_cases(draw):
+    """A fusion family with m in {2, 3}, d in 2..5 and n in 1..5, members
+    of rank 1..d that are random or coordinate subspaces, and a random or
+    coordinate target K of rank 1..d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n, m = draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.sampled_from([2, 3]))
+
+    def subspace(coordinate: bool, rank: int) -> Subspace:
+        if coordinate:
+            return Subspace.from_spanning(d, [basis_vec(d, i) for i in rng.permutation(d)[:rank]])
+        return random_subspace(rng, d, rank)
+
+    coordinate_members = draw(st.booleans())
+    systems = tuple(
+        FusionFrame(
+            d,
+            tuple(subspace(coordinate_members, int(rng.integers(1, d + 1))) for _ in range(n)),
+            rng.uniform(0.5, 2.0, n),
+        )
+        for _ in range(m)
+    )
+    target = subspace(draw(st.booleans()), draw(st.integers(1, d)))
+    return WovenFamily.fusion(systems), target
+
+
+@settings(FIXED, max_examples=200)
+@given(intersection_cases(), st.integers(1, 20), st.integers(0, 1000))
+def test_intersection_report_equals_the_partition_loop(case, samples, seed):
+    family, k = case
+    try:
+        report = intersection_weaving_report(family, k, samples, seed)
+    except EmptyIntersection:
+        reject()
+    low, high = intersection_violations(family, k, samples, seed)
+    # the closed form and the loop sum each weaving in another order
+    assert abs(report.max_lower_violation - low) <= 1e-12 * (1.0 + abs(low))
+    assert abs(report.max_upper_violation - high) <= 1e-12 * (1.0 + abs(high))

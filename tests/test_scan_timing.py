@@ -71,6 +71,7 @@ def test_d12_riesz_family_fails_where_woven_says_non_woven(monkeypatch):
     woven = woven_bounds_exhaustive(family)
     report = woven_riesz_decomposition_check(family)
     assert not woven.is_woven and woven.universal_lower < 1e-9
-    assert not report.all_pass and len(report.failing) == 2
-    assert woven.worst_partition in report.failing
-    assert report.failing == riesz_failing(family)
+    failing = riesz_failing(family)
+    assert not report.all_pass and report.failing_count == len(failing) == 2
+    assert woven.worst_partition in failing
+    assert report.first_failing == failing[0]

@@ -27,6 +27,8 @@ from wovenframes.errors import (
     EmptyInput,
     EmptyIntersection,
     IndexMismatch,
+    InvalidSampleCount,
+    InvalidSeed,
     InvarianceViolated,
     NonFinite,
     NotSelfAdjoint,
@@ -227,6 +229,16 @@ class TestIntersection:
         assert not report.projector_pattern_holds
         # mismatches are reported, not asserted: the fields exist and are finite
         assert np.isfinite(report.max_lower_violation)
+
+    @pytest.mark.parametrize(
+        "samples, seed, error",
+        [(0, 0, InvalidSampleCount), (-3, 0, InvalidSampleCount), (5, -1, InvalidSeed)],
+    )
+    def test_report_refuses_bad_samples_and_seeds(self, samples, seed, error):
+        family = coordinate_fusion_pair()
+        k = Subspace.from_spanning(4, [basis_vec(4, 0), basis_vec(4, 2)])
+        with pytest.raises(error):
+            intersection_weaving_report(family, k, samples=samples, seed=seed)
 
 
 class TestLocalSystems:

@@ -84,6 +84,25 @@ class TestWeave:
             weave(plane_family, Partition((0, 1, 5)))
 
 
+class TestFamilyKind:
+    LINES = DiscreteFrame(2, np.eye(2))
+    PLANES = FusionFrame(2, (Subspace(2, np.eye(2)),) * 2, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "build, systems",
+        [
+            (WovenFamily.fusion, (LINES, LINES)),
+            (WovenFamily.discrete, (PLANES, PLANES)),
+            (WovenFamily.fusion, (PLANES, LINES)),
+            (WovenFamily.discrete, (LINES, PLANES)),
+        ],
+        ids=["discrete-as-fusion", "fusion-as-discrete", "mixed-fusion", "mixed-discrete"],
+    )
+    def test_systems_of_the_other_kind_are_refused(self, build, systems):
+        with pytest.raises(WrongKind, match="systems only"):
+            build(systems)
+
+
 class TestExhaustive:
     def test_plane_family_universal_interval(self, plane_family):
         report = woven_bounds_exhaustive(plane_family)
@@ -272,7 +291,7 @@ class TestRieszWeaving:
         report = woven_riesz_decomposition_check(family)
         assert report.all_pass
         assert report.partitions_examined == 4
-        assert report.failing == ()
+        assert report.failing_count == 0 and report.first_failing is None
 
     def test_swapped_axes_fail(self):
         e1 = Subspace.from_spanning(2, [[1.0, 0.0]])
@@ -283,9 +302,8 @@ class TestRieszWeaving:
         report = woven_riesz_decomposition_check(family)
         assert not report.all_pass
         # mixed selections repeat one axis and drop the other
-        assert Partition((0, 1)) in report.failing
-        assert Partition((1, 0)) in report.failing
-        assert len(report.failing) == 2
+        assert report.failing_count == 2
+        assert report.first_failing == Partition((0, 1))
 
     def test_wrong_kind(self, plane_family):
         with pytest.raises(WrongKind):

@@ -112,7 +112,7 @@ def grid():
                 "kind": f.kind,
                 "partitions": r.partitions_examined,
                 "all_pass": r.all_pass,
-                "failing_count": len(r.failing),
+                "failing_count": r.failing_count,
             },
         )
     for n in EXHAUSTIVE_NS:
