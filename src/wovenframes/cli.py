@@ -25,9 +25,9 @@ from .frames import DiscreteFrame, optimal_bounds
 from .fusion import (
     FusionFrame,
     Subspace,
+    _members_orthogonal,
+    _ranks_sum_to_dim,
     fusion_bounds,
-    is_orthonormal_fusion_basis,
-    is_riesz_decomposition,
 )
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
@@ -300,15 +300,17 @@ def cmd_analyze(args) -> int:
             )
         else:
             rep = fusion_bounds(s)
+            # the members span exactly when they form a fusion frame, so
+            # every flag reads this one report
+            riesz = _ranks_sum_to_dim(s) and rep.is_frame
             systems.append(
                 {
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_fusion_frame": rep.is_frame,
-                    # the members span exactly when they form a fusion frame
                     "synthesis_is_onto": rep.is_frame,
-                    "is_riesz_decomposition": is_riesz_decomposition(s),
-                    "is_orthonormal_fusion_basis": is_orthonormal_fusion_basis(s),
+                    "is_riesz_decomposition": riesz,
+                    "is_orthonormal_fusion_basis": riesz and _members_orthogonal(s),
                 }
             )
     _emit("analyze", digest, {"kind": family.kind, "systems": systems})

@@ -202,17 +202,25 @@ def synthesis_is_onto(ff: FusionFrame) -> bool:
     return fusion_bounds(ff).is_frame
 
 
+def _ranks_sum_to_dim(ff: FusionFrame) -> bool:
+    """Whether the member dimensions add up to dim."""
+    return sum(sub.rank for sub in ff.subspaces) == ff.dim
+
+
+def _members_orthogonal(ff: FusionFrame) -> bool:
+    """For members whose dimensions add up to dim: whether the stacked
+    bases, a dim x dim matrix, have a Gram matrix within GRAM_TOL of the
+    identity."""
+    stacked = np.hstack([sub.basis for sub in ff.subspaces])
+    return float(np.abs(stacked.T @ stacked - np.eye(ff.dim)).max()) <= GRAM_TOL
+
+
 def is_riesz_decomposition(ff: FusionFrame) -> bool:
     """Every vector splits uniquely as a sum of per-member components:
     the member dimensions add up to dim and the members span."""
-    total = sum(sub.rank for sub in ff.subspaces)
-    return total == ff.dim and fusion_bounds(ff).is_frame
+    return _ranks_sum_to_dim(ff) and fusion_bounds(ff).is_frame
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """Riesz decomposition with mutually orthogonal members."""
-    if not is_riesz_decomposition(ff):
-        return False
-    # the ranks add up to dim: the stacked bases form a dim x dim matrix
-    stacked = np.hstack([sub.basis for sub in ff.subspaces])
-    return float(np.abs(stacked.T @ stacked - np.eye(ff.dim)).max()) <= GRAM_TOL
+    return is_riesz_decomposition(ff) and _members_orthogonal(ff)

@@ -21,13 +21,16 @@ every n (``closed_form``).
 ``op`` has no such form and keeps explicit per-mask sums: every subset
 up to 2^12 (``exhaustive``), else 4096 drawn ones (``sampled``), as one
 matrix product per chunk of 0/1 subset masks, chunked by the budget
-``linalg.CHUNK_FLOATS``. That product sums the per-index parts of
-S_W f, S_V f and of their difference into contiguous (mask, 3, d,
-sample) blocks; the three norms are square roots of one sum of squares
-over d per chunk, the squared ``U_W`` norms come from a second,
-(mask, sample) product, and the slack is one weighted sum of the four
-norms. A Gram or quadratic-form shortcut would lose to cancellation the
-small differences the verdict turns on.
+``linalg.CHUNK_FLOATS``. The per-index parts S_{W,i} f and S_{V,i} f
+are one matrix product per frame, the summands' transposes stacked as
+(n d, d) times the samples as columns, and u_i = <S_{W,i} f, f> is read
+from the W parts. The chunk product sums the parts of S_W f, S_V f and
+of their difference into contiguous (mask, 3, d, sample) blocks; the
+three norms are square roots of one sum of squares over d per chunk,
+the squared ``U_W`` norms come from a second, (mask, sample) product,
+and the slack is one weighted sum of the four norms. A Gram or
+quadratic-form shortcut would lose to cancellation the small
+differences the verdict turns on.
 
 A screen skips the chunks that cannot hold the worst slack. For a
 subset s and f != 0, with A, B and D the sums over s of the parts
@@ -59,7 +62,8 @@ margin kappa T, with T = the sum over s of ||D_i|| + lam ||A_i|| +
 mu ||B_i||: relative to each (mask, sample) term, not global, so pairs
 whose differences cancel ten orders below their parts still prune.
 With u = 2^-53, g_k = k u / (1 - k u), Q the sum over s of |u_i|, and
-the computed parts taken as exact data:
+the computed parts and u_i taken as exact data (so the products that
+form them, and their rounding, do not enter the argument):
 
 1. A mask sum of at most n parts (0/1 products are exact) and then its
    norm, d squares and a square root, lands within g_{n+d+1} times the
@@ -84,18 +88,21 @@ g_{d+8}) >= g_{4n+6d+19}, and kappa = g_{4n+8d+40} is used. These bounds
 assume no underflow or overflow, so the screen runs only when every
 nonzero entry of the samples, of the scaled projectors w_i^2 P_i and of
 the constants has magnitude in [2^-200, 2^200]. The parts are then
-integer multiples of 2^-504 and the u_i of 2^-756 (sums and rounding
-keep such a grid), the samples are unit vectors, and every product or
-quotient either side forms is 0 or at least 2^-1008 in magnitude, with
-every value below 2^900. Otherwise every chunk runs, in mask order. The
-screen's (mask, sample) blocks stay under the chunk budget.
+integer multiples of 2^-504 and the u_i, sums of a part times a sample
+entry, of 2^-756 (sums and rounding keep such a grid), the samples are
+unit vectors, and every product or quotient either side forms is 0 or
+at least 2^-1008 in magnitude, with every value below 2^900. Otherwise
+every chunk runs, in mask order. The screen's (mask, sample) blocks stay
+under the chunk budget.
 
 Each check builds each frame's member projectors P_i once, as one
 (n, d, d) stack, and scales it (by w_i^2 for S and ``op``, by w_i for
-``pw``); it solves S_W, S_V and S_W - S_V in one stacked eigen-solve,
-and the optimal bounds and the extremal sample vectors come from those
-three spectra. Each gate or predicted interval is built on A_W, so every
-check raises NotAFrame unless W passes the frame rule.
+``pw``); every contraction of the sample batch with a stack is one
+matrix product. It solves S_W, S_V and S_W - S_V in one stacked
+eigen-solve, and the optimal bounds and the extremal sample vectors
+come from those three spectra. Each gate or predicted interval is
+built on A_W, so every check raises NotAFrame unless W passes the frame
+rule.
 """
 
 from __future__ import annotations
@@ -214,6 +221,28 @@ def _frame_bounds(spec_w: SpectrumReport, use: str) -> tuple[float, float]:
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _sample_batch(rng: np.random.Generator, samples: int, extremal: np.ndarray) -> np.ndarray:
+    """The unit vectors f of ``op`` and ``proj``: seeded unit rows, then the
+    extremal eigenvectors."""
+    return np.concatenate([_unit_rows(rng, samples, extremal.shape[1]), extremal])
+
+
+def _op_inputs(pw_sq, pv_sq, extremal, rng, samples):
+    """What ``op`` sums over: its sample batch; per index, the parts S_{W,i}
+    f, S_{V,i} f and their difference as contiguous (d, sample) blocks of
+    one (n, 3 d samples) row; and u_i = <S_{W,i} f, f>, read from the W
+    parts. The parts of each frame are one matrix product, the summands'
+    transposes stacked as (n d, d) times the samples as columns."""
+    n, d, _ = pw_sq.shape
+    batch = _sample_batch(rng, samples, extremal)
+    w_parts, v_parts = (
+        (np.swapaxes(sq, 1, 2).reshape(n * d, d) @ batch.T).reshape(n, d, -1)
+        for sq in (pw_sq, pv_sq)
+    )
+    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
+    return batch, flat, np.einsum("nes,se->ns", w_parts, batch)
 
 
 def _mask_rows(keys: np.ndarray, n: int) -> np.ndarray:
@@ -349,15 +378,13 @@ def pw_check(
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    flat = _unit_rows(rng, samples, n * d)
-    blocks = flat.reshape(samples, n, d)
-    diag = extremal / np.sqrt(n)
-    embedded = np.repeat(diag[:, None, :], n, axis=1)
-    batch = np.concatenate([blocks, embedded], axis=0)
+    # each row c is n blocks of d: seeded unit rows, then every extremal
+    # vector repeated in all n blocks, scaled to unit norm
+    batch = np.concatenate([_unit_rows(rng, samples, n * d), np.tile(extremal / np.sqrt(n), n)])
 
-    t_w = np.einsum("snd,nde->se", batch, w.weights[:, None, None] * proj_w)
-    t_v = np.einsum("snd,nde->se", batch, v.weights[:, None, None] * proj_v)
-    norms_c = np.linalg.norm(batch.reshape(batch.shape[0], -1), axis=1)
+    t_w = batch @ (w.weights[:, None, None] * proj_w).reshape(n * d, d)
+    t_v = batch @ (v.weights[:, None, None] * proj_v).reshape(n * d, d)
+    norms_c = np.linalg.norm(batch, axis=1)
     lhs = np.linalg.norm(t_w - t_v, axis=1)
     rhs = (
         lam1 * np.linalg.norm(t_w, axis=1)
@@ -415,14 +442,8 @@ def op_perturbation_check(
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch = np.concatenate([_unit_rows(rng, samples, d), extremal], axis=0)
+    batch, flat, w_normsq = _op_inputs(pw_sq, pv_sq, extremal, rng, samples)
     count = batch.shape[0]
-
-    w_parts = np.einsum("sd,nde->nes", batch, pw_sq)
-    v_parts = np.einsum("sd,nde->nes", batch, pv_sq)
-    w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
-    # per index: S_W, S_V and S_W - S_V parts as contiguous (d, sample) blocks
-    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
     # lhs - rhs as one weighted sum of ||S_W||, ||S_V||, ||S_W - S_V||, ||U_W||
     coefficients = np.array([-lam, -mu, 1.0, -gamma])
 
@@ -470,7 +491,6 @@ def proj_perturbation_check(
     kconst: float,
     samples: int = 1000,
     seed: int = 0,
-    squared: bool = False,
 ) -> PerturbationCertificate:
     """Projection-difference closeness check for families sharing weights.
 
@@ -481,9 +501,7 @@ def proj_perturbation_check(
             <= K min( sum_{i in s} w_i^2 ||P_{W_i} f||,
                       sum_{i in s} w_i^2 ||P_{V_i} f|| ).
 
-    Norms enter unsquared by default; ``squared=True`` switches every
-    norm in the displayed inequality to its square. On success the
-    predicted interval is [(A_W + A_V) / (2K + 1), B_W + B_V].
+    On success the predicted interval is [(A_W + A_V) / (2K + 1), B_W + B_V].
     """
     if not np.isfinite(kconst) or kconst <= 0.0:
         raise ConstantOutOfRange(f"K must be positive and finite, got {kconst}")
@@ -499,17 +517,15 @@ def proj_perturbation_check(
     a_w, b_w = _frame_bounds(spec_w, "the proj interval is predicted from A_W")
     a_v, b_v = spec_v.smallest, spec_v.largest
 
-    rng = np.random.default_rng(seed)
-    batch = np.concatenate([_unit_rows(rng, samples, w.dim), extremal], axis=0)
+    batch = _sample_batch(np.random.default_rng(seed), samples, extremal)
 
     wsq = (w.weights**2)[:, None]
-    pw_f = np.einsum("sd,nde->nse", batch, proj_w)
-    pv_f = np.einsum("sd,nde->nse", batch, proj_v)
+    # (n, sample, d): row f of entry i is f P_i, that is P_i f
+    pw_f = batch @ proj_w
+    pv_f = batch @ proj_v
     diff = np.linalg.norm(pw_f - pv_f, axis=2)
     wn = np.linalg.norm(pw_f, axis=2)
     vn = np.linalg.norm(pv_f, axis=2)
-    if squared:
-        diff, wn, vn = diff**2, wn**2, vn**2
     # per index and sample: a_i, b_i and c_i of the module docstring; the
     # worst subset takes exactly the indices with a positive term
     a = diff * wsq

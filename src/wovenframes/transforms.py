@@ -257,7 +257,11 @@ def intersection_weaving_report(
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     vectors = coeffs @ k.basis.T
 
-    q = np.einsum("sd,nmde,se->snm", vectors, contribution_stacks(intersected), vectors)
+    stacks = contribution_stacks(intersected)
+    n, m, d, _ = stacks.shape
+    # C_ij f for every (i, j) and sample as one product, then q_ij = <C_ij f, f>
+    images = (stacks.reshape(n * m * d, d) @ vectors.T).reshape(n, m, d, samples)
+    q = np.einsum("nmds,sd->snm", images, vectors)
     return IntersectionReport(
         projector_pattern_holds=pattern,
         max_lower_violation=float((base.universal_lower - q.min(axis=2).sum(axis=1)).max()),

@@ -21,7 +21,13 @@ from wovenframes.fusion import (
     is_riesz_decomposition,
 )
 from wovenframes.linalg import orthonormalize_each, row_chunks, sym_eig
-from wovenframes.perturbation import _spectra, _stacks, _subset_masks, _unit_rows
+from wovenframes.perturbation import (
+    _op_inputs,
+    _spectra,
+    _stacks,
+    _subset_masks,
+    _unit_rows,
+)
 from wovenframes.tolerances import RANK_TOL
 from wovenframes.transforms import intersect_family
 from wovenframes.weaving import (
@@ -327,14 +333,39 @@ def all_assignments(n: int, m: int):
     return itertools.product(range(m), repeat=n)
 
 
-def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
-    """The checks' sample batch: seeded unit rows, then the extremal
-    eigenvectors of S_W, S_V and S_W - S_V, each from its own solve."""
-    rng = np.random.default_rng(seed)
+def _extremal(w: FusionFrame, v: FusionFrame) -> np.ndarray:
+    """The extremal eigenvectors of S_W, S_V and S_W - S_V as rows, each
+    from its own solve."""
     sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
-    extremal = [sym_eig(op).eigenvectors[:, k] for op in (sw, sv, sw - sv) for k in (0, -1)]
-    batch = np.concatenate([_unit_rows(rng, samples, w.dim), np.array(extremal)], axis=0)
+    return np.array([sym_eig(op).eigenvectors[:, k] for op in (sw, sv, sw - sv) for k in (0, -1)])
+
+
+def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
+    """The ``op`` and ``proj`` sample batch: seeded unit rows, then the
+    extremal eigenvectors."""
+    rng = np.random.default_rng(seed)
+    batch = np.concatenate([_unit_rows(rng, samples, w.dim), _extremal(w, v)], axis=0)
     return batch, rng
+
+
+def pw_violation_oracle(w, v, lam1, lam2, mu, samples, seed) -> float:
+    """The ``pw`` inequality's worst sampled slack, one sample c at a time,
+    T_X c summing weight_i ``Subspace.project(c_i)`` member by member. The
+    samples are seeded unit rows in R^(n d), then each extremal
+    eigenvector in all n blocks, scaled by 1/sqrt(n)."""
+    n, d = w.size, w.dim
+    rows = list(_unit_rows(np.random.default_rng(seed), samples, n * d))
+    rows += [np.concatenate([x / np.sqrt(n)] * n) for x in _extremal(w, v)]
+    worst = -np.inf
+    for c in rows:
+        blocks = c.reshape(n, d)
+        t_w, t_v = (
+            sum(wt * sub.project(b) for sub, wt, b in zip(x.subspaces, x.weights, blocks))
+            for x in (w, v)
+        )
+        rhs = lam1 * np.linalg.norm(t_w) + lam2 * np.linalg.norm(t_v) + mu * np.linalg.norm(c)
+        worst = max(worst, float(np.linalg.norm(t_w - t_v) - rhs))
+    return worst
 
 
 def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
@@ -363,16 +394,13 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
 def op_inputs(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
     """What ``op`` sums over: its sample batch, the per-index parts of S_W f,
     S_V f and their difference as (n, 3 d samples) rows, the squared U_W
-    norms and the subset masks, built as the check builds them."""
+    norms and the subset masks, from the check's own ``_op_inputs``, so a
+    fold over them is bit for bit the check's."""
     _, pw_sq = _stacks(w)
     _, pv_sq = _stacks(v)
     _, _, extremal = _spectra(pw_sq, pv_sq)
     rng = np.random.default_rng(seed)
-    batch = np.concatenate([_unit_rows(rng, samples, w.dim), extremal], axis=0)
-    w_parts = np.einsum("sd,nde->nes", batch, pw_sq)
-    v_parts = np.einsum("sd,nde->nes", batch, pv_sq)
-    w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
-    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(w.size, -1)
+    batch, flat, w_normsq = _op_inputs(pw_sq, pv_sq, extremal, rng, samples)
     return batch, flat, w_normsq, _subset_masks(w.size, rng)
 
 
@@ -407,7 +435,7 @@ def op_violation_unscreened(w, v, lam, mu, gamma, samples, seed) -> float:
     return worst
 
 
-def proj_violation_oracle(w, v, kconst, samples, seed, squared=False, masks=None) -> float:
+def proj_violation_oracle(w, v, kconst, samples, seed, masks=None) -> float:
     """The ``proj`` inequality's worst slack over the sampled vectors and
     index subsets, one tensordot per subset: all 2^n subsets, enumerated,
     or the 0/1 rows of ``masks(n, rng)`` with rng as left by the batch."""
@@ -421,8 +449,6 @@ def proj_violation_oracle(w, v, kconst, samples, seed, squared=False, masks=None
     diff = np.linalg.norm(pw_f - pv_f, axis=2)
     wn = np.linalg.norm(pw_f, axis=2)
     vn = np.linalg.norm(pv_f, axis=2)
-    if squared:
-        diff, wn, vn = diff**2, wn**2, vn**2
     wsq = (w.weights**2)[:, None]
     diff, wn, vn = diff * wsq, wn * wsq, vn * wsq
     worst = -np.inf

@@ -224,6 +224,18 @@ class TestAnalyze:
         for system in json.loads(out)["systems"]:
             assert system["synthesis_is_onto"] and system["is_fusion_frame"]
 
+    def test_riesz_shaped_system_takes_one_eigensolve(self, tmp_path, capsys, monkeypatch):
+        # ranks add up to d = 4: the Riesz and orthonormal-basis flags read
+        # fusion_bounds' one solve instead of solving again
+        calls = []
+        original = fusion.sym_eig
+        monkeypatch.setattr(fusion, "sym_eig", lambda a: calls.append(a.shape) or original(a))
+        code, out = run_main(capsys, ["analyze", write_doc(tmp_path, COORDINATE_PAIR_DOC)])
+        assert code == 0
+        assert calls == [(4, 4), (4, 4)]
+        for system in json.loads(out)["systems"]:
+            assert system["is_riesz_decomposition"] and system["is_orthonormal_fusion_basis"]
+
     def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = fusion._checked_bases

@@ -16,8 +16,10 @@ from wovenframes import (
     Subspace,
     WovenFamily,
     find_nonwoven_witness,
+    fusion_bounds,
     op_perturbation_check,
     proj_perturbation_check,
+    pw_check,
     woven_bounds_exhaustive,
     woven_bounds_sampled,
     woven_riesz_decomposition_check,
@@ -34,6 +36,7 @@ from helpers import (
     op_violation_oracle,
     op_violation_unscreened,
     proj_violation_oracle,
+    pw_violation_oracle,
     random_riesz_family,
     riesz_failing,
     scan_oracle,
@@ -360,17 +363,32 @@ def test_subset_masks_enumerate_lexicographically(n):
 # the oracle enumerates all 2^n subsets at both n; the closed form takes
 # no chunks, so no chunk budget may change it
 @pytest.mark.parametrize("n", [9, 13])
-@pytest.mark.parametrize("squared", [False, True])
 @pytest.mark.parametrize("kconst", [0.05, 0.5])
-def test_proj_matches_oracle(rows_per_chunk, n, squared, kconst):
+def test_proj_matches_oracle(rows_per_chunk, n, kconst):
     d, samples, seed = 3, 10, 2
     w, v = near_fusion_pair(np.random.default_rng(n), d, n, 2)
     rows_per_chunk((samples + 6) * 3)
-    cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+    cert = proj_perturbation_check(w, v, kconst, samples, seed)
     assert cert.subset_search == "closed_form"
-    expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
+    expected = proj_violation_oracle(w, v, kconst, samples, seed)
     assert close(cert.inequality_violation, expected)
     assert cert.hypothesis_holds == (expected <= 1e-9)
+
+
+# member 0 is rank 0 in both frames; the tilts run from cancelling
+# differences to unrelated members
+@pytest.mark.parametrize("tilt", [1e-10, 0.02, 1.0])
+@pytest.mark.parametrize("samples", [0, 10])
+def test_pw_matches_oracle(tilt, samples):
+    d, n, seed = 3, 9, 5
+    w, v = near_fusion_pair(np.random.default_rng(7), d, n, 2, tilt=tilt)
+    empty = Subspace.from_spanning(d, [])
+    w, v = (FusionFrame(d, (empty,) + x.subspaces[1:], x.weights) for x in (w, v))
+    cert = pw_check(w, v, 0.05, 0.02, 0.01, samples, seed)
+    expected = pw_violation_oracle(w, v, 0.05, 0.02, 0.01, samples, seed)
+    scale = 1.0 + fusion_bounds(w).upper + fusion_bounds(v).upper
+    assert abs(cert.inequality_violation - expected) <= 1e-12 * scale
+    assert cert.sample_count == samples + 6
 
 
 def planted_proj_pair(n: int):

@@ -90,12 +90,6 @@ class TestIdenticalFamilies:
         assert cert.predicted_lower == pytest.approx(2.0 * a_w / 2.0)
         assert_prediction_contains(cert, w, w)
 
-    def test_proj_squared_variant(self):
-        w = coordinate_planes()
-        cert = proj_perturbation_check(w, w, 0.5, squared=True)
-        assert cert.hypothesis_holds
-        assert cert.inequality_violation <= 0.0
-
 
 class TestRotatedPlanes:
     """Bases rotated inside each plane: the subspaces are unchanged, so

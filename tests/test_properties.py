@@ -138,19 +138,18 @@ def fusion_pairs(draw, tilts=(0.0, 1e-3, 0.1, 1.0)):
 @given(
     fusion_pairs(),
     st.sampled_from([0.05, 0.5, 2.0]),
-    st.booleans(),
     st.integers(0, 5),
     st.integers(0, 1000),
 )
-def test_proj_closed_form_equals_subset_enumeration(pair, kconst, squared, samples, seed):
+def test_proj_closed_form_equals_subset_enumeration(pair, kconst, samples, seed):
     w, v = pair
     if not fusion_bounds(w).is_frame:
         with pytest.raises(NotAFrame):
-            proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
+            proj_perturbation_check(w, v, kconst, samples, seed)
         # refused draws do not count: every counted example compares sums
         reject()
-    cert = proj_perturbation_check(w, v, kconst, samples, seed, squared=squared)
-    expected = proj_violation_oracle(w, v, kconst, samples, seed, squared)
+    cert = proj_perturbation_check(w, v, kconst, samples, seed)
+    expected = proj_violation_oracle(w, v, kconst, samples, seed)
     # the closed form and the enumeration sum in another order
     assert abs(cert.inequality_violation - expected) <= 1e-12 * (1.0 + abs(expected))
 

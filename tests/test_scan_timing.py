@@ -33,11 +33,13 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     monkeypatch.setattr(tool, "RIESZ_DIMS", tool.RIESZ_DIMS[:1])
     monkeypatch.setattr(tool, "EXHAUSTIVE_NS", tool.EXHAUSTIVE_NS[:1])
     monkeypatch.setattr(tool, "OP_ROWS", tool.OP_ROWS[:1])
+    monkeypatch.setattr(tool, "PW_ROWS", tool.PW_ROWS[:1])
+    monkeypatch.setattr(tool, "PROJ_ROWS", tool.PROJ_ROWS[:1])
     out = tmp_path / "BENCH_scan.json"
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, op = printed
+    riesz, exhaustive, op, pw, proj = printed
     assert (riesz["scan"], riesz["n"], riesz["d"]) == ("woven_riesz_decomposition_check", 8, 8)
     assert riesz["partitions"] == 2**8 and riesz["all_pass"]
     assert (exhaustive["scan"], exhaustive["n"], exhaustive["d"]) == ("woven_bounds_exhaustive", 12, 6)
@@ -45,6 +47,15 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert (op["scan"], op["n"], op["d"], op["samples"]) == ("op_perturbation_check", 9, 6, 1000)
     assert op["subsets"] == 2**9 and op["subset_search"] == "exhaustive"
     assert op["us_per_subset"] == 1e6 * op["best_s"] / 2**9
+    for record, name, search in (
+        (pw, "pw_check", None),
+        (proj, "proj_perturbation_check", "closed_form"),
+    ):
+        assert (record["scan"], record["n"], record["d"]) == (name, 9, 6)
+        assert record["samples"] == 1000
+        assert record["subset_search"] == search and "subsets" not in record
+        assert record["sample_count"] == 1006
+        assert record["us_per_sample"] == 1e6 * record["best_s"] / 1006
     for record in printed:
         assert record["runs"] == 3 and record["blas_threads"] == 1
         assert 0.0 < record["best_s"] < 60.0

@@ -10,7 +10,10 @@ near fusion pairs (rank 2, V_i a 0.01 tilt of W_i, constants 0.02):
 d = 6 with n = 9 and 12 (all subsets) and n = 13 (4096 drawn subsets);
 and on a d = 1 pair with n = 12 and all constants 0, where every line
 is the whole line, V = W, every slack and every screen bound is 0, and
-no chunk can be skipped: the screen's whole cost shows there. Each grid
+no chunk can be skipped: the screen's whole cost shows there. Times
+``pw_check`` (constants 0.02) and ``proj_perturbation_check`` (K = 0.5)
+on the same d = 6 near pairs at 1000 samples; their unit is the
+sample, the 1000 drawn vectors and the 6 extremal ones. Each grid
 point keeps the best of three runs in one process with one BLAS thread;
 the family is built before the clock starts. Prints one JSON line per
 grid point and writes them all, as a JSON list, to ``BENCH_scan.json``
@@ -46,6 +49,8 @@ from wovenframes import (  # noqa: E402
     Subspace,
     WovenFamily,
     op_perturbation_check,
+    proj_perturbation_check,
+    pw_check,
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
@@ -59,6 +64,9 @@ OP_SAMPLES = 1000
 # (d, n, constants): all subsets at n <= 12, 4096 drawn ones at n = 13;
 # the last row is the d = 1 pair whose chunks the screen cannot skip
 OP_ROWS = ((6, 9, (0.02,) * 3), (6, 12, (0.02,) * 3), (6, 13, (0.02,) * 3), (1, 12, (0.0,) * 3))
+# (d, n, constants) on the d = 6 op pairs: (lam1, lam2, mu) and (K,)
+PW_ROWS = tuple((d, n, (0.02,) * 3) for d, n, _ in OP_ROWS[:3])
+PROJ_ROWS = tuple((d, n, (0.5,)) for d, n, _ in OP_ROWS[:3])
 
 
 def rank1_pair(rng: np.random.Generator, d: int) -> WovenFamily:
@@ -128,19 +136,27 @@ def grid():
                 "universal_upper": r.universal_upper,
             },
         )
-    for d, n, constants in OP_ROWS:
-        w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n)
-        yield (
-            {"scan": "op_perturbation_check", "d": d, "n": n},
-            lambda w=w, v=v, c=constants: op_perturbation_check(w, v, *c, OP_SAMPLES, SEED),
-            lambda r, n=n: {
-                "samples": OP_SAMPLES,
-                "constants": list(r.constants),
-                "subsets": min(2**n, 4096),
-                "subset_search": r.subset_search,
-                "inequality_violation": r.inequality_violation,
-            },
-        )
+    for check, rows in (
+        (op_perturbation_check, OP_ROWS),
+        (pw_check, PW_ROWS),
+        (proj_perturbation_check, PROJ_ROWS),
+    ):
+        for d, n, constants in rows:
+            w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n)
+            yield (
+                {"scan": check.__name__, "d": d, "n": n},
+                lambda f=check, w=w, v=v, c=constants: f(w, v, *c, OP_SAMPLES, SEED),
+                lambda r, n=n: {
+                    "samples": OP_SAMPLES,
+                    "constants": list(r.constants),
+                    "sample_count": r.sample_count,
+                    "subset_search": r.subset_search,
+                    "inequality_violation": r.inequality_violation,
+                    # op sums every subset or 4096 drawn ones; pw has no
+                    # subsets and proj takes its worst one in closed form
+                    **({"subsets": min(2**n, 4096)} if r.method == "op" else {}),
+                },
+            )
 
 
 def main(argv=None) -> int:
@@ -158,8 +174,9 @@ def main(argv=None) -> int:
             "blas_threads": BLAS_THREADS,
             **summary(result),
         }
-        unit = "partitions" if "partitions" in record else "subsets"
-        record[f"us_per_{unit[:-1]}"] = 1e6 * seconds / record[unit]
+        units = (("partition", "partitions"), ("subset", "subsets"), ("sample", "sample_count"))
+        unit, key = next((unit, key) for unit, key in units if key in record)
+        record[f"us_per_{unit}"] = 1e6 * seconds / record[key]
         print(json.dumps(record, sort_keys=True), flush=True)
         records.append(record)
     with open(args.out, "w", encoding="utf-8") as fh:
