@@ -21,13 +21,14 @@ import sys
 import numpy as np
 
 from .errors import ToolkitError, TooManyPartitions
-from .frames import DiscreteFrame, optimal_bounds
+from .frames import DiscreteFrame, bessel_bound, is_riesz_basis, optimal_bounds
 from .fusion import (
     FusionFrame,
     Subspace,
-    _members_orthogonal,
-    _ranks_sum_to_dim,
     fusion_bounds,
+    is_orthonormal_fusion_basis,
+    is_riesz_decomposition,
+    synthesis_is_onto,
 )
 from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
@@ -286,6 +287,7 @@ def _emit(command: str, digest: str, body: dict, notes=(), seed=None) -> None:
 def cmd_analyze(args) -> int:
     family, digest = load_family(args.input)
     systems = []
+    # every value reads the system's one cached spectrum
     for s in family.systems:
         if family.kind == DISCRETE:
             rep = optimal_bounds(s)
@@ -294,23 +296,20 @@ def cmd_analyze(args) -> int:
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_frame": rep.is_frame,
-                    "bessel_bound": rep.upper,
-                    "is_riesz_basis": s.size == s.dim and rep.is_frame,
+                    "bessel_bound": bessel_bound(s),
+                    "is_riesz_basis": is_riesz_basis(s),
                 }
             )
         else:
             rep = fusion_bounds(s)
-            # the members span exactly when they form a fusion frame, so
-            # every flag reads this one report
-            riesz = _ranks_sum_to_dim(s) and rep.is_frame
             systems.append(
                 {
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "is_fusion_frame": rep.is_frame,
-                    "synthesis_is_onto": rep.is_frame,
-                    "is_riesz_decomposition": riesz,
-                    "is_orthonormal_fusion_basis": riesz and _members_orthogonal(s),
+                    "synthesis_is_onto": synthesis_is_onto(s),
+                    "is_riesz_decomposition": is_riesz_decomposition(s),
+                    "is_orthonormal_fusion_basis": is_orthonormal_fusion_basis(s),
                 }
             )
     _emit("analyze", digest, {"kind": family.kind, "systems": systems})

@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, NotAFrame
-from .linalg import SpectrumReport, sym_eig
+from .linalg import SpectrumReport, read_only, sym_eig
 from .tolerances import CLAMP_TOL, FRAME_TOL
 
 
 @dataclass(frozen=True)
 class DiscreteFrame:
-    """Finite family of vectors in R^dim, stored as rows of ``vectors``."""
+    """Finite family of vectors in R^dim, stored as rows of ``vectors``,
+    the frame's own read-only copy of the given vectors."""
 
     dim: int
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.vectors, dtype=float)
+        arr = np.array(self.vectors, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -32,11 +34,17 @@ class DiscreteFrame:
             )
         if not np.isfinite(arr).all():
             raise NonFinite("frame vectors contain NaN or Inf")
-        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "vectors", read_only(arr))
 
     @property
     def size(self) -> int:
         return int(self.vectors.shape[0])
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        """Spectrum of the frame operator, solved once, on first use (not a
+        dataclass field, so equality and reports ignore it)."""
+        return sym_eig(frame_operator(self))
 
 
 @dataclass(frozen=True)
@@ -92,17 +100,17 @@ def optimal_bounds(frame: DiscreteFrame) -> BoundsReport:
     The witnesses are the corresponding unit eigenvectors, so
     sum_i <witness, f_i>^2 reproduces the reported bound.
     """
-    return bounds_from_spectrum(sym_eig(frame_operator(frame)))
+    return bounds_from_spectrum(frame.spectrum)
 
 
 def bessel_bound(frame: DiscreteFrame) -> float:
     """Optimal upper bound, valid even for non-frames."""
-    return sym_eig(frame_operator(frame)).largest
+    return frame.spectrum.largest
 
 
 def dual_frame(frame: DiscreteFrame) -> DiscreteFrame:
     """Standard dual {S^-1 f_i}, giving the reconstruction identity."""
-    spec = sym_eig(frame_operator(frame))
+    spec = frame.spectrum
     if not _is_frame(spec.smallest, spec.largest):
         raise NotAFrame("lower bound is numerically zero; no dual exists")
     inv = spec.eigenvectors @ np.diag(1.0 / spec.eigenvalues) @ spec.eigenvectors.T

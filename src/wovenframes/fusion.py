@@ -3,10 +3,14 @@
 Members are handled as stacks grouped by rank. One validation kernel
 checks an (M, dim, k) stack of bases (shape, finite entries, Gram matrix
 within GRAM_TOL of the identity); a single ``Subspace`` is its M = 1
-case and ``Subspace.from_bases`` builds a whole system from it. The
-member operators ``scale_i * B_i B_i^T`` come from one batched matmul
-per rank group over a C-ordered stack, bit for bit the per-member
-product ``scale_i * (B_i @ B_i.T)``.
+case and ``Subspace.from_bases`` builds a whole system from it.
+A ``FusionFrame`` derives its state once, on first use, as cached
+read-only attributes that are not dataclass fields: ``projectors``, the
+member projectors ``B_i B_i^T`` from one batched matmul per rank group
+over a C-ordered stack (bit for bit the per-member product
+``B_i @ B_i.T``), ``operators``, the summands ``w_i^2 P_i`` of the
+fusion frame operator, and ``spectrum``, the one eigen-solve of that
+operator. Every bound and classification here reads them.
 A finite system spans exactly when it is a fusion frame, so onto
 synthesis and Riesz decomposition read the frame rule on the fusion
 frame operator's spectrum, as ``fusion_bounds(...).is_frame`` does.
@@ -15,12 +19,13 @@ frame operator's spectrum, as ``fusion_bounds(...).is_frame`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotOrthonormal, ToolkitError
 from .frames import BoundsReport, bounds_from_spectrum
-from .linalg import orthonormalize, projector, size_groups, sym_eig
+from .linalg import SpectrumReport, orthonormalize, projector, read_only, size_groups, sym_eig
 from .tolerances import GRAM_TOL
 
 
@@ -119,7 +124,10 @@ def _first_fault(dim: int, arrays) -> ToolkitError | None:
 
 @dataclass(frozen=True)
 class FusionFrame:
-    """Ordered family of (subspace, weight) members over a shared R^dim."""
+    """Ordered family of (subspace, weight) members over a shared R^dim.
+
+    ``weights`` is the frame's own read-only copy of the given weights.
+    """
 
     dim: int
     subspaces: tuple[Subspace, ...]
@@ -127,7 +135,7 @@ class FusionFrame:
 
     def __post_init__(self) -> None:
         subs = tuple(self.subspaces)
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = read_only(np.array(self.weights, dtype=float).ravel())
         if len(subs) == 0:
             raise DimensionMismatch("a fusion frame needs at least one member")
         if w.size != len(subs):
@@ -144,6 +152,29 @@ class FusionFrame:
     def size(self) -> int:
         return len(self.subspaces)
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """Member projectors P_i, shape (size, dim, dim): one batched matmul
+        per nonzero rank over a C-ordered (M, dim, k) stack of the bases (a
+        Fortran-ordered stack would sum the products in another order); a
+        zero-dimensional member gives zeros."""
+        out = np.zeros((self.size, self.dim, self.dim))
+        for k, members in size_groups(sub.rank for sub in self.subspaces).items():
+            if k:
+                stack = np.array([self.subspaces[i].basis for i in members])
+                out[members] = stack @ np.swapaxes(stack, 1, 2)
+        return read_only(out)
+
+    @cached_property
+    def operators(self) -> np.ndarray:
+        """The fusion frame operator's summands w_i^2 P_i, (size, dim, dim)."""
+        return read_only((self.weights * self.weights)[:, None, None] * self.projectors)
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        """Spectrum of the fusion frame operator."""
+        return sym_eig(fusion_frame_operator(self))
+
     def restrict(self, indices) -> "FusionFrame":
         idx = list(indices)
         return FusionFrame(
@@ -153,37 +184,14 @@ class FusionFrame:
         )
 
 
-def _rank_groups(ff: FusionFrame):
-    """``(members, stack)`` per nonzero member rank k: the members'
-    positions and their bases as one C-ordered (M, dim, k) stack (a
-    Fortran-ordered stack would sum the products in another order)."""
-    for k, members in size_groups(sub.rank for sub in ff.subspaces).items():
-        if k:
-            yield members, np.array([ff.subspaces[i].basis for i in members])
-
-
-def _member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
-    """Per-member operators ``scale_i * P_i``, shape (size, dim, dim).
-
-    ``scale`` defaults to the squared weights, which gives the summands
-    of the fusion frame operator; a zero-dimensional member gives zeros.
-    """
-    scale = ff.weights * ff.weights if scale is None else np.asarray(scale)
-    out = np.zeros((ff.size, ff.dim, ff.dim))
-    for members, stack in _rank_groups(ff):
-        products = stack @ np.swapaxes(stack, 1, 2)
-        out[members] = scale[members][:, None, None] * products
-    return out
-
-
 def fusion_frame_operator(ff: FusionFrame) -> np.ndarray:
     """S = sum over i of weight_i^2 * P_i, a symmetric PSD matrix."""
-    return _member_operators(ff).sum(axis=0)
+    return ff.operators.sum(axis=0)
 
 
 def fusion_bounds(ff: FusionFrame) -> BoundsReport:
     """Optimal bounds: extremal eigenvalues of the fusion frame operator."""
-    return bounds_from_spectrum(sym_eig(fusion_frame_operator(ff)))
+    return bounds_from_spectrum(ff.spectrum)
 
 
 def analysis_apply(ff: FusionFrame, f) -> list[np.ndarray]:
@@ -202,25 +210,17 @@ def synthesis_is_onto(ff: FusionFrame) -> bool:
     return fusion_bounds(ff).is_frame
 
 
-def _ranks_sum_to_dim(ff: FusionFrame) -> bool:
-    """Whether the member dimensions add up to dim."""
-    return sum(sub.rank for sub in ff.subspaces) == ff.dim
-
-
-def _members_orthogonal(ff: FusionFrame) -> bool:
-    """For members whose dimensions add up to dim: whether the stacked
-    bases, a dim x dim matrix, have a Gram matrix within GRAM_TOL of the
-    identity."""
-    stacked = np.hstack([sub.basis for sub in ff.subspaces])
-    return float(np.abs(stacked.T @ stacked - np.eye(ff.dim)).max()) <= GRAM_TOL
-
-
 def is_riesz_decomposition(ff: FusionFrame) -> bool:
     """Every vector splits uniquely as a sum of per-member components:
     the member dimensions add up to dim and the members span."""
-    return _ranks_sum_to_dim(ff) and fusion_bounds(ff).is_frame
+    return sum(sub.rank for sub in ff.subspaces) == ff.dim and fusion_bounds(ff).is_frame
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
-    """Riesz decomposition with mutually orthogonal members."""
-    return is_riesz_decomposition(ff) and _members_orthogonal(ff)
+    """Riesz decomposition with mutually orthogonal members: the stacked
+    bases, a dim x dim matrix, have a Gram matrix within GRAM_TOL of the
+    identity."""
+    if not is_riesz_decomposition(ff):
+        return False
+    stacked = np.hstack([sub.basis for sub in ff.subspaces])
+    return float(np.abs(stacked.T @ stacked - np.eye(ff.dim)).max()) <= GRAM_TOL

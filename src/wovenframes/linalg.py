@@ -47,12 +47,19 @@ def row_chunks(rows: np.ndarray, row_floats: int):
     return (rows[start : start + step] for start in range(0, len(rows), step))
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writeable: for values derived once and shared."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Full spectrum of a symmetric matrix.
 
     eigenvalues are ascending; eigenvectors holds the matching unit
-    eigenvectors as columns; residual is max_k ||A v_k - lambda_k v_k||.
+    eigenvectors as columns, both read-only; residual is
+    max_k ||A v_k - lambda_k v_k||.
     """
 
     eigenvalues: np.ndarray
@@ -216,6 +223,8 @@ def stacked_spectra(matrices) -> list[SpectrumReport]:
     residuals = np.sqrt((errors * errors).sum(axis=1).max(axis=1))
     if exponents is not None:
         residuals = np.ldexp(residuals, exponents)
+    read_only(values)
+    read_only(vectors)
     # indexed, not zipped: iterating an ndarray costs more than M views
     return [
         SpectrumReport(values[k], vectors[k], r)

@@ -95,14 +95,15 @@ at least 2^-1008 in magnitude, with every value below 2^900. Otherwise
 every chunk runs, in mask order. The screen's (mask, sample) blocks stay
 under the chunk budget.
 
-Each check builds each frame's member projectors P_i once, as one
-(n, d, d) stack, and scales it (by w_i^2 for S and ``op``, by w_i for
-``pw``); every contraction of the sample batch with a stack is one
-matrix product. It solves S_W, S_V and S_W - S_V in one stacked
-eigen-solve, and the optimal bounds and the extremal sample vectors
-come from those three spectra. Each gate or predicted interval is
-built on A_W, so every check raises NotAFrame unless W passes the frame
-rule.
+Each frame solves its fusion frame operator once, on first use, and
+keeps its member projectors P_i and the summands w_i^2 P_i as (n, d, d)
+stacks (``FusionFrame.projectors``, ``operators`` and ``spectrum``), so
+checks on one pair share them; ``pw`` scales the projectors by w_i.
+Every contraction of the sample batch with a stack is one matrix
+product. A check solves only S_W - S_V itself, and the optimal bounds
+and the extremal sample vectors come from the three spectra. Each gate
+or predicted interval is built on A_W, so every check raises NotAFrame
+unless W passes the frame rule.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ from .errors import (
     WeightMismatch,
 )
 from .frames import _is_frame
-from .fusion import FusionFrame, _member_operators
-from .linalg import SpectrumReport, chunk_rows, row_chunks, stacked_spectra
+from .fusion import FusionFrame, fusion_frame_operator
+from .linalg import chunk_rows, row_chunks, sym_eig
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
@@ -185,31 +186,17 @@ def _check_samples(samples: int) -> None:
         raise InvalidSampleCount(f"samples must be non-negative, got {samples}")
 
 
-def _stacks(ff: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Member projectors P_i as one (size, dim, dim) stack, and the fusion
-    frame operator's summands w_i^2 P_i scaled from it. Scaling the stack
-    by s_i gives ``_member_operators(ff, s)`` bit for bit, since 1.0 * P
-    is exact."""
-    projectors = _member_operators(ff, np.ones(ff.size))
-    return projectors, (ff.weights * ff.weights)[:, None, None] * projectors
+def _extremal(w: FusionFrame, v: FusionFrame) -> np.ndarray:
+    """The extremal eigenvectors of S_W, S_V and S_W - S_V as the rows of
+    one array; only S_W - S_V is solved here."""
+    diff = sym_eig(fusion_frame_operator(w) - fusion_frame_operator(v))
+    spectra = (w.spectrum, v.spectrum, diff)
+    return np.array([s.eigenvectors[:, k] for s in spectra for k in (0, -1)])
 
 
-def _spectra(
-    w_parts: np.ndarray, v_parts: np.ndarray
-) -> tuple[SpectrumReport, SpectrumReport, np.ndarray]:
-    """Spectra of S_W and S_V, given their summands w_i^2 P_i, and the
-    extremal eigenvectors of S_W, S_V and S_W - S_V as the rows of one
-    array, from one stacked eigen-solve."""
-    sw = w_parts.sum(axis=0)
-    sv = v_parts.sum(axis=0)
-    specs = stacked_spectra(np.stack([sw, sv, sw - sv]))
-    extremal = np.array([s.eigenvectors[:, k] for s in specs for k in (0, -1)])
-    return specs[0], specs[1], extremal
-
-
-def _frame_bounds(spec_w: SpectrumReport, use: str) -> tuple[float, float]:
+def _frame_bounds(w: FusionFrame, use: str) -> tuple[float, float]:
     """A_W and B_W; NotAFrame, naming the ``use`` of A_W, unless W is a frame."""
-    a_w, b_w = spec_w.smallest, spec_w.largest
+    a_w, b_w = w.spectrum.smallest, w.spectrum.largest
     if not _is_frame(a_w, b_w):
         reason = "is not positive" if a_w <= 0.0 else "is at most FRAME_TOL * max(1, B_W)"
         raise NotAFrame(
@@ -229,17 +216,17 @@ def _sample_batch(rng: np.random.Generator, samples: int, extremal: np.ndarray) 
     return np.concatenate([_unit_rows(rng, samples, extremal.shape[1]), extremal])
 
 
-def _op_inputs(pw_sq, pv_sq, extremal, rng, samples):
+def _op_inputs(w: FusionFrame, v: FusionFrame, rng, samples):
     """What ``op`` sums over: its sample batch; per index, the parts S_{W,i}
     f, S_{V,i} f and their difference as contiguous (d, sample) blocks of
     one (n, 3 d samples) row; and u_i = <S_{W,i} f, f>, read from the W
     parts. The parts of each frame are one matrix product, the summands'
     transposes stacked as (n d, d) times the samples as columns."""
-    n, d, _ = pw_sq.shape
-    batch = _sample_batch(rng, samples, extremal)
+    n, d = w.size, w.dim
+    batch = _sample_batch(rng, samples, _extremal(w, v))
     w_parts, v_parts = (
         (np.swapaxes(sq, 1, 2).reshape(n * d, d) @ batch.T).reshape(n, d, -1)
-        for sq in (pw_sq, pv_sq)
+        for sq in (w.operators, v.operators)
     )
     flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
     return batch, flat, np.einsum("nes,se->ns", w_parts, batch)
@@ -363,11 +350,8 @@ def pw_check(
     _check_pair(w, v)
     _check_samples(samples)
     _require_seed(seed)
-    proj_w, sq_w = _stacks(w)
-    proj_v, sq_v = _stacks(v)
-    spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
-    a_w, b_w = _frame_bounds(spec_w, "the pw gate divides by A_W")
-    b_v = spec_v.largest
+    a_w, b_w = _frame_bounds(w, "the pw gate divides by A_W")
+    b_v = v.spectrum.largest
 
     gate_value = (
         (2.0 / a_w)
@@ -380,10 +364,11 @@ def pw_check(
     rng = np.random.default_rng(seed)
     # each row c is n blocks of d: seeded unit rows, then every extremal
     # vector repeated in all n blocks, scaled to unit norm
-    batch = np.concatenate([_unit_rows(rng, samples, n * d), np.tile(extremal / np.sqrt(n), n)])
+    extremal = np.tile(_extremal(w, v) / np.sqrt(n), n)
+    batch = np.concatenate([_unit_rows(rng, samples, n * d), extremal])
 
-    t_w = batch @ (w.weights[:, None, None] * proj_w).reshape(n * d, d)
-    t_v = batch @ (v.weights[:, None, None] * proj_v).reshape(n * d, d)
+    t_w = batch @ (w.weights[:, None, None] * w.projectors).reshape(n * d, d)
+    t_v = batch @ (v.weights[:, None, None] * v.projectors).reshape(n * d, d)
     norms_c = np.linalg.norm(batch, axis=1)
     lhs = np.linalg.norm(t_w - t_v, axis=1)
     rhs = (
@@ -431,18 +416,15 @@ def op_perturbation_check(
     _check_pair(w, v)
     _check_samples(samples)
     _require_seed(seed)
-    _, pw_sq = _stacks(w)
-    _, pv_sq = _stacks(v)
-    spec_w, spec_v, extremal = _spectra(pw_sq, pv_sq)
-    a_w, b_w = _frame_bounds(spec_w, "the op gate and interval are measured against A_W")
-    b_v = spec_v.largest
+    a_w, b_w = _frame_bounds(w, "the op gate and interval are measured against A_W")
+    b_v = v.spectrum.largest
 
     gate_value = lam * b_w + mu * b_v + gamma * np.sqrt(b_w)
     gate_margin = float(gate_value - a_w)
 
     n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch, flat, w_normsq = _op_inputs(pw_sq, pv_sq, extremal, rng, samples)
+    batch, flat, w_normsq = _op_inputs(w, v, rng, samples)
     count = batch.shape[0]
     # lhs - rhs as one weighted sum of ||S_W||, ||S_V||, ||S_W - S_V||, ||U_W||
     coefficients = np.array([-lam, -mu, 1.0, -gamma])
@@ -452,7 +434,7 @@ def op_perturbation_check(
     starts = np.arange(0, len(masks), step)
     # each chunk's largest slack bound; +inf runs every chunk in mask order
     best = np.full(len(starts), np.inf)
-    if _screenable(batch, pw_sq, pv_sq, coefficients):
+    if _screenable(batch, w.operators, v.operators, coefficients):
         blocks = _slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma)
         # map holds one block at a time
         tops = np.concatenate(list(map(lambda b: b.max(axis=1), blocks)))
@@ -511,18 +493,15 @@ def proj_perturbation_check(
 
     _check_samples(samples)
     _require_seed(seed)
-    proj_w, sq_w = _stacks(w)
-    proj_v, sq_v = _stacks(v)
-    spec_w, spec_v, extremal = _spectra(sq_w, sq_v)
-    a_w, b_w = _frame_bounds(spec_w, "the proj interval is predicted from A_W")
-    a_v, b_v = spec_v.smallest, spec_v.largest
+    a_w, b_w = _frame_bounds(w, "the proj interval is predicted from A_W")
+    a_v, b_v = v.spectrum.smallest, v.spectrum.largest
 
-    batch = _sample_batch(np.random.default_rng(seed), samples, extremal)
+    batch = _sample_batch(np.random.default_rng(seed), samples, _extremal(w, v))
 
     wsq = (w.weights**2)[:, None]
     # (n, sample, d): row f of entry i is f P_i, that is P_i f
-    pw_f = batch @ proj_w
-    pv_f = batch @ proj_v
+    pw_f = batch @ w.projectors
+    pv_f = batch @ v.projectors
     diff = np.linalg.norm(pw_f - pv_f, axis=2)
     wn = np.linalg.norm(pw_f, axis=2)
     vn = np.linalg.norm(pv_f, axis=2)

@@ -24,13 +24,7 @@ from .errors import (
     WrongKind,
 )
 from .frames import DiscreteFrame
-from .fusion import (
-    FusionFrame,
-    Subspace,
-    _member_operators,
-    fusion_bounds,
-    fusion_frame_operator,
-)
+from .fusion import FusionFrame, Subspace, fusion_bounds, fusion_frame_operator
 from .linalg import (
     orthonormalize,
     orthonormalize_each,
@@ -244,13 +238,11 @@ def intersection_weaving_report(
     base = woven_bounds_exhaustive(family)
     intersected = intersect_family(family, k)
 
-    pattern = True
     pk = k.projector()
-    for orig_sys, new_sys in zip(family.systems, intersected.systems):
-        for orig_sub, new_sub in zip(orig_sys.subspaces, new_sys.subspaces):
-            composed = orig_sub.projector() @ pk
-            if float(np.abs(composed - new_sub.projector()).max()) > PATTERN_TOL:
-                pattern = False
+    pattern = all(
+        float(np.abs(orig.projectors @ pk - new.projectors).max()) <= PATTERN_TOL
+        for orig, new in zip(family.systems, intersected.systems)
+    )
 
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((samples, k.rank))
@@ -473,8 +465,7 @@ def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
         raise IndexMismatch("cannot remove every index")
 
     base = woven_bounds_exhaustive(family)
-    first_parts = _member_operators(family.systems[0])
-    partial_upper = sym_eig(first_parts[list(rem)].sum(axis=0)).largest
+    partial_upper = sym_eig(family.systems[0].operators[list(rem)].sum(axis=0)).largest
     report = RemovalReport(
         removed=rem,
         partial_upper=partial_upper,

@@ -38,7 +38,7 @@ from .errors import (
     WrongKind,
 )
 from .frames import DiscreteFrame, _clamp_small_negative, _is_frame
-from .fusion import FusionFrame, _member_operators
+from .fusion import FusionFrame
 from .linalg import chunk_rows, row_chunks, stacked_eigenvalues, sym_eig
 from .tolerances import WITNESS_EPS
 
@@ -268,7 +268,7 @@ def contribution_stacks(family: WovenFamily) -> np.ndarray:
             s.vectors[:, :, None] * s.vectors[:, None, :] for s in family.systems
         ]
     else:
-        members = [_member_operators(s) for s in family.systems]
+        members = [s.operators for s in family.systems]
     return np.stack(members, axis=1)
 
 

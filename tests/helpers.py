@@ -15,20 +15,10 @@ from wovenframes import (
     WovenFamily,
     weave,
 )
-from wovenframes.fusion import (
-    _member_operators,
-    fusion_frame_operator,
-    is_riesz_decomposition,
-)
+from wovenframes.fusion import fusion_frame_operator, is_riesz_decomposition
 from wovenframes.linalg import orthonormalize_each, row_chunks, sym_eig
-from wovenframes.perturbation import (
-    _op_inputs,
-    _spectra,
-    _stacks,
-    _subset_masks,
-    _unit_rows,
-)
-from wovenframes.tolerances import RANK_TOL
+from wovenframes.perturbation import _op_inputs, _subset_masks, _unit_rows
+from wovenframes.tolerances import PATTERN_TOL, RANK_TOL
 from wovenframes.transforms import intersect_family
 from wovenframes.weaving import (
     _partitions,
@@ -171,7 +161,9 @@ def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
 
 def member_operators(ff: FusionFrame, scale=None) -> np.ndarray:
     """Member-by-member ``scale_i * (B_i @ B_i.T)``, the bit-identity oracle
-    for ``fusion._member_operators``; a zero-dimensional member gives zeros."""
+    for ``FusionFrame.projectors`` (unit scale) and ``FusionFrame.operators``
+    (the default, the squared weights); a zero-dimensional member gives
+    zeros."""
     scale = ff.weights * ff.weights if scale is None else scale
     out = np.zeros((ff.size, ff.dim, ff.dim))
     for i, sub in enumerate(ff.subspaces):
@@ -371,8 +363,8 @@ def pw_violation_oracle(w, v, lam1, lam2, mu, samples, seed) -> float:
 def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
     """The ``op`` inequality's worst sampled slack, one tensordot per mask."""
     batch, rng = _sample_batch(w, v, samples, seed)
-    pw_sq = _member_operators(w)
-    pv_sq = _member_operators(v)
+    pw_sq = w.operators
+    pv_sq = v.operators
     w_parts = np.einsum("sd,nde->nse", batch, pw_sq)
     v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
@@ -396,11 +388,8 @@ def op_inputs(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
     S_V f and their difference as (n, 3 d samples) rows, the squared U_W
     norms and the subset masks, from the check's own ``_op_inputs``, so a
     fold over them is bit for bit the check's."""
-    _, pw_sq = _stacks(w)
-    _, pv_sq = _stacks(v)
-    _, _, extremal = _spectra(pw_sq, pv_sq)
     rng = np.random.default_rng(seed)
-    batch, flat, w_normsq = _op_inputs(pw_sq, pv_sq, extremal, rng, samples)
+    batch, flat, w_normsq = _op_inputs(w, v, rng, samples)
     return batch, flat, w_normsq, _subset_masks(w.size, rng)
 
 
@@ -444,8 +433,8 @@ def proj_violation_oracle(w, v, kconst, samples, seed, masks=None) -> float:
         subsets = itertools.product((0.0, 1.0), repeat=w.size)
     else:
         subsets = masks(w.size, rng)
-    pw_f = np.einsum("sd,nde->nse", batch, _member_operators(w, np.ones(w.size)))
-    pv_f = np.einsum("sd,nde->nse", batch, _member_operators(v, np.ones(v.size)))
+    pw_f = np.einsum("sd,nde->nse", batch, w.projectors)
+    pv_f = np.einsum("sd,nde->nse", batch, v.projectors)
     diff = np.linalg.norm(pw_f - pv_f, axis=2)
     wn = np.linalg.norm(pw_f, axis=2)
     vn = np.linalg.norm(pv_f, axis=2)
@@ -501,6 +490,20 @@ def intersection_violations(
         worst_low = max(worst_low, float((base.universal_lower - sums).max()))
         worst_high = max(worst_high, float((sums - base.universal_upper).max()))
     return worst_low, worst_high
+
+
+def projector_pattern(family: WovenFamily, k: Subspace) -> bool:
+    """Whether P_W P_K equals the projector of W's intersection with ``k``
+    within PATTERN_TOL for every member, one ``Subspace.projector()`` per
+    member: the oracle for ``intersection_weaving_report``'s
+    ``projector_pattern_holds``."""
+    intersected = intersect_family(family, k)
+    pk = k.projector()
+    return all(
+        float(np.abs(orig.projector() @ pk - new.projector()).max()) <= PATTERN_TOL
+        for orig_sys, new_sys in zip(family.systems, intersected.systems)
+        for orig, new in zip(orig_sys.subspaces, new_sys.subspaces)
+    )
 
 
 # -- the per-partition Riesz-weaving oracle --------------------------------

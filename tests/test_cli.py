@@ -236,6 +236,23 @@ class TestAnalyze:
         for system in json.loads(out)["systems"]:
             assert system["is_riesz_decomposition"] and system["is_orthonormal_fusion_basis"]
 
+    def test_discrete_system_takes_one_eigensolve(self, tmp_path, capsys, monkeypatch):
+        # ex3_2's systems are 3 vectors in R^2: the bounds, the Bessel bound
+        # and the Riesz flag read one cached spectrum per system
+        calls = []
+        original = linalg.stacked_spectra
+        monkeypatch.setattr(
+            linalg,
+            "stacked_spectra",
+            lambda matrices: calls.append(len(matrices)) or original(matrices),
+        )
+        code, out = run_main(capsys, ["analyze", write_doc(tmp_path, EX3_2_DOC)])
+        assert code == 0
+        assert calls == [1, 1]
+        for system in json.loads(out)["systems"]:
+            assert system["bessel_bound"] == system["upper"]
+            assert system["is_frame"] and not system["is_riesz_basis"]
+
     def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = fusion._checked_bases

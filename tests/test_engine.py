@@ -345,7 +345,7 @@ def test_op_runs_every_chunk_outside_the_screened_range(monkeypatch, member, wei
     x = pair[member]
     pair[member] = FusionFrame(3, x.subspaces, np.r_[x.weights[:-1], weight])
     w, v = pair
-    assert not perturbation._screenable(*(perturbation._stacks(x)[1] for x in pair))
+    assert not perturbation._screenable(*(x.operators for x in pair))
     monkeypatch.setattr(perturbation, "_slack_bounds", None)
     cert = op_perturbation_check(w, v, 0.02, 0.02, 0.02, 10, 2)
     expected = op_violation_unscreened(w, v, 0.02, 0.02, 0.02, 10, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,3 +163,26 @@ class TestBesselBound:
         _, hi = eig2([[23.0, 9.0], [9.0, 15.0]])
         assert abs(hi - (19.0 + math.sqrt(97.0))) <= 1e-12
         assert abs(bessel_bound(union) - hi) <= 1e-9
+
+
+class TestDerivedState:
+    def test_cached_arrays_are_read_only(self):
+        f, _ = ex3_2_frames()
+        spec = f.spectrum
+        for array in (f.vectors, spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_caller_vectors_are_copied_not_frozen(self):
+        vectors = np.array([[0.0, 2.0], [3.0, 0.0], [2.0, 3.0]])
+        f = DiscreteFrame(2, vectors)
+        vectors[:] = 1.0
+        assert optimal_bounds(f).upper == optimal_bounds(ex3_2_frames()[0]).upper
+        assert f.vectors.tolist() == [[0.0, 2.0], [3.0, 0.0], [2.0, 3.0]]
+
+    def test_derived_state_is_not_a_field(self):
+        f, _ = ex3_2_frames()
+        text = repr(f)
+        assert [fld.name for fld in dataclasses.fields(f)] == ["dim", "vectors"]
+        assert bessel_bound(f) == f.spectrum.largest
+        assert repr(f) == text

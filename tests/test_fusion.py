@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,32 @@ class TestOrthonormalFusionBasis:
             ff = FusionFrame(dim, (first, second), rng.uniform(0.5, 2.0, 2))
             if is_orthonormal_fusion_basis(ff):
                 assert is_riesz_decomposition(ff)
+
+
+class TestDerivedState:
+    def test_cached_arrays_are_read_only(self):
+        ff = random_fusion_frame(np.random.default_rng(3), 4, (1, 2, 0, 3))
+        spec = ff.spectrum
+        arrays = (ff.weights, ff.projectors, ff.operators, spec.eigenvalues, spec.eigenvectors)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_caller_weights_are_copied_not_frozen(self):
+        subs = even_odd_split().subspaces
+        weights = np.array([1.0, 2.0])
+        ff = FusionFrame(4, subs, weights)
+        weights[:] = 5.0
+        expected = fusion_bounds(FusionFrame(4, subs, np.array([1.0, 2.0])))
+        got = fusion_bounds(ff)
+        assert (got.lower, got.upper) == (expected.lower, expected.upper)
+        assert ff.weights.tolist() == [1.0, 2.0]
+        weights[:] = 7.0
+        assert fusion_bounds(ff).upper == expected.upper
+
+    def test_derived_state_is_not_a_field(self):
+        ff = even_odd_split()
+        text = repr(ff)
+        assert [f.name for f in dataclasses.fields(ff)] == ["dim", "subspaces", "weights"]
+        assert ff.spectrum.residual >= 0.0 and ff.operators.shape == (2, 4, 4)
+        assert repr(ff) == text

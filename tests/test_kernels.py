@@ -23,7 +23,6 @@ from wovenframes.errors import (
     NotOrthonormal,
     SingularOperator,
 )
-from wovenframes.fusion import _member_operators
 from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
 from wovenframes.transforms import invert_matrix
 from wovenframes.weaving import contribution_stacks
@@ -264,18 +263,16 @@ def seeded_mixed_rank_frames():
 
 class TestBatchedMemberOperators:
     def test_match_member_loop_bit_for_bit(self):
-        negative_zeros = 0
-        for ff in seeded_mixed_rank_frames():
-            # a negative scale turns +0.0 products into -0.0 entries
-            for scale in (None, ff.weights, np.ones(ff.size), -np.ones(ff.size)):
-                expected = member_operators(ff, scale)
-                actual = _member_operators(ff, scale)
-                # byte comparison also tells -0.0 from +0.0
-                assert actual.tobytes() == expected.tobytes()
-                negative_zeros += int((np.signbit(actual) & (actual == 0)).sum())
+        # a rank-1 member with a -0.0 basis entry, so P[0, 1] multiplies by
+        # -0.0; byte comparison also tells -0.0 from +0.0
+        planted = FusionFrame(2, (Subspace(2, np.array([[1.0], [-0.0]])),), [0.5])
+        assert np.signbit(planted.subspaces[0].basis[1, 0])
+        for ff in [planted, *seeded_mixed_rank_frames()]:
+            ones = np.ones(ff.size)
+            assert ff.projectors.tobytes() == member_operators(ff, ones).tobytes()
+            assert ff.operators.tobytes() == member_operators(ff).tobytes()
             operator = fusion_frame_operator(ff)
             assert operator.tobytes() == member_operators(ff).sum(axis=0).tobytes()
-        assert negative_zeros
 
     def test_contribution_stacks_match_member_loop(self):
         frames = seeded_mixed_rank_frames()

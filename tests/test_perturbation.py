@@ -11,7 +11,7 @@ from wovenframes import (
     pw_check,
     woven_bounds_exhaustive,
 )
-from wovenframes import linalg, perturbation
+from wovenframes import fusion, linalg, perturbation
 from wovenframes.errors import (
     ConstantOutOfRange,
     IndexMismatch,
@@ -21,7 +21,6 @@ from wovenframes.errors import (
     ToolkitError,
     WeightMismatch,
 )
-from wovenframes.fusion import _member_operators
 from wovenframes.perturbation import PerturbationCertificate
 from wovenframes.tolerances import HOLD_SLACK
 from wovenframes.weaving import WovenFamily
@@ -31,6 +30,7 @@ from helpers import (
     complement_planes,
     coordinate_planes,
     inplane_rotated_planes,
+    member_operators,
     random_subspace,
     tilted_planes,
 )
@@ -333,49 +333,60 @@ class TestValidation:
         assert np.isfinite(cert.inequality_violation)
 
 
+def spy_solves(monkeypatch) -> list:
+    """Every matrix given to an eigen-solve from here on, one entry each."""
+    solved = []
+    original = linalg.stacked_spectra
+
+    def spy(matrices):
+        solved.extend(np.array(matrices))
+        return original(matrices)
+
+    monkeypatch.setattr(linalg, "stacked_spectra", spy)
+    return solved
+
+
 class TestSharedSpectra:
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_three_solves_per_check(self, monkeypatch, method):
-        # S_W, S_V and S_W - S_V in one stacked solve, S bit for bit the
-        # fusion frame operator
-        stacks = []
-        original = linalg.stacked_spectra
-
-        def spy(matrices):
-            stacks.append(np.array(matrices))
-            return original(matrices)
-
-        monkeypatch.setattr(perturbation, "stacked_spectra", spy)
+        # on a fresh pair: S_W, S_V and S_W - S_V, S bit for bit the fusion
+        # frame operator
+        solved = spy_solves(monkeypatch)
         w, v = coordinate_planes(), tilted_planes(1e-3)
         CHECKS[method](w, v, 10)
-        assert len(stacks) == 1
         sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
-        assert stacks[0].tobytes() == np.array([sw, sv, sw - sv]).tobytes()
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in (sw, sv, sw - sv)]
+
+    def test_checks_on_one_pair_solve_each_frame_once(self, monkeypatch):
+        # S_W and S_V once in all, S_W - S_V once per check
+        solved = spy_solves(monkeypatch)
+        w, v = coordinate_planes(), tilted_planes(1e-3)
+        for method in sorted(CHECKS):
+            CHECKS[method](w, v, 10)
+        sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
+        expected = (sw, sv) + 3 * (sw - sv,)
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in expected]
 
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_one_projector_stack_per_frame(self, monkeypatch, method):
-        built = []
-        original = perturbation._member_operators
-
-        def spy(ff, scale=None):
-            built.append(ff)
-            return original(ff, scale)
-
-        monkeypatch.setattr(perturbation, "_member_operators", spy)
+        # the rank grouping runs once per projector stack built
         w, v = coordinate_planes(), tilted_planes(1e-3)
-        CHECKS[method](w, v, 10)
-        assert len(built) == 2 and built[0] is w and built[1] is v
+        grouped = []
+        original = fusion.size_groups
+        monkeypatch.setattr(fusion, "size_groups", lambda s: grouped.append(1) or original(s))
+        first = CHECKS[method](w, v, 10)
+        assert CHECKS[method](w, v, 10) == first
+        assert len(grouped) == 2
 
     def test_scaled_projector_stacks_are_the_member_operators(self):
         # mixed ranks and an empty member, which contributes zeros
         rng = np.random.default_rng(8)
         subs = tuple(random_subspace(rng, 5, k) for k in (2, 0, 3, 2, 1))
         ff = FusionFrame(5, subs, rng.uniform(0.5, 1.5, 5))
-        projectors, summands = perturbation._stacks(ff)
-        assert projectors.tobytes() == _member_operators(ff, np.ones(5)).tobytes()
-        assert summands.tobytes() == _member_operators(ff).tobytes()
-        scaled = ff.weights[:, None, None] * projectors
-        assert scaled.tobytes() == _member_operators(ff, ff.weights).tobytes()
+        assert ff.projectors.tobytes() == member_operators(ff, np.ones(5)).tobytes()
+        assert ff.operators.tobytes() == member_operators(ff).tobytes()
+        scaled = ff.weights[:, None, None] * ff.projectors
+        assert scaled.tobytes() == member_operators(ff, ff.weights).tobytes()
 
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_bounds_are_those_of_the_operators(self, method):

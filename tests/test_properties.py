@@ -25,11 +25,12 @@ from wovenframes import (
 )
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import EmptyIntersection, NotAFrame
-from wovenframes.linalg import stacked_spectra
+from wovenframes.linalg import stacked_spectra, sym_eig
 from wovenframes.transforms import (
     InvertibleOperator,
     conjugation_check,
     intersection_weaving_report,
+    remove_subset_check,
 )
 
 from helpers import (
@@ -37,9 +38,11 @@ from helpers import (
     conjugation_residual,
     intersection_violations,
     jacobi,
+    member_operators,
     op_violation_unscreened,
     plain_values,
     proj_violation_oracle,
+    projector_pattern,
     random_riesz_family,
     random_subspace,
     riesz_failing,
@@ -451,3 +454,21 @@ def test_intersection_report_equals_the_partition_loop(case, samples, seed):
     # the closed form and the loop sum each weaving in another order
     assert abs(report.max_lower_violation - low) <= 1e-12 * (1.0 + abs(low))
     assert abs(report.max_upper_violation - high) <= 1e-12 * (1.0 + abs(high))
+
+
+@settings(FIXED, max_examples=100)
+@given(intersection_cases(), st.data())
+def test_removal_and_intersection_read_the_member_loops(case, data):
+    # neither path has a CLI command, so the report diff cannot see them
+    family, k = case
+    pair = WovenFamily.fusion(family.systems[:2])
+    removed = data.draw(st.sets(st.integers(0, pair.n - 1), max_size=pair.n - 1))
+    report = remove_subset_check(pair, removed)
+    parts = member_operators(pair.systems[0])[list(report.removed)]
+    expected = sym_eig(parts.sum(axis=0)).largest
+    assert np.float64(report.partial_upper).tobytes() == np.float64(expected).tobytes()
+    try:
+        holds = intersection_weaving_report(family, k, 1).projector_pattern_holds
+    except EmptyIntersection:
+        return
+    assert holds == projector_pattern(family, k)
