@@ -4,13 +4,16 @@ Members are handled as stacks grouped by rank. One validation kernel
 checks an (M, dim, k) stack of bases (shape, finite entries, Gram matrix
 within GRAM_TOL of the identity); a single ``Subspace`` is its M = 1
 case and ``Subspace.from_bases`` builds a whole system from it.
-A ``FusionFrame`` derives its state once, on first use, as cached
-read-only attributes that are not dataclass fields: ``projectors``, the
-member projectors ``B_i B_i^T`` from one batched matmul per rank group
-over a C-ordered stack (bit for bit the per-member product
-``B_i @ B_i.T``), ``operators``, the summands ``w_i^2 P_i`` of the
-fusion frame operator, and ``spectrum``, the one eigen-solve of that
-operator. Every bound and classification here reads them.
+Each ``Subspace`` holds a read-only C-ordered copy of its basis, a view
+of its rank group's checked stack, so no later write by the caller
+reaches it. A ``FusionFrame`` derives its state once, on first use, as
+cached read-only attributes that are not dataclass fields: ``ranks``,
+the member ranks, ``projectors``, the member projectors ``B_i B_i^T``
+from one batched matmul per rank group over a C-ordered stack (bit for
+bit the per-member product ``B_i @ B_i.T``), ``operators``, the
+summands ``w_i^2 P_i`` of the fusion frame operator, and ``spectrum``,
+the one eigen-solve of that operator. Every bound and classification
+here reads them.
 A finite system spans exactly when it is a fusion frame, so onto
 synthesis and Riesz decomposition read the frame rule on the fusion
 frame operator's spectrum, as ``fusion_bounds(...).is_frame`` does.
@@ -31,7 +34,8 @@ from .tolerances import GRAM_TOL
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of R^dim held as a (dim, k) matrix of orthonormal columns.
+    """Subspace of R^dim held as a (dim, k) matrix of orthonormal columns,
+    the subspace's own read-only C-ordered copy of the given basis.
 
     k = 0 is allowed as a degenerate marker (trivial subspace with zero
     projector); it shows up for empty intersections and for member slots
@@ -86,40 +90,45 @@ class Subspace:
 
 
 def _checked_bases(dim: int, bases) -> list[np.ndarray]:
-    """The bases as float arrays, after checking that each is dim x k with
-    k <= dim, finite, and has a Gram matrix within GRAM_TOL of the
-    identity entrywise: one stacked check per rank k. When a check fails
-    the members are checked again one at a time, in order, so the error is
-    the first bad member's, as ``Subspace(dim, basis)`` raises it."""
+    """The bases as read-only, C-ordered float arrays, after checking that
+    each is dim x k with k <= dim, finite, and has a Gram matrix within
+    GRAM_TOL of the identity entrywise: one stacked check per rank k. Each
+    basis is a view of its rank group's stack, a copy, so no caller keeps
+    a writeable alias of it. When a check fails the members are checked
+    again one at a time, in order, so the error is the first bad member's,
+    as ``Subspace(dim, basis)`` raises it."""
     arrays = [np.asarray(b, dtype=float) for b in bases]
-    fault = _first_fault(dim, arrays)
-    if fault is not None:
-        for b in arrays:
-            member_fault = _first_fault(dim, [b])
-            if member_fault is not None:
-                raise member_fault
-        raise fault
-    return arrays
+    try:
+        return _stacked_bases(dim, arrays)
+    except ToolkitError as fault:
+        error = fault
+    for b in arrays:
+        _stacked_bases(dim, [b])
+    raise error
 
 
-def _first_fault(dim: int, arrays) -> ToolkitError | None:
-    """The first failed check, or None: shapes member by member, then
-    finite entries and the Gram matrix per rank group."""
+def _stacked_bases(dim: int, arrays) -> list[np.ndarray]:
+    """The checked bases in input order, or the first failed check raised:
+    shapes member by member, then finite entries and the Gram matrix per
+    rank group, each group copied once into a read-only C-ordered stack
+    whose members are the bases returned."""
     for b in arrays:
         if b.ndim != 2 or b.shape[0] != dim:
-            return DimensionMismatch(f"basis must be {dim} x k, got shape {b.shape}")
+            raise DimensionMismatch(f"basis must be {dim} x k, got shape {b.shape}")
         if b.shape[1] > dim:
-            return DimensionMismatch("subspace rank exceeds ambient dimension")
+            raise DimensionMismatch("subspace rank exceeds ambient dimension")
+    checked = [None] * len(arrays)
     for k, members in size_groups(b.shape[1] for b in arrays).items():
-        if not k:
-            continue
-        stack = np.array([arrays[i] for i in members])
-        if not np.isfinite(stack).all():
-            return NonFinite("basis contains NaN or Inf")
-        gram = np.swapaxes(stack, 1, 2) @ stack
-        if float(np.abs(gram - np.eye(k)).max()) > GRAM_TOL:
-            return NotOrthonormal("basis columns are not orthonormal")
-    return None
+        stack = read_only(np.array([arrays[i] for i in members]))
+        if k:
+            if not np.isfinite(stack).all():
+                raise NonFinite("basis contains NaN or Inf")
+            gram = np.swapaxes(stack, 1, 2) @ stack
+            if float(np.abs(gram - np.eye(k)).max()) > GRAM_TOL:
+                raise NotOrthonormal("basis columns are not orthonormal")
+        for i, basis in zip(members, stack):
+            checked[i] = basis
+    return checked
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,18 @@ class FusionFrame:
         return len(self.subspaces)
 
     @cached_property
+    def ranks(self) -> np.ndarray:
+        """Member ranks, a read-only int array of length size."""
+        return read_only(np.array([sub.rank for sub in self.subspaces], dtype=int))
+
+    @cached_property
     def projectors(self) -> np.ndarray:
         """Member projectors P_i, shape (size, dim, dim): one batched matmul
         per nonzero rank over a C-ordered (M, dim, k) stack of the bases (a
         Fortran-ordered stack would sum the products in another order); a
         zero-dimensional member gives zeros."""
         out = np.zeros((self.size, self.dim, self.dim))
-        for k, members in size_groups(sub.rank for sub in self.subspaces).items():
+        for k, members in size_groups(self.ranks.tolist()).items():
             if k:
                 stack = np.array([self.subspaces[i].basis for i in members])
                 out[members] = stack @ np.swapaxes(stack, 1, 2)
@@ -213,7 +227,7 @@ def synthesis_is_onto(ff: FusionFrame) -> bool:
 def is_riesz_decomposition(ff: FusionFrame) -> bool:
     """Every vector splits uniquely as a sum of per-member components:
     the member dimensions add up to dim and the members span."""
-    return sum(sub.rank for sub in ff.subspaces) == ff.dim and fusion_bounds(ff).is_frame
+    return int(ff.ranks.sum()) == ff.dim and fusion_bounds(ff).is_frame
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:

@@ -2,8 +2,11 @@
 
 Orthonormalization with rank detection for one spanning set or a stack
 of them, the symmetric eigensolver (LAPACK ``eigh`` with a fixed order
-and sign convention) for one matrix or a stack of them, the chunk budget
-shared by every batched scan, and orthogonal projectors. Everything is
+and sign convention) for one matrix or a stack of them, kept for callers
+that read eigenvectors, its values-only counterpart (LAPACK
+``eigvalsh``) for a stack, which every partition scan and every bound
+that reads no eigenvector calls, the chunk budget shared by every
+batched scan, and orthogonal projectors. Everything is
 pure and deterministic: identical input bytes produce identical output
 bytes, which the report tooling depends on.
 Orthonormalization stays Gram-Schmidt because its basis is serialized
@@ -233,14 +236,18 @@ def stacked_spectra(matrices) -> list[SpectrumReport]:
 
 
 def stacked_eigenvalues(matrices: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each matrix in a (rows, d, d) stack.
+    """Ascending eigenvalues of each matrix in a (rows, d, d) stack, for
+    callers that read no eigenvector.
 
-    One LAPACK ``eigh`` call for the whole stack, with sym_eig's checks
-    on every matrix; row k equals ``sym_eig(matrices[k]).eigenvalues``
-    bit for bit.
+    One values-only LAPACK call (``eigvalsh``: ``syevd`` with
+    ``jobz='N'``) for the whole stack, with sym_eig's checks on every
+    matrix. LAPACK solves each matrix on its own, so row k equals the 2-D
+    ``np.linalg.eigvalsh(0.5 * (a + a.T))`` of ``a = matrices[k]`` bit for
+    bit, whatever the stack's size and the row's place in it. It agrees
+    with ``sym_eig(a).eigenvalues`` to rounding, not bit for bit: the
+    full solve reaches its values by another LAPACK path.
     """
-    values, _ = np.linalg.eigh(_symmetrized(matrices))
-    return values
+    return np.linalg.eigvalsh(_symmetrized(matrices))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:

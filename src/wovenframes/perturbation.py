@@ -502,9 +502,8 @@ def proj_perturbation_check(
     # (n, sample, d): row f of entry i is f P_i, that is P_i f
     pw_f = batch @ w.projectors
     pv_f = batch @ v.projectors
-    diff = np.linalg.norm(pw_f - pv_f, axis=2)
-    wn = np.linalg.norm(pw_f, axis=2)
-    vn = np.linalg.norm(pv_f, axis=2)
+    # norms over the ambient axis, each the root of one einsum sum of squares
+    diff, wn, vn = (np.sqrt(np.einsum("nse,nse->ns", x, x)) for x in (pw_f - pv_f, pw_f, pv_f))
     # per index and sample: a_i, b_i and c_i of the module docstring; the
     # worst subset takes exactly the indices with a positive term
     a = diff * wsq

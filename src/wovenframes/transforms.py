@@ -29,7 +29,7 @@ from .linalg import (
     orthonormalize,
     orthonormalize_each,
     size_groups,
-    stacked_spectra,
+    stacked_eigenvalues,
     sym_eig,
 )
 from .tolerances import (
@@ -307,16 +307,17 @@ class LocalSystem:
             blocks.append(arr)
             nonzero.append(arr[np.linalg.norm(arr, axis=1) > 0] if arr.shape[0] else arr)
         bases = orthonormalize_each(nonzero)
-        # local frame operators in span coordinates, solved in one stacked
-        # call per span rank; a trivial span (rank 0) has no bounds
+        # local frame operators in span coordinates, solved values-only in
+        # one stacked call per span rank; a trivial span (rank 0) has no bounds
         coords = [arr @ basis for arr, basis in zip(blocks, bases)]
         bounds: list[tuple[float, float] | None] = [None] * len(blocks)
         for k, members in size_groups(basis.shape[1] for basis in bases).items():
             if not k:
                 continue
             grams = np.array([coords[i].T @ coords[i] for i in members])
-            for i, spec in zip(members, stacked_spectra(grams)):
-                bounds[i] = (spec.smallest, spec.largest)
+            extremes = stacked_eigenvalues(grams)[:, [0, -1]].tolist()
+            for i, (low, high) in zip(members, extremes):
+                bounds[i] = (low, high)
         if w.size != len(blocks):
             raise DimensionMismatch("one weight per index required")
         return cls(dim, tuple(blocks), w, tuple(bases), tuple(bounds))
@@ -465,7 +466,8 @@ def remove_subset_check(family: WovenFamily, removed) -> RemovalReport:
         raise IndexMismatch("cannot remove every index")
 
     base = woven_bounds_exhaustive(family)
-    partial_upper = sym_eig(family.systems[0].operators[list(rem)].sum(axis=0)).largest
+    removed_sum = family.systems[0].operators[list(rem)].sum(axis=0, keepdims=True)
+    partial_upper = float(stacked_eigenvalues(removed_sum)[0, -1])
     report = RemovalReport(
         removed=rem,
         partial_upper=partial_upper,

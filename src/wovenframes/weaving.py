@@ -9,7 +9,9 @@ base-m assignment strings) or by seeded sampling.
 
 Every scan runs in chunks of assignments: a chunk's weaving operators
 are gathered from the contribution stacks and summed in one call, and
-their spectra come from one stacked LAPACK ``eigh`` call. The chunk
+their eigenvalues come from one stacked values-only LAPACK call
+(``linalg.stacked_eigenvalues``); no scan builds an eigenvector, except
+``sym_eig``'s for the one witness row. The chunk
 size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
 chunks in order keeps the first lexicographic extremum and the first
 lexicographic witness, as a one-partition-at-a-time loop would.
@@ -303,13 +305,15 @@ def _scan(
     """Fold the weaving spectra of the assignment ``chunks`` into one
     report and the count of flagged rows.
 
-    Each chunk takes one stacked eigensolve; an extremum is replaced
-    only by a strictly more extreme later one, so ties go to the first
-    assignment in scan order. ``flag(chunk, values)`` marks rows of a
-    chunk, given its ascending eigenvalues; the report's witness is the
-    first marked assignment with its unit eigenvector (from sym_eig, for
-    its sign rule) and smallest eigenvalue, and ``stop_at_witness`` ends
-    the scan after the chunk that holds it.
+    Each chunk takes one stacked values-only eigensolve; an extremum is
+    replaced only by a strictly more extreme later one, so ties go to the
+    first assignment in scan order. ``flag(chunk, values)`` marks rows of
+    a chunk, given its ascending eigenvalues; the report's witness is the
+    first marked assignment with its smallest eigenvalue, the value its
+    row of the scan holds (so a woven scan's witness value is below
+    ``eps`` by construction), and a unit eigenvector for it from sym_eig
+    (for its sign rule); ``stop_at_witness`` ends the scan after the
+    chunk that holds it.
     """
     lo_val = np.inf
     hi_val = -np.inf
@@ -332,8 +336,8 @@ def _scan(
         flagged += marked.size
         if witness is None and marked.size:
             k = int(marked[0])
-            spec = sym_eig(ops[k])
-            witness = (Partition(chunk[k]), spec.eigenvectors[:, 0].copy(), spec.smallest)
+            vector = sym_eig(ops[k]).eigenvectors[:, 0].copy()
+            witness = (Partition(chunk[k]), vector, float(values[k, 0]))
             if stop_at_witness:
                 break
     upper = float(hi_val)
@@ -404,7 +408,8 @@ def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
     """Largest eigenvalue of the weaving's (fusion) frame operator."""
     _check_partition(family, p)
     stacks = contribution_stacks(family)
-    return sym_eig(_weaving_operators(stacks, np.array([p.assignment]))[0]).largest
+    ops = _weaving_operators(stacks, np.array([p.assignment]))
+    return float(stacked_eigenvalues(ops)[0, -1])
 
 
 def find_nonwoven_witness(
@@ -446,7 +451,7 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
         raise WrongKind("Riesz weaving check applies to fusion families only")
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    ranks = np.array([[sub.rank for sub in s.subspaces] for s in family.systems]).T
+    ranks = np.array([s.ranks for s in family.systems]).T
     index = np.arange(family.n)
 
     def fails(chunk, values):
@@ -463,5 +468,6 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
 
 
 def member_bessel_bounds(family: WovenFamily) -> list[float]:
-    """Optimal upper bound of each member system."""
-    return [sym_eig(op).largest for op in contribution_stacks(family).sum(axis=0)]
+    """Optimal upper bound of each member system, from one values-only
+    solve of the m frame operators."""
+    return stacked_eigenvalues(contribution_stacks(family).sum(axis=0))[:, -1].tolist()

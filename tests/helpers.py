@@ -298,26 +298,38 @@ def woven_pair_random(rng: np.random.Generator, dim: int, members: int) -> Woven
 # -- per-item loop oracles for the chunked scans ---------------------------
 
 
+def one_matrix_eigenvalues(matrix) -> np.ndarray:
+    """Ascending eigenvalues of one matrix from a 2-D values-only
+    ``eigvalsh`` of ``0.5 * (a + a.T)``: the bit-identity oracle for the
+    scans' stacked values-only solve."""
+    a = np.asarray(matrix, dtype=float)
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+
 def scan_oracle(stacks: np.ndarray, assignments, eps: float | None = None) -> dict:
-    """One sym_eig per assignment, in order.
+    """One 2-D values-only solve per assignment, in order.
 
     Returns the smallest and largest eigenvalue over the assignments, the
     first assignment attaining each, the first assignment below ``eps``
-    as (assignment, eigenvector, value), and the count.
+    as (assignment, eigenvector, value), with the eigenvector from
+    ``sym_eig`` and the value from the values-only solve, and the count.
     """
     n = stacks.shape[0]
     out = {"lower": np.inf, "upper": -np.inf, "worst": None, "best": None,
            "witness": None, "count": 0}
     for assignment in assignments:
         assignment = tuple(int(a) for a in assignment)
-        spec = sym_eig(stacks[np.arange(n), list(assignment)].sum(axis=0))
+        operator = stacks[np.arange(n), list(assignment)].sum(axis=0)
+        values = one_matrix_eigenvalues(operator)
+        smallest, largest = float(values[0]), float(values[-1])
         out["count"] += 1
-        if spec.smallest < out["lower"]:
-            out["lower"], out["worst"] = spec.smallest, assignment
-        if spec.largest > out["upper"]:
-            out["upper"], out["best"] = spec.largest, assignment
-        if out["witness"] is None and eps is not None and spec.smallest < eps:
-            out["witness"] = (assignment, spec.eigenvectors[:, 0], spec.smallest)
+        if smallest < out["lower"]:
+            out["lower"], out["worst"] = smallest, assignment
+        if largest > out["upper"]:
+            out["upper"], out["best"] = largest, assignment
+        if out["witness"] is None and eps is not None and smallest < eps:
+            vector = sym_eig(operator).eigenvectors[:, 0]
+            out["witness"] = (assignment, vector, smallest)
     return out
 
 

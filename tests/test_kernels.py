@@ -255,7 +255,9 @@ def seeded_mixed_rank_frames():
         mixed_rank_frame(rng, int(rng.integers(1, 16)), int(rng.integers(1, 12)))
         for _ in range(150)
     ]
-    assert any(sub.basis.flags.f_contiguous and not sub.basis.flags.c_contiguous
+    # every other given basis is Fortran-ordered; each subspace keeps its
+    # own read-only C-ordered copy
+    assert all(sub.basis.flags.c_contiguous and not sub.basis.flags.writeable
                for ff in frames for sub in ff.subspaces)
     assert any(sub.rank == 0 for ff in frames for sub in ff.subspaces)
     return frames
@@ -294,10 +296,32 @@ class TestBatchSubspaces:
         for ff in seeded_mixed_rank_frames()[:40]:
             bases = [sub.basis for sub in ff.subspaces]
             built = Subspace.from_bases(ff.dim, bases)
-            assert built == tuple(ff.subspaces)
+            assert len(built) == len(bases)
             for sub, basis in zip(built, bases):
+                assert sub.dim == ff.dim
+                assert sub.basis.shape == basis.shape
                 assert sub.basis.tobytes() == basis.tobytes()
-                assert sub.basis.flags.f_contiguous == basis.flags.f_contiguous
+                assert sub.basis.flags.c_contiguous and not sub.basis.flags.writeable
+
+    @pytest.mark.parametrize("build", ["one", "batch"])
+    def test_a_later_write_to_the_given_basis_changes_nothing(self, build):
+        b = np.array([[1.0], [0.0]])
+        c = np.array([[0.0], [1.0]])
+        if build == "one":
+            subs = (Subspace(2, b), Subspace(2, c))
+        else:
+            subs = Subspace.from_bases(2, [b, c])
+        ff = FusionFrame(2, subs, [1.0, 2.0])
+        # written before the frame derives anything: its projectors and
+        # spectrum are still those of the subspaces as built
+        b[:] = [[0.0], [1.0]]
+        assert subs[0].basis.tolist() == [[1.0], [0.0]]
+        bounds = fusion_bounds(ff)
+        assert (bounds.lower, bounds.upper) == (1.0, 4.0)
+        fresh = FusionFrame(2, (Subspace(2, b), Subspace(2, c)), [1.0, 2.0])
+        assert fusion_bounds(fresh).lower == 0.0
+        with pytest.raises(ValueError):
+            subs[0].basis[0, 0] = 5.0
 
     @pytest.mark.parametrize(
         "bad, error",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wovenframes import orthonormalize, projector, sym_eig
-from wovenframes.linalg import stacked_spectra
+from wovenframes.linalg import stacked_eigenvalues, stacked_spectra
 from wovenframes.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -11,7 +11,7 @@ from wovenframes.errors import (
     NotSymmetric,
 )
 
-from helpers import one_matrix_spectrum
+from helpers import one_matrix_eigenvalues, one_matrix_spectrum
 
 
 class TestOrthonormalize:
@@ -185,6 +185,37 @@ class TestStackedSpectra:
         stack[-1, 2, 2] = np.nan
         with pytest.raises(NonFinite):
             stacked_spectra(stack)
+
+
+class TestStackedEigenvalues:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12])
+    def test_each_row_matches_the_one_matrix_values_only_solve_bit_for_bit(self, rng, d):
+        stack = mixed_stack(rng, d)
+        values = stacked_eigenvalues(stack)
+        assert values.shape == (len(stack), d)
+        for row, matrix in zip(values, stack):
+            assert row.tobytes() == one_matrix_eigenvalues(matrix).tobytes()
+        # a row's bits depend neither on the stack's size nor on its place
+        for k in range(len(stack)):
+            assert stacked_eigenvalues(stack[k : k + 1])[0].tobytes() == values[k].tobytes()
+        assert stacked_eigenvalues(stack[::-1]).tobytes() == values[::-1].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_agrees_with_the_full_solve_to_rounding(self, rng, d):
+        stack = mixed_stack(rng, d)
+        for row, spec in zip(stacked_eigenvalues(stack), stacked_spectra(stack)):
+            scale = 1e-13 * max(1.0, float(np.abs(spec.eigenvalues).max()))
+            assert np.abs(row - spec.eigenvalues).max() <= scale
+
+    def test_checks_every_matrix(self, rng):
+        stack = mixed_stack(rng, 3)
+        skewed = stack.copy()
+        skewed[-1, 0, 1] += 1.0
+        with pytest.raises(NotSymmetric):
+            stacked_eigenvalues(skewed)
+        stack[-1, 2, 2] = np.inf
+        with pytest.raises(NonFinite):
+            stacked_eigenvalues(stack)
 
 
 class TestProjector:

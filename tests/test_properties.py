@@ -25,20 +25,25 @@ from wovenframes import (
 )
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import EmptyIntersection, NotAFrame
-from wovenframes.linalg import stacked_spectra, sym_eig
+from wovenframes.frames import _clamp_small_negative, _is_frame
+from wovenframes.linalg import stacked_eigenvalues, stacked_spectra
 from wovenframes.transforms import (
     InvertibleOperator,
     conjugation_check,
     intersection_weaving_report,
     remove_subset_check,
 )
+from wovenframes.tolerances import WITNESS_EPS
+from wovenframes.weaving import contribution_stacks
 
 from helpers import (
+    all_assignments,
     basis_vec,
     conjugation_residual,
     intersection_violations,
     jacobi,
     member_operators,
+    one_matrix_eigenvalues,
     op_violation_unscreened,
     plain_values,
     proj_violation_oracle,
@@ -315,6 +320,69 @@ def test_scaling_the_contributions_scales_the_bounds_quadratically(family, c):
     assert_bounds_close(woven_bounds_exhaustive(scaled(family, c)), report, c * c)
 
 
+@st.composite
+def scan_families(draw):
+    """Discrete or fusion families with d <= 4, n <= 8 and m in {2, 3}:
+    Gaussian vectors and spans of rank 1..d, or degenerate coordinate
+    families whose vectors are signed or doubled coordinate axes and whose
+    members are coordinate subspaces, repeated across indices and systems,
+    so that many weavings are singular and many tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["discrete", "fusion"]))
+    coordinate = draw(st.booleans())
+    d, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(2, 3))
+    axes = np.eye(d)
+    systems = []
+    for _ in range(m):
+        if kind == "discrete" and coordinate:
+            scale = rng.choice([1.0, -1.0, 2.0], size=(n, 1))
+            systems.append(DiscreteFrame(d, axes[rng.integers(0, d, n)] * scale))
+        elif kind == "discrete":
+            systems.append(DiscreteFrame(d, rng.standard_normal((n, d))))
+        else:
+            ranks = rng.integers(1, d + 1, n)
+            if coordinate:
+                spans = [axes[rng.choice(d, k, replace=False)] for k in ranks]
+                subs = tuple(Subspace.from_spanning(d, list(span)) for span in spans)
+                weights = rng.choice([1.0, 2.0], n)
+            else:
+                subs = tuple(random_subspace(rng, d, int(k)) for k in ranks)
+                weights = rng.uniform(0.5, 2.0, n)
+            systems.append(FusionFrame(d, subs, weights))
+    return WovenFamily(kind, tuple(systems))
+
+
+@settings(FIXED, max_examples=150)
+@given(scan_families(), st.sampled_from([WITNESS_EPS, 0.5]))
+def test_values_only_scan_agrees_with_the_full_solve(family, eps):
+    # the scan solves values only; the oracle is the full eigh kernel, one
+    # sym_eig per partition, whose values agree with the scan's to rounding
+    report = woven_bounds_exhaustive(family, eps=eps)
+    stacks = contribution_stacks(family)
+    index = np.arange(family.n)
+    assignments = list(all_assignments(family.n, family.m))
+    # stacked_spectra's report k is sym_eig's on matrix k bit for bit
+    operators = np.array([stacks[index, list(a)].sum(axis=0) for a in assignments])
+    spectra = list(zip(assignments, stacked_spectra(operators)))
+    lowest = min(spec.smallest for _, spec in spectra)
+    highest = max(spec.largest for _, spec in spectra)
+    scale = 1e-12 * (1.0 + highest)
+    assert abs(report.universal_upper - highest) <= scale
+    assert abs(report.universal_lower - _clamp_small_negative(lowest, highest)) <= scale
+    assert report.is_woven == _is_frame(_clamp_small_negative(lowest, highest), highest)
+    first = next((a for a, spec in spectra if spec.smallest < eps), None)
+    if first is None:
+        assert report.witness is None
+        return
+    partition, vector, value = report.witness
+    assert partition.assignment == first
+    assert value < eps
+    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+    if partition == report.worst_partition:
+        clamped = _clamp_small_negative(value, report.universal_upper)
+        assert np.float64(clamped).tobytes() == np.float64(report.universal_lower).tobytes()
+
+
 def band_family(rng: np.random.Generator, t: float) -> WovenFamily:
     """Two systems of the same d random lines in R^d, d = n in 2..5, except
     that the second system's line j is line i tilted by t: the weavings
@@ -408,10 +476,12 @@ def planted_spectra(draw):
 @given(planted_spectra())
 def test_stacked_spectra_agree_with_the_jacobi_oracle(case):
     matrices, planted = case
-    for report, matrix, values in zip(stacked_spectra(matrices), matrices, planted):
+    spectra = zip(stacked_spectra(matrices), stacked_eigenvalues(matrices))
+    for (report, only), matrix, values in zip(spectra, matrices, planted):
         oracle = np.sort(jacobi(0.5 * (matrix + matrix.T))[0])
         scale = 1e-10 * max(1.0, float(np.abs(values).max()))
         assert np.abs(report.eigenvalues - oracle).max() <= scale
+        assert np.abs(only - oracle).max() <= scale
         assert np.abs(report.eigenvalues - values).max() <= scale
         assert report.residual <= scale
 
@@ -465,7 +535,7 @@ def test_removal_and_intersection_read_the_member_loops(case, data):
     removed = data.draw(st.sets(st.integers(0, pair.n - 1), max_size=pair.n - 1))
     report = remove_subset_check(pair, removed)
     parts = member_operators(pair.systems[0])[list(report.removed)]
-    expected = sym_eig(parts.sum(axis=0)).largest
+    expected = one_matrix_eigenvalues(parts.sum(axis=0))[-1]
     assert np.float64(report.partial_upper).tobytes() == np.float64(expected).tobytes()
     try:
         holds = intersection_weaving_report(family, k, 1).projector_pattern_holds

@@ -32,6 +32,7 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     tool = _load_tool(monkeypatch)
     monkeypatch.setattr(tool, "RIESZ_DIMS", tool.RIESZ_DIMS[:1])
     monkeypatch.setattr(tool, "EXHAUSTIVE_NS", tool.EXHAUSTIVE_NS[:1])
+    monkeypatch.setattr(tool, "FUSION_NS", tool.FUSION_NS[:1])
     monkeypatch.setattr(tool, "OP_ROWS", tool.OP_ROWS[:1])
     monkeypatch.setattr(tool, "PW_ROWS", tool.PW_ROWS[:1])
     monkeypatch.setattr(tool, "PROJ_ROWS", tool.PROJ_ROWS[:1])
@@ -39,11 +40,13 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, op, pw, proj = printed
+    riesz, exhaustive, fusion, op, pw, proj = printed
     assert (riesz["scan"], riesz["n"], riesz["d"]) == ("woven_riesz_decomposition_check", 8, 8)
     assert riesz["partitions"] == 2**8 and riesz["all_pass"]
     assert (exhaustive["scan"], exhaustive["n"], exhaustive["d"]) == ("woven_bounds_exhaustive", 12, 6)
-    assert exhaustive["partitions"] == 2**12
+    assert exhaustive["partitions"] == 2**12 and exhaustive["kind"] == "discrete"
+    assert (fusion["scan"], fusion["n"], fusion["d"]) == ("woven_bounds_exhaustive", 12, 6)
+    assert fusion["partitions"] == 2**12 and fusion["kind"] == "fusion"
     assert (op["scan"], op["n"], op["d"], op["samples"]) == ("op_perturbation_check", 9, 6, 1000)
     assert op["subsets"] == 2**9 and op["subset_search"] == "exhaustive"
     assert op["us_per_subset"] == 1e6 * op["best_s"] / 2**9
@@ -78,7 +81,7 @@ def test_d12_riesz_family_fails_where_woven_says_non_woven(monkeypatch):
     # two weavings of the n = d = 12 grid family have smallest eigenvalues
     # near 2.6e-10, under FRAME_TOL * max(1, upper): non-woven, so not Riesz
     tool = _load_tool(monkeypatch)
-    family = tool.rank1_pair(np.random.default_rng([tool.SEED, 12]), 12)
+    family = tool.fusion_pair(np.random.default_rng([tool.SEED, 12]), 12, 12, 1)
     woven = woven_bounds_exhaustive(family)
     report = woven_riesz_decomposition_check(family)
     assert not woven.is_woven and woven.universal_lower < 1e-9

@@ -4,7 +4,9 @@ search over a fixed grid.
 Times ``woven_riesz_decomposition_check`` on seeded rank-1 fusion pairs
 with n = d in {8, 10, 12} (2^n partitions, every weaving a Riesz
 decomposition) and ``woven_bounds_exhaustive`` on seeded Gaussian
-discrete pairs with d = 6 and n in {12, 14, 16}. Times
+discrete pairs with d = 6 and n in {12, 14, 16} and on seeded rank-2
+fusion pairs with d = 6 and n in {12, 14}, the two halves of the
+benchmark's woven-exhaustive workload at larger n. Times
 ``op_perturbation_check`` at the CLI's default of 1000 samples on seeded
 near fusion pairs (rank 2, V_i a 0.01 tilt of W_i, constants 0.02):
 d = 6 with n = 9 and 12 (all subsets) and n = 13 (4096 drawn subsets);
@@ -60,6 +62,8 @@ RUNS = 3
 RIESZ_DIMS = (8, 10, 12)
 EXHAUSTIVE_D = 6
 EXHAUSTIVE_NS = (12, 14, 16)
+FUSION_RANK = 2
+FUSION_NS = (12, 14)
 OP_SAMPLES = 1000
 # (d, n, constants): all subsets at n <= 12, 4096 drawn ones at n = 13;
 # the last row is the d = 1 pair whose chunks the screen cannot skip
@@ -69,12 +73,14 @@ PW_ROWS = tuple((d, n, (0.02,) * 3) for d, n, _ in OP_ROWS[:3])
 PROJ_ROWS = tuple((d, n, (0.5,)) for d, n, _ in OP_ROWS[:3])
 
 
-def rank1_pair(rng: np.random.Generator, d: int) -> WovenFamily:
-    """Two systems of d Gaussian lines in R^d with weights in [0.5, 1.5]."""
+def fusion_pair(rng: np.random.Generator, d: int, n: int, rank: int) -> WovenFamily:
+    """Two systems of n Gaussian spans of ``rank`` vectors in R^d with
+    weights in [0.5, 1.5]."""
     systems = []
     for _ in range(2):
-        lines = tuple(Subspace.from_spanning(d, [row]) for row in rng.standard_normal((d, d)))
-        systems.append(FusionFrame(d, lines, rng.uniform(0.5, 1.5, d)))
+        spans = rng.standard_normal((n, rank, d))
+        members = tuple(Subspace.from_spanning(d, list(span)) for span in spans)
+        systems.append(FusionFrame(d, members, rng.uniform(0.5, 1.5, n)))
     return WovenFamily.fusion(tuple(systems))
 
 
@@ -111,7 +117,7 @@ def grid():
     """(record fields, run, summary) per grid point; ``summary`` maps the
     run's result to the record's count and result fields."""
     for d in RIESZ_DIMS:
-        family = rank1_pair(np.random.default_rng([SEED, d]), d)
+        family = fusion_pair(np.random.default_rng([SEED, d]), d, d, 1)
         yield (
             {"scan": "woven_riesz_decomposition_check", "d": d, "n": d},
             lambda f=family: woven_riesz_decomposition_check(f),
@@ -123,10 +129,15 @@ def grid():
                 "failing_count": r.failing_count,
             },
         )
-    for n in EXHAUSTIVE_NS:
-        family = discrete_pair(np.random.default_rng([SEED, EXHAUSTIVE_D, n]), EXHAUSTIVE_D, n)
+    d = EXHAUSTIVE_D
+    families = [discrete_pair(np.random.default_rng([SEED, d, n]), d, n) for n in EXHAUSTIVE_NS]
+    families += [
+        fusion_pair(np.random.default_rng([SEED, d, n, FUSION_RANK]), d, n, FUSION_RANK)
+        for n in FUSION_NS
+    ]
+    for family in families:
         yield (
-            {"scan": "woven_bounds_exhaustive", "d": EXHAUSTIVE_D, "n": n},
+            {"scan": "woven_bounds_exhaustive", "d": d, "n": family.n},
             lambda f=family: woven_bounds_exhaustive(f),
             lambda r, f=family: {
                 "m": f.m,
