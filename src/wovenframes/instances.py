@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionTooSmall, OddDimension, ToolkitError
 from .frames import DiscreteFrame, frame_operator, optimal_bounds
 from .fusion import FusionFrame, Subspace, fusion_bounds
+from .linalg import orthonormalize_each
 from .tolerances import ENTRY_TOL, EX4_2_WITNESS_BOUND, HOLD_SLACK
 from .transforms import (
     LocalSystem,
@@ -223,12 +224,12 @@ def build_ex5_4(dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
         raise DimensionTooSmall("need dim >= 4")
     if delta <= 0:
         raise ToolkitError("delta must be positive")
-    even = [_basis_vector(dim, i) for i in range(1, dim, 2)]
-    odd = [_basis_vector(dim, i) for i in range(0, dim, 2)]
-    w1 = Subspace.from_spanning(dim, even)
-    w2 = Subspace.from_spanning(dim, odd)
-    v1 = Subspace.from_spanning(dim, [delta * e for e in even])
-    v2 = Subspace.from_spanning(dim, [delta * e for e in odd])
+    axes = np.eye(dim)
+    even, odd = axes[1::2], axes[0::2]
+    # the four spanning sets share one count: one stacked Gram-Schmidt
+    w1, w2, v1, v2 = Subspace.from_bases(
+        dim, orthonormalize_each([even, odd, delta * even, delta * odd])
+    )
     first = FusionFrame(dim, (w1, w2), np.ones(2))
     second = FusionFrame(dim, (v1, v2), np.ones(2))
     family = WovenFamily.fusion((first, second))

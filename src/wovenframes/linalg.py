@@ -8,17 +8,22 @@ that read eigenvectors, its values-only counterpart (LAPACK
 that reads no eigenvector calls, the chunk budget shared by every
 batched scan, and orthogonal projectors. Everything is
 pure and deterministic: identical input bytes produce identical output
-bytes, which the report tooling depends on.
+bytes, which the report tooling depends on. A ``SpectrumReport``
+computes its eigen-residual on first read, from the matrix it keeps, so
+a solve whose residual nobody reads pays nothing for it.
 Orthonormalization stays Gram-Schmidt because its basis is serialized
 into family documents and their digests. ``orthonormalize_stack`` runs
 it on every member of an (M, k, d) stack at once, with each member's
 basis bit for bit what a member-by-member loop gives; ``orthonormalize``
-is its M = 1 case.
+is its M = 1 case. A zero row is dependent, so a stack of spanning sets
+with different counts, each padded with zero rows to the largest,
+orthonormalizes in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,13 +66,32 @@ class SpectrumReport:
     """Full spectrum of a symmetric matrix.
 
     eigenvalues are ascending; eigenvectors holds the matching unit
-    eigenvectors as columns, both read-only; residual is
-    max_k ||A v_k - lambda_k v_k||.
+    eigenvectors as columns; matrix is the symmetrized matrix they
+    solve; all three are read-only. ``residual``, max_k ||A v_k -
+    lambda_k v_k|| with A = matrix, is computed on first read and cached
+    (not a field).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """The largest column norm of ``A V - V diag(values)``, computed
+        as the square root of the largest column sum of squares (sqrt is
+        monotone, so this is ``np.linalg.norm(..., axis=0).max()`` bit for
+        bit). A column's norm is up to about 2 max|lambda|, so squares can
+        overflow only past |lambda| = 2^500; errors past 2^500 are scaled
+        by a power of two first (exact) and their norm scaled back."""
+        errors = self.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
+        exponent = 0
+        worst = float(np.abs(errors).max())
+        if worst > 2.0**500:
+            exponent = int(np.frexp(worst)[1])
+            errors = np.ldexp(errors, -exponent)
+        residual = np.sqrt((errors * errors).sum(axis=0).max())
+        return float(np.ldexp(residual, exponent))
 
     @property
     def smallest(self) -> float:
@@ -196,11 +220,12 @@ def sym_eig(matrix) -> SpectrumReport:
 
 def stacked_spectra(matrices) -> list[SpectrumReport]:
     """Spectra of each matrix in an (M, d, d) stack from one LAPACK
-    ``eigh`` call, with sym_eig's checks, order, sign rule and residual.
+    ``eigh`` call, with sym_eig's checks, order and sign rule.
 
-    Matrix k's report equals ``sym_eig(matrices[k])`` bit for bit: LAPACK
-    solves each matrix of the stack on its own, and the sign flip and
-    the residual's products and sums run per matrix in the same order.
+    Matrix k's report equals ``sym_eig(matrices[k])`` bit for bit, its
+    residual included: LAPACK solves each matrix of the stack on its
+    own, the sign flip runs per matrix, and each report's residual is
+    computed from its own matrix, vectors and values when read.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -212,27 +237,11 @@ def stacked_spectra(matrices) -> list[SpectrumReport]:
     rows = np.argmax(np.abs(vectors), axis=1)
     peaks = vectors[np.arange(count)[:, None], rows, np.arange(dim)]
     np.negative(vectors, out=vectors, where=(peaks < 0.0)[:, None, :])
-    errors = sym @ vectors - vectors * values[:, None, :]
-    # error columns have norms up to about 2 max|lambda|, so squares can
-    # overflow only past |lambda| = 2^500; then a matrix whose errors pass
-    # 2^500 has them scaled by a power of two (exact) and its norm back
-    exponents = None
-    if float(np.abs(values).max(initial=0.0)) > 2.0**500:
-        worst = np.abs(errors).max(axis=(1, 2))
-        exponents = np.where(worst > 2.0**500, np.frexp(worst)[1], 0)
-        errors = np.ldexp(errors, -exponents[:, None, None])
-    # the largest column norm; sqrt is monotone, so sqrt of the largest
-    # sum of squares is np.linalg.norm(..., axis=0).max() bit for bit
-    residuals = np.sqrt((errors * errors).sum(axis=1).max(axis=1))
-    if exponents is not None:
-        residuals = np.ldexp(residuals, exponents)
+    read_only(sym)
     read_only(values)
     read_only(vectors)
     # indexed, not zipped: iterating an ndarray costs more than M views
-    return [
-        SpectrumReport(values[k], vectors[k], r)
-        for k, r in enumerate(residuals.tolist())
-    ]
+    return [SpectrumReport(values[k], vectors[k], sym[k]) for k in range(count)]
 
 
 def stacked_eigenvalues(matrices: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .fusion import FusionFrame, Subspace, fusion_bounds, fusion_frame_operator
 from .linalg import (
     orthonormalize,
     orthonormalize_each,
+    orthonormalize_stack,
     size_groups,
     stacked_eigenvalues,
     sym_eig,
@@ -298,15 +299,20 @@ class LocalSystem:
         w = np.asarray(weights, dtype=float).ravel()
         lists = [np.array([np.asarray(v, float) for v in lst]) for lst in vector_lists]
         blocks = []
-        nonzero = []
         for arr in lists:
             if arr.size == 0:
                 arr = arr.reshape(0, dim)
             if arr.ndim != 2 or arr.shape[1] != dim:
                 raise DimensionMismatch("local vectors must have the ambient dim")
             blocks.append(arr)
-            nonzero.append(arr[np.linalg.norm(arr, axis=1) > 0] if arr.shape[0] else arr)
-        bases = orthonormalize_each(nonzero)
+        # one stacked Gram-Schmidt over every block, each padded with zero
+        # rows to the largest: a zero row is dependent, and the stack masks
+        # each member on its own, so each basis is its block's alone bit
+        # for bit (zero vectors in a block included)
+        padded = np.zeros((len(blocks), max(map(len, blocks), default=0), dim))
+        for slot, arr in zip(padded, blocks):
+            slot[: len(arr)] = arr
+        bases = orthonormalize_stack(padded)
         # local frame operators in span coordinates, solved values-only in
         # one stacked call per span rank; a trivial span (rank 0) has no bounds
         coords = [arr @ basis for arr, basis in zip(blocks, bases)]
@@ -344,15 +350,12 @@ def flatten_local_system(
 ) -> tuple[DiscreteFrame, tuple[tuple[int, int], ...]]:
     """Single weighted frame over the doubly indexed set, plus the map
     from (index, local position) to flat position."""
-    rows = []
-    index_map = []
-    for i, (block, w) in enumerate(zip(system.blocks, system.weights)):
-        for j in range(block.shape[0]):
-            rows.append(w * block[j])
-            index_map.append((i, j))
-    if not rows:
+    counts = [len(block) for block in system.blocks]
+    if not any(counts):
         raise EmptyInput("local system has no vectors at all")
-    return DiscreteFrame(system.dim, np.array(rows)), tuple(index_map)
+    rows = np.repeat(system.weights, counts)[:, None] * np.concatenate(system.blocks)
+    index_map = tuple((i, j) for i, count in enumerate(counts) for j in range(count))
+    return DiscreteFrame(system.dim, rows), index_map
 
 
 def _blocked_vector_stacks(lf: LocalSystem, lg: LocalSystem) -> np.ndarray:

@@ -15,10 +15,11 @@ their eigenvalues come from one stacked values-only LAPACK call
 size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
 chunks in order keeps the first lexicographic extremum and the first
 lexicographic witness, as a one-partition-at-a-time loop would.
-That fold, ``_scan``, also counts the rows a row flag marks: the woven
-scans flag a smallest eigenvalue below ``eps``, the Riesz-weaving check
-a weaving whose member ranks miss d or whose spectrum fails the frame
-rule.
+That fold, ``_scan``, also records the first row a row flag marks (the
+woven scans flag a smallest eigenvalue below ``eps``). The Riesz-weaving
+check reads the same solved chunks (``_solved``) and folds only what it
+reports: the count of weavings whose member ranks miss d or whose
+spectrum fails the frame rule, and the first of them.
 """
 
 from __future__ import annotations
@@ -294,6 +295,14 @@ def _below(eps: float | None):
     return lambda chunk, values: values[:, 0] < eps
 
 
+def _solved(stacks: np.ndarray, chunks):
+    """Each chunk of assignments with its weaving operators and their
+    ascending eigenvalues, from one stacked values-only solve per chunk."""
+    for chunk in chunks:
+        ops = _weaving_operators(stacks, chunk)
+        yield chunk, ops, stacked_eigenvalues(ops)
+
+
 def _scan(
     stacks: np.ndarray,
     chunks,
@@ -301,28 +310,25 @@ def _scan(
     seed: int | None = None,
     flag=None,
     stop_at_witness: bool = False,
-) -> tuple[WovenReport, int]:
+) -> WovenReport:
     """Fold the weaving spectra of the assignment ``chunks`` into one
-    report and the count of flagged rows.
+    report.
 
-    Each chunk takes one stacked values-only eigensolve; an extremum is
-    replaced only by a strictly more extreme later one, so ties go to the
-    first assignment in scan order. ``flag(chunk, values)`` marks rows of
-    a chunk, given its ascending eigenvalues; the report's witness is the
-    first marked assignment with its smallest eigenvalue, the value its
-    row of the scan holds (so a woven scan's witness value is below
-    ``eps`` by construction), and a unit eigenvector for it from sym_eig
-    (for its sign rule); ``stop_at_witness`` ends the scan after the
-    chunk that holds it.
+    An extremum is replaced only by a strictly more extreme later one, so
+    ties go to the first assignment in scan order. ``flag(chunk,
+    values)`` marks rows of a chunk, given its ascending eigenvalues; the
+    report's witness is the first marked assignment with its smallest
+    eigenvalue, the value its row of the scan holds (so a woven scan's
+    witness value is below ``eps`` by construction), and a unit
+    eigenvector for it from sym_eig (for its sign rule);
+    ``stop_at_witness`` ends the scan after the chunk that holds it.
     """
     lo_val = np.inf
     hi_val = -np.inf
     lo_part = hi_part = None
     witness = None
-    count = flagged = 0
-    for chunk in chunks:
-        ops = _weaving_operators(stacks, chunk)
-        values = stacked_eigenvalues(ops)
+    count = 0
+    for chunk, ops, values in _solved(stacks, chunks):
         count += len(chunk)
         k = int(np.argmin(values[:, 0]))
         if values[k, 0] < lo_val:
@@ -330,11 +336,10 @@ def _scan(
         k = int(np.argmax(values[:, -1]))
         if values[k, -1] > hi_val:
             hi_val, hi_part = values[k, -1], chunk[k]
-        if flag is None:
+        if flag is None or witness is not None:
             continue
         marked = np.flatnonzero(flag(chunk, values))
-        flagged += marked.size
-        if witness is None and marked.size:
+        if marked.size:
             k = int(marked[0])
             vector = sym_eig(ops[k]).eigenvectors[:, 0].copy()
             witness = (Partition(chunk[k]), vector, float(values[k, 0]))
@@ -352,7 +357,7 @@ def _scan(
         partitions_examined=count,
         seed=seed,
         witness=witness,
-    ), flagged
+    )
 
 
 def woven_bounds_from_contributions(
@@ -366,7 +371,7 @@ def woven_bounds_from_contributions(
     """
     flag = _below(eps)
     n, m, d = stacks.shape[:3]
-    return _scan(stacks, _partitions(n, m, d), "exhaustive", flag=flag)[0]
+    return _scan(stacks, _partitions(n, m, d), "exhaustive", flag=flag)
 
 
 def woven_bounds_exhaustive(
@@ -378,7 +383,7 @@ def woven_bounds_exhaustive(
     """
     flag = _below(eps)
     chunks = _partitions(family.n, family.m, family.dim)
-    return _scan(contribution_stacks(family), chunks, "exhaustive", flag=flag)[0]
+    return _scan(contribution_stacks(family), chunks, "exhaustive", flag=flag)
 
 
 def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenReport:
@@ -401,7 +406,7 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     pure = np.repeat(np.arange(m)[:, None], n, axis=1)
     rows = np.concatenate([pure, drawn])
     chunks = row_chunks(rows, n * d * d)
-    return _scan(stacks, chunks, "sampled", seed=seed)[0]
+    return _scan(stacks, chunks, "sampled", seed=seed)
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
@@ -422,7 +427,7 @@ def find_nonwoven_witness(
     flag = _below(eps)
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", flag=flag, stop_at_witness=True)[0].witness
+    return _scan(stacks, chunks, "exhaustive", flag=flag, stop_at_witness=True).witness
 
 
 @dataclass(frozen=True)
@@ -443,9 +448,10 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
 
     Fusion families only. A weaving fails when its member ranks, read
     from one (n, m) table, do not add up to d, or when the frame rule
-    rejects the spectrum ``_scan`` solves for it; the scan counts the
-    failing rows and builds a Partition for the first alone. Checks the
-    kind and the enumeration cap at the call, before any work.
+    rejects its spectrum, solved values-only chunk by chunk as in every
+    scan; the check counts the failing rows and builds a Partition for
+    the first alone, and no extremum or eigenvector. Checks the kind and
+    the enumeration cap at the call, before any work.
     """
     if family.kind != FUSION:
         raise WrongKind("Riesz weaving check applies to fusion families only")
@@ -453,17 +459,21 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
     stacks = contribution_stacks(family)
     ranks = np.array([s.ranks for s in family.systems]).T
     index = np.arange(family.n)
-
-    def fails(chunk, values):
+    examined = failing = 0
+    first = None
+    for chunk, _, values in _solved(stacks, chunks):
+        examined += len(chunk)
         spans = _is_frame(values[:, 0], values[:, -1])
-        return ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
-
-    report, failing = _scan(stacks, chunks, "exhaustive", flag=fails)
+        fails = ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
+        marked = np.flatnonzero(fails)
+        failing += marked.size
+        if first is None and marked.size:
+            first = Partition(chunk[marked[0]])
     return RieszWeavingReport(
         all_pass=not failing,
         failing_count=failing,
-        first_failing=None if report.witness is None else report.witness[0],
-        partitions_examined=report.partitions_examined,
+        first_failing=first,
+        partitions_examined=examined,
     )
 
 

@@ -121,7 +121,10 @@ def one_matrix_spectrum(matrix) -> tuple[np.ndarray, np.ndarray, float]:
     """``sym_eig``'s values, vectors and residual computed on the one 2-D
     matrix: a 2-D ``eigh``, the sign rule column by column (largest
     magnitude entry positive, first one on ties) and the residual as the
-    largest column norm of ``A V - V diag(values)``."""
+    largest column norm of ``A V - V diag(values)``; errors past 2^500,
+    whose squares would overflow, are scaled by 2^-e (e their largest
+    entry's binary exponent, so the scaling is exact) before the norm and
+    the norm by 2^e after."""
     a = np.asarray(matrix, dtype=float)
     sym = 0.5 * (a + a.T)
     values, vectors = np.linalg.eigh(sym)
@@ -130,7 +133,9 @@ def one_matrix_spectrum(matrix) -> tuple[np.ndarray, np.ndarray, float]:
             vectors[:, j] *= -1.0
     residual = 0.0
     if values.size:
-        residual = float(np.linalg.norm(sym @ vectors - vectors * values, axis=0).max())
+        errors = sym @ vectors - vectors * values
+        e = int(np.frexp(np.abs(errors).max())[1]) if np.abs(errors).max() > 2.0**500 else 0
+        residual = math.ldexp(float(np.linalg.norm(errors * 2.0**-e, axis=0).max()), e)
     return values, vectors, residual
 
 
@@ -157,6 +162,28 @@ def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
     if cols:
         return np.column_stack(cols), len(cols)
     return np.zeros((arr.shape[1], 0)), 0
+
+
+def local_system_oracle(dim: int, vector_lists):
+    """``LocalSystem.build``'s bases, local bounds and projectors block by
+    block, as the bit-identity oracle for its stacked build: each block's
+    zero rows filtered out, the rest orthonormalized alone by
+    ``gram_schmidt``, the local bounds the extreme 2-D values-only
+    eigenvalues of the block's Gram matrix in span coordinates (None for
+    a trivial span), and each projector ``B @ B.T`` (zeros for rank 0)."""
+    bases, bounds, projectors = [], [], np.zeros((len(vector_lists), dim, dim))
+    for i, vectors in enumerate(vector_lists):
+        block = np.array(vectors, dtype=float).reshape(-1, dim)
+        nonzero = block[np.linalg.norm(block, axis=1) > 0]
+        basis = gram_schmidt(nonzero)[0] if len(nonzero) else np.zeros((dim, 0))
+        bases.append(basis)
+        bounds.append(None)
+        if basis.shape[1]:
+            coords = block @ basis
+            values = one_matrix_eigenvalues(coords.T @ coords)
+            bounds[-1] = (float(values[0]), float(values[-1]))
+            projectors[i] = basis @ basis.T
+    return bases, bounds, projectors
 
 
 def member_operators(ff: FusionFrame, scale=None) -> np.ndarray:

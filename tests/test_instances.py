@@ -1,10 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
-from wovenframes.cli import canonical_json, family_to_document, parse_family_document
+from wovenframes import linalg
+
+from wovenframes.cli import canonical_json, family_to_document, main, parse_family_document
 from wovenframes.errors import DimensionTooSmall, OddDimension, ToolkitError
 from wovenframes.instances import (
     COMPUTED,
+    INSTANCE_IDS,
     REFERENCE,
     build_ex3_2,
     build_ex4_1,
@@ -148,6 +153,28 @@ class TestEx5_4:
             build_ex5_4(2)
         with pytest.raises(ToolkitError):
             build_ex5_4(6, delta=0.0)
+
+
+def test_a_reproduce_round_orthonormalizes_in_five_stacked_calls(monkeypatch, capsys):
+    # one stacked call per local system of ex4_1 and ex4_2 and one for
+    # ex5_4's four subspaces; ex3_2 is discrete and orthonormalizes nothing
+    calls = []
+    original = linalg.orthonormalize_stack
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return original(stack)
+
+    # every module attribute that holds the kernel, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wovenframes":
+            for site, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, site, counted)
+    for instance_id in INSTANCE_IDS:
+        assert main(["reproduce", "--id", instance_id, "--dim", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [(6, 1, 6), (6, 2, 6), (6, 1, 6), (6, 2, 6), (4, 3, 6)]
 
 
 def test_build_instance_dispatch():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,25 @@ class TestStackedSpectra:
         assert 0.0 < spec.residual == pytest.approx(expected, rel=1e-12)
         assert spec.residual <= 1e-12 * spec.largest
         assert sym_eig(huge).residual == spec.residual
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 2.0**600, 1e300])
+    def test_residual_is_computed_when_read_bit_for_bit(self, rng, d, scale):
+        # at 2^600 and 1e300 the error columns pass 2^500, so their squares
+        # would overflow without the power-of-two scaling
+        stack = scale * mixed_stack(rng, d)
+        for matrix, spec in zip(stack, stacked_spectra(stack)):
+            assert "residual" not in vars(spec)
+            first = spec.residual
+            assert np.float64(first).tobytes() == np.float64(one_matrix_spectrum(matrix)[2]).tobytes()
+            assert np.isfinite(first)
+            assert spec.residual is first and vars(spec)["residual"] is first
+
+    def test_residual_is_not_a_field(self):
+        spec = sym_eig(np.eye(2))
+        assert [f.name for f in dataclasses.fields(spec)] == ["eigenvalues", "eigenvectors", "matrix"]
+        assert not spec.matrix.flags.writeable
+        assert spec.matrix.tobytes() == np.eye(2).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 1, 1)])
     def test_zero_stack(self, shape):

@@ -3,7 +3,7 @@ every run draws the same examples."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,7 +29,9 @@ from wovenframes.frames import _clamp_small_negative, _is_frame
 from wovenframes.linalg import stacked_eigenvalues, stacked_spectra
 from wovenframes.transforms import (
     InvertibleOperator,
+    LocalSystem,
     conjugation_check,
+    flatten_local_system,
     intersection_weaving_report,
     remove_subset_check,
 )
@@ -42,6 +44,7 @@ from helpers import (
     conjugation_residual,
     intersection_violations,
     jacobi,
+    local_system_oracle,
     member_operators,
     one_matrix_eigenvalues,
     op_violation_unscreened,
@@ -118,6 +121,54 @@ def test_ingested_bases_equal_per_member_orthonormalization(doc):
             assert sub.basis.shape == expected.basis.shape
             # byte comparison also tells -0.0 from +0.0
             assert sub.basis.tobytes() == expected.basis.tobytes()
+
+
+@st.composite
+def local_vector_lists(draw):
+    """(dim, lists): 1-6 blocks of ``spanning_lists`` in R^1..R^5, so the
+    blocks mix their counts (0 included) and hold zero rows anywhere,
+    -0.0 entries and dependent rows."""
+    dim = draw(st.integers(1, 5))
+    return dim, [draw(spanning_lists(dim)) for _ in range(draw(st.integers(1, 6)))]
+
+
+# a zero vector before a nonzero one, -0.0 entries, an all -0.0 vector,
+# an empty block and a dependent one, all at different counts
+MIXED_BLOCKS = (
+    3,
+    [
+        [[0.0, 0.0, 0.0], [1.0, -0.0, 2.0]],
+        [],
+        [[1.0, 1.0, -0.0], [2.0, 2.0, -0.0], [-0.0, 0.0, 3.0]],
+        [[-0.0, -0.0, -0.0]],
+    ],
+)
+# ex4_2 with first_block_absent: the second system's first block is empty
+SHIFTED_FIRST_ABSENT = (6, [[]] + [[np.eye(6)[i], np.eye(6)[i + 1]] for i in range(1, 5)] + [[np.eye(6)[5]]])
+
+
+@FIXED
+@example(MIXED_BLOCKS, 0.5)
+@example(SHIFTED_FIRST_ABSENT, 1.0)
+@given(local_vector_lists(), st.floats(0.1, 10.0))
+def test_local_system_build_equals_the_per_block_oracle(case, scale):
+    dim, lists = case
+    system = LocalSystem.build(dim, lists, scale * (1.0 + np.arange(len(lists))))
+    bases, bounds, projectors = local_system_oracle(dim, lists)
+    assert len(system.bases) == len(bases)
+    for got, want in zip(system.bases, bases):
+        # byte comparison also tells -0.0 from +0.0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert [None if b is None else np.array(b).tobytes() for b in system.local_bounds] == [
+        None if b is None else np.array(b).tobytes() for b in bounds
+    ]
+    assert system.fusion_frame.projectors.tobytes() == projectors.tobytes()
+    # the flattened frame against the row-by-row loop
+    rows = [w * np.asarray(v, float) for vectors, w in zip(lists, system.weights) for v in vectors]
+    if rows:
+        flat, index_map = flatten_local_system(system)
+        assert flat.vectors.tobytes() == np.array(rows).tobytes()
+        assert index_map == tuple((i, j) for i, vectors in enumerate(lists) for j in range(len(vectors)))
 
 
 @st.composite

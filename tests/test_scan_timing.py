@@ -36,11 +36,20 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     monkeypatch.setattr(tool, "OP_ROWS", tool.OP_ROWS[:1])
     monkeypatch.setattr(tool, "PW_ROWS", tool.PW_ROWS[:1])
     monkeypatch.setattr(tool, "PROJ_ROWS", tool.PROJ_ROWS[:1])
+    monkeypatch.setattr(tool, "INSTANCE_IDS", tool.INSTANCE_IDS[:1])
+    monkeypatch.setattr(tool, "INSTANCE_DIMS", tool.INSTANCE_DIMS[:1])
     out = tmp_path / "BENCH_scan.json"
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, fusion, op, pw, proj = printed
+    riesz, exhaustive, fusion, op, pw, proj, build, verify = printed
+    for record, name in ((build, "build_instance"), (verify, "verify_instance")):
+        assert (record["scan"], record["id"], record["d"]) == (name, "ex3_2", 6)
+        # ex3_2 is the plane pair at every requested dim
+        assert record["truncation_dim"] is None
+    assert build["instances"] == 1 and build["us_per_instance"] == 1e6 * build["best_s"]
+    assert verify["checks"] == 9 and verify["all_ok"]
+    assert verify["us_per_check"] == 1e6 * verify["best_s"] / 9
     assert (riesz["scan"], riesz["n"], riesz["d"]) == ("woven_riesz_decomposition_check", 8, 8)
     assert riesz["partitions"] == 2**8 and riesz["all_pass"]
     assert (exhaustive["scan"], exhaustive["n"], exhaustive["d"]) == ("woven_bounds_exhaustive", 12, 6)

@@ -24,6 +24,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
 )
 from wovenframes.errors import (
+    DimensionMismatch,
     EmptyInput,
     EmptyIntersection,
     IndexMismatch,
@@ -298,6 +299,46 @@ class TestLocalSystems:
     def test_build_rejects_a_weight_that_is_not_positive_and_finite(self, weight):
         with pytest.raises(NonFinite):
             LocalSystem.build(2, [[basis_vec(2, 0)], [basis_vec(2, 1)]], [1.0, weight])
+
+    @pytest.mark.parametrize(
+        "lists, weights, error, message",
+        [
+            ([], [], DimensionMismatch, "at least one member"),
+            ([], [1.0], DimensionMismatch, "one weight per index"),
+            ([[[1.0, 0.0]]], [1.0], DimensionMismatch, "ambient dim"),
+            ([[[1.0, 0.0, 0.0]]], [1.0, 2.0], DimensionMismatch, "one weight per index"),
+            # a later block off the ambient dim is found before any weight check
+            ([[[1.0, 0.0, 0.0]], [[0.0, 1.0]]], [1.0], DimensionMismatch, "ambient dim"),
+            ([[[1.0, 0.0]]], [1.0, 2.0], DimensionMismatch, "ambient dim"),
+            ([[[np.inf, 0.0, 0.0]]], [1.0, 2.0], NonFinite, "spanning set"),
+            ([[[np.inf, 0.0, 0.0]]], [0.0], NonFinite, "spanning set"),
+            ([[[1.0, 0.0, 0.0]]], [1.0, 0.0], DimensionMismatch, "one weight per index"),
+            ([[[1.0, 0.0, 0.0]]], [np.nan], NonFinite, "weights"),
+        ],
+    )
+    def test_build_raises_in_a_fixed_order(self, lists, weights, error, message):
+        # vectors' dims, then finite vectors, then the weight count, then
+        # the weights' values
+        with pytest.raises(error, match=message):
+            LocalSystem.build(3, lists, weights)
+
+    def test_build_refuses_a_block_of_nan_vectors(self):
+        # a NaN vector is not a zero vector: it does not drop out of its block
+        with pytest.raises(NonFinite, match="spanning set"):
+            LocalSystem.build(3, [[[np.nan, 0.0, 0.0]], [[0.0, 1.0, 0.0]]], [1.0, 1.0])
+
+    def test_flatten_scales_each_block_by_its_weight(self):
+        lists = [[[1.0, -0.0]], [], [[0.0, 3.0], [-2.0, 1.0]]]
+        system = LocalSystem.build(2, lists, [2.0, 5.0, 0.5])
+        flat, index_map = flatten_local_system(system)
+        expected = np.array([[2.0 * 1.0, 2.0 * -0.0], [0.0, 1.5], [-1.0, 0.5]])
+        assert flat.vectors.tobytes() == expected.tobytes()
+        assert index_map == ((0, 0), (2, 0), (2, 1))
+
+    def test_flatten_refuses_a_system_without_vectors(self):
+        system = LocalSystem.build(2, [[], []], [1.0, 1.0])
+        with pytest.raises(EmptyInput):
+            flatten_local_system(system)
 
     def test_local_bounds(self):
         system = LocalSystem.build(

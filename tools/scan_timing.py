@@ -15,7 +15,11 @@ is the whole line, V = W, every slack and every screen bound is 0, and
 no chunk can be skipped: the screen's whole cost shows there. Times
 ``pw_check`` (constants 0.02) and ``proj_perturbation_check`` (K = 0.5)
 on the same d = 6 near pairs at 1000 samples; their unit is the
-sample, the 1000 drawn vectors and the 6 extremal ones. Each grid
+sample, the 1000 drawn vectors and the 6 extremal ones. Times, for
+each reference instance id at ``--dim`` 6 and 8, ``build_instance`` and
+``verify_instance`` of the built instance, the two layers of one
+``reproduce`` command; their units are the instance and the check.
+Each grid
 point keeps the best of three runs in one process with one BLAS thread;
 the family is built before the clock starts. Prints one JSON line per
 grid point and writes them all, as a JSON list, to ``BENCH_scan.json``
@@ -56,6 +60,7 @@ from wovenframes import (  # noqa: E402
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
+from wovenframes.instances import INSTANCE_IDS, build_instance, verify_instance  # noqa: E402
 
 SEED = 2024
 RUNS = 3
@@ -71,6 +76,7 @@ OP_ROWS = ((6, 9, (0.02,) * 3), (6, 12, (0.02,) * 3), (6, 13, (0.02,) * 3), (1, 
 # (d, n, constants) on the d = 6 op pairs: (lam1, lam2, mu) and (K,)
 PW_ROWS = tuple((d, n, (0.02,) * 3) for d, n, _ in OP_ROWS[:3])
 PROJ_ROWS = tuple((d, n, (0.5,)) for d, n, _ in OP_ROWS[:3])
+INSTANCE_DIMS = (6, 8)
 
 
 def fusion_pair(rng: np.random.Generator, d: int, n: int, rank: int) -> WovenFamily:
@@ -170,12 +176,32 @@ def grid():
             )
 
 
+def instance_grid():
+    """(record fields, run, summary) of ``build_instance`` and of
+    ``verify_instance`` for each instance id and dim; the instance that
+    ``verify_instance`` reads is built before its clock starts."""
+    for instance_id in INSTANCE_IDS:
+        for d in INSTANCE_DIMS:
+            inst = build_instance(instance_id, d)
+            fields = {"id": instance_id, "d": d, "truncation_dim": inst.truncation_dim}
+            yield (
+                {"scan": "build_instance", **fields},
+                lambda i=instance_id, d=d: build_instance(i, d),
+                lambda r: {"instances": 1},
+            )
+            yield (
+                {"scan": "verify_instance", **fields},
+                lambda inst=inst: verify_instance(inst),
+                lambda r: {"checks": len(r), "all_ok": all(o.ok for o in r)},
+            )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_scan.json", help="JSON list of the records")
     args = parser.parse_args(argv)
     records = []
-    for fields, run, summary in grid():
+    for fields, run, summary in (*grid(), *instance_grid()):
         seconds, result = best_time(run)
         record = {
             **fields,
@@ -185,7 +211,13 @@ def main(argv=None) -> int:
             "blas_threads": BLAS_THREADS,
             **summary(result),
         }
-        units = (("partition", "partitions"), ("subset", "subsets"), ("sample", "sample_count"))
+        units = (
+            ("partition", "partitions"),
+            ("subset", "subsets"),
+            ("sample", "sample_count"),
+            ("instance", "instances"),
+            ("check", "checks"),
+        )
         unit, key = next((unit, key) for unit, key in units if key in record)
         record[f"us_per_{unit}"] = 1e6 * seconds / record[key]
         print(json.dumps(record, sort_keys=True), flush=True)
