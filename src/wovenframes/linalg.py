@@ -220,7 +220,8 @@ def sym_eig(matrix) -> SpectrumReport:
 
 def stacked_spectra(matrices) -> list[SpectrumReport]:
     """Spectra of each matrix in an (M, d, d) stack from one LAPACK
-    ``eigh`` call, with sym_eig's checks, order and sign rule.
+    ``eigh`` call, with sym_eig's checks, order and sign rule; a 0 x 0
+    matrix has no spectrum and raises EmptyInput.
 
     Matrix k's report equals ``sym_eig(matrices[k])`` bit for bit, its
     residual included: LAPACK solves each matrix of the stack on its
@@ -230,6 +231,8 @@ def stacked_spectra(matrices) -> list[SpectrumReport]:
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise NotSymmetric(f"expected an (M, d, d) stack, got shape {m.shape}")
+    if m.shape[1] == 0:
+        raise EmptyInput("a 0 x 0 matrix has no spectrum")
     sym = _symmetrized(m)
     values, vectors = np.linalg.eigh(sym)
     count, dim = values.shape

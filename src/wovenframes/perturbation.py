@@ -18,21 +18,23 @@ since -K min(x, y) = max(-K x, -K y), and each sum is largest over the
 indices whose term is positive. So ``proj`` is exact over subsets at
 every n (``closed_form``).
 
-``op`` has no such form and keeps explicit per-mask sums: every subset
-up to 2^12 (``exhaustive``), else 4096 drawn ones (``sampled``), as one
-matrix product per chunk of 0/1 subset masks, chunked by the budget
-``linalg.CHUNK_FLOATS``. The per-index parts S_{W,i} f and S_{V,i} f
-are one matrix product per frame, the summands' transposes stacked as
-(n d, d) times the samples as columns, and u_i = <S_{W,i} f, f> is read
-from the W parts. The chunk product sums the parts of S_W f, S_V f and
-of their difference into contiguous (mask, 3, d, sample) blocks; the
-three norms are square roots of one sum of squares over d per chunk,
-the squared ``U_W`` norms come from a second, (mask, sample) product,
-and the slack is one weighted sum of the four norms. A Gram or
-quadratic-form shortcut would lose to cancellation the small
+``op`` has no such form and keeps explicit per-(mask, sample) sums:
+every subset up to 2^12 (``exhaustive``), else 4096 drawn ones
+(``sampled``). The per-index parts S_{W,i} f and S_{V,i} f are one
+matrix product per frame, the summands' transposes stacked as (n d, d)
+times the samples as columns, and u_i = <S_{W,i} f, f> is read from the
+W parts. One kernel gives the slack of any batch of (mask, sample)
+pairs, with each pair's arithmetic fixed: its parts of S_W f, S_V f,
+their difference and u are multiplied by the mask's 0/1 entries and
+added in index order, each of the three sums' d squares in entry order,
+and the four norms combine as ((||D|| - lam ||A||) - mu ||B||) - gamma
+||U||. So a pair's slack has the same bits whichever pairs are evaluated
+with it, and the worst slack, the largest over every pair with a zero
+maximum read as +0.0, does not depend on which pairs a screen skips. A
+Gram or quadratic-form shortcut would lose to cancellation the small
 differences the verdict turns on.
 
-A screen skips the chunks that cannot hold the worst slack. For a
+A screen skips the pairs that cannot raise the worst slack. For a
 subset s and f != 0, with A, B and D the sums over s of the parts
 S_{W,i} f, S_{V,i} f and S_{W,i} f - S_{V,i} f, and U the sum of the
 squared weighted projection norms u_i:
@@ -44,18 +46,16 @@ squared weighted projection norms u_i:
 
 H and L the first ceil(n/2) and the last floor(n/2) indices. So the
 slack at (s, f) is at most R_H(s & H, f) + R_L(s & L, f), read from one
-table per half over its 2^|H| or 2^|L| subsets, each entry the norm of
-the half's exact D sum, its linear terms and its share rho of the U
-term. Above 2^12 subsets the bound is the per-index one, ||D|| <= the
-sum of ||D_i||, with the U term summed whole. A chunk's bound is the
-largest over its masks and samples. Chunks run in decreasing order of
-their bounds (ties in mask order) until the first whose bound is below
-the running worst, which starts at the empty subset's slack, exactly
-0. A chunk that runs holds the same masks in the same rows as in the
-mask-order fold: the matrix product rounds a row differently with the
-chunk's size and the row's place in it, so reordering masks across
-chunks would move last bits. Every computed slack, and so the worst,
-is thus bit for bit the unscreened one.
+table per half with a row per distinct half among the masks (each of
+the 2^|H| or 2^|L| subsets when all masks are enumerated, the distinct
+halves of the drawn ones otherwise), each entry the norm of the half's
+exact D sum, its linear terms and its share rho of the U term. The
+running worst starts at the empty subset's slack, exactly 0; seeds
+raise it first, and then every pair whose bound is above it is
+evaluated, in decreasing order of bound. A pair whose bound is at most
+the running worst cannot raise it, so a tie is never evaluated. The
+masks that share an H half h are ruled out together at f when R_H(h, f)
+plus f's largest L entry is not above the worst.
 
 The bound must hold for the computed slacks, so it adds a rounding
 margin kappa T, with T = the sum over s of ||D_i|| + lam ||A_i|| +
@@ -68,8 +68,9 @@ form them, and their rounding, do not enter the argument):
 1. A mask sum of at most n parts (0/1 products are exact) and then its
    norm, d squares and a square root, lands within g_{n+d+1} times the
    sum of the parts' norms of the exact norm, in any summation order;
-   the U sum lands within g_n Q, and the pass's weighted sum of the four
-   norms adds g_4 of their weighted sum. So a computed slack is at most
+   the U sum lands within g_n Q, and the kernel's combination of the
+   four norms (three products, three subtractions) adds g_4 of their
+   weighted sum. So a computed slack is at most
    ||D|| - (lam <A, f> + mu <B, f>) / ||f|| + g_{n+d+5} T
    - gamma (1 - g_5) sqrt(max(0, U - g_n Q)).
 2. In the screen, <A_i, f> / ||f|| lands within g_{2d+2} ||A_i||, and
@@ -79,9 +80,8 @@ form them, and their rounding, do not enter the argument):
    bound within g_5 T.
 3. The U sums enter as u_i - kappa |u_i|, which keeps each computed sum
    below its exact U - g_n Q, and rho is increasing; the U term's
-   coefficient is gamma (1 - kappa) / sqrt 2 in a half table, or
-   gamma (1 + kappa) on a negative half sum (gamma (1 - kappa) on the
-   whole sum of the per-index bound), which covers that term's own g_8.
+   coefficient is gamma (1 - kappa) / sqrt 2 on a positive half sum, or
+   gamma (1 + kappa) on a negative one, which covers that term's own g_8.
 
 So the computed bound exceeds the computed slack when kappa (1 -
 g_{d+8}) >= g_{4n+6d+19}, and kappa = g_{4n+8d+40} is used. These bounds
@@ -92,8 +92,8 @@ integer multiples of 2^-504 and the u_i, sums of a part times a sample
 entry, of 2^-756 (sums and rounding keep such a grid), the samples are
 unit vectors, and every product or quotient either side forms is 0 or
 at least 2^-1008 in magnitude, with every value below 2^900. Otherwise
-every chunk runs, in mask order. The screen's (mask, sample) blocks stay
-under the chunk budget.
+every pair is evaluated, mask by mask. The kernel's and the screen's
+blocks stay under the chunk budget ``linalg.CHUNK_FLOATS``.
 
 Each frame solves its fusion frame operator once, on first use, and
 keeps its member projectors P_i and the summands w_i^2 P_i as (n, d, d)
@@ -109,6 +109,7 @@ unless W passes the frame rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -121,13 +122,16 @@ from .errors import (
 )
 from .frames import _is_frame
 from .fusion import FusionFrame, fusion_frame_operator
-from .linalg import chunk_rows, row_chunks, sym_eig
+from .linalg import chunk_rows, read_only, row_chunks, sym_eig
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
 _SUBSET_CAP = 4096
 _UNIT_ROUNDOFF = 2.0**-53
 _SCREEN_RANGE = (2.0**-200, 2.0**200)
+# samples whose best pair seeds the screen's running worst: on the
+# benchmark's pairs 16 gave the threshold that every sample gives
+_SEEDS = 16
 
 
 @dataclass(frozen=True)
@@ -217,19 +221,44 @@ def _sample_batch(rng: np.random.Generator, samples: int, extremal: np.ndarray) 
 
 
 def _op_inputs(w: FusionFrame, v: FusionFrame, rng, samples):
-    """What ``op`` sums over: its sample batch; per index, the parts S_{W,i}
-    f, S_{V,i} f and their difference as contiguous (d, sample) blocks of
-    one (n, 3 d samples) row; and u_i = <S_{W,i} f, f>, read from the W
-    parts. The parts of each frame are one matrix product, the summands'
-    transposes stacked as (n d, d) times the samples as columns."""
+    """What ``op`` sums over: its sample batch and, per index i, one (3 d +
+    1, sample) block of ``parts``: row 3 e + j holds entry e of S_{W,i} f,
+    S_{V,i} f or their difference for j = 0, 1, 2, and the last row u_i =
+    <S_{W,i} f, f>, read from the W parts. The parts of each frame are one
+    matrix product, the summands' transposes stacked as (n d, d) times the
+    samples as columns."""
     n, d = w.size, w.dim
     batch = _sample_batch(rng, samples, _extremal(w, v))
     w_parts, v_parts = (
         (np.swapaxes(sq, 1, 2).reshape(n * d, d) @ batch.T).reshape(n, d, -1)
         for sq in (w.operators, v.operators)
     )
-    flat = np.stack([w_parts, v_parts, w_parts - v_parts], axis=1).reshape(n, -1)
-    return batch, flat, np.einsum("nes,se->ns", w_parts, batch)
+    parts = np.empty((n, 3 * d + 1, len(batch)))
+    parts[:, 0:-1:3], parts[:, 1:-1:3] = w_parts, v_parts
+    np.subtract(w_parts, v_parts, out=parts[:, 2:-1:3])
+    parts[:, -1] = np.einsum("nes,se->ns", w_parts, batch)
+    return batch, parts
+
+
+def _op_slacks(parts, masks, samples, lam, mu, gamma):
+    """The computed op slack of each pair (``masks[k]``, ``samples[k]``), a
+    0/1 subset row and an index into ``parts``' samples.
+
+    A pair's arithmetic does not depend on the other pairs: its parts are
+    multiplied by the mask (exactly) and added in index order, the d
+    squares of each of its three sums in entry order, and its four norms
+    are combined on their own. ``np.add.reduce`` adds sequentially along
+    an axis that is not the innermost, and both reductions here leave at
+    least 3 entries per pair. So a pair's slack has the same bits alone as
+    in any batch."""
+    count, d = len(samples), parts.shape[1] // 3
+    sums = np.take(parts, samples, axis=2)
+    sums *= masks.T[:, None, :]
+    sums = np.add.reduce(sums, axis=0)
+    squares = sums[:-1] * sums[:-1]
+    norms = np.sqrt(np.add.reduce(squares.reshape(d, 3, count), axis=0))
+    u_norms = np.sqrt(np.maximum(sums[-1], 0.0))
+    return ((norms[2] - lam * norms[0]) - mu * norms[1]) - gamma * u_norms
 
 
 def _mask_rows(keys: np.ndarray, n: int) -> np.ndarray:
@@ -242,11 +271,53 @@ def _subset_masks(n: int, rng: np.random.Generator) -> np.ndarray:
     order (index 0 the most significant bit) up to _SUBSET_CAP, else
     _SUBSET_CAP drawn rows led by the empty and the full subset."""
     if 2**n <= _SUBSET_CAP:
-        return _mask_rows(np.arange(2**n), n)
+        return _enumerated(n)[0]
     drawn = rng.integers(0, 2, size=(_SUBSET_CAP, n)).astype(float)
     drawn[0] = 0.0
     drawn[1] = 1.0
     return drawn
+
+
+@cache
+def _enumerated(n: int):
+    """All 2^n masks in lexicographic order, then their halves as
+    ``_mask_halves`` gives them: mask k joins H half k >> |L| to L half k
+    & (2^|L| - 1). Read-only, since they depend on n alone."""
+    high, low = (n + 1) // 2, n // 2
+    masks = _mask_rows(np.arange(2**n), n)
+    halves = (_mask_rows(np.arange(2**high), high), _mask_rows(np.arange(2**low), low))
+    members = np.arange(2**n).reshape(2**high, 2**low)
+    rows = np.broadcast_to(np.arange(2**low), members.shape)
+    return masks, tuple(map(read_only, halves)), read_only(members), rows
+
+
+def _mask_halves(masks: np.ndarray):
+    """The halves of the masks, H the first ceil(n/2) indices and L the
+    rest: the distinct H halves and the distinct L halves, as 0/1 rows
+    over their half; and per H half (a row each) the masks that hold it and
+    the rows of their L halves among the L halves, padded to the largest
+    group with mask 0 and L row b, one past the b L halves. Drawn masks
+    find their distinct halves by a sort of their packed bits, at any
+    n."""
+    count, n = masks.shape
+    if count == 2**n:
+        return _enumerated(n)[1:]
+    high = (n + 1) // 2
+    found = []
+    for part in (masks[:, :high], masks[:, high:]):
+        packed = np.packbits(part.astype(bool), axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        found.append((part[first], index))
+    (upper, upper_index), (lower, lower_index) = found
+    order = np.argsort(upper_index)
+    sizes = np.bincount(upper_index)
+    at = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    members = np.zeros((len(upper), sizes.max()), dtype=np.intp)
+    rows = np.full(members.shape, len(lower))
+    members[upper_index[order], at] = order
+    rows[upper_index[order], at] = lower_index[order]
+    return (upper, lower), members, rows
 
 
 def _screenable(*arrays: np.ndarray) -> bool:
@@ -255,73 +326,133 @@ def _screenable(*arrays: np.ndarray) -> bool:
     or overflows)."""
     lo, hi = _SCREEN_RANGE
     m = np.abs(np.concatenate([a.ravel() for a in arrays]))
-    m[m == 0.0] = lo
-    return bool(lo <= m.min() and m.max() <= hi)
+    return bool(m.max() <= hi and np.min(m, where=m > 0.0, initial=hi) >= lo)
 
 
-def _index_terms(batch, parts, w_normsq, lam, mu, kappa):
+def _index_terms(batch, parts, lam, mu, kappa):
     """Per index and sample: the linear terms of the bound, kappa t_i -
-    (lam <A_i, f> + mu <B_i, f>) / ||f||, the lowered u_i - kappa |u_i|,
-    and ||D_i||."""
+    (lam <A_i, f> + mu <B_i, f>) / ||f||, and the lowered u_i - kappa
+    |u_i|; <A_i, f> is u_i itself."""
+    n, rows, count = parts.shape
+    u = parts[:, -1]
     f_norms = np.sqrt(np.einsum("sd,sd->s", batch, batch))
-    inner = np.einsum("njds,ds->njs", parts[:, :2], batch.T) / f_norms
-    norms = np.sqrt(np.einsum("njds,njds->njs", parts, parts))  # ||A_i||, ||B_i||, ||D_i||
-    linear = kappa * (np.array([lam, mu, 1.0]) @ norms) - np.array([lam, mu]) @ inner
-    return linear, w_normsq - kappa * np.abs(w_normsq), norms[:, 2]
+    v_forms = np.einsum("nes,se->ns", parts[:, 1:-1:3], batch)
+    triples = parts[:, :-1].reshape(n, rows // 3, 3, count)
+    norm_a, norm_b, norm_d = np.sqrt(np.einsum("nejs,nejs->jns", triples, triples))
+    linear = kappa * ((lam * norm_a + mu * norm_b) + norm_d) - (lam * u + mu * v_forms) / f_norms
+    return linear, u - kappa * np.abs(u)
 
 
-def _half_tables(diffs, linear, u_low, rho):
-    """One row per subset of H, then per subset of L (H the first ceil(n/2)
-    indices): the norm of the subset's D sum plus its linear terms plus
-    rho[0] sqrt(max(u, 0)) + rho[1] sqrt(max(-u, 0)) for its U sum u, per
-    sample."""
-    n, d, count = diffs.shape
-    high, low = (n + 1) // 2, n // 2
-    halves = _mask_rows(np.concatenate([np.arange(2**high) << low, np.arange(2**low)]), n)
-    diffs = diffs.reshape(n, d * count)
-    terms = np.stack([linear, u_low], axis=1).reshape(n, 2 * count)
-    table = []
-    for chunk in row_chunks(halves, (d + 2) * count):
-        sums = (chunk @ diffs).reshape(len(chunk), d, count)
-        linear_sums, u_sums = (chunk @ terms).reshape(len(chunk), 2, count).transpose(1, 0, 2)
-        table.append(
-            np.sqrt(np.einsum("kds,kds->ks", sums, sums))
-            + linear_sums
-            + rho[0] * np.sqrt(np.maximum(u_sums, 0.0))
-            + rho[1] * np.sqrt(np.maximum(-u_sums, 0.0))
-        )
-    return np.concatenate(table)
+def _half_tables(parts, linear, u_low, rho, halves):
+    """The H table and the L table: one row per 0/1 row of ``halves[0]``,
+    subsets of H, then of ``halves[1]``, subsets of L, each the norm of the
+    subset's D sum plus its linear terms plus rho[0] sqrt(u) for its U sum
+    u >= 0, or rho[1] sqrt(-u) for u < 0, per sample."""
+    n, rows, count = parts.shape
+    d = rows // 3
+    # per index: the d rows of D, the linear terms and u - kappa |u|
+    terms = np.concatenate([parts[:, 2:-1:3], linear[:, None], u_low[:, None]], axis=1)
+    terms = terms.reshape(n, (d + 2) * count)
+    high = halves[0].shape[1]
+    tables = []
+    for half, half_terms in zip(halves, (terms[:high], terms[high:])):
+        table = []
+        for chunk in row_chunks(half, (d + 2) * count):
+            sums = (chunk @ half_terms).reshape(len(chunk), d + 2, count)
+            u_sums = sums[:, -1]
+            table.append(
+                np.sqrt(np.einsum("kds,kds->ks", sums[:, :d], sums[:, :d]))
+                + sums[:, d]
+                + np.where(u_sums > 0.0, rho[0], rho[1]) * np.sqrt(np.abs(u_sums))
+            )
+        tables.append(np.concatenate(table))
+    return tables
 
 
-def _slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma):
-    """Upper bounds on the computed op slack of every (mask, sample), in
-    blocks of consecutive masks: the screen of the module docstring."""
-    n, count = w_normsq.shape
-    d = batch.shape[1]
-    k = 4 * n + 8 * d + 40
+def _slack_bounds(batch, parts, masks, lam, mu, gamma):
+    """The screen of the module docstring as two tables and the groups of
+    ``_mask_halves``: the mask members[h, j] has the bound upper[h] +
+    lower[rows[h, j]] at every sample, and lower's last row, which only
+    padding reads, is -inf."""
+    n, rows, count = parts.shape
+    k = 4 * n + 8 * (rows // 3) + 40
     kappa = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    parts = flat.reshape(n, 3, d, count)
-    linear, u_low, d_norms = _index_terms(batch, parts, w_normsq, lam, mu, kappa)
-    shrunk = gamma * (1.0 - kappa)
+    linear, u_low = _index_terms(batch, parts, lam, mu, kappa)
+    rho = (-gamma * (1.0 - kappa) * np.sqrt(0.5), gamma * (1.0 + kappa))
+    halves, members, rows = _mask_halves(masks)
+    upper, lower = _half_tables(parts, linear, u_low, rho, halves)
+    return upper, np.concatenate([lower, np.full((1, count), -np.inf)]), members, rows
 
-    if 2**n > _SUBSET_CAP:
-        per_index = np.concatenate([d_norms + linear, u_low], axis=1)
-        for chunk in row_chunks(masks, 2 * count):
-            sums = (chunk @ per_index).reshape(len(chunk), 2, count)
-            yield sums[:, 0] - shrunk * np.sqrt(np.maximum(sums[:, 1], 0.0))
-        return
 
-    rho = (-shrunk * np.sqrt(0.5), gamma * (1.0 + kappa))
-    table = _half_tables(parts[:, 2], linear, u_low, rho)
-    high, low = (n + 1) // 2, n // 2
-    upper, lower = table[: 2**high, None], table[None, 2**high :]
-    # mask k joins subset k >> low of H and subset k & (2^low - 1) of L:
-    # blocks of whole rows of L subsets, or of parts of one row
-    rows = chunk_rows(count)
-    span, width = max(1, rows >> low), min(rows, 2**low)
-    for h in range(0, 2**high, span):
-        for l in range(0, 2**low, width):
-            yield (upper[h : h + span] + lower[:, l : l + width]).reshape(-1, count)
+def _group_pairs(bounds, groups, samples, threshold=None):
+    """(mask keys, samples, bounds) among the masks of H half ``groups[c]``
+    at ``samples[c]``, ``bounds`` as ``_slack_bounds`` returns them: the
+    pair of highest bound for each c when ``threshold`` is None, else
+    every pair whose bound is above it."""
+    upper, lower, members, rows = bounds
+    found = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    step = chunk_rows(members.shape[1])
+    for start in range(0, len(groups), step):
+        g, s = groups[start : start + step], samples[start : start + step]
+        block = upper[g, s][:, None] + lower[rows[g], s[:, None]]
+        if threshold is None:
+            c, j = np.arange(len(g)), block.argmax(axis=1)
+        else:
+            c, j = np.nonzero(block > threshold)
+        found.append((members[g[c], j], s[c], block[c, j]))
+    return [np.concatenate(x) for x in zip(*found)]
+
+
+def _fold_descending(parts, masks, keys, samples, bounds, constants, worst):
+    """``worst`` raised to the slack of every pair (``masks[keys[c]]``,
+    ``samples[c]``) whose bound is above it, in decreasing order of bound:
+    a pair whose bound is at most the running worst cannot raise it."""
+    order = np.argsort(bounds)[::-1]
+    step = chunk_rows(parts.shape[0] * parts.shape[1])
+    for start in range(0, len(order), step):
+        pick = order[start : start + step]
+        pick = pick[bounds[pick] > worst]
+        if not len(pick):
+            break
+        slacks = _op_slacks(parts, masks[keys[pick]], samples[pick], *constants)
+        worst = max(worst, float(slacks.max()))
+    return worst
+
+
+def _every_pair_worst(parts, masks, constants, worst):
+    """``worst`` raised to the slack of every (mask, sample) pair, mask by
+    mask: the fold without a screen."""
+    count = parts.shape[2]
+    total = len(masks) * count
+    step = chunk_rows(parts.shape[0] * parts.shape[1])
+    for start in range(0, total, step):
+        keys, samples = np.divmod(np.arange(start, min(start + step, total)), count)
+        worst = max(worst, float(_op_slacks(parts, masks[keys], samples, *constants).max()))
+    return worst
+
+
+def _screened_worst(batch, parts, masks, constants, worst):
+    """``worst`` raised to the largest computed slack over every (mask,
+    sample), evaluating only the pairs whose bound is above the running
+    worst. The masks of an H half h are ruled out together at a sample
+    whose largest L entry, added to upper[h], is not above the worst.
+    The seeds come first: at each of the _SEEDS samples where that group
+    bound peaks highest, the pair of highest bound in its peak group."""
+    bounds = _slack_bounds(batch, parts, masks, *constants)
+    upper, lower = bounds[:2]
+    count = len(batch)
+    reach = lower.max(axis=0)
+    seeds = np.argsort(upper.max(axis=0) + reach)[-_SEEDS:]
+    pairs = _group_pairs(bounds, upper[:, seeds].argmax(axis=0), seeds)
+    worst = _fold_descending(parts, masks, *pairs, constants, worst)
+    step = chunk_rows(count)
+    above = [
+        np.flatnonzero(upper[h : h + step] + reach > worst) + h * count
+        for h in range(0, len(upper), step)
+    ]
+    groups, samples = np.divmod(np.concatenate(above), count)
+    pairs = _group_pairs(bounds, groups, samples, worst)
+    return _fold_descending(parts, masks, *pairs, constants, worst)
 
 
 def pw_check(
@@ -422,37 +553,16 @@ def op_perturbation_check(
     gate_value = lam * b_w + mu * b_v + gamma * np.sqrt(b_w)
     gate_margin = float(gate_value - a_w)
 
-    n, d = w.size, w.dim
     rng = np.random.default_rng(seed)
-    batch, flat, w_normsq = _op_inputs(w, v, rng, samples)
-    count = batch.shape[0]
-    # lhs - rhs as one weighted sum of ||S_W||, ||S_V||, ||S_W - S_V||, ||U_W||
-    coefficients = np.array([-lam, -mu, 1.0, -gamma])
-
-    masks = _subset_masks(n, rng)
-    step = chunk_rows(count * (3 * d + 1))
-    starts = np.arange(0, len(masks), step)
-    # each chunk's largest slack bound; +inf runs every chunk in mask order
-    best = np.full(len(starts), np.inf)
-    if _screenable(batch, w.operators, v.operators, coefficients):
-        blocks = _slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma)
-        # map holds one block at a time
-        tops = np.concatenate(list(map(lambda b: b.max(axis=1), blocks)))
-        best = np.maximum.reduceat(tops, starts)
-
-    worst = 0.0  # the empty subset's slack
-    best = best.tolist()
-    for c in sorted(range(len(best)), key=best.__getitem__, reverse=True):  # stable
-        if best[c] < worst:
-            break
-        chunk = masks[starts[c] : starts[c] + step]
-        sums = (chunk @ flat).reshape(len(chunk), 3, d, count)
-        norms = np.empty((len(chunk), 4, count))
-        np.einsum("kjds,kjds->kjs", sums, sums, out=norms[:, :3])
-        np.maximum(chunk @ w_normsq, 0.0, out=norms[:, 3])
-        np.sqrt(norms, out=norms)
-        worst = max(worst, float((coefficients @ norms).max()))
-    inequality_violation = worst
+    batch, parts = _op_inputs(w, v, rng, samples)
+    masks = _subset_masks(w.size, rng)
+    constants = (lam, mu, gamma)
+    # the fold starts at the empty subset's slack, exactly +0.0, so a zero
+    # maximum reads as +0.0 whichever pairs are evaluated
+    if _screenable(batch, w.operators, v.operators, np.array(constants)):
+        inequality_violation = _screened_worst(batch, parts, masks, constants, 0.0)
+    else:
+        inequality_violation = _every_pair_worst(parts, masks, constants, 0.0)
 
     return PerturbationCertificate(
         method="op",
@@ -463,7 +573,7 @@ def op_perturbation_check(
         seed=seed,
         gate_margin=gate_margin,
         inequality_violation=inequality_violation,
-        subset_search="exhaustive" if 2**n <= _SUBSET_CAP else "sampled",
+        subset_search="exhaustive" if 2**w.size <= _SUBSET_CAP else "sampled",
     )
 
 

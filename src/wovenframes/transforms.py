@@ -297,14 +297,12 @@ class LocalSystem:
         count off the index count, and NonFinite for a weight that is not
         finite and positive."""
         w = np.asarray(weights, dtype=float).ravel()
-        lists = [np.array([np.asarray(v, float) for v in lst]) for lst in vector_lists]
         blocks = []
-        for arr in lists:
-            if arr.size == 0:
-                arr = arr.reshape(0, dim)
-            if arr.ndim != 2 or arr.shape[1] != dim:
+        for lst in vector_lists:
+            vectors = [np.asarray(v, float) for v in lst]
+            if any(v.shape != (dim,) for v in vectors):
                 raise DimensionMismatch("local vectors must have the ambient dim")
-            blocks.append(arr)
+            blocks.append(np.array(vectors).reshape(len(vectors), dim))
         # one stacked Gram-Schmidt over every block, each padded with zero
         # rows to the largest: a zero row is dependent, and the stack masks
         # each member on its own, so each basis is its block's alone bit

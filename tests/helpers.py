@@ -16,8 +16,8 @@ from wovenframes import (
     weave,
 )
 from wovenframes.fusion import fusion_frame_operator, is_riesz_decomposition
-from wovenframes.linalg import orthonormalize_each, row_chunks, sym_eig
-from wovenframes.perturbation import _op_inputs, _subset_masks, _unit_rows
+from wovenframes.linalg import orthonormalize_each, sym_eig
+from wovenframes.perturbation import _op_inputs, _op_slacks, _subset_masks, _unit_rows
 from wovenframes.tolerances import PATTERN_TOL, RANK_TOL
 from wovenframes.transforms import intersect_family
 from wovenframes.weaving import (
@@ -424,41 +424,33 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
 
 def op_inputs(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
     """What ``op`` sums over: its sample batch, the per-index parts of S_W f,
-    S_V f and their difference as (n, 3 d samples) rows, the squared U_W
-    norms and the subset masks, from the check's own ``_op_inputs``, so a
-    fold over them is bit for bit the check's."""
+    S_V f and their difference with the squared U_W norms as one (n, 3 d +
+    1, sample) array, and the subset masks, from the check's own
+    ``_op_inputs``, so a fold over them is bit for bit the check's."""
     rng = np.random.default_rng(seed)
-    batch, flat, w_normsq = _op_inputs(w, v, rng, samples)
-    return batch, flat, w_normsq, _subset_masks(w.size, rng)
-
-
-def _op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma):
-    """The unscreened ``op`` fold: every chunk of masks in mask order, each
-    yielding its (mask, sample) slacks."""
-    n, count = w_normsq.shape
-    d = flat.shape[1] // (3 * count)
-    coefficients = np.array([-lam, -mu, 1.0, -gamma])
-    for chunk in row_chunks(masks, count * (3 * d + 1)):
-        sums = (chunk @ flat).reshape(len(chunk), 3, d, count)
-        norms = np.empty((len(chunk), 4, count))
-        np.einsum("kjds,kjds->kjs", sums, sums, out=norms[:, :3])
-        np.maximum(chunk @ w_normsq, 0.0, out=norms[:, 3])
-        np.sqrt(norms, out=norms)
-        yield coefficients @ norms
+    batch, parts = _op_inputs(w, v, rng, samples)
+    return batch, parts, _subset_masks(w.size, rng)
 
 
 def op_slacks(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
-    """Every (mask, sample) slack the unscreened ``op`` fold computes."""
-    _, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
-    return np.concatenate(list(_op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma)))
+    """Every (mask, sample) slack through ``op``'s kernel, as a (mask,
+    sample) array, in batches of 2^14 pairs in mask-major order."""
+    batch, parts, masks = op_inputs(w, v, samples, seed)
+    keys, at = np.divmod(np.arange(len(masks) * len(batch)), len(batch))
+    slacks = [
+        _op_slacks(parts, masks[keys[k : k + 2**14]], at[k : k + 2**14], lam, mu, gamma)
+        for k in range(0, len(keys), 2**14)
+    ]
+    return np.concatenate(slacks).reshape(len(masks), len(batch))
 
 
 def op_violation_unscreened(w, v, lam, mu, gamma, samples, seed) -> float:
-    """``op``'s worst slack by the chunk fold without a screen: every chunk
-    evaluated, in mask order, the running worst from -inf."""
-    _, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
-    worst = -np.inf
-    for slacks in _op_chunk_slacks(flat, w_normsq, masks, lam, mu, gamma):
+    """``op``'s worst slack without a screen: every (mask, sample) pair
+    through the check's kernel. The fold starts at +0.0, the
+    empty subset's exact slack (the empty subset is always among the
+    masks), so a zero maximum reads as +0.0 whatever the order."""
+    worst = 0.0
+    for slacks in op_slacks(w, v, lam, mu, gamma, samples, seed):
         worst = max(worst, float(slacks.max()))
     return worst
 

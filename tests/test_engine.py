@@ -249,9 +249,11 @@ def same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-# d = 6, n = 9 is the benchmark's shape, and n = 13 draws 4096 of 8192
-# masks; the tilts run from cancellation to unrelated members
-@pytest.mark.parametrize("d, n, samples", [(6, 9, 100), (6, 9, 20), (3, 13, 10)])
+# d = 6, n = 9 is the benchmark's shape, and n = 13 and 14 draw 4096 of
+# 8192 and 16384 masks; the tilts run from cancellation to unrelated members
+@pytest.mark.parametrize(
+    "d, n, samples", [(6, 9, 100), (6, 9, 20), (3, 13, 10), (3, 14, 10), (6, 14, 10)]
+)
 @pytest.mark.parametrize("tilt", [1e-10, 0.02, 1.0])
 @pytest.mark.parametrize("constants", [(0.02, 0.02, 0.02), (0.0, 0.0, 0.0)])
 def test_op_screen_keeps_the_unscreened_worst(rows_per_chunk, d, n, samples, tilt, constants):
@@ -263,10 +265,15 @@ def test_op_screen_keeps_the_unscreened_worst(rows_per_chunk, d, n, samples, til
 
 
 def screen_bounds(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
-    """The screen's bound on every (mask, sample) slack."""
-    batch, flat, w_normsq, masks = op_inputs(w, v, samples, seed)
-    blocks = perturbation._slack_bounds(batch, flat, w_normsq, masks, lam, mu, gamma)
-    return np.concatenate(list(blocks))
+    """The screen's bound on every (mask, sample) slack, as the check adds
+    it: the H table's row plus the L table's row of the mask's halves."""
+    batch, parts, masks = op_inputs(w, v, samples, seed)
+    upper, lower, members, rows = perturbation._slack_bounds(batch, parts, masks, lam, mu, gamma)
+    bounds = np.full((len(masks), len(batch)), np.nan)
+    real = rows < len(lower) - 1  # the last L row only pads groups
+    bounds[members[real]] = upper[np.nonzero(real)[0]] + lower[rows[real]]
+    assert not np.isnan(bounds).any() and (lower[-1] == -np.inf).all()
+    return bounds
 
 
 def random_fusion_pair(rng, d: int, n: int, tilt: float):
@@ -279,14 +286,14 @@ def random_fusion_pair(rng, d: int, n: int, tilt: float):
     )
 
 
-# n = 13 takes the per-index bound on drawn masks; tilt 1e-10 makes every
-# difference cancel to about 1e-10 against parts of order 1
+# n = 13 and 14 take the half tables over the drawn masks' halves; tilt
+# 1e-10 makes every difference cancel to about 1e-10 against parts of order 1
 @pytest.mark.parametrize("tilt", [0.0, 1e-10, 1e-3, 1.0])
 @pytest.mark.parametrize("constants", [(0.0, 0.0, 0.0), (0.02, 0.02, 0.02), (0.5, 0.3, 0.9)])
 def test_screen_bounds_every_computed_slack(tilt, constants):
-    for seed in range(25):
+    for seed in range(30):
         rng = np.random.default_rng(seed)
-        d, n = int(rng.integers(1, 7)), [3, 8, 9, 12, 13][seed % 5]
+        d, n = int(rng.integers(1, 7)), [3, 8, 9, 12, 13, 14][seed % 6]
         w, v = random_fusion_pair(rng, d, n, tilt)
         samples = int(rng.integers(0, 12))
         bounds = screen_bounds(w, v, *constants, samples, seed)
@@ -312,10 +319,8 @@ def test_screen_bound_is_tight_on_a_planted_pair(n, constants):
     samples, seed = 30, 1
     bounds = screen_bounds(w, v, *constants, samples, seed)
     slacks = op_slacks(w, v, *constants, samples, seed)
-    _, _, w_normsq, masks = op_inputs(w, v, samples, seed)
-    given_away = constants[2] * (1.0 - 0.5**0.5) * np.sqrt(masks @ w_normsq)
-    if n > 12:  # the per-index bound sums the U_W term whole
-        given_away = 0.0
+    _, parts, masks = op_inputs(w, v, samples, seed)
+    given_away = constants[2] * (1.0 - 0.5**0.5) * np.sqrt(masks @ parts[:, -1])
     assert (bounds >= slacks).all()
     assert (bounds - slacks <= given_away + 1e-12 * (1.0 + np.abs(slacks))).all()
 
@@ -328,28 +333,37 @@ def test_screen_margin_is_what_keeps_the_planted_bound_sound(monkeypatch):
     assert (bounds < op_slacks(w, v, 0.0, 0.0, 0.0, 30, 1)).any()
 
 
-def test_screen_rules_out_most_chunks_at_the_benchmark_shape():
+def test_screen_evaluates_few_pairs_at_the_benchmark_shape(monkeypatch):
     d, n, samples, seed = 6, 9, 100, 1
     w, v = near_fusion_pair(np.random.default_rng(0), d, n, 2, tilt=0.01)
-    worst = op_perturbation_check(w, v, 0.02, 0.02, 0.02, samples, seed).inequality_violation
-    starts = np.arange(0, 2**n, linalg.chunk_rows((samples + 6) * (3 * d + 1)))
-    bounds = screen_bounds(w, v, 0.02, 0.02, 0.02, samples, seed).max(axis=1)
-    # only chunks whose bound reaches the worst slack can run
-    assert (np.maximum.reduceat(bounds, starts) >= worst).sum() <= len(starts) // 4
+    evaluated = []
+    kernel = perturbation._op_slacks
+
+    def spy(parts, masks, at, *constants):
+        evaluated.append(len(at))
+        return kernel(parts, masks, at, *constants)
+
+    monkeypatch.setattr(perturbation, "_op_slacks", spy)
+    op_perturbation_check(w, v, 0.02, 0.02, 0.02, samples, seed)
+    # at most 1% of the 2^9 * 106 (mask, sample) pairs reach the kernel
+    assert 0 < sum(evaluated) <= 2**n * (samples + 6) // 100
 
 
-# a tiny weight in W, or one in V whose square passes 2^200
+# a tiny weight in W, or one in V whose square passes 2^200; n = 9
+# enumerates the masks and n = 13 draws them
 @pytest.mark.parametrize("member, weight", [(0, 1e-120), (1, 1e70)])
 def test_op_runs_every_chunk_outside_the_screened_range(monkeypatch, member, weight):
-    pair = list(near_fusion_pair(np.random.default_rng(4), 3, 9, 2))
-    x = pair[member]
-    pair[member] = FusionFrame(3, x.subspaces, np.r_[x.weights[:-1], weight])
-    w, v = pair
-    assert not perturbation._screenable(*(x.operators for x in pair))
+    # every pair goes through the kernel without a bound
     monkeypatch.setattr(perturbation, "_slack_bounds", None)
-    cert = op_perturbation_check(w, v, 0.02, 0.02, 0.02, 10, 2)
-    expected = op_violation_unscreened(w, v, 0.02, 0.02, 0.02, 10, 2)
-    assert same_bits(cert.inequality_violation, expected)
+    for n in (9, 13):
+        pair = list(near_fusion_pair(np.random.default_rng(4), 3, n, 2))
+        x = pair[member]
+        pair[member] = FusionFrame(3, x.subspaces, np.r_[x.weights[:-1], weight])
+        w, v = pair
+        assert not perturbation._screenable(*(x.operators for x in pair))
+        cert = op_perturbation_check(w, v, 0.02, 0.02, 0.02, 10, 2)
+        expected = op_violation_unscreened(w, v, 0.02, 0.02, 0.02, 10, 2)
+        assert same_bits(cert.inequality_violation, expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])

@@ -71,6 +71,10 @@ class TestSymEig:
         spec = sym_eig([[10.0, 3.0], [3.0, 2.0]])
         assert np.allclose(spec.eigenvalues, [1.0, 11.0])
 
+    def test_zero_by_zero_matrix_has_no_spectrum(self):
+        with pytest.raises(EmptyInput, match="0 x 0"):
+            sym_eig(np.zeros((0, 0)))
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
             sym_eig([[1.0, 2.0], [0.0, 1.0]])
@@ -137,6 +141,11 @@ def mixed_stack(rng, d: int) -> np.ndarray:
 
 
 class TestStackedSpectra:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_stack_of_zero_by_zero_matrices_has_no_spectrum(self, count):
+        with pytest.raises(EmptyInput, match="0 x 0"):
+            stacked_spectra(np.zeros((count, 0, 0)))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 12])
     def test_each_matrix_matches_the_one_matrix_solve_bit_for_bit(self, rng, d):
         stack = mixed_stack(rng, d)

@@ -1,6 +1,8 @@
 """Property tests on generated inputs, under fixed derandomized settings so
 every run draws the same examples."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -23,6 +25,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
+from wovenframes import perturbation
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import EmptyIntersection, NotAFrame
 from wovenframes.frames import _clamp_small_negative, _is_frame
@@ -234,6 +237,58 @@ def test_screened_op_equals_the_unscreened_fold(pair, constants, samples, seed):
     expected = op_violation_unscreened(w, v, *constants, samples, seed)
     # bit for bit, the sign of a zero included
     assert np.float64(cert.inequality_violation).tobytes() == np.float64(expected).tobytes()
+
+
+def loop_slack(parts, mask, sample, lam, mu, gamma) -> float:
+    """One pair's ``op`` slack in Python floats: the parts times the mask's
+    0/1 entries added in index order from +0.0, each sum's d squares in
+    entry order, then the four norms combined."""
+    n, rows, _ = parts.shape
+    sums = [0.0] * rows
+    for i in range(n):
+        for r in range(rows):
+            sums[r] = sums[r] + float(parts[i, r, sample]) * float(mask[i])
+    squares = [0.0, 0.0, 0.0]
+    for e in range(rows // 3):
+        for j in range(3):
+            squares[j] = squares[j] + sums[3 * e + j] * sums[3 * e + j]
+    norm_a, norm_b, norm_d = map(math.sqrt, squares)
+    u_norm = math.sqrt(sums[-1] if sums[-1] > 0.0 else 0.0)
+    return ((norm_d - lam * norm_a) - mu * norm_b) - gamma * u_norm
+
+
+@settings(FIXED, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 14),
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.integers(1, 40),
+    st.sampled_from(OP_CONSTANTS + [(0.5, 0.3, 0.9)]),
+)
+def test_op_kernel_gives_a_pair_the_same_bits_alone_and_in_any_batch(
+    seed, n, d, count, pairs, constants
+):
+    rng = np.random.default_rng(seed)
+    # entries over 32 binades, with zeros of both signs, as cancelling sums
+    # and tiny members give
+    shape = (n, 3 * d + 1, count)
+    parts = rng.standard_normal(shape) * 2.0 ** rng.integers(-16, 17, shape)
+    zeros = rng.random(shape) < 0.1
+    parts[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    masks = rng.integers(0, 2, (pairs, n)).astype(float)
+    samples = rng.integers(0, count, pairs)
+    order = rng.permutation(pairs)
+    batch = perturbation._op_slacks(parts, masks, samples, *constants)
+    shuffled = perturbation._op_slacks(parts, masks[order], samples[order], *constants)
+    alone = [
+        perturbation._op_slacks(parts, masks[k : k + 1], samples[k : k + 1], *constants)
+        for k in range(pairs)
+    ]
+    assert batch.tobytes() == np.concatenate(alone).tobytes()
+    assert batch[order].tobytes() == shuffled.tobytes()
+    expected = [loop_slack(parts, masks[k], samples[k], *constants) for k in range(pairs)]
+    assert batch.tobytes() == np.array(expected).tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

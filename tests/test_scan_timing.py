@@ -57,6 +57,7 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert (fusion["scan"], fusion["n"], fusion["d"]) == ("woven_bounds_exhaustive", 12, 6)
     assert fusion["partitions"] == 2**12 and fusion["kind"] == "fusion"
     assert (op["scan"], op["n"], op["d"], op["samples"]) == ("op_perturbation_check", 9, 6, 1000)
+    assert op["tilt"] == pw["tilt"] == proj["tilt"] == 0.01
     assert op["subsets"] == 2**9 and op["subset_search"] == "exhaustive"
     assert op["us_per_subset"] == 1e6 * op["best_s"] / 2**9
     for record, name, search in (
@@ -73,15 +74,16 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
         assert 0.0 < record["best_s"] < 60.0
 
 
-def test_no_chunk_of_the_adversarial_op_row_can_be_skipped(monkeypatch):
+def test_the_adversarial_op_row_evaluates_no_pair(monkeypatch):
     # d = 1: every member is the whole line, so every slack and every
-    # bound is 0, and no chunk's bound falls below the worst slack
+    # bound is 0, and a bound that ties the running worst 0 cannot raise it
     tool = _load_tool(monkeypatch)
-    d, n, constants = tool.OP_ROWS[-1]
-    w, v = tool.near_pair(np.random.default_rng([tool.SEED, d, n]), d, n)
-    batch, flat, w_normsq, masks = op_inputs(w, v, tool.OP_SAMPLES, tool.SEED)
-    blocks = perturbation._slack_bounds(batch, flat, w_normsq, masks, *constants)
-    assert all((b == 0.0).all() for b in blocks)
+    (d, n, tilt, constants), = (row for row in tool.OP_ROWS if row[0] == 1)
+    w, v = tool.near_pair(np.random.default_rng([tool.SEED, d, n]), d, n, tilt)
+    batch, parts, masks = op_inputs(w, v, tool.OP_SAMPLES, tool.SEED)
+    upper, lower = perturbation._slack_bounds(batch, parts, masks, *constants)[:2]
+    assert (upper == 0.0).all() and (lower[:-1] == 0.0).all()
+    monkeypatch.setattr(perturbation, "_op_slacks", None)
     cert = op_perturbation_check(w, v, *constants, tool.OP_SAMPLES, tool.SEED)
     assert cert.inequality_violation == 0.0
 

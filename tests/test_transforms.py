@@ -314,6 +314,8 @@ class TestLocalSystems:
             ([[[np.inf, 0.0, 0.0]]], [0.0], NonFinite, "spanning set"),
             ([[[1.0, 0.0, 0.0]]], [1.0, 0.0], DimensionMismatch, "one weight per index"),
             ([[[1.0, 0.0, 0.0]]], [np.nan], NonFinite, "weights"),
+            # vectors of different lengths in one block
+            ([[[1.0, 2.0, 3.0]], [[1.0, 0.0, 0.0], [0.0, 1.0]]], [1.0, 1.0], DimensionMismatch, "ambient dim"),
         ],
     )
     def test_build_raises_in_a_fixed_order(self, lists, weights, error, message):

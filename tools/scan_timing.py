@@ -9,12 +9,14 @@ fusion pairs with d = 6 and n in {12, 14}, the two halves of the
 benchmark's woven-exhaustive workload at larger n. Times
 ``op_perturbation_check`` at the CLI's default of 1000 samples on seeded
 near fusion pairs (rank 2, V_i a 0.01 tilt of W_i, constants 0.02):
-d = 6 with n = 9 and 12 (all subsets) and n = 13 (4096 drawn subsets);
-and on a d = 1 pair with n = 12 and all constants 0, where every line
-is the whole line, V = W, every slack and every screen bound is 0, and
-no chunk can be skipped: the screen's whole cost shows there. Times
+d = 6 with n = 9 and 12 (all subsets) and n = 13 and 16 (4096 drawn
+subsets); on a d = 1 pair with n = 12 and all constants 0, where every
+line is the whole line, V = W, and every slack and every screen bound
+is 0, so the screen's fixed cost shows alone; and on d = 6 pairs with
+n = 12 and 13 whose V_i tilt W_i by 1.0, where the screen's bound is
+loose and many (mask, sample) pairs reach the kernel. Times
 ``pw_check`` (constants 0.02) and ``proj_perturbation_check`` (K = 0.5)
-on the same d = 6 near pairs at 1000 samples; their unit is the
+on the first three d = 6 near pairs at 1000 samples; their unit is the
 sample, the 1000 drawn vectors and the 6 extremal ones. Times, for
 each reference instance id at ``--dim`` 6 and 8, ``build_instance`` and
 ``verify_instance`` of the built instance, the two layers of one
@@ -70,12 +72,20 @@ EXHAUSTIVE_NS = (12, 14, 16)
 FUSION_RANK = 2
 FUSION_NS = (12, 14)
 OP_SAMPLES = 1000
-# (d, n, constants): all subsets at n <= 12, 4096 drawn ones at n = 13;
-# the last row is the d = 1 pair whose chunks the screen cannot skip
-OP_ROWS = ((6, 9, (0.02,) * 3), (6, 12, (0.02,) * 3), (6, 13, (0.02,) * 3), (1, 12, (0.0,) * 3))
-# (d, n, constants) on the d = 6 op pairs: (lam1, lam2, mu) and (K,)
-PW_ROWS = tuple((d, n, (0.02,) * 3) for d, n, _ in OP_ROWS[:3])
-PROJ_ROWS = tuple((d, n, (0.5,)) for d, n, _ in OP_ROWS[:3])
+# (d, n, tilt, constants): all subsets at n <= 12, 4096 drawn ones above;
+# the d = 1 pair has every slack and bound 0, the tilt-1.0 pairs a loose bound
+OP_ROWS = (
+    (6, 9, 0.01, (0.02,) * 3),
+    (6, 12, 0.01, (0.02,) * 3),
+    (6, 13, 0.01, (0.02,) * 3),
+    (1, 12, 0.01, (0.0,) * 3),
+    (6, 16, 0.01, (0.02,) * 3),
+    (6, 12, 1.0, (0.02,) * 3),
+    (6, 13, 1.0, (0.02,) * 3),
+)
+# (d, n, tilt, constants) on the first d = 6 op pairs: (lam1, lam2, mu) and (K,)
+PW_ROWS = tuple((d, n, tilt, (0.02,) * 3) for d, n, tilt, _ in OP_ROWS[:3])
+PROJ_ROWS = tuple((d, n, tilt, (0.5,)) for d, n, tilt, _ in OP_ROWS[:3])
 INSTANCE_DIMS = (6, 8)
 
 
@@ -107,15 +117,18 @@ def best_time(run) -> tuple[float, object]:
     return best, result
 
 
-def near_pair(rng: np.random.Generator, d: int, n: int) -> tuple[FusionFrame, FusionFrame]:
+def near_pair(
+    rng: np.random.Generator, d: int, n: int, tilt: float = 0.01
+) -> tuple[FusionFrame, FusionFrame]:
     """W of n Gaussian rank-2 members of R^d (rank 1 at d = 1), weights in
-    [0.5, 1.5], and V with each spanning set tilted by 0.01."""
+    [0.5, 1.5], and V with each spanning set tilted by ``tilt`` times a
+    Gaussian."""
     rank = min(2, d)
     weights = rng.uniform(0.5, 1.5, n)
     spans = rng.standard_normal((n, rank, d))
     return tuple(
         FusionFrame(d, tuple(Subspace.from_spanning(d, list(s)) for s in rows), weights)
-        for rows in (spans, spans + 0.01 * rng.standard_normal(spans.shape))
+        for rows in (spans, spans + tilt * rng.standard_normal(spans.shape))
     )
 
 
@@ -158,10 +171,10 @@ def grid():
         (pw_check, PW_ROWS),
         (proj_perturbation_check, PROJ_ROWS),
     ):
-        for d, n, constants in rows:
-            w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n)
+        for d, n, tilt, constants in rows:
+            w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n, tilt)
             yield (
-                {"scan": check.__name__, "d": d, "n": n},
+                {"scan": check.__name__, "d": d, "n": n, "tilt": tilt},
                 lambda f=check, w=w, v=v, c=constants: f(w, v, *c, OP_SAMPLES, SEED),
                 lambda r, n=n: {
                     "samples": OP_SAMPLES,
