@@ -58,6 +58,9 @@ class DocumentInvalid(ToolkitError):
 # the largest document dim: operators are dense dim x dim matrices, stacked
 # per member and eigen-solved, so a larger dim would only exhaust memory
 MAX_DIM = 1024
+# the largest --samples: every check holds its whole sample batch at once
+# (pw's is 0.45 GB at d = 6, n = 9), so a larger one only exhausts memory
+MAX_SAMPLES = 2**20
 
 
 def _plain(value):
@@ -316,8 +319,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _require_samples(samples: int | None) -> None:
+    limit = f"at most {MAX_SAMPLES} supported"
+    _require(samples is None or samples <= MAX_SAMPLES, "--samples", limit)
+
+
 def cmd_woven(args) -> int:
     _require_eps(args.eps, "--eps")
+    _require_samples(args.samples)
     family, digest = load_family(args.input)
     if args.samples is not None:
         report = woven_bounds_sampled(family, args.samples, args.seed)
@@ -332,6 +341,7 @@ def cmd_woven(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    _require_samples(args.samples)
     family, digest = load_family(args.input)
     if family.kind != FUSION:
         raise DocumentInvalid("perturb requires a fusion-kind document")

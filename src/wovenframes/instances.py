@@ -79,12 +79,6 @@ class ReferenceInstance:
     notes: tuple[str, ...] = field(default=())
 
 
-def _basis_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
-
-
 def build_ex3_2() -> ReferenceInstance:
     """Two three-vector frames in the plane whose weavings are all frames.
 
@@ -121,15 +115,21 @@ def build_ex3_2() -> ReferenceInstance:
     )
 
 
-def _shift_local_lists(dim: int) -> tuple[list, list]:
-    firsts = [[_basis_vector(dim, i)] for i in range(dim)]
-    seconds = []
-    for i in range(dim):
-        block = [_basis_vector(dim, i)]
-        if i + 1 < dim:
-            block.append(_basis_vector(dim, i + 1))
-        seconds.append(block)
-    return firsts, seconds
+def _shifted_pair(dim: int, first_block=None):
+    """The coordinate local system (e_i at index i) and its one-step shifted
+    enrichment (e_i and e_{i+1}, the companion dropped at the boundary),
+    unit-weighted, with their induced fusion family; ``first_block``, when
+    given, replaces the enrichment's block at the first index."""
+    if dim < 3:
+        raise DimensionTooSmall("need dim >= 3")
+    axes = np.eye(dim)
+    seconds = [axes[i : i + 2] for i in range(dim)]
+    if first_block is not None:
+        seconds[0] = first_block
+    ones = np.ones(dim)
+    lf = LocalSystem.build(dim, [axes[i : i + 1] for i in range(dim)], ones)
+    lg = LocalSystem.build(dim, seconds, ones)
+    return WovenFamily.fusion((lf.fusion_frame, lg.fusion_frame)), (lf, lg)
 
 
 def build_ex4_1(dim: int = 6) -> ReferenceInstance:
@@ -141,15 +141,7 @@ def build_ex4_1(dim: int = 6) -> ReferenceInstance:
     second has bounds (1, 2), every weaving stays a frame with bounds
     inside [1, 2], and the induced weighted subspace families are woven.
     """
-    if dim < 3:
-        raise DimensionTooSmall("need dim >= 3")
-    f_lists, g_lists = _shift_local_lists(dim)
-    ones = np.ones(dim)
-    lf = LocalSystem.build(dim, f_lists, ones)
-    lg = LocalSystem.build(dim, g_lists, ones)
-    family = WovenFamily.fusion(
-        (lf.fusion_frame, lg.fusion_frame)
-    )
+    family, local_systems = _shifted_pair(dim)
     expected = {
         "first_flat_bounds": Expected((1.0, 1.0), REFERENCE),
         "second_flat_bounds": Expected((1.0, 2.0), REFERENCE),
@@ -163,7 +155,7 @@ def build_ex4_1(dim: int = 6) -> ReferenceInstance:
         payload=family,
         truncation_dim=dim,
         expected=expected,
-        local_systems=(lf, lg),
+        local_systems=local_systems,
         notes=(NOTE_SHIFTED_INTERVAL,),
     )
 
@@ -178,18 +170,8 @@ def build_ex4_2(dim: int = 6, first_block_absent: bool = False) -> ReferenceInst
     missing block is a zero contribution (one zero vector keeps the
     slot); ``first_block_absent=True`` drops the slot entirely.
     """
-    if dim < 3:
-        raise DimensionTooSmall("need dim >= 3")
-    f_lists, g_lists = _shift_local_lists(dim)
-    if first_block_absent:
-        g_lists[0] = []
-    else:
-        g_lists[0] = [np.zeros(dim)]
-    ones = np.ones(dim)
-    lf = LocalSystem.build(dim, f_lists, ones)
-    lg = LocalSystem.build(dim, g_lists, ones)
-    family = WovenFamily.fusion(
-        (lf.fusion_frame, lg.fusion_frame)
+    family, local_systems = _shifted_pair(
+        dim, [] if first_block_absent else [np.zeros(dim)]
     )
     witness_assignment = tuple([1] + [0] * (dim - 1))
     expected = {
@@ -205,7 +187,7 @@ def build_ex4_2(dim: int = 6, first_block_absent: bool = False) -> ReferenceInst
         payload=family,
         truncation_dim=dim,
         expected=expected,
-        local_systems=(lf, lg),
+        local_systems=local_systems,
     )
 
 

@@ -5,12 +5,12 @@ of them, the symmetric eigensolver (LAPACK ``eigh`` with a fixed order
 and sign convention) for one matrix or a stack of them, kept for callers
 that read eigenvectors, its values-only counterpart (LAPACK
 ``eigvalsh``) for a stack, which every partition scan and every bound
-that reads no eigenvector calls, the chunk budget shared by every
-batched scan, and orthogonal projectors. Everything is
-pure and deterministic: identical input bytes produce identical output
-bytes, which the report tooling depends on. A ``SpectrumReport``
-computes its eigen-residual on first read, from the matrix it keeps, so
-a solve whose residual nobody reads pays nothing for it.
+that reads no eigenvector calls, the chunk budget of every batched
+pass with ``chunk_slices``, its one chunk loop, and orthogonal
+projectors. Everything is pure and deterministic: identical input bytes
+produce identical output bytes, which the report tooling depends on. A
+``SpectrumReport`` computes its eigen-residual on first read, from the
+matrix it keeps, so a solve whose residual nobody reads pays nothing for it.
 Orthonormalization stays Gram-Schmidt because its basis is serialized
 into family documents and their digests. ``orthonormalize_stack`` runs
 it on every member of an (M, k, d) stack at once, with each member's
@@ -49,10 +49,11 @@ def chunk_rows(row_floats: int) -> int:
     return max(1, CHUNK_FLOATS // max(1, row_floats))
 
 
-def row_chunks(rows: np.ndarray, row_floats: int):
-    """Consecutive blocks of ``rows``, each of at most chunk_rows(row_floats)."""
+def chunk_slices(total: int, row_floats: int):
+    """Consecutive slices of range(total), each chunk_rows(row_floats) rows
+    long except possibly the last: the chunk loop of every batched pass."""
     step = chunk_rows(row_floats)
-    return (rows[start : start + step] for start in range(0, len(rows), step))
+    return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
 def read_only(array: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ from .errors import (
 )
 from .frames import _is_frame
 from .fusion import FusionFrame, fusion_frame_operator
-from .linalg import chunk_rows, read_only, row_chunks, sym_eig
+from .linalg import chunk_slices, read_only, sym_eig
 from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
@@ -357,8 +357,8 @@ def _half_tables(parts, linear, u_low, rho, halves):
     tables = []
     for half, half_terms in zip(halves, (terms[:high], terms[high:])):
         table = []
-        for chunk in row_chunks(half, (d + 2) * count):
-            sums = (chunk @ half_terms).reshape(len(chunk), d + 2, count)
+        for at in chunk_slices(len(half), (d + 2) * count):
+            sums = (half[at] @ half_terms).reshape(-1, d + 2, count)
             u_sums = sums[:, -1]
             table.append(
                 np.sqrt(np.einsum("kds,kds->ks", sums[:, :d], sums[:, :d]))
@@ -391,9 +391,8 @@ def _group_pairs(bounds, groups, samples, threshold=None):
     every pair whose bound is above it."""
     upper, lower, members, rows = bounds
     found = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    step = chunk_rows(members.shape[1])
-    for start in range(0, len(groups), step):
-        g, s = groups[start : start + step], samples[start : start + step]
+    for at in chunk_slices(len(groups), members.shape[1]):
+        g, s = groups[at], samples[at]
         block = upper[g, s][:, None] + lower[rows[g], s[:, None]]
         if threshold is None:
             c, j = np.arange(len(g)), block.argmax(axis=1)
@@ -408,9 +407,8 @@ def _fold_descending(parts, masks, keys, samples, bounds, constants, worst):
     ``samples[c]``) whose bound is above it, in decreasing order of bound:
     a pair whose bound is at most the running worst cannot raise it."""
     order = np.argsort(bounds)[::-1]
-    step = chunk_rows(parts.shape[0] * parts.shape[1])
-    for start in range(0, len(order), step):
-        pick = order[start : start + step]
+    for at in chunk_slices(len(order), parts.shape[0] * parts.shape[1]):
+        pick = order[at]
         pick = pick[bounds[pick] > worst]
         if not len(pick):
             break
@@ -423,10 +421,8 @@ def _every_pair_worst(parts, masks, constants, worst):
     """``worst`` raised to the slack of every (mask, sample) pair, mask by
     mask: the fold without a screen."""
     count = parts.shape[2]
-    total = len(masks) * count
-    step = chunk_rows(parts.shape[0] * parts.shape[1])
-    for start in range(0, total, step):
-        keys, samples = np.divmod(np.arange(start, min(start + step, total)), count)
+    for at in chunk_slices(len(masks) * count, parts.shape[0] * parts.shape[1]):
+        keys, samples = np.divmod(np.arange(at.start, at.stop), count)
         worst = max(worst, float(_op_slacks(parts, masks[keys], samples, *constants).max()))
     return worst
 
@@ -445,10 +441,9 @@ def _screened_worst(batch, parts, masks, constants, worst):
     seeds = np.argsort(upper.max(axis=0) + reach)[-_SEEDS:]
     pairs = _group_pairs(bounds, upper[:, seeds].argmax(axis=0), seeds)
     worst = _fold_descending(parts, masks, *pairs, constants, worst)
-    step = chunk_rows(count)
     above = [
-        np.flatnonzero(upper[h : h + step] + reach > worst) + h * count
-        for h in range(0, len(upper), step)
+        np.flatnonzero(upper[at] + reach > worst) + at.start * count
+        for at in chunk_slices(len(upper), count)
     ]
     groups, samples = np.divmod(np.concatenate(above), count)
     pairs = _group_pairs(bounds, groups, samples, worst)

@@ -7,19 +7,19 @@ system. Universal bounds are the min/max of the weaving operator
 spectra over partitions, found exhaustively (lexicographic order over
 base-m assignment strings) or by seeded sampling.
 
-Every scan runs in chunks of assignments: a chunk's weaving operators
-are gathered from the contribution stacks and summed in one call, and
-their eigenvalues come from one stacked values-only LAPACK call
-(``linalg.stacked_eigenvalues``); no scan builds an eigenvector, except
-``sym_eig``'s for the one witness row. The chunk
-size follows the constant budget ``linalg.CHUNK_FLOATS``. Folding the
-chunks in order keeps the first lexicographic extremum and the first
-lexicographic witness, as a one-partition-at-a-time loop would.
-That fold, ``_scan``, also records the first row a row flag marks (the
-woven scans flag a smallest eigenvalue below ``eps``). The Riesz-weaving
-check reads the same solved chunks (``_solved``) and folds only what it
-reports: the count of weavings whose member ranks miss d or whose
-spectrum fails the frame rule, and the first of them.
+Every scan runs in chunks of assignments, the slices of
+``linalg.chunk_slices`` under the constant budget ``linalg.CHUNK_FLOATS``:
+a chunk's weaving operators are gathered from the contribution stacks
+and summed in one call, and their eigenvalues come from one stacked
+values-only LAPACK call (``linalg.stacked_eigenvalues``); no scan builds
+an eigenvector, except ``sym_eig``'s for the one witness row. Folding
+the chunks in order keeps the first lexicographic extremum and the
+first lexicographic witness, as a one-partition-at-a-time loop would.
+Given ``eps``, that fold, ``_scan``, also records the first row whose
+smallest eigenvalue is below it. The Riesz-weaving check reads the same
+solved chunks (``_solved``) and folds only what it reports: the count
+of weavings whose member ranks miss d or whose spectrum fails the frame
+rule, and the first of them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .frames import DiscreteFrame, _clamp_small_negative, _is_frame
 from .fusion import FusionFrame
-from .linalg import chunk_rows, row_chunks, stacked_eigenvalues, sym_eig
+from .linalg import chunk_slices, stacked_eigenvalues, sym_eig
 from .tolerances import WITNESS_EPS
 
 PARTITION_CAP = 2**22
@@ -74,9 +74,9 @@ def partition_cap() -> int:
     return cap
 
 
-def _require_eps(eps: float, name: str = "eps") -> None:
-    """Raise InvalidEps unless the witness threshold is finite and positive."""
-    if not (math.isfinite(eps) and eps > 0):
+def _require_eps(eps: float | None, name: str = "eps") -> None:
+    """Raise InvalidEps unless ``eps`` is None or finite and positive."""
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
         raise InvalidEps(f"{name} must be finite and positive, got {eps}")
 
 
@@ -113,14 +113,10 @@ def _partitions(n: int, m: int, d: int):
     """
     total = _require_partition_count(n, m)
     powers = np.array([m ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    step = chunk_rows(n * d * d)
-
-    def chunks():
-        for start in range(0, total, step):
-            ranks = np.arange(start, min(start + step, total), dtype=np.int64)
-            yield ranks[:, None] // powers % m
-
-    return chunks()
+    return (
+        np.arange(at.start, at.stop, dtype=np.int64)[:, None] // powers % m
+        for at in chunk_slices(total, n * d * d)
+    )
 
 
 @dataclass(frozen=True)
@@ -286,15 +282,6 @@ def _weaving_operators(stacks: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     return stacks[np.arange(n), chunk].sum(axis=1)
 
 
-def _below(eps: float | None):
-    """The woven scans' row flag: smallest eigenvalue below ``eps``, which
-    must be finite and positive (else InvalidEps); None without ``eps``."""
-    if eps is None:
-        return None
-    _require_eps(eps)
-    return lambda chunk, values: values[:, 0] < eps
-
-
 def _solved(stacks: np.ndarray, chunks):
     """Each chunk of assignments with its weaving operators and their
     ascending eigenvalues, from one stacked values-only solve per chunk."""
@@ -308,18 +295,17 @@ def _scan(
     chunks,
     method: str,
     seed: int | None = None,
-    flag=None,
+    eps: float | None = None,
     stop_at_witness: bool = False,
 ) -> WovenReport:
     """Fold the weaving spectra of the assignment ``chunks`` into one
     report.
 
     An extremum is replaced only by a strictly more extreme later one, so
-    ties go to the first assignment in scan order. ``flag(chunk,
-    values)`` marks rows of a chunk, given its ascending eigenvalues; the
-    report's witness is the first marked assignment with its smallest
-    eigenvalue, the value its row of the scan holds (so a woven scan's
-    witness value is below ``eps`` by construction), and a unit
+    ties go to the first assignment in scan order. Given ``eps``, the
+    report's witness is the first assignment whose smallest eigenvalue is
+    below it, with that eigenvalue, the value its row of the scan holds
+    (so the witness value is below ``eps`` by construction), and a unit
     eigenvector for it from sym_eig (for its sign rule);
     ``stop_at_witness`` ends the scan after the chunk that holds it.
     """
@@ -336,9 +322,9 @@ def _scan(
         k = int(np.argmax(values[:, -1]))
         if values[k, -1] > hi_val:
             hi_val, hi_part = values[k, -1], chunk[k]
-        if flag is None or witness is not None:
+        if eps is None or witness is not None:
             continue
-        marked = np.flatnonzero(flag(chunk, values))
+        marked = np.flatnonzero(values[:, 0] < eps)
         if marked.size:
             k = int(marked[0])
             vector = sym_eig(ops[k]).eigenvectors[:, 0].copy()
@@ -369,9 +355,9 @@ def woven_bounds_from_contributions(
     partition whose smallest eigenvalue is below ``eps`` as the report's
     witness; ``eps`` must then be finite and positive (else InvalidEps).
     """
-    flag = _below(eps)
+    _require_eps(eps)
     n, m, d = stacks.shape[:3]
-    return _scan(stacks, _partitions(n, m, d), "exhaustive", flag=flag)
+    return _scan(stacks, _partitions(n, m, d), "exhaustive", eps=eps)
 
 
 def woven_bounds_exhaustive(
@@ -381,9 +367,9 @@ def woven_bounds_exhaustive(
 
     ``eps`` as in woven_bounds_from_contributions.
     """
-    flag = _below(eps)
+    _require_eps(eps)
     chunks = _partitions(family.n, family.m, family.dim)
-    return _scan(contribution_stacks(family), chunks, "exhaustive", flag=flag)
+    return _scan(contribution_stacks(family), chunks, "exhaustive", eps=eps)
 
 
 def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenReport:
@@ -405,7 +391,7 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     drawn = rng.integers(0, m, size=(samples, n))
     pure = np.repeat(np.arange(m)[:, None], n, axis=1)
     rows = np.concatenate([pure, drawn])
-    chunks = row_chunks(rows, n * d * d)
+    chunks = (rows[at] for at in chunk_slices(len(rows), n * d * d))
     return _scan(stacks, chunks, "sampled", seed=seed)
 
 
@@ -424,10 +410,10 @@ def find_nonwoven_witness(
     eigenvalue below ``eps``, with the minimizing unit vector and the
     value. None when every weaving clears the threshold. Raises
     InvalidEps unless ``eps`` is finite and positive."""
-    flag = _below(eps)
+    _require_eps(eps)
     chunks = _partitions(family.n, family.m, family.dim)
     stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", flag=flag, stop_at_witness=True).witness
+    return _scan(stacks, chunks, "exhaustive", eps=eps, stop_at_witness=True).witness
 
 
 @dataclass(frozen=True)

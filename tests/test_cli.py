@@ -792,6 +792,24 @@ class TestSampleCount:
         assert captured.out == ""
         assert captured.err == "error: samples must be at least 1\n"
 
+    @pytest.mark.parametrize("excess", [1, 10**13])
+    @pytest.mark.parametrize(
+        "argv",
+        [["woven"], ["perturb", "--method", "pw"], ["perturb", "--method", "op"],
+         ["perturb", "--method", "proj"]],
+        ids=["woven", "pw", "op", "proj"],
+    )
+    def test_samples_above_the_limit_exit_two_before_the_document_is_read(
+        self, tmp_path, capsys, argv, excess
+    ):
+        missing = str(tmp_path / "missing.json")
+        samples = str(cli.MAX_SAMPLES + excess)
+        code = main(argv[:1] + [missing] + argv[1:] + ["--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --samples: at most {cli.MAX_SAMPLES} supported\n"
+
 
 class TestSeedValidation:
     @pytest.mark.parametrize(

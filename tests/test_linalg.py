@@ -3,8 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wovenframes import orthonormalize, projector, sym_eig
-from wovenframes.linalg import stacked_eigenvalues, stacked_spectra
+from wovenframes import linalg, orthonormalize, projector, sym_eig
+from wovenframes.linalg import (
+    chunk_rows,
+    chunk_slices,
+    stacked_eigenvalues,
+    stacked_spectra,
+)
 from wovenframes.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -14,6 +19,29 @@ from wovenframes.errors import (
 )
 
 from helpers import one_matrix_eigenvalues, one_matrix_spectrum
+
+
+class TestChunkSlices:
+    @pytest.mark.parametrize("total", [1, 2, 5, 6, 7, 40])
+    @pytest.mark.parametrize("row_floats", [1, 3, 5, 12])
+    def test_slices_tile_the_range_once_in_order(self, monkeypatch, total, row_floats):
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 12)
+        slices = list(chunk_slices(total, row_floats))
+        assert [i for s in slices for i in range(total)[s]] == list(range(total))
+        assert all(s.stop - s.start == chunk_rows(row_floats) for s in slices[:-1])
+        assert 0 < slices[-1].stop - slices[-1].start <= chunk_rows(row_floats)
+
+    def test_boundaries_fall_on_multiples_of_the_chunk_rows(self, monkeypatch):
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 12)
+        assert list(chunk_slices(5, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+    def test_an_empty_range_yields_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 12)
+        assert list(chunk_slices(0, 1)) == []
+
+    def test_rows_above_the_budget_get_one_row_each(self, monkeypatch):
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 12)
+        assert list(chunk_slices(3, 13)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 class TestOrthonormalize:

@@ -13,11 +13,12 @@ from wovenframes import (
     proj_perturbation_check,
     pw_check,
     woven_bounds_exhaustive,
+    woven_bounds_sampled,
     woven_riesz_decomposition_check,
 )
 from wovenframes.errors import NotAFrame
 from wovenframes.cli import main, parse_family_document
-from wovenframes.linalg import chunk_rows
+from wovenframes.linalg import chunk_rows, chunk_slices
 from wovenframes.perturbation import _SUBSET_CAP
 from wovenframes.weaving import PARTITION_CAP
 
@@ -121,6 +122,15 @@ def test_late_witness_documents_place_the_witness_past_the_first_chunk(kind, m, 
     partition, _, _ = find_nonwoven_witness(family)
     assert partition.assignment == (1,) + (0,) * (n - 1)
     assert m ** (n - 1) >= chunk_rows(n * family.dim**2)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "fusion"])
+def test_sampled_late_witness_scans_span_many_chunks(kind):
+    family = parse_family_document(outdiff.late_witness_doc(213, kind, 2, 13))
+    # the m pure partitions lead the 3000 drawn ones
+    rows = 3000 + family.m
+    assert woven_bounds_sampled(family, 3000, 5).partitions_examined == rows
+    assert len(list(chunk_slices(rows, family.n * family.dim**2))) > 10
 
 
 def test_near_pair_document_samples_its_subset_masks():

@@ -366,6 +366,17 @@ class TestPartitionCap:
             with pytest.raises(TooManyPartitions):
                 call()
 
+    def test_invalid_eps_is_raised_before_the_cap(self, plane_family, monkeypatch):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "4")
+        stacks = contribution_stacks(plane_family)
+        for call in (
+            lambda: woven_bounds_exhaustive(plane_family, eps=math.nan),
+            lambda: woven_bounds_from_contributions(stacks, eps=math.nan),
+            lambda: find_nonwoven_witness(plane_family, eps=math.nan),
+        ):
+            with pytest.raises(InvalidEps):
+                call()
+
     @pytest.mark.parametrize(
         "n, count",
         [(63, "2^63 = 9223372036854775808"), (64, "2^64"), (15_000, "2^15000")],

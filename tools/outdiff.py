@@ -25,10 +25,12 @@ closed form at every n, so neither there nor at n = 23 does it sample
 subsets); ``perturb --method op`` and ``proj --K 0.5`` at
 the default 1000 samples on two near fusion pairs with d = 6, n = 9 (all
 512 subsets, many mask chunks), and ``pw``, ``op`` and ``proj`` with
-``--samples 0`` (the six extremal vectors alone) on one of them; and ``woven`` and ``woven --eps 0.5`` on
-discrete and fusion families with m = 2, n = 13 and m = 3, n = 9, whose
-first singular weaving (1, 0, ..., 0) has lexicographic rank m^(n-1),
-many scan chunks into the enumeration; ``analyze`` and ``woven`` on
+``--samples 0`` (the six extremal vectors alone) on one of them;
+``woven`` and ``woven --eps 0.5`` on discrete and fusion families with
+m = 2, n = 13 and m = 3, n = 9, whose first singular weaving (1, 0, ...,
+0) has lexicographic rank m^(n-1), many scan chunks into the
+enumeration, and ``woven --samples 3000 --seed 5`` on the m = 2 ones,
+whose 3,002 sampled rows span 39 chunks; ``analyze`` and ``woven`` on
 fusion documents with d = 1, 3 and 5 whose members mix spanning counts
 within a system and include dependent vectors, an all-zero spanning set,
 an empty spanning list and -0.0 entries. Refusals and over-cap paths,
@@ -58,7 +60,7 @@ commands run at a time.
 
 Prints one line per difference and a summary line that also counts the
 commands whose raw (exit code, stdout, stderr) are not byte-identical,
-as in ``277 commands, 0 differences, 0 not byte-identical``; exits 0
+as in ``279 commands, 0 differences, 0 not byte-identical``; exits 0
 when there are no differences and 1 otherwise, whatever the byte count.
 """
 
@@ -397,6 +399,8 @@ def build_corpus(workdir: str) -> list[list[str]]:
             doc = late_witness_doc(m * 100 + n, kind, m, n)
             path = _write(os.path.join(workdir, f"late-witness-{kind}-m{m}-n{n}.json"), doc)
             corpus += [["woven", path], ["woven", path, "--eps", "0.5"]]
+            if m == 2:
+                corpus.append(["woven", path, "--samples", "3000", "--seed", "5"])
     for seed in SEEDS:
         for name, variants in (
             ("woven-exhaustive", (["woven"], ["woven", "--eps", "5"],
