@@ -126,6 +126,9 @@ def parse_family_document(doc) -> WovenFamily:
 
     built = []
     counts = set()
+    # every spanning set of a fusion document, orthonormalized and checked
+    # at once after the loop; until then ``built`` holds each system's weights
+    spans: list[np.ndarray] = []
     for si, sys_doc in enumerate(systems):
         path = f"systems[{si}]"
         _require(isinstance(sys_doc, dict), path, "system must be an object")
@@ -160,10 +163,12 @@ def parse_family_document(doc) -> WovenFamily:
                     "weights must be finite and positive",
                 )
                 w.append(float(value))
-            spans = _spanning_matrices(subspaces, path, dim)
-            subs = Subspace.from_bases(dim, orthonormalize_each(spans))
-            counts.add(len(subs))
-            built.append(FusionFrame(dim, subs, np.array(w)))
+            spans += _spanning_matrices(subspaces, path, dim)
+            counts.add(len(w))
+            built.append(np.array(w))
+    if kind == FUSION:
+        members = iter(Subspace.from_bases(dim, orthonormalize_each(spans)))
+        built = [FusionFrame(dim, tuple(itertools.islice(members, len(w))), w) for w in built]
     _require(len(counts) == 1, "systems", "systems must share the member count")
     return WovenFamily(kind, tuple(built))
 
@@ -331,7 +336,10 @@ def cmd_woven(args) -> int:
     if args.samples is not None:
         report = woven_bounds_sampled(family, args.samples, args.seed)
     else:
-        report = woven_bounds_exhaustive(family, eps=args.eps)
+        try:
+            report = woven_bounds_exhaustive(family, eps=args.eps)
+        except TooManyPartitions as exc:
+            raise TooManyPartitions(f"{exc}; --samples N runs a sampled search") from exc
     witness = None
     if not report.is_woven and report.witness is not None:
         witness = dict(zip(("partition", "vector", "value"), report.witness))

@@ -4,8 +4,10 @@ Orthonormalization with rank detection for one spanning set or a stack
 of them, the symmetric eigensolver (LAPACK ``eigh`` with a fixed order
 and sign convention) for one matrix or a stack of them, kept for callers
 that read eigenvectors, its values-only counterpart (LAPACK
-``eigvalsh``) for a stack, which every partition scan and every bound
-that reads no eigenvector calls, the chunk budget of every batched
+``eigvalsh``) for a stack, which every bound that reads no eigenvector
+calls (a partition scan checks its contribution stacks with
+``_symmetrized`` once and solves its chunks' exactly symmetric sums
+directly), the chunk budget of every batched
 pass with ``chunk_slices``, its one chunk loop, and orthogonal
 projectors. Everything is pure and deterministic: identical input bytes
 produce identical output bytes, which the report tooling depends on. A

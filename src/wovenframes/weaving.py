@@ -7,23 +7,33 @@ system. Universal bounds are the min/max of the weaving operator
 spectra over partitions, found exhaustively (lexicographic order over
 base-m assignment strings) or by seeded sampling.
 
-Every scan runs in chunks of assignments, the slices of
-``linalg.chunk_slices`` under the constant budget ``linalg.CHUNK_FLOATS``:
-a chunk's weaving operators are gathered from the contribution stacks
-and summed in one call, and their eigenvalues come from one stacked
-values-only LAPACK call (``linalg.stacked_eigenvalues``); no scan builds
-an eigenvector, except ``sym_eig``'s for the one witness row. Folding
+Every scan runs in chunks of at most ``linalg.chunk_rows(d * d)``
+weavings, sized by their (rows, d, d) operators under the constant
+budget ``linalg.CHUNK_FLOATS``. The contribution stacks are checked
+(finite, symmetric within SYM_TOL) and symmetrized once per scan, so
+each chunk's operators, exactly symmetric sums, need only a finiteness
+check before one stacked values-only LAPACK call; no scan builds an
+eigenvector, except ``sym_eig``'s for the one witness row. An
+exhaustive scan builds its operators as a prefix tree in lexicographic
+order (``_prefix_sums``): each chunk is the subtree under one prefix, a
+level is the previous one repeated m times plus one index's
+contributions, and a Partition is built from a row's rank only for the
+rows reported. A sampled scan accumulates its explicit rows' operators
+one index at a time (``_weaving_operators``). Either way every weaving
+operator is the index-order sum ``((0 + C_0) + C_1) + ...``. Folding
 the chunks in order keeps the first lexicographic extremum and the
 first lexicographic witness, as a one-partition-at-a-time loop would.
 Given ``eps``, that fold, ``_scan``, also records the first row whose
-smallest eigenvalue is below it. The Riesz-weaving check reads the same
-solved chunks (``_solved``) and folds only what it reports: the count
-of weavings whose member ranks miss d or whose spectrum fails the frame
-rule, and the first of them.
+smallest eigenvalue is below it. The Riesz-weaving check walks the same
+tree over the operators and over the (n, m) member-rank table, and folds
+only what it reports: the count of weavings whose member ranks miss d
+or whose spectrum fails the frame rule, and the first of them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -36,13 +46,14 @@ from .errors import (
     InvalidPartitionCap,
     InvalidSampleCount,
     InvalidSeed,
+    NonFinite,
     PartitionLengthMismatch,
     TooManyPartitions,
     WrongKind,
 )
 from .frames import DiscreteFrame, _clamp_small_negative, _is_frame
 from .fusion import FusionFrame
-from .linalg import chunk_slices, stacked_eigenvalues, sym_eig
+from .linalg import _symmetrized, chunk_rows, chunk_slices, stacked_eigenvalues, sym_eig
 from .tolerances import WITNESS_EPS
 
 PARTITION_CAP = 2**22
@@ -89,34 +100,66 @@ def _require_seed(seed: int) -> None:
 def _require_partition_count(n: int, m: int) -> int:
     """m^n, the number of assignments of n indices to m systems: the one
     enumeration-cap check. Raises TooManyPartitions when m^n exceeds
-    partition_cap()."""
+    partition_cap(); the message names WOVEN_MAX_PARTITIONS when a cap
+    that it can set would admit m^n."""
     cap = partition_cap()
     # past 63 indices m^n >= 2^64 exceeds every cap, and may have more
     # digits than Python converts to a string: the message names m^n alone
     if m >= 2 and n > 63:
-        count = f"{m}^{n}"
+        count, total = f"{m}^{n}", None
     else:
         total = m**n
         if total <= cap:
             return total
         count = f"{m}^{n} = {total}"
-    raise TooManyPartitions(
-        f"{count} partitions exceeds the cap {cap}; use the sampled search instead"
-    )
+    remedy = "" if total is None or total > _RANK_MAX else " (WOVEN_MAX_PARTITIONS raises it)"
+    raise TooManyPartitions(f"{count} partitions exceeds the cap {cap}{remedy}")
 
 
-def _partitions(n: int, m: int, d: int):
-    """Every assignment of n indices to m systems, in lexicographic order.
+def _assignment(row: int, n: int, m: int) -> Partition:
+    """The partition of lexicographic rank ``row``: its n base-m digits,
+    most significant first."""
+    digits = []
+    for _ in range(n):
+        row, digit = divmod(row, m)
+        digits.append(digit)
+    return Partition(digits[::-1])
 
-    Returns a generator of (rows, n) int arrays, sized for (rows, n, d, d)
-    temporaries. Checks the enumeration cap at the call, before any work.
+
+def _prefix_sums(table: np.ndarray, leaves: int):
+    """Every assignment's sum over an (n, m, ...) table, one row of
+    ``table[i]`` per index i, in lexicographic order: yields (rank of the
+    first assignment, sums) per chunk.
+
+    The assignments form a prefix tree whose root holds zeros: level
+    j + 1 is level j repeated m times plus ``table[j, digit]``, so every
+    sum is the index-order ``((0 + t_0) + t_1) + ...`` that numpy's sum
+    over a non-innermost axis makes (its +0.0 start included). A chunk
+    is the subtree under one prefix, with the largest power of m of at
+    most ``leaves`` leaves; the prefixes are walked depth first, each
+    keeping its partial sums.
     """
-    total = _require_partition_count(n, m)
-    powers = np.array([m ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    return (
-        np.arange(at.start, at.stop, dtype=np.int64)[:, None] // powers % m
-        for at in chunk_slices(total, n * d * d)
-    )
+    n, m = table.shape[:2]
+    trailing = table.shape[2:]
+    span = 0
+    while span < n and m ** (span + 1) <= leaves:
+        span += 1
+    depth = n - span
+    # path[k]: the current prefix's sum over its first k digits
+    path = [np.zeros(trailing, table.dtype)] + [None] * depth
+    previous = None
+    for first, digits in enumerate(itertools.product(range(m), repeat=depth)):
+        # only the sums past the first digit that changed are new
+        changed = 0 if previous is None else next(
+            k for k in range(depth) if digits[k] != previous[k]
+        )
+        for k in range(changed, depth):
+            path[k + 1] = path[k] + table[k, digits[k]]
+        previous = digits
+        level = path[depth][None]
+        for j in range(depth, n):
+            level = (level[:, None] + table[j]).reshape(-1, *trailing)
+        yield first * m**span, level
 
 
 @dataclass(frozen=True)
@@ -274,61 +317,67 @@ def contribution_stacks(family: WovenFamily) -> np.ndarray:
 def _weaving_operators(stacks: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     """Weaving operators of a (rows, n) chunk of assignments, (rows, d, d).
 
-    One gathered sum over the index axis: numpy reduces it in the order
-    it reduces a single partition's (n, d, d) stack, so each row equals
-    the one-partition sum bit for bit (pairwise summation included).
+    Accumulated from zeros one index at a time, so each row is the
+    index-order sum ``((0 + C_0) + C_1) + ...`` of its contributions, as
+    every scan sums.
     """
-    n = stacks.shape[0]
-    return stacks[np.arange(n), chunk].sum(axis=1)
+    ops = np.zeros((len(chunk), *stacks.shape[2:]))
+    for i in range(stacks.shape[0]):
+        ops += stacks[i, chunk[:, i]]
+    return ops
 
 
-def _solved(stacks: np.ndarray, chunks):
-    """Each chunk of assignments with its weaving operators and their
-    ascending eigenvalues, from one stacked values-only solve per chunk."""
-    for chunk in chunks:
-        ops = _weaving_operators(stacks, chunk)
-        yield chunk, ops, stacked_eigenvalues(ops)
+def _eigenvalues(ops: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a chunk of weaving operators summed from
+    stacks that ``_symmetrized`` checked once per scan: such a sum is
+    exactly symmetric, so only its finiteness is checked (it can
+    overflow) before one stacked values-only LAPACK call."""
+    if not np.isfinite(ops).all():
+        raise NonFinite("matrix contains NaN or Inf")
+    return np.linalg.eigvalsh(ops)
 
 
 def _scan(
-    stacks: np.ndarray,
-    chunks,
+    blocks,
+    label,
     method: str,
     seed: int | None = None,
     eps: float | None = None,
     stop_at_witness: bool = False,
 ) -> WovenReport:
-    """Fold the weaving spectra of the assignment ``chunks`` into one
-    report.
+    """Fold the weaving spectra of ``blocks``, (first row, operators)
+    pairs in scan order, into one report; ``label(row)`` is the Partition
+    of a row, built only for the rows reported.
 
     An extremum is replaced only by a strictly more extreme later one, so
-    ties go to the first assignment in scan order. Given ``eps``, the
-    report's witness is the first assignment whose smallest eigenvalue is
-    below it, with that eigenvalue, the value its row of the scan holds
-    (so the witness value is below ``eps`` by construction), and a unit
-    eigenvector for it from sym_eig (for its sign rule);
-    ``stop_at_witness`` ends the scan after the chunk that holds it.
+    ties go to the first row in scan order. Given ``eps``, the report's
+    witness is the first row whose smallest eigenvalue is below it, with
+    that eigenvalue, the value its row of the scan holds (so the witness
+    value is below ``eps`` by construction), and a unit eigenvector for it
+    from sym_eig (for its sign rule); ``stop_at_witness`` ends the scan
+    after the chunk that holds it.
     """
     lo_val = np.inf
     hi_val = -np.inf
-    lo_part = hi_part = None
+    lo_row = hi_row = None
     witness = None
     count = 0
-    for chunk, ops, values in _solved(stacks, chunks):
-        count += len(chunk)
+    for start, ops in blocks:
+        values = _eigenvalues(ops)
+        count += len(ops)
         k = int(np.argmin(values[:, 0]))
         if values[k, 0] < lo_val:
-            lo_val, lo_part = values[k, 0], chunk[k]
+            lo_val, lo_row = values[k, 0], start + k
         k = int(np.argmax(values[:, -1]))
         if values[k, -1] > hi_val:
-            hi_val, hi_part = values[k, -1], chunk[k]
+            hi_val, hi_row = values[k, -1], start + k
         if eps is None or witness is not None:
             continue
         marked = np.flatnonzero(values[:, 0] < eps)
         if marked.size:
             k = int(marked[0])
             vector = sym_eig(ops[k]).eigenvectors[:, 0].copy()
-            witness = (Partition(chunk[k]), vector, float(values[k, 0]))
+            witness = (label(start + k), vector, float(values[k, 0]))
             if stop_at_witness:
                 break
     upper = float(hi_val)
@@ -337,13 +386,25 @@ def _scan(
         universal_lower=lower,
         universal_upper=upper,
         is_woven=_is_frame(lower, upper),
-        worst_partition=Partition(lo_part),
-        best_upper_partition=Partition(hi_part),
+        worst_partition=label(lo_row),
+        best_upper_partition=label(hi_row),
         method=method,
         partitions_examined=count,
         seed=seed,
         witness=witness,
     )
+
+
+def _exhaustive_scan(
+    stacks: np.ndarray, eps: float | None = None, stop_at_witness: bool = False
+) -> WovenReport:
+    """``_scan`` over every partition of the (n, m, d, d) stacks, in
+    lexicographic order, with the stacks checked and symmetrized once; the
+    caller has checked the cap."""
+    n, m, d = stacks.shape[:3]
+    blocks = _prefix_sums(_symmetrized(stacks), chunk_rows(d * d))
+    label = functools.partial(_assignment, n=n, m=m)
+    return _scan(blocks, label, "exhaustive", eps=eps, stop_at_witness=stop_at_witness)
 
 
 def woven_bounds_from_contributions(
@@ -356,8 +417,8 @@ def woven_bounds_from_contributions(
     witness; ``eps`` must then be finite and positive (else InvalidEps).
     """
     _require_eps(eps)
-    n, m, d = stacks.shape[:3]
-    return _scan(stacks, _partitions(n, m, d), "exhaustive", eps=eps)
+    _require_partition_count(*stacks.shape[:2])
+    return _exhaustive_scan(stacks, eps)
 
 
 def woven_bounds_exhaustive(
@@ -368,8 +429,8 @@ def woven_bounds_exhaustive(
     ``eps`` as in woven_bounds_from_contributions.
     """
     _require_eps(eps)
-    chunks = _partitions(family.n, family.m, family.dim)
-    return _scan(contribution_stacks(family), chunks, "exhaustive", eps=eps)
+    _require_partition_count(family.n, family.m)
+    return _exhaustive_scan(contribution_stacks(family), eps)
 
 
 def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenReport:
@@ -385,14 +446,17 @@ def woven_bounds_sampled(family: WovenFamily, samples: int, seed: int) -> WovenR
     if samples < 1:
         raise InvalidSampleCount("samples must be at least 1")
     _require_seed(seed)
-    stacks = contribution_stacks(family)
+    stacks = _symmetrized(contribution_stacks(family))
     n, m, d = family.n, family.m, family.dim
     rng = np.random.default_rng(seed)
     drawn = rng.integers(0, m, size=(samples, n))
     pure = np.repeat(np.arange(m)[:, None], n, axis=1)
     rows = np.concatenate([pure, drawn])
-    chunks = (rows[at] for at in chunk_slices(len(rows), n * d * d))
-    return _scan(stacks, chunks, "sampled", seed=seed)
+    blocks = (
+        (at.start, _weaving_operators(stacks, rows[at]))
+        for at in chunk_slices(len(rows), d * d)
+    )
+    return _scan(blocks, lambda row: Partition(rows[row]), "sampled", seed=seed)
 
 
 def weaving_bessel_bound(family: WovenFamily, p: Partition) -> float:
@@ -411,9 +475,8 @@ def find_nonwoven_witness(
     value. None when every weaving clears the threshold. Raises
     InvalidEps unless ``eps`` is finite and positive."""
     _require_eps(eps)
-    chunks = _partitions(family.n, family.m, family.dim)
-    stacks = contribution_stacks(family)
-    return _scan(stacks, chunks, "exhaustive", eps=eps, stop_at_witness=True).witness
+    _require_partition_count(family.n, family.m)
+    return _exhaustive_scan(contribution_stacks(family), eps, stop_at_witness=True).witness
 
 
 @dataclass(frozen=True)
@@ -432,29 +495,33 @@ class RieszWeavingReport:
 def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
     """Whether every weaving splits the space as a direct sum of its members.
 
-    Fusion families only. A weaving fails when its member ranks, read
-    from one (n, m) table, do not add up to d, or when the frame rule
-    rejects its spectrum, solved values-only chunk by chunk as in every
-    scan; the check counts the failing rows and builds a Partition for
-    the first alone, and no extremum or eigenvector. Checks the kind and
-    the enumeration cap at the call, before any work.
+    Fusion families only. A weaving fails when its member ranks do not
+    add up to d, or when the frame rule rejects its spectrum, solved
+    values-only chunk by chunk as in every scan. The rank sums come from
+    the same prefix tree as the operators, over the (n, m) rank table.
+    The check counts the failing rows and builds a Partition for the
+    first alone, and no extremum or eigenvector. Checks the kind and the
+    enumeration cap at the call, before any work.
     """
     if family.kind != FUSION:
         raise WrongKind("Riesz weaving check applies to fusion families only")
-    chunks = _partitions(family.n, family.m, family.dim)
-    stacks = contribution_stacks(family)
+    n, m, d = family.n, family.m, family.dim
+    _require_partition_count(n, m)
+    stacks = _symmetrized(contribution_stacks(family))
     ranks = np.array([s.ranks for s in family.systems]).T
-    index = np.arange(family.n)
+    leaves = chunk_rows(d * d)
     examined = failing = 0
     first = None
-    for chunk, _, values in _solved(stacks, chunks):
-        examined += len(chunk)
-        spans = _is_frame(values[:, 0], values[:, -1])
-        fails = ~spans | (ranks[index, chunk].sum(axis=1) != family.dim)
+    for (start, ops), (_, rank_sums) in zip(
+        _prefix_sums(stacks, leaves), _prefix_sums(ranks, leaves)
+    ):
+        values = _eigenvalues(ops)
+        examined += len(ops)
+        fails = ~_is_frame(values[:, 0], values[:, -1]) | (rank_sums != d)
         marked = np.flatnonzero(fails)
         failing += marked.size
         if first is None and marked.size:
-            first = Partition(chunk[marked[0]])
+            first = _assignment(start + int(marked[0]), n, m)
     return RieszWeavingReport(
         all_pass=not failing,
         failing_count=failing,

@@ -20,12 +20,7 @@ from wovenframes.linalg import orthonormalize_each, sym_eig
 from wovenframes.perturbation import _op_inputs, _op_slacks, _subset_masks, _unit_rows
 from wovenframes.tolerances import PATTERN_TOL, RANK_TOL
 from wovenframes.transforms import intersect_family
-from wovenframes.weaving import (
-    _partitions,
-    _weaving_operators,
-    contribution_stacks,
-    woven_bounds_exhaustive,
-)
+from wovenframes.weaving import contribution_stacks, woven_bounds_exhaustive
 
 
 def plain_values(value):
@@ -333,20 +328,46 @@ def one_matrix_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
+def gathered_operators(stacks: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Weaving operators of a (rows, n) chunk of assignments as one
+    gathered (rows, n, d, d) sum over the index axis, the scans' former
+    kernel: numpy adds that axis in index order when d >= 2, pairwise
+    when d = 1 and n >= 8."""
+    n = stacks.shape[0]
+    return stacks[np.arange(n), chunk].sum(axis=1)
+
+
+def index_order_operators(stacks: np.ndarray, chunk) -> np.ndarray:
+    """Weaving operators of a (rows, n) chunk of assignments, each the
+    index-order sum ``((0 + C_0) + C_1) + ...``, accumulated over the rows
+    one index at a time: the summation-order oracle for the scans'
+    operators at every d."""
+    chunk = np.asarray(chunk, dtype=int).reshape(len(chunk), stacks.shape[0])
+    total = np.zeros((len(chunk), *stacks.shape[2:]))
+    for i in range(stacks.shape[0]):
+        total = total + stacks[i, chunk[:, i]]
+    return total
+
+
+def index_order_sum(stacks: np.ndarray, assignment) -> np.ndarray:
+    """One partition's index-order weaving operator."""
+    return index_order_operators(stacks, [tuple(assignment)])[0]
+
+
 def scan_oracle(stacks: np.ndarray, assignments, eps: float | None = None) -> dict:
-    """One 2-D values-only solve per assignment, in order.
+    """One 2-D values-only solve per assignment, in order, of its
+    index-order operator (``index_order_sum``).
 
     Returns the smallest and largest eigenvalue over the assignments, the
     first assignment attaining each, the first assignment below ``eps``
     as (assignment, eigenvector, value), with the eigenvector from
     ``sym_eig`` and the value from the values-only solve, and the count.
     """
-    n = stacks.shape[0]
     out = {"lower": np.inf, "upper": -np.inf, "worst": None, "best": None,
            "witness": None, "count": 0}
     for assignment in assignments:
         assignment = tuple(int(a) for a in assignment)
-        operator = stacks[np.arange(n), list(assignment)].sum(axis=0)
+        operator = index_order_sum(stacks, assignment)
         values = one_matrix_eigenvalues(operator)
         smallest, largest = float(values[0]), float(values[-1])
         out["count"] += 1
@@ -513,14 +534,10 @@ def intersection_violations(
     coeffs = rng.standard_normal((samples, k.rank))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     vectors = coeffs @ k.basis.T
-    stacks = contribution_stacks(intersected)
-    worst_low = worst_high = -np.inf
-    for chunk in _partitions(intersected.n, intersected.m, intersected.dim):
-        ops = _weaving_operators(stacks, chunk)
-        sums = np.einsum("sd,rde,se->rs", vectors, ops, vectors)
-        worst_low = max(worst_low, float((base.universal_lower - sums).max()))
-        worst_high = max(worst_high, float((sums - base.universal_upper).max()))
-    return worst_low, worst_high
+    chunk = np.array(list(all_assignments(intersected.n, intersected.m)))
+    ops = gathered_operators(contribution_stacks(intersected), chunk)
+    sums = np.einsum("sd,rde,se->rs", vectors, ops, vectors)
+    return float((base.universal_lower - sums).max()), float((sums - base.universal_upper).max())
 
 
 def projector_pattern(family: WovenFamily, k: Subspace) -> bool:

@@ -253,7 +253,7 @@ class TestAnalyze:
             assert system["bessel_bound"] == system["upper"]
             assert system["is_frame"] and not system["is_riesz_basis"]
 
-    def test_ingest_checks_bases_once_per_system(self, tmp_path, capsys, monkeypatch):
+    def test_ingest_checks_bases_once_per_document(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = fusion._checked_bases
         monkeypatch.setattr(
@@ -261,8 +261,19 @@ class TestAnalyze:
             "_checked_bases",
             lambda dim, bases: calls.append(len(bases)) or original(dim, bases),
         )
-        load_family(write_doc(tmp_path, SIXTY_MEMBER_DOC))
-        assert calls == [60, 60]
+        stacks = []
+        orthonormalize_stack = linalg.orthonormalize_stack
+        monkeypatch.setattr(
+            linalg,
+            "orthonormalize_stack",
+            lambda stack: stacks.append(len(stack)) or orthonormalize_stack(stack),
+        )
+        family, _ = load_family(write_doc(tmp_path, SIXTY_MEMBER_DOC))
+        assert calls == [120]
+        # one Gram-Schmidt stack per spanning count (0, 2, 3 and 4 rows)
+        # across both systems
+        assert len(stacks) == 4 and sum(stacks) == 120
+        assert [s.size for s in family.systems] == [60, 60]
 
     def test_internal_fault_exits_three(self, tmp_path, capsys, monkeypatch):
         def faulty(path):
@@ -560,7 +571,8 @@ class TestRiesz:
         # d = 1 with twelve lines per system: no weaving's ranks add up to 1
         system = {"weights": [1] * 12, "subspaces": [{"spanning": [[1]]}] * 12}
         path = write_doc(tmp_path, {"dim": 1, "kind": "fusion", "systems": [system] * 2})
-        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 12)
+        # chunks of 4 rows, the subtrees under 10-digit prefixes
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5)
 
         built = []
         init = weaving.Partition.__post_init__
@@ -903,6 +915,48 @@ class TestPartitionCapVariable:
         assert doc["exhaustive_interval"] is None
         assert doc["prediction_contains_exhaustive"] is None
 
+    # four coordinate lines per system in R^4: 2^4 = 16 partitions
+    AXES_DOC = {
+        "dim": 4,
+        "kind": "fusion",
+        "systems": [
+            {"weights": [1] * 4, "subspaces": [{"spanning": [row]} for row in rows]}
+            for rows in (np.eye(4).tolist(), np.eye(4)[::-1].tolist())
+        ],
+    }
+    OVER_CAP = "error: 2^4 = 16 partitions exceeds the cap 8 (WOVEN_MAX_PARTITIONS raises it)"
+
+    @pytest.mark.parametrize(
+        "argv, remedy",
+        [
+            (["woven", "{path}"], "; --samples N runs a sampled search"),
+            (["riesz", "{path}"], ""),
+            (["reproduce", "--id", "ex4_1", "--dim", "4"], ""),
+            (["reproduce", "--id", "ex4_2", "--dim", "4"], ""),
+        ],
+    )
+    def test_over_the_cap_names_only_remedies_the_command_has(
+        self, tmp_path, capsys, monkeypatch, argv, remedy
+    ):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "8")
+        path = write_doc(tmp_path, self.AXES_DOC)
+        code = main([a.format(path=path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == self.OVER_CAP + remedy + "\n"
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["perturb", "--method", "proj"]])
+    def test_commands_without_a_scan_past_the_cap_report(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setenv("WOVEN_MAX_PARTITIONS", "8")
+        path = write_doc(tmp_path, self.AXES_DOC)
+        code = main(argv[:1] + [path] + argv[1:])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        if argv[0] == "perturb":
+            assert json.loads(captured.out)["exhaustive_interval"] is None
+
     def test_huge_partition_count_exits_two(self, tmp_path, capsys):
         vectors = [[1.0]] * 15_000
         doc = {"dim": 1, "kind": "discrete", "systems": [{"vectors": vectors}] * 2}
@@ -911,6 +965,9 @@ class TestPartitionCapVariable:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: 2^15000 partitions exceeds the cap")
+        # no cap admits 2^15000, so only the sampled search is named
+        assert captured.err.endswith("; --samples N runs a sampled search\n")
+        assert "WOVEN_MAX_PARTITIONS" not in captured.err
 
     def test_perturb_with_a_huge_partition_count_has_no_exhaustive_interval(
         self, tmp_path, capsys

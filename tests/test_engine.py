@@ -2,7 +2,9 @@
 
 Every check runs with chunks forced to 1 row, 3 rows and the default
 budget, so extrema, ties and witnesses are exercised on both sides of
-chunk boundaries.
+chunk boundaries. An exhaustive scan's chunk is the subtree under one
+prefix of the assignments, so its boundaries also fall inside the
+subtrees of shorter prefixes.
 """
 
 import itertools
@@ -31,6 +33,8 @@ from wovenframes.weaving import contribution_stacks
 from helpers import (
     all_assignments,
     basis_vec,
+    gathered_operators,
+    index_order_sum,
     op_inputs,
     op_slacks,
     op_violation_oracle,
@@ -61,14 +65,23 @@ def rows_per_chunk(request, monkeypatch):
 def eig_calls(monkeypatch):
     """Counts the stacked eigensolves the weaving scans make."""
     calls = []
-    original = weaving.stacked_eigenvalues
+    original = weaving._eigenvalues
 
     def spy(matrices):
         calls.append(len(matrices))
         return original(matrices)
 
-    monkeypatch.setattr(weaving, "stacked_eigenvalues", spy)
+    monkeypatch.setattr(weaving, "_eigenvalues", spy)
     return calls
+
+
+def subtree_leaves(rows: int, n: int, m: int) -> int:
+    """Leaves of an exhaustive scan's chunk: the largest power of m of at
+    most ``rows``, at most m^n."""
+    leaves = 1
+    while leaves * m <= min(rows, m**n):
+        leaves *= m
+    return leaves
 
 
 def assert_matches(report, expected):
@@ -121,31 +134,37 @@ def near_fusion_pair(rng, d: int, n: int, rank: int, tilt: float = 0.02):
     )
 
 
-# d = 1 with n >= 8 is where numpy sums an index stack pairwise
+# d = 1 with n >= 8 is where numpy sums a gathered index stack pairwise,
+# so only the index-order oracle holds there
 @pytest.mark.parametrize("d, n, m", [(1, 9, 2), (1, 12, 2), (3, 7, 2), (2, 5, 3)])
 def test_chunk_operators_equal_one_partition_sums(d, n, m):
     stacks = contribution_stacks(random_discrete(np.random.default_rng(n), d, n, m))
     chunk = np.array(list(all_assignments(n, m)))
-    expected = [stacks[np.arange(n), a].sum(axis=0) for a in chunk]
-    assert np.array_equal(weaving._weaving_operators(stacks, chunk), expected)
+    expected = np.array([index_order_sum(stacks, a) for a in chunk])
+    ops = weaving._weaving_operators(stacks, chunk)
+    assert ops.tobytes() == expected.tobytes()
+    tree = np.concatenate([sums for _, sums in weaving._prefix_sums(stacks, 4)])
+    assert tree.tobytes() == expected.tobytes()
+    if d >= 2:
+        assert ops.tobytes() == gathered_operators(stacks, chunk).tobytes()
 
 
 @pytest.mark.parametrize("d, n, m", [(1, 9, 2), (3, 7, 2), (2, 5, 3)])
 def test_exhaustive_matches_oracle(rows_per_chunk, eig_calls, d, n, m):
     family = random_discrete(np.random.default_rng(d * 100 + n), d, n, m, 0.3)
-    rows = rows_per_chunk(n * d * d)
+    leaves = subtree_leaves(rows_per_chunk(d * d), n, m)
     stacks = contribution_stacks(family)
     eps = 1.0
     report = woven_bounds_exhaustive(family, eps=eps)
     assert_matches(report, scan_oracle(stacks, all_assignments(n, m), eps))
-    assert eig_calls == [min(rows, m**n - k) for k in range(0, m**n, rows)]
+    assert eig_calls == [leaves] * (m**n // leaves)
 
 
 @pytest.mark.parametrize("n, m", [(7, 2), (5, 3)])
 def test_ties_go_to_the_first_partition(rows_per_chunk, n, m):
     frame = DiscreteFrame(3, np.random.default_rng(n).standard_normal((n, 3)))
     family = WovenFamily.discrete([frame] * m)
-    rows_per_chunk(n * 9)
+    rows_per_chunk(9)
     report = woven_bounds_exhaustive(family)
     assert report.worst_partition.assignment == (0,) * n
     assert report.best_upper_partition.assignment == (0,) * n
@@ -153,9 +172,9 @@ def test_ties_go_to_the_first_partition(rows_per_chunk, n, m):
 
 
 def test_witness_in_a_later_chunk(rows_per_chunk, eig_calls):
-    d, n = 2, 11
+    d, n = 3, 11
     family = nonwoven_pair(np.random.default_rng(5), d, n)
-    rows = rows_per_chunk(n * d * d)
+    rows = subtree_leaves(rows_per_chunk(d * d), n, 2)
     star = (1,) + (0,) * (n - 1)
     assert 2 ** (n - 1) >= rows  # not in the first chunk
 
@@ -178,7 +197,7 @@ def test_witness_in_a_later_chunk(rows_per_chunk, eig_calls):
 def test_witness_search_matches_the_full_scan(rows_per_chunk, d, n, m, eps):
     family = random_discrete(np.random.default_rng(n + m), d, n, m)
     # universal lower bounds 0.21 and 0.020: no witness below 0.01
-    rows_per_chunk(n * d * d)
+    rows_per_chunk(d * d)
     found = find_nonwoven_witness(family, eps=eps)
     scanned = woven_bounds_exhaustive(family, eps=eps).witness
     if scanned is None:
@@ -193,7 +212,7 @@ def test_witness_search_matches_the_full_scan(rows_per_chunk, d, n, m, eps):
 def test_sampled_matches_oracle(rows_per_chunk, seed):
     d, n, m, samples = 3, 10, 3, 40
     family = random_discrete(np.random.default_rng(seed), d, n, m)
-    rows_per_chunk(n * d * d)
+    rows_per_chunk(d * d)
     drawn = np.random.default_rng(seed).integers(0, m, size=(samples, n))
     rows = [(j,) * n for j in range(m)] + [tuple(r) for r in drawn]
     report = woven_bounds_sampled(family, samples, seed)
@@ -456,7 +475,7 @@ def assert_riesz_matches(family: WovenFamily) -> None:
 @pytest.mark.parametrize("seed", range(30))
 def test_riesz_check_matches_the_weaving_loop(rows_per_chunk, seed):
     family = riesz_family(seed)
-    rows_per_chunk(family.n * family.dim**2)
+    rows_per_chunk(family.dim**2)
     assert_riesz_matches(family)
 
 
@@ -466,11 +485,11 @@ def test_riesz_check_solves_one_stack_per_chunk(rows_per_chunk, eig_calls):
     family = WovenFamily.fusion(
         tuple(FusionFrame(1, (line,) * 3, np.ones(3)) for _ in range(2))
     )
-    rows = rows_per_chunk(family.n * family.dim**2)
+    leaves = subtree_leaves(rows_per_chunk(family.dim**2), 3, 2)
     assert_riesz_matches(family)
     eig_calls.clear()
     assert woven_riesz_decomposition_check(family).failing_count == 8
-    assert eig_calls == [min(rows, 8 - start) for start in range(0, 8, rows)]
+    assert eig_calls == [leaves] * (8 // leaves)
 
 
 def test_riesz_check_matches_the_weaving_loop_on_300_families():

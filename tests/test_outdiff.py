@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 from wovenframes import (
@@ -20,9 +21,9 @@ from wovenframes.errors import NotAFrame
 from wovenframes.cli import main, parse_family_document
 from wovenframes.linalg import chunk_rows, chunk_slices
 from wovenframes.perturbation import _SUBSET_CAP
-from wovenframes.weaving import PARTITION_CAP
+from wovenframes.weaving import PARTITION_CAP, contribution_stacks
 
-from helpers import riesz_failing
+from helpers import gathered_operators, index_order_sum, riesz_failing
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
 _spec = importlib.util.spec_from_file_location("outdiff", _TOOL)
@@ -121,16 +122,32 @@ def test_late_witness_documents_place_the_witness_past_the_first_chunk(kind, m, 
     family = parse_family_document(outdiff.late_witness_doc(m * 100 + n, kind, m, n))
     partition, _, _ = find_nonwoven_witness(family)
     assert partition.assignment == (1,) + (0,) * (n - 1)
-    assert m ** (n - 1) >= chunk_rows(n * family.dim**2)
+    # a scan chunk holds at most chunk_rows(d * d) partitions
+    assert m ** (n - 1) >= chunk_rows(family.dim**2)
 
 
 @pytest.mark.parametrize("kind", ["discrete", "fusion"])
 def test_sampled_late_witness_scans_span_many_chunks(kind):
     family = parse_family_document(outdiff.late_witness_doc(213, kind, 2, 13))
-    # the m pure partitions lead the 3000 drawn ones
-    rows = 3000 + family.m
-    assert woven_bounds_sampled(family, 3000, 5).partitions_examined == rows
-    assert len(list(chunk_slices(rows, family.n * family.dim**2))) > 10
+    # the m pure partitions lead the 12000 drawn ones
+    rows = 12000 + family.m
+    assert woven_bounds_sampled(family, 12000, 5).partitions_examined == rows
+    assert len(list(chunk_slices(rows, family.dim**2))) > 10
+
+
+@pytest.mark.parametrize("kind", ["discrete", "fusion"])
+def test_line_documents_move_in_the_last_bits_when_summed_pairwise(kind):
+    family = parse_family_document(outdiff.line_doc(902, kind))
+    assert (family.dim, family.n, family.m) == (1, 9, 2)
+    report = woven_bounds_exhaustive(family)
+    stacks = contribution_stacks(family)
+    extremes = np.array(
+        [report.worst_partition.assignment, report.best_upper_partition.assignment]
+    )
+    pairwise = gathered_operators(stacks, extremes)
+    in_order = np.array([index_order_sum(stacks, a) for a in extremes])
+    assert not np.array_equal(pairwise, in_order)
+    assert np.allclose(pairwise, in_order, rtol=1e-15, atol=0.0)
 
 
 def test_near_pair_document_samples_its_subset_masks():
@@ -161,8 +178,8 @@ def test_riesz_documents_pass_fail_and_span_many_chunks():
     many = parse_family_document(outdiff.lines_doc(38, 3, 8, repeat_first=True))
     report = woven_riesz_decomposition_check(many)
     assert 0 < report.failing_count < report.partitions_examined
-    # the Riesz check takes the scans' chunks, n * d * d floats per row
-    assert many.m**many.n > 10 * chunk_rows(many.n * many.dim**2)
+    # the Riesz check takes the scans' chunks, d * d floats per row
+    assert many.m**many.n > 10 * chunk_rows(many.dim**2)
 
 
 def test_degenerate_w_document_is_refused_by_pw():

@@ -1,6 +1,7 @@
 """Property tests on generated inputs, under fixed derandomized settings so
 every run draws the same examples."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
-from wovenframes import perturbation
+from wovenframes import linalg, perturbation, weaving
 from wovenframes.cli import canonical_json, parse_family_document
 from wovenframes.errors import EmptyIntersection, NotAFrame
 from wovenframes.frames import _clamp_small_negative, _is_frame
@@ -39,12 +40,14 @@ from wovenframes.transforms import (
     remove_subset_check,
 )
 from wovenframes.tolerances import WITNESS_EPS
-from wovenframes.weaving import contribution_stacks
+from wovenframes.weaving import contribution_stacks, woven_bounds_from_contributions
 
 from helpers import (
     all_assignments,
     basis_vec,
     conjugation_residual,
+    gathered_operators,
+    index_order_operators,
     intersection_violations,
     jacobi,
     local_system_oracle,
@@ -57,6 +60,7 @@ from helpers import (
     random_riesz_family,
     random_subspace,
     riesz_failing,
+    scan_oracle,
 )
 
 FIXED = settings(
@@ -648,3 +652,76 @@ def test_removal_and_intersection_read_the_member_loops(case, data):
     except EmptyIntersection:
         return
     assert holds == projector_pattern(family, k)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """(n, m, d, d) stacks of symmetric matrices, d 1-6, m 2-3 and n 1-13
+    (1-8 at m = 3): Gaussian entries scaled by 2^-8..2^8, about 17
+    binades, with about a fifth of them -0.0, and a chunk size of 1-40
+    leaves."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([2, 3]))
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 13 if m == 2 else 8))
+    raw = rng.standard_normal((n, m, d, d)) * np.exp2(rng.integers(-8, 9, (n, m, d, d)))
+    raw[rng.random(raw.shape) < 0.2] = -0.0
+    row, col = np.indices((d, d))
+    # mirrored, not added, so every -0.0 stays
+    return np.where(row <= col, raw, np.swapaxes(raw, -1, -2)), draw(st.integers(1, 40))
+
+
+@FIXED
+@given(symmetric_stacks())
+def test_prefix_tree_sums_equal_the_index_order_accumulation(case):
+    stacks, leaves = case
+    n, m, d = stacks.shape[:3]
+    every = np.array(list(all_assignments(n, m)))
+    ranks = np.random.default_rng(n * m * d).integers(0, d + 1, (n, m))
+    trees = zip(weaving._prefix_sums(stacks, leaves), weaving._prefix_sums(ranks, leaves))
+    start = 0
+    for (first, sums), (rank_first, rank_sums) in trees:
+        assert first == rank_first == start and 1 <= len(sums) <= leaves
+        chunk = every[first : first + len(sums)]
+        expected = index_order_operators(stacks, chunk)
+        assert sums.tobytes() == expected.tobytes()
+        assert weaving._weaving_operators(stacks, chunk).tobytes() == expected.tobytes()
+        if d >= 2:
+            # numpy's gathered sum adds a non-innermost axis in index order
+            assert sums.tobytes() == gathered_operators(stacks, chunk).tobytes()
+        assert np.array_equal(rank_sums, ranks[np.arange(n), chunk].sum(axis=1))
+        start += len(sums)
+    assert start == m**n
+
+
+@FIXED
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_exhaustive_scan_matches_the_oracle_at_any_chunk_size(seed, rows):
+    """Bounds, first extremal partitions (ties included: half the families
+    repeat a system) and the first witness, whatever the chunk size."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    d, n = int(rng.integers(1, 5)), int(rng.integers(1, 11 if m == 2 else 7))
+    vectors = rng.standard_normal((n, m, d)) * (rng.random((n, m, 1)) > 0.3)
+    if rng.random() < 0.5:
+        vectors[:, 1:] = vectors[:, :1]
+    stacks = vectors[..., :, None] * vectors[..., None, :]
+    eps = float(rng.uniform(0.0, 2.0)) or 1.0
+    budget = linalg.CHUNK_FLOATS
+    linalg.CHUNK_FLOATS = rows * d * d
+    try:
+        report = woven_bounds_from_contributions(stacks, eps=eps)
+    finally:
+        linalg.CHUNK_FLOATS = budget
+    expected = scan_oracle(stacks, all_assignments(n, m), eps)
+    assert report.partitions_examined == expected["count"] == m**n
+    assert report.universal_upper == expected["upper"]
+    assert report.universal_lower == _clamp_small_negative(expected["lower"], expected["upper"])
+    assert report.worst_partition.assignment == expected["worst"]
+    assert report.best_upper_partition.assignment == expected["best"]
+    if expected["witness"] is None:
+        assert report.witness is None
+    else:
+        partition, vector, value = report.witness
+        assert partition.assignment == expected["witness"][0]
+        assert vector.tobytes() == expected["witness"][1].tobytes()
+        assert value == expected["witness"][2]

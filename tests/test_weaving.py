@@ -463,3 +463,11 @@ class TestStackValidation:
         stacks[1, 0, 1, 1] = np.nan
         with pytest.raises(NonFinite):
             woven_bounds_from_contributions(stacks)
+
+    def test_overflowing_sum(self):
+        # every contribution is finite, and so is each symmetrized one, but
+        # three of them add up past the largest double
+        stacks = np.full((3, 2, 1, 1), 6e307)
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            woven_bounds_from_contributions(stacks)
+        assert woven_bounds_from_contributions(stacks[:2]).universal_upper == 1.2e308

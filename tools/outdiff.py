@@ -29,8 +29,11 @@ the default 1000 samples on two near fusion pairs with d = 6, n = 9 (all
 ``woven`` and ``woven --eps 0.5`` on discrete and fusion families with
 m = 2, n = 13 and m = 3, n = 9, whose first singular weaving (1, 0, ...,
 0) has lexicographic rank m^(n-1), many scan chunks into the
-enumeration, and ``woven --samples 3000 --seed 5`` on the m = 2 ones,
-whose 3,002 sampled rows span 39 chunks; ``analyze`` and ``woven`` on
+enumeration, and ``woven --samples 12000 --seed 5`` on the m = 2 ones,
+whose 12,002 sampled rows span 12 chunks; ``woven`` on discrete and
+fusion families with d = 1 and n = 9, whose bounds move in the last
+bits against a base that sums a d = 1 weaving pairwise (not
+byte-identical, no difference); ``analyze`` and ``woven`` on
 fusion documents with d = 1, 3 and 5 whose members mix spanning counts
 within a system and include dependent vectors, an all-zero spanning set,
 an empty spanning list and -0.0 entries. Refusals and over-cap paths,
@@ -60,7 +63,7 @@ commands run at a time.
 
 Prints one line per difference and a summary line that also counts the
 commands whose raw (exit code, stdout, stderr) are not byte-identical,
-as in ``279 commands, 0 differences, 0 not byte-identical``; exits 0
+as in ``281 commands, 0 differences, 0 not byte-identical``; exits 0
 when there are no differences and 1 otherwise, whatever the byte count.
 """
 
@@ -166,6 +169,23 @@ def late_witness_doc(seed: int, kind: str, m: int, n: int, d: int = 4) -> dict:
             weights = rng.uniform(0.5, 1.5, n).tolist()
             systems.append({"weights": weights, "subspaces": _spanning(spans)})
     return {"dim": d, "kind": kind, "systems": systems}
+
+
+def line_doc(seed: int, kind: str, n: int = 9) -> dict:
+    """d = 1 family of two systems, n entries each of Gaussian values
+    scaled by 2^-6..2^6: frame vectors, or lines weighted by the values'
+    magnitudes. Past 8 indices numpy sums a gathered d = 1 index stack
+    pairwise, so against a pairwise base the bounds move in the last bits."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(2):
+        values = rng.standard_normal(n) * np.exp2(rng.integers(-6, 7, n))
+        if kind == "discrete":
+            systems.append({"vectors": values[:, None].tolist()})
+        else:
+            line = {"spanning": [[1.0]]}
+            systems.append({"weights": np.abs(values).tolist(), "subspaces": [line] * n})
+    return {"dim": 1, "kind": kind, "systems": systems}
 
 
 def degenerate_w_doc() -> dict:
@@ -395,12 +415,14 @@ def build_corpus(workdir: str) -> list[list[str]]:
         path = _write(os.path.join(workdir, f"grouping-d{d}.json"), grouping_doc(700 + d, d))
         corpus += [["analyze", path], ["woven", path]]
     for kind in ("discrete", "fusion"):
+        path = _write(os.path.join(workdir, f"lines-{kind}-d1-n9.json"), line_doc(902, kind))
+        corpus.append(["woven", path])
         for m, n in ((2, 13), (3, 9)):
             doc = late_witness_doc(m * 100 + n, kind, m, n)
             path = _write(os.path.join(workdir, f"late-witness-{kind}-m{m}-n{n}.json"), doc)
             corpus += [["woven", path], ["woven", path, "--eps", "0.5"]]
             if m == 2:
-                corpus.append(["woven", path, "--samples", "3000", "--seed", "5"])
+                corpus.append(["woven", path, "--samples", "12000", "--seed", "5"])
     for seed in SEEDS:
         for name, variants in (
             ("woven-exhaustive", (["woven"], ["woven", "--eps", "5"],
