@@ -475,7 +475,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # an overflowing input reaches a finiteness check, which raises the
+        # input error; numpy's own warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,17 +1,21 @@
 """Canonical reference instances and their expected quantities.
 
 Each builder returns a ReferenceInstance bundling the constructed family,
-a map of named expected values, and notes about quirks of the
-construction. Expected values are tagged ``reference`` (externally given
-values the instance must reproduce; the reproduction command gates on
-these) or ``computed`` (values the toolkit derives itself and the test
-suite re-derives with independent oracles).
+its checks in report order, and notes about quirks of the construction.
+Each check is one Expected: its value, its source and its pass rule.
+Sources are ``reference`` (externally given values the instance must
+reproduce; the reproduction command gates on these) or ``computed``
+(values the toolkit derives itself and the test suite re-derives with
+independent oracles). Each verifier only computes the actual values; one
+table, ``_INSTANCES``, maps every id to its builder and verifier.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +41,6 @@ from .weaving import (
 REFERENCE = "reference"
 COMPUTED = "computed"
 
-INSTANCE_IDS = ("ex3_2", "ex4_1", "ex4_2", "ex5_4")
-
 NOTE_UPPER_IS_MAX = (
     "universal upper bound is the maximum weaving upper bound; "
     "a minimum over weavings would not dominate every weaving"
@@ -54,10 +56,26 @@ NOTE_SHIFTED_INTERVAL = (
 )
 
 
+def _pair_close(actual, expected) -> bool:
+    return all(abs(a - e) <= HOLD_SLACK for a, e in zip(actual, expected))
+
+
+def _pair_inside(actual, stated) -> bool:
+    return actual[0] >= stated[0] - HOLD_SLACK and actual[1] <= stated[1] + HOLD_SLACK
+
+
+def _entries_close(actual, expected) -> bool:
+    return float(np.abs(np.array(actual) - np.array(expected)).max()) <= ENTRY_TOL
+
+
 @dataclass(frozen=True)
 class Expected:
+    """One check: the expected value, its source tag, and the rule
+    ``passes(actual, value)`` that decides it (equality by default)."""
+
     value: object
     source: str
+    passes: Callable[[object, object], bool] = operator.eq
 
 
 @dataclass(frozen=True)
@@ -90,21 +108,19 @@ def build_ex3_2() -> ReferenceInstance:
     f = DiscreteFrame(2, np.array([[0.0, 2.0], [3.0, 0.0], [2.0, 3.0]]))
     g = DiscreteFrame(2, np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 1.0]]))
     family = WovenFamily.discrete((f, g))
+    mixed_root = math.sqrt(205.0)
     expected = {
-        "first_valid_bounds": Expected((4.0, 22.0), REFERENCE),
-        "second_valid_bounds": Expected((1.0, 19.0), REFERENCE),
-        "mixed_12_weaving_valid_bounds": Expected((4.0, 27.0), REFERENCE),
+        "first_valid_bounds": Expected((4.0, 22.0), REFERENCE, _pair_inside),
+        "second_valid_bounds": Expected((1.0, 19.0), REFERENCE, _pair_inside),
+        "first_optimal_bounds": Expected((7.0, 19.0), COMPUTED, _pair_close),
+        "second_optimal_bounds": Expected((1.0, 11.0), COMPUTED, _pair_close),
+        "first_frame_operator": Expected(((13.0, 6.0), (6.0, 13.0)), COMPUTED, _entries_close),
+        "mixed_12_weaving_valid_bounds": Expected((4.0, 27.0), REFERENCE, _pair_inside),
+        "mixed_12_weaving_optimal_bounds": Expected(
+            ((23.0 - mixed_root) / 2.0, (23.0 + mixed_root) / 2.0), COMPUTED, _pair_close
+        ),
         "woven": Expected(True, REFERENCE),
         "partition_count": Expected(8, REFERENCE),
-        "first_optimal_bounds": Expected((7.0, 19.0), COMPUTED),
-        "second_optimal_bounds": Expected((1.0, 11.0), COMPUTED),
-        "first_frame_operator": Expected(
-            ((13.0, 6.0), (6.0, 13.0)), COMPUTED
-        ),
-        "mixed_12_weaving_optimal_bounds": Expected(
-            ((23.0 - math.sqrt(205.0)) / 2.0, (23.0 + math.sqrt(205.0)) / 2.0),
-            COMPUTED,
-        ),
     }
     return ReferenceInstance(
         id="ex3_2",
@@ -115,17 +131,18 @@ def build_ex3_2() -> ReferenceInstance:
     )
 
 
-def _shifted_pair(dim: int, first_block=None):
+def _shifted_pair(dim: int, first_zeros: int | None = None):
     """The coordinate local system (e_i at index i) and its one-step shifted
     enrichment (e_i and e_{i+1}, the companion dropped at the boundary),
-    unit-weighted, with their induced fusion family; ``first_block``, when
-    given, replaces the enrichment's block at the first index."""
+    unit-weighted, with their induced fusion family; ``first_zeros``, when
+    given, replaces the enrichment's block at the first index with that
+    many zero vectors. Refused before any member is built when dim < 3."""
     if dim < 3:
         raise DimensionTooSmall("need dim >= 3")
     axes = np.eye(dim)
     seconds = [axes[i : i + 2] for i in range(dim)]
-    if first_block is not None:
-        seconds[0] = first_block
+    if first_zeros is not None:
+        seconds[0] = np.zeros((first_zeros, dim))
     ones = np.ones(dim)
     lf = LocalSystem.build(dim, [axes[i : i + 1] for i in range(dim)], ones)
     lg = LocalSystem.build(dim, seconds, ones)
@@ -143,12 +160,15 @@ def build_ex4_1(dim: int = 6) -> ReferenceInstance:
     """
     family, local_systems = _shifted_pair(dim)
     expected = {
-        "first_flat_bounds": Expected((1.0, 1.0), REFERENCE),
-        "second_flat_bounds": Expected((1.0, 2.0), REFERENCE),
-        "woven": Expected(True, REFERENCE),
-        "universal_interval_within": Expected((1.0, 2.0), REFERENCE),
-        "weighted_subspace_family_woven": Expected(True, REFERENCE),
+        "first_flat_bounds": Expected((1.0, 1.0), REFERENCE, _pair_close),
+        "second_flat_bounds": Expected((1.0, 2.0), REFERENCE, _pair_close),
         "second_flat_count": Expected(2 * dim - 1, COMPUTED),
+        "woven": Expected(True, REFERENCE),
+        "universal_interval_within": Expected((1.0, 2.0), REFERENCE, _pair_inside),
+        # the fusion verdict, with all three routes of the report agreeing
+        "weighted_subspace_family_woven": Expected(
+            True, REFERENCE, lambda verdicts, woven: set(verdicts) == {woven}
+        ),
     }
     return ReferenceInstance(
         id="ex4_1",
@@ -168,19 +188,21 @@ def build_ex4_2(dim: int = 6, first_block_absent: bool = False) -> ReferenceInst
     first index to the second leaves the first coordinate uncovered, so
     that weaving has smallest bound zero with witness e_1. By default the
     missing block is a zero contribution (one zero vector keeps the
-    slot); ``first_block_absent=True`` drops the slot entirely.
+    slot); ``first_block_absent=True`` drops the slot entirely. The three
+    witness checks are reported only when a witness is found.
     """
-    family, local_systems = _shifted_pair(
-        dim, [] if first_block_absent else [np.zeros(dim)]
-    )
-    witness_assignment = tuple([1] + [0] * (dim - 1))
+    family, local_systems = _shifted_pair(dim, 0 if first_block_absent else 1)
     expected = {
         "nonwoven": Expected(True, REFERENCE),
-        "witness_assignment": Expected(witness_assignment, REFERENCE),
-        "witness_value_at_most": Expected(EX4_2_WITNESS_BOUND, REFERENCE),
-        "witness_vector_first_coordinate": Expected(True, REFERENCE),
+        "witness_assignment": Expected(tuple([1] + [0] * (dim - 1)), REFERENCE),
+        "witness_value_at_most": Expected(
+            EX4_2_WITNESS_BOUND, REFERENCE, lambda value, bound: abs(value) <= bound
+        ),
+        "witness_vector_first_coordinate": Expected(
+            True, REFERENCE, lambda vector, _: abs(vector[0]) >= 1.0 - HOLD_SLACK
+        ),
         "equivalence_verdicts": Expected((False, False, False), REFERENCE),
-        "first_flat_bounds": Expected((1.0, 1.0), COMPUTED),
+        "first_flat_bounds": Expected((1.0, 1.0), COMPUTED, _pair_close),
     }
     return ReferenceInstance(
         id="ex4_2",
@@ -216,8 +238,8 @@ def build_ex5_4(dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
     second = FusionFrame(dim, (v1, v2), np.ones(2))
     family = WovenFamily.fusion((first, second))
     expected = {
-        "first_bounds": Expected((1.0, 1.0), REFERENCE),
-        "second_bounds": Expected((1.0, 1.0), REFERENCE),
+        "first_bounds": Expected((1.0, 1.0), REFERENCE, _pair_close),
+        "second_bounds": Expected((1.0, 1.0), REFERENCE, _pair_close),
         "woven_riesz_decomposition": Expected(True, REFERENCE),
         "partition_count": Expected(4, COMPUTED),
     }
@@ -230,193 +252,119 @@ def build_ex5_4(dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
     )
 
 
-def build_instance(instance_id: str, dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
-    """The instance to verify. ex4_1 and ex4_2 are refused before any member
-    is built when their 2^dim partitions exceed the enumeration cap, since
-    verifying them enumerates every partition."""
-    if instance_id in ("ex4_1", "ex4_2"):
-        _require_partition_count(dim, 2)
-    if instance_id == "ex3_2":
-        return build_ex3_2()
-    if instance_id == "ex4_1":
-        return build_ex4_1(dim)
-    if instance_id == "ex4_2":
-        return build_ex4_2(dim)
-    if instance_id == "ex5_4":
-        return build_ex5_4(dim, delta)
-    raise ToolkitError(f"unknown instance id {instance_id!r}")
+def _bounds(bounds) -> tuple[float, float]:
+    return bounds.lower, bounds.upper
 
 
-def _pair_close(actual, expected) -> bool:
-    return all(abs(a - e) <= HOLD_SLACK for a, e in zip(actual, expected))
-
-
-def _pair_inside(actual, stated) -> bool:
-    return actual[0] >= stated[0] - HOLD_SLACK and actual[1] <= stated[1] + HOLD_SLACK
-
-
-def _verify_ex3_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
+def _verify_ex3_2(inst: ReferenceInstance) -> dict:
     family = inst.payload
     f, g = family.systems
-    fb = optimal_bounds(f)
-    gb = optimal_bounds(g)
-    first = (fb.lower, fb.upper)
-    second = (gb.lower, gb.upper)
-    op = frame_operator(f)
-    mb = optimal_bounds(weave(family, Partition((0, 0, 1))))
-    mixed = (mb.lower, mb.upper)
+    first = _bounds(optimal_bounds(f))
+    second = _bounds(optimal_bounds(g))
+    mixed = _bounds(optimal_bounds(weave(family, Partition((0, 0, 1)))))
     report = woven_bounds_exhaustive(family)
-    return [
-        ("first_valid_bounds", _pair_inside(first, want["first_valid_bounds"]), first),
-        ("second_valid_bounds", _pair_inside(second, want["second_valid_bounds"]), second),
-        ("first_optimal_bounds", _pair_close(first, want["first_optimal_bounds"]), first),
-        ("second_optimal_bounds", _pair_close(second, want["second_optimal_bounds"]), second),
-        (
-            "first_frame_operator",
-            float(np.abs(op - np.array(want["first_frame_operator"])).max())
-            <= ENTRY_TOL,
-            tuple(tuple(row) for row in op.tolist()),
-        ),
-        (
-            "mixed_12_weaving_valid_bounds",
-            _pair_inside(mixed, want["mixed_12_weaving_valid_bounds"]),
-            mixed,
-        ),
-        (
-            "mixed_12_weaving_optimal_bounds",
-            _pair_close(mixed, want["mixed_12_weaving_optimal_bounds"]),
-            mixed,
-        ),
-        ("woven", report.is_woven == want["woven"], report.is_woven),
-        (
-            "partition_count",
-            report.partitions_examined == want["partition_count"],
-            report.partitions_examined,
-        ),
-    ]
+    return {
+        "first_valid_bounds": first,
+        "second_valid_bounds": second,
+        "first_optimal_bounds": first,
+        "second_optimal_bounds": second,
+        "first_frame_operator": tuple(tuple(row) for row in frame_operator(f).tolist()),
+        "mixed_12_weaving_valid_bounds": mixed,
+        "mixed_12_weaving_optimal_bounds": mixed,
+        "woven": report.is_woven,
+        "partition_count": report.partitions_examined,
+    }
 
 
-def _verify_ex4_1(inst: ReferenceInstance, want: dict) -> list[tuple]:
+def _verify_ex4_1(inst: ReferenceInstance) -> dict:
     lf, lg = inst.local_systems
-    flat_f, _ = flatten_local_system(lf)
     flat_g, _ = flatten_local_system(lg)
-    fb = optimal_bounds(flat_f)
-    gb = optimal_bounds(flat_g)
-    first = (fb.lower, fb.upper)
-    second = (gb.lower, gb.upper)
     report = local_global_equivalence_report(lf, lg)
     vec = report.vector_report
-    interval = (vec.universal_lower, vec.universal_upper)
-    return [
-        ("first_flat_bounds", _pair_close(first, want["first_flat_bounds"]), first),
-        (
-            "second_flat_bounds",
-            _pair_inside(second, want["second_flat_bounds"])
-            and _pair_close(second, want["second_flat_bounds"]),
-            second,
-        ),
-        ("second_flat_count", flat_g.size == want["second_flat_count"], flat_g.size),
-        ("woven", vec.is_woven == want["woven"], vec.is_woven),
-        (
-            "universal_interval_within",
-            _pair_inside(interval, want["universal_interval_within"]),
-            interval,
-        ),
-        (
-            "weighted_subspace_family_woven",
-            report.fusion_report.is_woven == want["weighted_subspace_family_woven"]
-            and report.verdicts_agree,
-            report.verdicts,
-        ),
-    ]
+    return {
+        "first_flat_bounds": _bounds(optimal_bounds(flatten_local_system(lf)[0])),
+        "second_flat_bounds": _bounds(optimal_bounds(flat_g)),
+        "second_flat_count": flat_g.size,
+        "woven": vec.is_woven,
+        "universal_interval_within": (vec.universal_lower, vec.universal_upper),
+        "weighted_subspace_family_woven": report.verdicts,
+    }
 
 
-def _verify_ex4_2(inst: ReferenceInstance, want: dict) -> list[tuple]:
+def _verify_ex4_2(inst: ReferenceInstance) -> dict:
     lf, lg = inst.local_systems
     # the equivalence report's fusion scan is find_nonwoven_witness's scan
     # of the payload, which the same induced fusion frames make up
     report = local_global_equivalence_report(lf, lg)
     witness = report.fusion_report.witness
-    rows = [("nonwoven", witness is not None, witness is not None)]
+    actual = {"nonwoven": witness is not None}
     if witness is not None:
         partition, vector, value = witness
-        rows += [
-            (
-                "witness_assignment",
-                partition.assignment == tuple(want["witness_assignment"]),
-                partition.assignment,
-            ),
-            (
-                "witness_value_at_most",
-                abs(value) <= want["witness_value_at_most"],
-                value,
-            ),
-            (
-                "witness_vector_first_coordinate",
-                abs(float(vector[0])) >= 1.0 - HOLD_SLACK,
-                tuple(vector.tolist()),
-            ),
-        ]
-    fb = optimal_bounds(flatten_local_system(lf)[0])
-    first = (fb.lower, fb.upper)
-    return rows + [
-        (
-            "equivalence_verdicts",
-            report.verdicts == tuple(want["equivalence_verdicts"]),
-            report.verdicts,
-        ),
-        ("first_flat_bounds", _pair_close(first, want["first_flat_bounds"]), first),
-    ]
+        actual["witness_assignment"] = partition.assignment
+        actual["witness_value_at_most"] = value
+        actual["witness_vector_first_coordinate"] = tuple(vector.tolist())
+    actual["equivalence_verdicts"] = report.verdicts
+    actual["first_flat_bounds"] = _bounds(optimal_bounds(flatten_local_system(lf)[0]))
+    return actual
 
 
-def _verify_ex5_4(inst: ReferenceInstance, want: dict) -> list[tuple]:
+def _verify_ex5_4(inst: ReferenceInstance) -> dict:
     first, second = inst.payload.systems
-    b1 = fusion_bounds(first)
-    b2 = fusion_bounds(second)
-    first_bounds = (b1.lower, b1.upper)
-    second_bounds = (b2.lower, b2.upper)
     report = woven_riesz_decomposition_check(inst.payload)
-    return [
-        ("first_bounds", _pair_close(first_bounds, want["first_bounds"]), first_bounds),
-        ("second_bounds", _pair_close(second_bounds, want["second_bounds"]), second_bounds),
-        (
-            "woven_riesz_decomposition",
-            report.all_pass == want["woven_riesz_decomposition"],
-            report.all_pass,
-        ),
-        (
-            "partition_count",
-            report.partitions_examined == want["partition_count"],
-            report.partitions_examined,
-        ),
-    ]
+    return {
+        "first_bounds": _bounds(fusion_bounds(first)),
+        "second_bounds": _bounds(fusion_bounds(second)),
+        "woven_riesz_decomposition": report.all_pass,
+        "partition_count": report.partitions_examined,
+    }
 
 
-_VERIFIERS = {
-    "ex3_2": _verify_ex3_2,
-    "ex4_1": _verify_ex4_1,
-    "ex4_2": _verify_ex4_2,
-    "ex5_4": _verify_ex5_4,
+class _Entry(NamedTuple):
+    build: Callable[[int], ReferenceInstance]
+    verify: Callable[[ReferenceInstance], dict]
+
+
+def _capped(dim: int) -> int:
+    """``dim``, refused when its 2^dim partitions (verifying ex4_1 or ex4_2
+    enumerates them all) exceed the cap; checked before any member is built."""
+    _require_partition_count(dim, 2)
+    return dim
+
+
+_INSTANCES = {
+    "ex3_2": _Entry(lambda dim: build_ex3_2(), _verify_ex3_2),
+    "ex4_1": _Entry(lambda dim: build_ex4_1(_capped(dim)), _verify_ex4_1),
+    "ex4_2": _Entry(lambda dim: build_ex4_2(_capped(dim)), _verify_ex4_2),
+    "ex5_4": _Entry(build_ex5_4, _verify_ex5_4),
 }
+INSTANCE_IDS = tuple(_INSTANCES)
+
+
+def _entry(instance_id: str) -> _Entry:
+    entry = _INSTANCES.get(instance_id)
+    if entry is None:
+        raise ToolkitError(f"unknown instance id {instance_id!r}")
+    return entry
+
+
+def build_instance(instance_id: str, dim: int = 6) -> ReferenceInstance:
+    """The instance to verify; ex3_2 has one size and ignores ``dim``, and
+    ex4_1 and ex4_2 are refused past the enumeration cap."""
+    return _entry(instance_id).build(dim)
 
 
 def verify_instance(inst: ReferenceInstance) -> list[CheckOutcome]:
-    """Run every expectation of an instance and report each outcome.
-
-    Each verifier returns ``(name, ok, actual)`` rows in report order;
-    the source tag and expected value come from ``inst.expected``.
-    """
-    verifier = _VERIFIERS.get(inst.id)
-    if verifier is None:
-        raise ToolkitError(f"unknown instance id {inst.id!r}")
-    want = {name: exp.value for name, exp in inst.expected.items()}
+    """Decide every check of an instance by its pass rule, in report
+    order; a check its verifier gives no actual value is left out."""
+    actual = _entry(inst.id).verify(inst)
     return [
         CheckOutcome(
             name=name,
-            source=inst.expected[name].source,
-            ok=bool(ok),
-            expected=want[name],
-            actual=actual,
+            source=exp.source,
+            ok=bool(exp.passes(actual[name], exp.value)),
+            expected=exp.value,
+            actual=actual[name],
         )
-        for name, ok, actual in verifier(inst, want)
+        for name, exp in inst.expected.items()
+        if name in actual
     ]

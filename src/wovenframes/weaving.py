@@ -171,22 +171,6 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
 
-    @classmethod
-    def pure(cls, n: int, system: int) -> "Partition":
-        return cls(tuple([system] * n))
-
-    @classmethod
-    def from_subset(cls, n: int, second_indices) -> "Partition":
-        """Two-system partition: listed indices go to system 1, rest to 0."""
-        chosen = set(int(i) for i in second_indices)
-        return cls(tuple(1 if i in chosen else 0 for i in range(n)))
-
-    def blocks(self, m: int) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(m)]
-        for i, a in enumerate(self.assignment):
-            out[a].append(i)
-        return out
-
 
 @dataclass(frozen=True)
 class WovenFamily:

@@ -105,6 +105,26 @@ TINY_WEIGHTS_DOC = {
     * 2,
 }
 
+# entries up to 3e154, whose squares overflow the frame-operator sums
+OVERFLOW_DISCRETE_DOC = {
+    "dim": 2,
+    "kind": "discrete",
+    "systems": [
+        {"vectors": [[3e154, 0], [0, 3e154], [3e154, 3e154]]},
+        {"vectors": [[1, 0], [0, 1], [3e154, 1]]},
+    ],
+}
+
+# one weight 1e200, whose square overflows, so its stack holds inf and nan
+OVERFLOW_FUSION_DOC = {
+    "dim": 2,
+    "kind": "fusion",
+    "systems": [
+        {"weights": w, "subspaces": [{"spanning": [[1, 0]]}, {"spanning": [[0, 1]]}]}
+        for w in ([1e200, 1], [1, 1])
+    ],
+}
+
 # coordinate axes against the swapped axes: the mixed weavings repeat one
 SWAPPED_AXES_DOC = {
     "dim": 2,
@@ -622,6 +642,18 @@ class TestReproduce:
         code, _ = run_main(capsys, ["reproduce", "--id", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "instance_id, dim, message",
+        [("ex4_1", "2", "need dim >= 3"), ("ex4_2", "1", "need dim >= 3"),
+         ("ex4_2", "-1", "need dim >= 3"), ("ex5_4", "2", "need dim >= 4"),
+         ("ex5_4", "5", "need an even dimension")],
+    )
+    def test_dim_below_the_instance_exits_two(self, capsys, instance_id, dim, message):
+        code = main(["reproduce", "--id", instance_id, "--dim", dim])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("instance_id", ["ex3_2", "ex4_1", "ex4_2", "ex5_4"])
     @pytest.mark.parametrize("dim", ["1025", "1000000000000"])
     def test_dim_above_the_limit_exits_two(self, monkeypatch, capsys, instance_id, dim):
@@ -1138,3 +1170,27 @@ class TestNumberEntries:
         _, out_ints = run_main(capsys, ["woven", write_doc(tmp_path, EX3_2_DOC)])
         _, out_floats = run_main(capsys, ["woven", write_doc(tmp_path, floats, "f.json")])
         assert json.loads(out_ints)["report"] == json.loads(out_floats)["report"]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (OVERFLOW_DISCRETE_DOC, ["woven"]),
+            (OVERFLOW_DISCRETE_DOC, ["analyze"]),
+            (OVERFLOW_FUSION_DOC, ["woven"]),
+            (OVERFLOW_FUSION_DOC, ["analyze"]),
+            (OVERFLOW_FUSION_DOC, ["riesz"]),
+            (OVERFLOW_FUSION_DOC, ["perturb", "--method", "op"]),
+            (OVERFLOW_FUSION_DOC, ["perturb", "--method", "pw"]),
+        ],
+        ids=["discrete-woven", "discrete-analyze", "fusion-woven", "fusion-analyze",
+             "fusion-riesz", "fusion-perturb-op", "fusion-perturb-pw"],
+    )
+    def test_overflowing_operators_are_an_input_error(self, tmp_path, capsys, doc, argv):
+        # RuntimeWarnings are errors under this suite's filter, so a warning
+        # that escaped would end the run as an internal error (exit 3)
+        code = main(argv[:1] + [write_doc(tmp_path, doc)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: matrix contains NaN or Inf\n"

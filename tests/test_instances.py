@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -35,6 +36,15 @@ def test_all_expectations_pass(instance_id):
     outcomes = verify_instance(ALL_BUILDERS[instance_id]())
     failed = [o for o in outcomes if not o.ok]
     assert not failed, failed
+
+
+@pytest.mark.parametrize(
+    "instance_id, dim",
+    [(i, d) for i in INSTANCE_IDS for d in ((6,) if i == "ex3_2" else (4, 6, 8))],
+)
+def test_every_check_is_reported_in_declared_order(instance_id, dim):
+    inst = build_instance(instance_id, dim)
+    assert [o.name for o in verify_instance(inst)] == list(inst.expected)
 
 
 @pytest.mark.parametrize("instance_id", sorted(ALL_BUILDERS))
@@ -101,6 +111,20 @@ class TestEx4_2:
         # the verdicts do not depend on the modeling choice
         report = local_global_equivalence_report(*inst.local_systems)
         assert report.verdicts == (False, False, False)
+
+    @pytest.mark.parametrize("dim", [-1, 0, 2])
+    def test_too_small_refused_before_any_array(self, dim):
+        with pytest.raises(DimensionTooSmall):
+            build_ex4_2(dim)
+
+    def test_no_witness_leaves_out_the_witness_checks(self):
+        # ex4_2's checks on ex4_1's woven systems: the scan finds no witness
+        woven = build_ex4_1(6)
+        inst = dataclasses.replace(build_ex4_2(6), payload=woven.payload,
+                                   local_systems=woven.local_systems)
+        outcomes = {o.name: o for o in verify_instance(inst)}
+        assert list(outcomes) == ["nonwoven", "equivalence_verdicts", "first_flat_bounds"]
+        assert not outcomes["nonwoven"].ok and outcomes["nonwoven"].actual is False
 
     def test_first_system_untouched(self):
         inst = build_ex4_2(6)

@@ -51,7 +51,7 @@ def plane_family():
 
 class TestWeave:
     def test_identity_partition(self, plane_family):
-        woven = weave(plane_family, Partition.pure(3, 0))
+        woven = weave(plane_family, Partition((0, 0, 0)))
         assert np.array_equal(woven.vectors, plane_family.systems[0].vectors)
 
     def test_mixed_selection(self, plane_family):
@@ -59,12 +59,6 @@ class TestWeave:
         assert np.array_equal(
             woven.vectors, np.array([[0.0, 2.0], [3.0, 0.0], [3.0, 1.0]])
         )
-
-    def test_partition_helpers(self):
-        p = Partition.from_subset(3, [2])
-        assert p.assignment == (0, 0, 1)
-        assert p.blocks(2) == [[0, 1], [2]]
-        assert Partition.pure(4, 1).assignment == (1, 1, 1, 1)
 
     def test_fusion_weights_travel(self):
         a = Subspace.from_spanning(2, [[1.0, 0.0]])
@@ -211,7 +205,7 @@ class TestWeavingBessel:
 
     def test_pure_partition_gives_member_bound(self, plane_family):
         f, _ = ex3_2_frames()
-        value = weaving_bessel_bound(plane_family, Partition.pure(3, 0))
+        value = weaving_bessel_bound(plane_family, Partition((0, 0, 0)))
         assert abs(value - bessel_bound(f)) <= 1e-9
 
     def test_dominated_by_member_sum(self, rng):

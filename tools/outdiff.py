@@ -46,7 +46,13 @@ family with d = 1, n = 15,000 (exit 2) and ``perturb --method proj
 --samples 5`` on a near fusion pair with d = 1, n = 15,000 (exit 0,
 ``exhaustive_interval`` null); ``perturb --method pw --samples 5`` on a
 d = 2 pair whose two W members both span e_1 (exit 2: W is not a fusion
-frame). ``riesz`` on every woven-exhaustive fusion input for seeds 1-4
+frame); ``reproduce --id nope``, ``--id ex4_1 --dim 2``, ``--id ex4_2``
+with ``--dim 1`` and ``-1``, and ``--id ex5_4`` with ``--dim 2`` and 5
+(exit 2). Overflow: ``woven`` and ``analyze`` on a d = 2 discrete family
+with entries up to 3e154 and on a d = 2 fusion family with one weight
+1e200, whose operators overflow to inf and nan (exit 2, the error line
+alone on stderr).
+``riesz`` on every woven-exhaustive fusion input for seeds 1-4
 (rank 2, so no weaving's ranks add up to d), on a random rank-1 family
 with n = d = 6 whose weavings all pass, on a coordinate family with
 swapped axes where some weavings fail, and on a rank-1 family with
@@ -63,7 +69,7 @@ commands run at a time.
 
 Prints one line per difference and a summary line that also counts the
 commands whose raw (exit code, stdout, stderr) are not byte-identical,
-as in ``281 commands, 0 differences, 0 not byte-identical``; exits 0
+as in ``291 commands, 0 differences, 0 not byte-identical``; exits 0
 when there are no differences and 1 otherwise, whatever the byte count.
 """
 
@@ -218,6 +224,18 @@ def tiny_weights_doc(weight: float = 1e-160) -> dict:
         "subspaces": [{"spanning": [[1.0, 0.0]]}, {"spanning": [[0.0, 1.0]]}],
     }
     return {"dim": 2, "kind": "fusion", "systems": [system, system]}
+
+
+def overflow_doc(kind: str) -> dict:
+    """d = 2 family whose operators overflow: discrete vectors with entries
+    up to 3e154, or a fusion system with one weight 1e200."""
+    if kind == "discrete":
+        big = [[3e154, 0.0], [0.0, 3e154], [3e154, 3e154]]
+        systems = [{"vectors": big}, {"vectors": [[1.0, 0.0], [0.0, 1.0], [3e154, 1.0]]}]
+    else:
+        lines = [{"spanning": [[1.0, 0.0]]}, {"spanning": [[0.0, 1.0]]}]
+        systems = [{"weights": w, "subspaces": lines} for w in ([1e200, 1.0], [1.0, 1.0])]
+    return {"dim": 2, "kind": kind, "systems": systems}
 
 
 def lines_doc(seed: int, m: int, d: int, repeat_first: bool = False) -> dict:
@@ -405,6 +423,14 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["perturb", tiny, "--method", "op", "--samples", "5"],
         ["perturb", tiny, "--method", "proj", "--samples", "5"],
     ]
+    corpus += [
+        ["reproduce", "--id", instance_id, "--dim", dim]
+        for instance_id, dim in (("nope", "6"), ("ex4_1", "2"), ("ex4_2", "1"),
+                                 ("ex5_4", "2"), ("ex5_4", "5"), ("ex4_2", "-1"))
+    ]
+    for kind in ("discrete", "fusion"):
+        path = _write(os.path.join(workdir, f"overflow-{kind}.json"), overflow_doc(kind))
+        corpus += [["woven", path], ["analyze", path]]
     for name, doc in (
         ("riesz-lines-d6.json", lines_doc(6, 2, 6)),
         ("riesz-swapped-axes.json", swapped_axes_doc()),
