@@ -324,6 +324,13 @@ class _Entry(NamedTuple):
     verify: Callable[[ReferenceInstance], dict]
 
 
+def _build_ex3_2(dim: int) -> ReferenceInstance:
+    """ex3_2, which lives in the plane at any ``dim`` of at least 2."""
+    if dim < 2:
+        raise DimensionTooSmall("need dim >= 2")
+    return build_ex3_2()
+
+
 def _capped(dim: int) -> int:
     """``dim``, refused when its 2^dim partitions (verifying ex4_1 or ex4_2
     enumerates them all) exceed the cap; checked before any member is built."""
@@ -332,7 +339,7 @@ def _capped(dim: int) -> int:
 
 
 _INSTANCES = {
-    "ex3_2": _Entry(lambda dim: build_ex3_2(), _verify_ex3_2),
+    "ex3_2": _Entry(_build_ex3_2, _verify_ex3_2),
     "ex4_1": _Entry(lambda dim: build_ex4_1(_capped(dim)), _verify_ex4_1),
     "ex4_2": _Entry(lambda dim: build_ex4_2(_capped(dim)), _verify_ex4_2),
     "ex5_4": _Entry(build_ex5_4, _verify_ex5_4),
@@ -348,8 +355,8 @@ def _entry(instance_id: str) -> _Entry:
 
 
 def build_instance(instance_id: str, dim: int = 6) -> ReferenceInstance:
-    """The instance to verify; ex3_2 has one size and ignores ``dim``, and
-    ex4_1 and ex4_2 are refused past the enumeration cap."""
+    """The instance to verify; ex3_2 has one size and ignores a ``dim`` of
+    at least 2, and ex4_1 and ex4_2 are refused past the enumeration cap."""
     return _entry(instance_id).build(dim)
 
 

@@ -18,21 +18,26 @@ since -K min(x, y) = max(-K x, -K y), and each sum is largest over the
 indices whose term is positive. So ``proj`` is exact over subsets at
 every n (``closed_form``).
 
-``op`` has no such form and keeps explicit per-(mask, sample) sums:
-every subset up to 2^12 (``exhaustive``), else 4096 drawn ones
-(``sampled``). The per-index parts S_{W,i} f and S_{V,i} f are one
-matrix product per frame, the summands' transposes stacked as (n d, d)
-times the samples as columns, and u_i = <S_{W,i} f, f> is read from the
-W parts. One kernel gives the slack of any batch of (mask, sample)
-pairs, with each pair's arithmetic fixed: its parts of S_W f, S_V f,
-their difference and u are multiplied by the mask's 0/1 entries and
-added in index order, each of the three sums' d squares in entry order,
-and the four norms combine as ((||D|| - lam ||A||) - mu ||B||) - gamma
-||U||. So a pair's slack has the same bits whichever pairs are evaluated
-with it, and the worst slack, the largest over every pair with a zero
-maximum read as +0.0, does not depend on which pairs a screen skips. A
-Gram or quadratic-form shortcut would lose to cancellation the small
-differences the verdict turns on.
+``op`` has no such form and keeps explicit per-(mask, sample) sums over
+a product of two half sets, H the first ceil(n/2) indices and L the
+rest: subset k joins H row k // |L| to L row k % |L|. A half with at
+most 64 subsets lists them all in lexicographic order (index 0 the most
+significant bit), a larger one 64 drawn rows led by the empty and the
+full half, H's drawn before L's. So up to n = 12 every subset is
+examined, in lexicographic order (``exhaustive``), and above that 4096,
+the empty and the full subset among them (``sampled``). The per-index
+parts S_{W,i} f and S_{V,i} f are one matrix product per frame, the
+summands' transposes stacked as (n d, d) times the samples as columns,
+and u_i = <S_{W,i} f, f> is read from the W parts. One kernel gives the
+slack of any batch of (mask, sample) pairs, with each pair's arithmetic
+fixed: its parts of S_W f, S_V f, their difference and u are multiplied
+by the mask's 0/1 entries and added in index order, each of the three
+sums' d squares in entry order, and the four norms combine as ((||D|| -
+lam ||A||) - mu ||B||) - gamma ||U||. So a pair's slack has the same
+bits whichever pairs are evaluated with it, and the worst slack, the
+largest over every pair with a zero maximum read as +0.0, does not
+depend on which pairs a screen skips. A Gram or quadratic-form shortcut
+would lose to cancellation the small differences the verdict turns on.
 
 A screen skips the pairs that cannot raise the worst slack. For a
 subset s and f != 0, with A, B and D the sums over s of the parts
@@ -44,18 +49,16 @@ squared weighted projection norms u_i:
     sqrt(max(0, a + b)) >= rho(a) + rho(b),
     rho(x) = sqrt(max(x, 0) / 2) - sqrt(max(-x, 0)),
 
-H and L the first ceil(n/2) and the last floor(n/2) indices. So the
-slack at (s, f) is at most R_H(s & H, f) + R_L(s & L, f), read from one
-table per half with a row per distinct half among the masks (each of
-the 2^|H| or 2^|L| subsets when all masks are enumerated, the distinct
-halves of the drawn ones otherwise), each entry the norm of the half's
-exact D sum, its linear terms and its share rho of the U term. The
-running worst starts at the empty subset's slack, exactly 0; seeds
-raise it first, and then every pair whose bound is above it is
-evaluated, in decreasing order of bound. A pair whose bound is at most
-the running worst cannot raise it, so a tie is never evaluated. The
-masks that share an H half h are ruled out together at f when R_H(h, f)
-plus f's largest L entry is not above the worst.
+H and L the two halves. So the slack at (s, f) is at most R_H(s & H,
+f) + R_L(s & L, f), read from one table per half with a row per row of
+its half set, each entry the norm of the half's exact D sum, its linear
+terms and its share rho of the U term. The running worst starts at the
+empty subset's slack, exactly 0; seeds raise it first, and then every
+pair whose bound is above it is evaluated, in decreasing order of
+bound. A pair whose bound is at most the running worst cannot raise it,
+so a tie is never evaluated. The masks that share an H row h are ruled
+out together at f when R_H(h, f) plus f's largest L entry is not above
+the worst.
 
 The bound must hold for the computed slacks, so it adds a rounding
 margin kappa T, with T = the sum over s of ||D_i|| + lam ||A_i|| +
@@ -108,8 +111,8 @@ unless W passes the frame rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -127,6 +130,10 @@ from .tolerances import HOLD_SLACK, WEIGHT_TOL
 from .weaving import _require_seed
 
 _SUBSET_CAP = 4096
+# a half set holds at most _HALF_CAP rows: every subset of at most
+# _HALF_BITS indices, else that many drawn ones
+_HALF_CAP = math.isqrt(_SUBSET_CAP)
+_HALF_BITS = _HALF_CAP.bit_length() - 1
 _UNIT_ROUNDOFF = 2.0**-53
 _SCREEN_RANGE = (2.0**-200, 2.0**200)
 # samples whose best pair seeds the screen's running worst: on the
@@ -266,58 +273,34 @@ def _mask_rows(keys: np.ndarray, n: int) -> np.ndarray:
     return ((keys[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 
-def _subset_masks(n: int, rng: np.random.Generator) -> np.ndarray:
-    """0/1 index-subset masks as float rows: all 2^n in lexicographic
-    order (index 0 the most significant bit) up to _SUBSET_CAP, else
-    _SUBSET_CAP drawn rows led by the empty and the full subset."""
-    if 2**n <= _SUBSET_CAP:
-        return _enumerated(n)[0]
-    drawn = rng.integers(0, 2, size=(_SUBSET_CAP, n)).astype(float)
-    drawn[0] = 0.0
-    drawn[1] = 1.0
-    return drawn
+# per k <= _HALF_BITS, every subset of k indices in lexicographic order
+_HALF_ROWS = tuple(read_only(_mask_rows(np.arange(2**k), k)) for k in range(_HALF_BITS + 1))
 
 
-@cache
-def _enumerated(n: int):
-    """All 2^n masks in lexicographic order, then their halves as
-    ``_mask_halves`` gives them: mask k joins H half k >> |L| to L half k
-    & (2^|L| - 1). Read-only, since they depend on n alone."""
-    high, low = (n + 1) // 2, n // 2
-    masks = _mask_rows(np.arange(2**n), n)
-    halves = (_mask_rows(np.arange(2**high), high), _mask_rows(np.arange(2**low), low))
-    members = np.arange(2**n).reshape(2**high, 2**low)
-    rows = np.broadcast_to(np.arange(2**low), members.shape)
-    return masks, tuple(map(read_only, halves)), read_only(members), rows
+def _subset_halves(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The H rows over the first ceil(n/2) indices and the L rows over the
+    rest, 0/1 float rows whose product is the subsets examined: each half's
+    subsets in lexicographic order when they number at most _HALF_CAP, else
+    _HALF_CAP drawn rows led by the empty and the full half, H's drawn
+    first."""
+    halves = []
+    for size in ((n + 1) // 2, n // 2):
+        if size <= _HALF_BITS:
+            halves.append(_HALF_ROWS[size])
+        else:
+            drawn = rng.integers(0, 2, size=(_HALF_CAP, size)).astype(float)
+            drawn[0] = 0.0
+            drawn[1] = 1.0
+            halves.append(drawn)
+    return tuple(halves)
 
 
-def _mask_halves(masks: np.ndarray):
-    """The halves of the masks, H the first ceil(n/2) indices and L the
-    rest: the distinct H halves and the distinct L halves, as 0/1 rows
-    over their half; and per H half (a row each) the masks that hold it and
-    the rows of their L halves among the L halves, padded to the largest
-    group with mask 0 and L row b, one past the b L halves. Drawn masks
-    find their distinct halves by a sort of their packed bits, at any
-    n."""
-    count, n = masks.shape
-    if count == 2**n:
-        return _enumerated(n)[1:]
-    high = (n + 1) // 2
-    found = []
-    for part in (masks[:, :high], masks[:, high:]):
-        packed = np.packbits(part.astype(bool), axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        found.append((part[first], index))
-    (upper, upper_index), (lower, lower_index) = found
-    order = np.argsort(upper_index)
-    sizes = np.bincount(upper_index)
-    at = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    members = np.zeros((len(upper), sizes.max()), dtype=np.intp)
-    rows = np.full(members.shape, len(lower))
-    members[upper_index[order], at] = order
-    rows[upper_index[order], at] = lower_index[order]
-    return (upper, lower), members, rows
+def _keyed_masks(halves, keys: np.ndarray) -> np.ndarray:
+    """The 0/1 rows of the subsets ``keys``: subset k joins H row k // |L|
+    to L row k % |L|."""
+    upper, lower = halves
+    high, low = np.divmod(keys, len(lower))
+    return np.concatenate([upper[high], lower[low]], axis=1)
 
 
 def _screenable(*arrays: np.ndarray) -> bool:
@@ -343,13 +326,19 @@ def _index_terms(batch, parts, lam, mu, kappa):
     return linear, u - kappa * np.abs(u)
 
 
-def _half_tables(parts, linear, u_low, rho, halves):
-    """The H table and the L table: one row per 0/1 row of ``halves[0]``,
-    subsets of H, then of ``halves[1]``, subsets of L, each the norm of the
-    subset's D sum plus its linear terms plus rho[0] sqrt(u) for its U sum
-    u >= 0, or rho[1] sqrt(-u) for u < 0, per sample."""
+def _slack_bounds(batch, parts, halves, lam, mu, gamma):
+    """The screen of the module docstring as the H table and the L table,
+    one row per 0/1 row of ``halves[0]`` and of ``halves[1]``, so subset k
+    has the bound upper[k // b] + lower[k % b] at every sample, b the
+    number of L rows. Each entry is the norm of the half's D sum plus its
+    linear terms plus rho[0] sqrt(u) for its U sum u >= 0, or rho[1]
+    sqrt(-u) for u < 0."""
     n, rows, count = parts.shape
     d = rows // 3
+    k = 4 * n + 8 * d + 40
+    kappa = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    linear, u_low = _index_terms(batch, parts, lam, mu, kappa)
+    rho = (-gamma * (1.0 - kappa) * np.sqrt(0.5), gamma * (1.0 + kappa))
     # per index: the d rows of D, the linear terms and u - kappa |u|
     terms = np.concatenate([parts[:, 2:-1:3], linear[:, None], u_low[:, None]], axis=1)
     terms = terms.reshape(n, (d + 2) * count)
@@ -369,41 +358,26 @@ def _half_tables(parts, linear, u_low, rho, halves):
     return tables
 
 
-def _slack_bounds(batch, parts, masks, lam, mu, gamma):
-    """The screen of the module docstring as two tables and the groups of
-    ``_mask_halves``: the mask members[h, j] has the bound upper[h] +
-    lower[rows[h, j]] at every sample, and lower's last row, which only
-    padding reads, is -inf."""
-    n, rows, count = parts.shape
-    k = 4 * n + 8 * (rows // 3) + 40
-    kappa = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    linear, u_low = _index_terms(batch, parts, lam, mu, kappa)
-    rho = (-gamma * (1.0 - kappa) * np.sqrt(0.5), gamma * (1.0 + kappa))
-    halves, members, rows = _mask_halves(masks)
-    upper, lower = _half_tables(parts, linear, u_low, rho, halves)
-    return upper, np.concatenate([lower, np.full((1, count), -np.inf)]), members, rows
-
-
 def _group_pairs(bounds, groups, samples, threshold=None):
-    """(mask keys, samples, bounds) among the masks of H half ``groups[c]``
-    at ``samples[c]``, ``bounds`` as ``_slack_bounds`` returns them: the
-    pair of highest bound for each c when ``threshold`` is None, else
-    every pair whose bound is above it."""
-    upper, lower, members, rows = bounds
+    """(subset keys, samples, bounds) among the subsets of H row
+    ``groups[c]`` at ``samples[c]``, ``bounds`` as ``_slack_bounds``
+    returns them: the pair of highest bound for each c when ``threshold``
+    is None, else every pair whose bound is above it."""
+    upper, lower = bounds
     found = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    for at in chunk_slices(len(groups), members.shape[1]):
+    for at in chunk_slices(len(groups), len(lower)):
         g, s = groups[at], samples[at]
-        block = upper[g, s][:, None] + lower[rows[g], s[:, None]]
+        block = upper[g, s][:, None] + lower[:, s].T
         if threshold is None:
             c, j = np.arange(len(g)), block.argmax(axis=1)
         else:
             c, j = np.nonzero(block > threshold)
-        found.append((members[g[c], j], s[c], block[c, j]))
+        found.append((g[c] * len(lower) + j, s[c], block[c, j]))
     return [np.concatenate(x) for x in zip(*found)]
 
 
-def _fold_descending(parts, masks, keys, samples, bounds, constants, worst):
-    """``worst`` raised to the slack of every pair (``masks[keys[c]]``,
+def _fold_descending(parts, halves, keys, samples, bounds, constants, worst):
+    """``worst`` raised to the slack of every pair (subset ``keys[c]``,
     ``samples[c]``) whose bound is above it, in decreasing order of bound:
     a pair whose bound is at most the running worst cannot raise it."""
     order = np.argsort(bounds)[::-1]
@@ -412,42 +386,43 @@ def _fold_descending(parts, masks, keys, samples, bounds, constants, worst):
         pick = pick[bounds[pick] > worst]
         if not len(pick):
             break
-        slacks = _op_slacks(parts, masks[keys[pick]], samples[pick], *constants)
-        worst = max(worst, float(slacks.max()))
+        masks = _keyed_masks(halves, keys[pick])
+        worst = max(worst, float(_op_slacks(parts, masks, samples[pick], *constants).max()))
     return worst
 
 
-def _every_pair_worst(parts, masks, constants, worst):
-    """``worst`` raised to the slack of every (mask, sample) pair, mask by
-    mask: the fold without a screen."""
+def _every_pair_worst(parts, halves, constants, worst):
+    """``worst`` raised to the slack of every (subset, sample) pair, subset
+    by subset: the fold without a screen."""
     count = parts.shape[2]
-    for at in chunk_slices(len(masks) * count, parts.shape[0] * parts.shape[1]):
+    total = len(halves[0]) * len(halves[1]) * count
+    for at in chunk_slices(total, parts.shape[0] * parts.shape[1]):
         keys, samples = np.divmod(np.arange(at.start, at.stop), count)
-        worst = max(worst, float(_op_slacks(parts, masks[keys], samples, *constants).max()))
+        masks = _keyed_masks(halves, keys)
+        worst = max(worst, float(_op_slacks(parts, masks, samples, *constants).max()))
     return worst
 
 
-def _screened_worst(batch, parts, masks, constants, worst):
-    """``worst`` raised to the largest computed slack over every (mask,
+def _screened_worst(batch, parts, halves, constants, worst):
+    """``worst`` raised to the largest computed slack over every (subset,
     sample), evaluating only the pairs whose bound is above the running
-    worst. The masks of an H half h are ruled out together at a sample
+    worst. The subsets of an H row h are ruled out together at a sample
     whose largest L entry, added to upper[h], is not above the worst.
     The seeds come first: at each of the _SEEDS samples where that group
     bound peaks highest, the pair of highest bound in its peak group."""
-    bounds = _slack_bounds(batch, parts, masks, *constants)
-    upper, lower = bounds[:2]
+    bounds = upper, lower = _slack_bounds(batch, parts, halves, *constants)
     count = len(batch)
     reach = lower.max(axis=0)
     seeds = np.argsort(upper.max(axis=0) + reach)[-_SEEDS:]
     pairs = _group_pairs(bounds, upper[:, seeds].argmax(axis=0), seeds)
-    worst = _fold_descending(parts, masks, *pairs, constants, worst)
+    worst = _fold_descending(parts, halves, *pairs, constants, worst)
     above = [
         np.flatnonzero(upper[at] + reach > worst) + at.start * count
         for at in chunk_slices(len(upper), count)
     ]
     groups, samples = np.divmod(np.concatenate(above), count)
     pairs = _group_pairs(bounds, groups, samples, worst)
-    return _fold_descending(parts, masks, *pairs, constants, worst)
+    return _fold_descending(parts, halves, *pairs, constants, worst)
 
 
 def pw_check(
@@ -550,14 +525,14 @@ def op_perturbation_check(
 
     rng = np.random.default_rng(seed)
     batch, parts = _op_inputs(w, v, rng, samples)
-    masks = _subset_masks(w.size, rng)
+    halves = _subset_halves(w.size, rng)
     constants = (lam, mu, gamma)
     # the fold starts at the empty subset's slack, exactly +0.0, so a zero
     # maximum reads as +0.0 whichever pairs are evaluated
     if _screenable(batch, w.operators, v.operators, np.array(constants)):
-        inequality_violation = _screened_worst(batch, parts, masks, constants, 0.0)
+        inequality_violation = _screened_worst(batch, parts, halves, constants, 0.0)
     else:
-        inequality_violation = _every_pair_worst(parts, masks, constants, 0.0)
+        inequality_violation = _every_pair_worst(parts, halves, constants, 0.0)
 
     return PerturbationCertificate(
         method="op",

@@ -56,15 +56,6 @@ from .weaving import (
 )
 
 
-def invert_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Raises SingularOperator when the smallest singular value is at most
-    ``PIVOT_TOL * max(1, max|m|)``, with max|m| the largest input entry.
-    """
-    return InvertibleOperator.from_matrix(matrix).inv
-
-
 @dataclass(frozen=True)
 class InvertibleOperator:
     """Square operator with cached inverse and 2-norms of both."""
@@ -76,8 +67,9 @@ class InvertibleOperator:
 
     @classmethod
     def from_matrix(cls, matrix) -> "InvertibleOperator":
-        """One SVD decides invertibility as in invert_matrix and gives both
-        norms: ||m|| = s_max and ||m^-1|| = 1 / s_min."""
+        """One SVD gives both norms, ||m|| = s_max and ||m^-1|| = 1 / s_min,
+        and decides invertibility: SingularOperator when s_min is at most
+        ``PIVOT_TOL * max(1, max|m|)``, with max|m| the largest entry."""
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("only square matrices can be inverted")

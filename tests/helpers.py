@@ -17,7 +17,7 @@ from wovenframes import (
 )
 from wovenframes.fusion import fusion_frame_operator, is_riesz_decomposition
 from wovenframes.linalg import orthonormalize_each, sym_eig
-from wovenframes.perturbation import _op_inputs, _op_slacks, _subset_masks, _unit_rows
+from wovenframes.perturbation import _op_inputs, _op_slacks, _subset_halves, _unit_rows
 from wovenframes.tolerances import PATTERN_TOL, RANK_TOL
 from wovenframes.transforms import intersect_family
 from wovenframes.weaving import contribution_stacks, woven_bounds_exhaustive
@@ -429,7 +429,7 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
     v_parts = np.einsum("sd,nde->nse", batch, pv_sq)
     w_normsq = np.einsum("sd,nde,se->ns", batch, pw_sq, batch)
     worst = -np.inf
-    for mask in _subset_masks(w.size, rng):
+    for mask in subset_masks(w.size, rng):
         s_w = np.tensordot(mask, w_parts, axes=(0, 0))
         s_v = np.tensordot(mask, v_parts, axes=(0, 0))
         lhs = np.linalg.norm(s_w - s_v, axis=1)
@@ -443,20 +443,35 @@ def op_violation_oracle(w, v, lam, mu, gamma, samples, seed) -> float:
     return worst
 
 
+def product_masks(halves) -> np.ndarray:
+    """The 0/1 row of every subset of the product of ``halves`` (H rows,
+    L rows), subset k the H row k // |L| followed by the L row k % |L|."""
+    upper, lower = halves
+    return np.hstack([np.repeat(upper, len(lower), axis=0), np.tile(lower, (len(upper), 1))])
+
+
+def subset_masks(n: int, rng) -> np.ndarray:
+    """The 0/1 rows of the subsets ``op`` examines at n indices, its half
+    sets drawn from ``rng`` and their product written out."""
+    return product_masks(_subset_halves(n, rng))
+
+
 def op_inputs(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
     """What ``op`` sums over: its sample batch, the per-index parts of S_W f,
     S_V f and their difference with the squared U_W norms as one (n, 3 d +
-    1, sample) array, and the subset masks, from the check's own
-    ``_op_inputs``, so a fold over them is bit for bit the check's."""
+    1, sample) array, and the two half sets whose product is its subsets,
+    from the check's own ``_op_inputs`` and ``_subset_halves``, so a fold
+    over them is bit for bit the check's."""
     rng = np.random.default_rng(seed)
     batch, parts = _op_inputs(w, v, rng, samples)
-    return batch, parts, _subset_masks(w.size, rng)
+    return batch, parts, _subset_halves(w.size, rng)
 
 
 def op_slacks(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
     """Every (mask, sample) slack through ``op``'s kernel, as a (mask,
     sample) array, in batches of 2^14 pairs in mask-major order."""
-    batch, parts, masks = op_inputs(w, v, samples, seed)
+    batch, parts, halves = op_inputs(w, v, samples, seed)
+    masks = product_masks(halves)
     keys, at = np.divmod(np.arange(len(masks) * len(batch)), len(batch))
     slacks = [
         _op_slacks(parts, masks[keys[k : k + 2**14]], at[k : k + 2**14], lam, mu, gamma)

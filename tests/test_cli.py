@@ -644,7 +644,8 @@ class TestReproduce:
 
     @pytest.mark.parametrize(
         "instance_id, dim, message",
-        [("ex4_1", "2", "need dim >= 3"), ("ex4_2", "1", "need dim >= 3"),
+        [("ex3_2", "1", "need dim >= 2"), ("ex3_2", "-5", "need dim >= 2"),
+         ("ex4_1", "2", "need dim >= 3"), ("ex4_2", "1", "need dim >= 3"),
          ("ex4_2", "-1", "need dim >= 3"), ("ex5_4", "2", "need dim >= 4"),
          ("ex5_4", "5", "need an even dimension")],
     )

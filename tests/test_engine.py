@@ -39,11 +39,13 @@ from helpers import (
     op_slacks,
     op_violation_oracle,
     op_violation_unscreened,
+    product_masks,
     proj_violation_oracle,
     pw_violation_oracle,
     random_riesz_family,
     riesz_failing,
     scan_oracle,
+    subset_masks,
 )
 
 
@@ -268,10 +270,12 @@ def same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-# d = 6, n = 9 is the benchmark's shape, and n = 13 and 14 draw 4096 of
-# 8192 and 16384 masks; the tilts run from cancellation to unrelated members
+# d = 6, n = 9 is the benchmark's shape; n = 13 draws its H rows and
+# enumerates its L rows, and n = 14, 20 and 40 draw both halves; the tilts
+# run from cancellation to unrelated members
 @pytest.mark.parametrize(
-    "d, n, samples", [(6, 9, 100), (6, 9, 20), (3, 13, 10), (3, 14, 10), (6, 14, 10)]
+    "d, n, samples",
+    [(6, 9, 100), (6, 9, 20), (3, 13, 10), (3, 14, 10), (6, 14, 10), (3, 20, 10), (2, 40, 10)],
 )
 @pytest.mark.parametrize("tilt", [1e-10, 0.02, 1.0])
 @pytest.mark.parametrize("constants", [(0.02, 0.02, 0.02), (0.0, 0.0, 0.0)])
@@ -285,14 +289,13 @@ def test_op_screen_keeps_the_unscreened_worst(rows_per_chunk, d, n, samples, til
 
 def screen_bounds(w, v, lam, mu, gamma, samples, seed) -> np.ndarray:
     """The screen's bound on every (mask, sample) slack, as the check adds
-    it: the H table's row plus the L table's row of the mask's halves."""
-    batch, parts, masks = op_inputs(w, v, samples, seed)
-    upper, lower, members, rows = perturbation._slack_bounds(batch, parts, masks, lam, mu, gamma)
-    bounds = np.full((len(masks), len(batch)), np.nan)
-    real = rows < len(lower) - 1  # the last L row only pads groups
-    bounds[members[real]] = upper[np.nonzero(real)[0]] + lower[rows[real]]
-    assert not np.isnan(bounds).any() and (lower[-1] == -np.inf).all()
-    return bounds
+    it: the H table's row plus the L table's row of the mask's halves, in
+    the mask order of ``op_slacks``."""
+    batch, parts, halves = op_inputs(w, v, samples, seed)
+    upper, lower = perturbation._slack_bounds(batch, parts, halves, lam, mu, gamma)
+    assert upper.shape == (len(halves[0]), len(batch))
+    assert lower.shape == (len(halves[1]), len(batch))
+    return (upper[:, None] + lower[None, :]).reshape(-1, len(batch))
 
 
 def random_fusion_pair(rng, d: int, n: int, tilt: float):
@@ -305,7 +308,7 @@ def random_fusion_pair(rng, d: int, n: int, tilt: float):
     )
 
 
-# n = 13 and 14 take the half tables over the drawn masks' halves; tilt
+# n = 13 and 14 take the half tables over drawn half rows; tilt
 # 1e-10 makes every difference cancel to about 1e-10 against parts of order 1
 @pytest.mark.parametrize("tilt", [0.0, 1e-10, 1e-3, 1.0])
 @pytest.mark.parametrize("constants", [(0.0, 0.0, 0.0), (0.02, 0.02, 0.02), (0.5, 0.3, 0.9)])
@@ -338,8 +341,8 @@ def test_screen_bound_is_tight_on_a_planted_pair(n, constants):
     samples, seed = 30, 1
     bounds = screen_bounds(w, v, *constants, samples, seed)
     slacks = op_slacks(w, v, *constants, samples, seed)
-    _, parts, masks = op_inputs(w, v, samples, seed)
-    given_away = constants[2] * (1.0 - 0.5**0.5) * np.sqrt(masks @ parts[:, -1])
+    _, parts, halves = op_inputs(w, v, samples, seed)
+    given_away = constants[2] * (1.0 - 0.5**0.5) * np.sqrt(product_masks(halves) @ parts[:, -1])
     assert (bounds >= slacks).all()
     assert (bounds - slacks <= given_away + 1e-12 * (1.0 + np.abs(slacks))).all()
 
@@ -387,10 +390,38 @@ def test_op_runs_every_chunk_outside_the_screened_range(monkeypatch, member, wei
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
 def test_subset_masks_enumerate_lexicographically(n):
-    masks = perturbation._subset_masks(n, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    upper, lower = perturbation._subset_halves(n, rng)
+    assert rng.bit_generator.state == state  # nothing drawn
+    assert (upper.shape[1], lower.shape[1]) == ((n + 1) // 2, n // 2)
+    masks = product_masks((upper, lower))
     expected = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
     assert masks.dtype == expected.dtype
     assert np.array_equal(masks, expected)
+    keys = np.arange(2**n)[::-1]
+    assert np.array_equal(perturbation._keyed_masks((upper, lower), keys), expected[keys])
+
+
+def test_subset_halves_above_the_cap_draw_the_larger_half():
+    # n = 13: L's 6 indices have all 64 subsets, H's 7 get 64 drawn rows
+    # led by the empty and the full half, drawn before anything else
+    upper, lower = perturbation._subset_halves(13, np.random.default_rng(5))
+    assert upper.shape == (64, 7) and lower.shape == (64, 6)
+    assert np.array_equal(lower, np.array(list(itertools.product((0.0, 1.0), repeat=6))))
+    assert (upper[0] == 0.0).all() and (upper[1] == 1.0).all()
+    drawn = np.random.default_rng(5).integers(0, 2, size=(64, 7))
+    assert np.array_equal(upper[2:], drawn[2:])
+    masks = product_masks((upper, lower))
+    assert len(masks) == perturbation._SUBSET_CAP
+    assert (masks[0] == 0.0).all() and (masks[64 + 63] == 1.0).all()
+    # n = 14 draws both halves, H's rows first
+    upper, lower = perturbation._subset_halves(14, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for half in (upper, lower):
+        drawn = rng.integers(0, 2, size=(64, 7))
+        assert np.array_equal(half[2:], drawn[2:])
+        assert (half[0] == 0.0).all() and (half[1] == 1.0).all()
 
 
 # the oracle enumerates all 2^n subsets at both n; the closed form takes
@@ -447,8 +478,8 @@ def test_proj_closed_form_finds_the_subsets_sampling_misses():
     n, kconst, samples, seed = 20, 0.5, 20, 0
     w, v = planted_proj_pair(n)
     cert = proj_perturbation_check(w, v, kconst, samples, seed)
-    # 4096 drawn masks, the search proj made above 2^12 subsets
-    sampled = proj_violation_oracle(w, v, kconst, samples, seed, masks=perturbation._subset_masks)
+    # the 4096 subsets op samples at n = 20, a product of drawn halves
+    sampled = proj_violation_oracle(w, v, kconst, samples, seed, masks=subset_masks)
     planted = proj_violation_oracle(w, v, kconst, samples, seed, masks=at_most_two)
     assert sampled <= 0.0
     assert planted > 0.5

@@ -24,7 +24,6 @@ from wovenframes.errors import (
     SingularOperator,
 )
 from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
-from wovenframes.transforms import invert_matrix
 from wovenframes.weaving import contribution_stacks
 
 from helpers import gram_schmidt, jacobi, member_operators
@@ -120,19 +119,19 @@ class TestInvertibleOperatorNorms:
                 (op.inv_norm, np.linalg.norm(np.linalg.inv(m), 2)),
             ):
                 assert abs(actual - expected) <= 1e-12 * (1.0 + expected)
-            assert np.array_equal(invert_matrix(m), op.inv)
+            assert np.array_equal(op.inv, np.linalg.inv(m))
 
     def test_singular_threshold_scales_with_largest_entry(self):
         # the cut-off is pivot_tol * max|m| = 1e-10 * 1e3: 1e-6 clears it,
         # 1e-8 does not
         m = np.diag([1e3, 1e-6])
-        assert np.allclose(invert_matrix(m), np.diag([1e-3, 1e6]))
+        assert np.allclose(InvertibleOperator.from_matrix(m).inv, np.diag([1e-3, 1e6]))
         with pytest.raises(SingularOperator):
-            invert_matrix(np.diag([1e3, 1e-8]))
+            InvertibleOperator.from_matrix(np.diag([1e3, 1e-8]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            invert_matrix(np.ones((2, 3)))
+            InvertibleOperator.from_matrix(np.ones((2, 3)))
 
 
 def spanning_members(rng, count: int, d: int, members: int) -> np.ndarray:

@@ -80,9 +80,9 @@ def test_the_adversarial_op_row_evaluates_no_pair(monkeypatch):
     tool = _load_tool(monkeypatch)
     (d, n, tilt, constants), = (row for row in tool.OP_ROWS if row[0] == 1)
     w, v = tool.near_pair(np.random.default_rng([tool.SEED, d, n]), d, n, tilt)
-    batch, parts, masks = op_inputs(w, v, tool.OP_SAMPLES, tool.SEED)
-    upper, lower = perturbation._slack_bounds(batch, parts, masks, *constants)[:2]
-    assert (upper == 0.0).all() and (lower[:-1] == 0.0).all()
+    batch, parts, halves = op_inputs(w, v, tool.OP_SAMPLES, tool.SEED)
+    upper, lower = perturbation._slack_bounds(batch, parts, halves, *constants)
+    assert (upper == 0.0).all() and (lower == 0.0).all()
     monkeypatch.setattr(perturbation, "_op_slacks", None)
     cert = op_perturbation_check(w, v, *constants, tool.OP_SAMPLES, tool.SEED)
     assert cert.inequality_violation == 0.0

@@ -35,7 +35,7 @@ from wovenframes.errors import (
     NotSelfAdjoint,
     SingularOperator,
 )
-from wovenframes.transforms import intersection_weaving_report, invert_matrix
+from wovenframes.transforms import intersection_weaving_report
 from wovenframes.weaving import contribution_stacks, woven_bounds_from_contributions
 
 from helpers import basis_vec, ex3_2_frames
@@ -72,7 +72,7 @@ class TestInvertibleOperator:
 
     def test_singular_rejected(self):
         with pytest.raises(SingularOperator):
-            invert_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            InvertibleOperator.from_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestOperatorImage:

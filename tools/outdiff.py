@@ -42,13 +42,14 @@ above the default cap of 2^22 partitions: ``reproduce --id ex4_1 --dim
 2), and ``perturb --method proj`` on a near fusion pair with n = 23,
 whose ``exhaustive_interval`` is null; at n = 15,000, where m^n has
 more digits than Python converts to a string, ``woven`` on a discrete
-family with d = 1, n = 15,000 (exit 2) and ``perturb --method proj
---samples 5`` on a near fusion pair with d = 1, n = 15,000 (exit 0,
-``exhaustive_interval`` null); ``perturb --method pw --samples 5`` on a
+family with d = 1, n = 15,000 (exit 2), and ``perturb --method proj
+--samples 5`` (``exhaustive_interval`` null) and ``perturb --method op
+--samples 5`` (4096 sampled subsets) on a near fusion pair with d = 1,
+n = 15,000 (exit 0); ``perturb --method pw --samples 5`` on a
 d = 2 pair whose two W members both span e_1 (exit 2: W is not a fusion
-frame); ``reproduce --id nope``, ``--id ex4_1 --dim 2``, ``--id ex4_2``
-with ``--dim 1`` and ``-1``, and ``--id ex5_4`` with ``--dim 2`` and 5
-(exit 2). Overflow: ``woven`` and ``analyze`` on a d = 2 discrete family
+frame); ``reproduce --id nope``, ``--id ex3_2 --dim -5``, ``--id ex4_1
+--dim 2``, ``--id ex4_2`` with ``--dim 1`` and ``-1``, and ``--id ex5_4``
+with ``--dim 2`` and 5 (exit 2). Overflow: ``woven`` and ``analyze`` on a d = 2 discrete family
 with entries up to 3e154 and on a d = 2 fusion family with one weight
 1e200, whose operators overflow to inf and nan (exit 2, the error line
 alone on stderr).
@@ -69,7 +70,7 @@ commands run at a time.
 
 Prints one line per difference and a summary line that also counts the
 commands whose raw (exit code, stdout, stderr) are not byte-identical,
-as in ``291 commands, 0 differences, 0 not byte-identical``; exits 0
+as in ``293 commands, 0 differences, 0 not byte-identical``; exits 0
 when there are no differences and 1 otherwise, whatever the byte count.
 """
 
@@ -412,6 +413,7 @@ def build_corpus(workdir: str) -> list[list[str]]:
         ["perturb", over_pair, "--method", "proj", "--K", "0.5", "--samples", "50", "--seed", "2"],
         ["woven", huge_woven],
         ["perturb", huge_pair, "--method", "proj", "--samples", "5"],
+        ["perturb", huge_pair, "--method", "op", "--samples", "5"],
         ["perturb", _write(os.path.join(workdir, "degenerate-w.json"), degenerate_w_doc()),
          "--method", "pw", "--samples", "5"],
     ]
@@ -426,7 +428,8 @@ def build_corpus(workdir: str) -> list[list[str]]:
     corpus += [
         ["reproduce", "--id", instance_id, "--dim", dim]
         for instance_id, dim in (("nope", "6"), ("ex4_1", "2"), ("ex4_2", "1"),
-                                 ("ex5_4", "2"), ("ex5_4", "5"), ("ex4_2", "-1"))
+                                 ("ex5_4", "2"), ("ex5_4", "5"), ("ex4_2", "-1"),
+                                 ("ex3_2", "-5"))
     ]
     for kind in ("discrete", "fusion"):
         path = _write(os.path.join(workdir, f"overflow-{kind}.json"), overflow_doc(kind))

@@ -11,8 +11,8 @@ fusion pairs with d = 6 and n in {12, 14}, the two halves of the
 benchmark's woven-exhaustive workload at larger n. Times
 ``op_perturbation_check`` at the CLI's default of 1000 samples on seeded
 near fusion pairs (rank 2, V_i a 0.01 tilt of W_i, constants 0.02):
-d = 6 with n = 9 and 12 (all subsets) and n = 13 and 16 (4096 drawn
-subsets); on a d = 1 pair with n = 12 and all constants 0, where every
+d = 6 with n = 9 and 12 (all subsets) and n = 13, 16, 20 and 40 (4096
+subsets from drawn half sets); on a d = 1 pair with n = 12 and all constants 0, where every
 line is the whole line, V = W, and every slack and every screen bound
 is 0, so the screen's fixed cost shows alone; and on d = 6 pairs with
 n = 12 and 13 whose V_i tilt W_i by 1.0, where the screen's bound is
@@ -74,8 +74,9 @@ EXHAUSTIVE_NS = (12, 14, 16)
 FUSION_RANK = 2
 FUSION_NS = (12, 14)
 OP_SAMPLES = 1000
-# (d, n, tilt, constants): all subsets at n <= 12, 4096 drawn ones above;
-# the d = 1 pair has every slack and bound 0, the tilt-1.0 pairs a loose bound
+# (d, n, tilt, constants): all subsets at n <= 12, 4096 from drawn half sets
+# above; the d = 1 pair has every slack and bound 0, the tilt-1.0 pairs a
+# loose bound
 OP_ROWS = (
     (6, 9, 0.01, (0.02,) * 3),
     (6, 12, 0.01, (0.02,) * 3),
@@ -84,6 +85,8 @@ OP_ROWS = (
     (6, 16, 0.01, (0.02,) * 3),
     (6, 12, 1.0, (0.02,) * 3),
     (6, 13, 1.0, (0.02,) * 3),
+    (6, 20, 0.01, (0.02,) * 3),
+    (6, 40, 0.01, (0.02,) * 3),
 )
 # (d, n, tilt, constants) on the first d = 6 op pairs: (lam1, lam2, mu) and (K,)
 PW_ROWS = tuple((d, n, tilt, (0.02,) * 3) for d, n, tilt, _ in OP_ROWS[:3])
@@ -184,7 +187,7 @@ def grid():
                     "sample_count": r.sample_count,
                     "subset_search": r.subset_search,
                     "inequality_violation": r.inequality_violation,
-                    # op sums every subset or 4096 drawn ones; pw has no
+                    # op sums every subset or 4096 sampled ones; pw has no
                     # subsets and proj takes its worst one in closed form
                     **({"subsets": min(2**n, 4096)} if r.method == "op" else {}),
                 },
