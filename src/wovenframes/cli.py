@@ -6,6 +6,11 @@ fault (stderr starts with ``internal error:`` and carries the traceback).
 Reports are canonical JSON (sorted keys, compact separators, shortest
 round-trip floats), so reruns with identical input and seed are
 byte-identical.
+
+A family document's faults are named in a fixed order: its shape first
+(systems, vector, weight and subspace lists, each weight, each member's
+``spanning`` list, the shared member count), then every vector entry,
+then the fusion members' bases.
 """
 
 from __future__ import annotations
@@ -124,11 +129,11 @@ def parse_family_document(doc) -> WovenFamily:
         "need at least two systems",
     )
 
-    built = []
+    # every vector list of the document as (system path, member, rows), in
+    # document order; member is a fusion member's index, None for vectors
+    lists = []
+    weights_of = []
     counts = set()
-    # every spanning set of a fusion document, orthonormalized and checked
-    # at once after the loop; until then ``built`` holds each system's weights
-    spans: list[np.ndarray] = []
     for si, sys_doc in enumerate(systems):
         path = f"systems[{si}]"
         _require(isinstance(sys_doc, dict), path, "system must be an object")
@@ -139,38 +144,44 @@ def parse_family_document(doc) -> WovenFamily:
                 f"{path}.vectors",
                 "nonempty vector list required",
             )
-            arr = _float_matrix(vectors, f"{path}.vectors", dim)
-            counts.add(arr.shape[0])
-            built.append(DiscreteFrame(dim, arr))
-        else:
-            weights = sys_doc.get("weights")
-            subspaces = sys_doc.get("subspaces")
-            _require(
-                isinstance(weights, list) and len(weights) >= 1,
-                f"{path}.weights",
-                "nonempty weight list required",
-            )
-            _require(
-                isinstance(subspaces, list) and len(subspaces) == len(weights),
-                f"{path}.subspaces",
-                "one subspace per weight required",
-            )
-            w = []
-            for wi, value in enumerate(weights):
-                _require(
-                    _finite_number(value) and value > 0,
-                    f"{path}.weights[{wi}]",
-                    "weights must be finite and positive",
+            lists.append((path, None, vectors))
+            counts.add(len(vectors))
+            continue
+        weights = sys_doc.get("weights")
+        subspaces = sys_doc.get("subspaces")
+        _require(
+            isinstance(weights, list) and len(weights) >= 1,
+            f"{path}.weights",
+            "nonempty weight list required",
+        )
+        _require(
+            isinstance(subspaces, list) and len(subspaces) == len(weights),
+            f"{path}.subspaces",
+            "one subspace per weight required",
+        )
+        # per weight and member, a path is formatted only for a fault
+        for wi, value in enumerate(weights):
+            if not (_finite_number(value) and value > 0):
+                raise DocumentInvalid(
+                    f"{path}.weights[{wi}]: weights must be finite and positive"
                 )
-                w.append(float(value))
-            spans += _spanning_matrices(subspaces, path, dim)
-            counts.add(len(w))
-            built.append(np.array(w))
-    if kind == FUSION:
-        members = iter(Subspace.from_bases(dim, orthonormalize_each(spans)))
-        built = [FusionFrame(dim, tuple(itertools.islice(members, len(w))), w) for w in built]
+        for ki, sub_doc in enumerate(subspaces):
+            spanning = sub_doc.get("spanning") if isinstance(sub_doc, dict) else None
+            if not isinstance(spanning, list):
+                sub_path = f"{path}.subspaces[{ki}]"
+                if not (isinstance(sub_doc, dict) and "spanning" in sub_doc):
+                    raise DocumentInvalid(f"{sub_path}: object with a 'spanning' list required")
+                raise DocumentInvalid(f"{sub_path}.spanning: list of vectors required")
+            lists.append((path, ki, spanning))
+        counts.add(len(weights))
+        weights_of.append(np.array([float(value) for value in weights]))
     _require(len(counts) == 1, "systems", "systems must share the member count")
-    return WovenFamily(kind, tuple(built))
+    matrices = _float_matrices(lists, dim)
+    if kind == DISCRETE:
+        return WovenFamily(kind, tuple(DiscreteFrame(dim, arr) for arr in matrices))
+    members = iter(Subspace.from_bases(dim, orthonormalize_each(matrices)))
+    frames = [FusionFrame(dim, tuple(itertools.islice(members, len(w))), w) for w in weights_of]
+    return WovenFamily(kind, tuple(frames))
 
 
 def _finite_number(value) -> bool:
@@ -183,74 +194,35 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _spanning_matrices(subspaces, path: str, dim: int) -> list[np.ndarray]:
-    """Each member's spanning rows as a (count, dim) float matrix."""
-    # one conversion of the system's rows, split by member, when every
-    # member is well-formed; otherwise the member-by-member walk, which
-    # names the first offending member or entry
-    spannings = [
-        sub_doc.get("spanning") if isinstance(sub_doc, dict) else None
-        for sub_doc in subspaces
-    ]
-    if all(isinstance(spanning, list) for spanning in spannings):
-        rows = list(itertools.chain.from_iterable(spannings))
-        arr = _fast_float_matrix(rows, dim) if rows else np.zeros((0, dim))
-        if arr is not None:
-            bounds = itertools.accumulate(map(len, spannings), initial=0)
-            return [arr[start:end] for start, end in itertools.pairwise(bounds)]
-    spans = []
-    for ki, sub_doc in enumerate(subspaces):
-        sub_path = f"{path}.subspaces[{ki}]"
-        _require(
-            isinstance(sub_doc, dict) and "spanning" in sub_doc,
-            sub_path,
-            "object with a 'spanning' list required",
-        )
-        spanning = sub_doc["spanning"]
-        _require(
-            isinstance(spanning, list),
-            f"{sub_path}.spanning",
-            "list of vectors required",
-        )
-        spans.append(
-            _float_matrix(spanning, f"{sub_path}.spanning", dim)
-            if spanning
-            else np.zeros((0, dim))
-        )
-    return spans
-
-
-def _fast_float_matrix(rows, dim: int) -> np.ndarray | None:
-    """The rows as one (count, dim) float matrix in one pass when every row
-    is a list of ``dim`` entries, each a float or int (never a bool) with a
-    finite float value; None otherwise."""
+def _float_matrices(lists, dim: int) -> list[np.ndarray]:
+    """Each ``(system path, member, rows)`` vector list as a (count, dim)
+    float matrix: one conversion of every row when each is a list of
+    ``dim`` floats or ints with finite float values; otherwise the first
+    bad row or entry, in document order, is raised."""
+    rows = [row for _, _, vectors in lists for row in vectors]
+    arr = None
     if (
-        set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {dim}
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {dim}
         and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}
     ):
         try:
-            arr = np.array(rows, dtype=float)
+            arr = np.array(rows, dtype=float).reshape(-1, dim)
         except OverflowError:  # an integer beyond the float range
-            return None
-        if np.isfinite(arr).all():
-            return arr
-    return None
-
-
-def _float_matrix(rows, path: str, dim: int) -> np.ndarray:
-    # anything but well-formed rows takes the entry-by-entry walk below,
-    # which names the first offending entry
-    arr = _fast_float_matrix(rows, dim)
-    if arr is not None:
-        return arr
-    for ri, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == dim):
-            raise DocumentInvalid(f"{path}[{ri}]: vector of length {dim} required")
-        for ci, value in enumerate(row):
-            if not _finite_number(value):
-                raise DocumentInvalid(f"{path}[{ri}][{ci}]: finite number required")
-    return np.array(rows, dtype=float)
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        for path, ki, vectors in lists:
+            path += ".vectors" if ki is None else f".subspaces[{ki}].spanning"
+            for ri, row in enumerate(vectors):
+                if not (isinstance(row, list) and len(row) == dim):
+                    raise DocumentInvalid(f"{path}[{ri}]: vector of length {dim} required")
+                for ci, value in enumerate(row):
+                    if not _finite_number(value):
+                        raise DocumentInvalid(f"{path}[{ri}][{ci}]: finite number required")
+        # no fault: float subclasses such as numpy floats, which JSON never gives
+        arr = np.array(rows, dtype=float).reshape(-1, dim)
+    bounds = itertools.accumulate((len(vectors) for _, _, vectors in lists), initial=0)
+    return [arr[start:end] for start, end in itertools.pairwise(bounds)]
 
 
 def load_family(path: str) -> tuple[WovenFamily, str]:

@@ -43,6 +43,7 @@ from .tolerances import (
     WITNESS_EPS,
 )
 from .weaving import (
+    DISCRETE,
     FUSION,
     Partition,
     WovenFamily,
@@ -91,7 +92,7 @@ def apply_operator_discrete(
     1/||E^-1||^2 below and ||E||^2 above; the image family's own
     exhaustive interval always lands inside it.
     """
-    if family.kind != "discrete":
+    if family.kind != DISCRETE:
         raise WrongKind("operator images are defined for discrete families here")
     base = woven_bounds_exhaustive(family)
     image = WovenFamily.discrete(
@@ -322,17 +323,17 @@ class LocalSystem:
     def size(self) -> int:
         return len(self.blocks)
 
-    def bound_floor(self) -> float:
-        vals = [b[0] for b in self.local_bounds if b is not None]
-        if not vals:
+    def _nontrivial_bounds(self) -> list[tuple[float, float]]:
+        bounds = [b for b in self.local_bounds if b is not None]
+        if not bounds:
             raise EmptyInput("no nontrivial local system present")
-        return min(vals)
+        return bounds
+
+    def bound_floor(self) -> float:
+        return min(low for low, _ in self._nontrivial_bounds())
 
     def bound_ceiling(self) -> float:
-        vals = [b[1] for b in self.local_bounds if b is not None]
-        if not vals:
-            raise EmptyInput("no nontrivial local system present")
-        return max(vals)
+        return max(high for _, high in self._nontrivial_bounds())
 
 
 def flatten_local_system(

@@ -219,6 +219,17 @@ class TestAnalyze:
         assert not band["synthesis_is_onto"]
         assert not band["is_riesz_decomposition"]
 
+    def test_all_empty_spanning_lists_are_no_fusion_frame(self, tmp_path, capsys):
+        system = {"weights": [1, 2], "subspaces": [{"spanning": []}, {"spanning": []}]}
+        path = write_doc(tmp_path, {"dim": 2, "kind": "fusion", "systems": [system] * 2})
+        code, out = run_main(capsys, ["analyze", path])
+        assert code == 0
+        for report in json.loads(out)["systems"]:
+            assert report["is_fusion_frame"] is False
+        code, out = run_main(capsys, ["woven", path])
+        assert code == 1
+        assert json.loads(out)["report"]["is_woven"] is False
+
     def test_fusion_system_takes_one_eigensolve(self, tmp_path, capsys, monkeypatch):
         # rank-3 members in R^12 whose ranks do not add up to 12: the one
         # solve is fusion_bounds', which also decides synthesis_is_onto
@@ -1151,6 +1162,53 @@ class TestNumberEntries:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "doc, edits, message",
+        [
+            (COORDINATE_PAIR_DOC,
+             [(["systems", 0, "subspaces", 0, "spanning", 0, 0], "x"),
+              (["systems", 1, "weights", 0], -1)],
+             "systems[1].weights[0]: weights must be finite and positive"),
+            (COORDINATE_PAIR_DOC,
+             [(["systems", 0, "subspaces", 0, "spanning", 0, 0], "x"),
+              (["systems", 0, "subspaces", 1], {"span": []})],
+             "systems[0].subspaces[1]: object with a 'spanning' list required"),
+            (EX3_2_DOC,
+             [(["systems", 0, "vectors", 0, 0], "x"),
+              (["systems", 1, "vectors"], [[1, 0], [0, 1]])],
+             "systems: systems must share the member count"),
+        ],
+        ids=["later-weight", "later-member", "member-count"],
+    )
+    def test_shape_faults_are_reported_before_entry_faults(
+        self, tmp_path, capsys, doc, edits, message
+    ):
+        for keys, value in edits:
+            doc = _replaced(doc, keys, value)
+        code = main(["analyze", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, weights",
+        [(EX3_2_DOC, 0), (GAP_DOC, 6), (SIXTY_MEMBER_DOC, 120)],
+        ids=["discrete", "empty-member", "sixty-members"],
+    )
+    def test_well_formed_entries_are_never_checked_one_by_one(
+        self, tmp_path, monkeypatch, doc, weights
+    ):
+        # the documents hold empty spanning lists and -0.0 entries, which
+        # take the one conversion as every other entry does
+        calls = []
+        finite_number = cli._finite_number
+        monkeypatch.setattr(
+            cli, "_finite_number", lambda value: calls.append(value) or finite_number(value)
+        )
+        load_family(write_doc(tmp_path, doc))
+        assert len(calls) == weights
+
     def test_members_mixing_empty_and_nonempty_lists_parse_per_member(self):
         family = parse_family_document(SIXTY_MEMBER_DOC)
         for system, sys_doc in zip(family.systems, SIXTY_MEMBER_DOC["systems"]):
@@ -1161,6 +1219,17 @@ class TestNumberEntries:
                 assert sub.rank == expected.rank
         ranks = [sub.rank for sub in family.systems[0].subspaces]
         assert 0 in ranks and len(set(ranks)) > 2
+
+    def test_numpy_float_entries_from_a_caller_parse_as_floats(self):
+        # no JSON text gives them, so they take the entry walk, then convert
+        systems = [
+            {"vectors": [[np.float64(x) for x in row] for row in sys_doc["vectors"]]}
+            for sys_doc in EX3_2_DOC["systems"]
+        ]
+        family = parse_family_document({**EX3_2_DOC, "systems": systems})
+        expected = parse_family_document(EX3_2_DOC)
+        for got, want in zip(family.systems, expected.systems):
+            assert got.vectors.tobytes() == want.vectors.tobytes()
 
     def test_integer_and_float_entries_parse_alike(self, tmp_path, capsys):
         floats = _replaced(

@@ -348,6 +348,17 @@ class TestLocalSystems:
         )
         assert system.local_bounds[0] == pytest.approx((4.0, 4.0))
         assert system.local_bounds[1] == pytest.approx((2.0, 2.0))
+        assert system.bound_floor() == pytest.approx(2.0)
+        assert system.bound_ceiling() == pytest.approx(4.0)
+
+    def test_bounds_skip_trivial_blocks_and_refuse_all_trivial(self):
+        system = LocalSystem.build(2, [[], [[0.0, 3.0]], [[0.0, 0.0]]], [1.0, 1.0, 1.0])
+        assert system.local_bounds[0] is None and system.local_bounds[2] is None
+        assert (system.bound_floor(), system.bound_ceiling()) == pytest.approx((9.0, 9.0))
+        trivial = LocalSystem.build(2, [[], [[0.0, 0.0]]], [1.0, 1.0])
+        for bound in (trivial.bound_floor, trivial.bound_ceiling):
+            with pytest.raises(EmptyInput, match="no nontrivial local system present"):
+                bound()
 
 
 def shifted_pair(dim: int, drop_first: bool):

@@ -49,10 +49,13 @@ n = 15,000 (exit 0); ``perturb --method pw --samples 5`` on a
 d = 2 pair whose two W members both span e_1 (exit 2: W is not a fusion
 frame); ``reproduce --id nope``, ``--id ex3_2 --dim -5``, ``--id ex4_1
 --dim 2``, ``--id ex4_2`` with ``--dim 1`` and ``-1``, and ``--id ex5_4``
-with ``--dim 2`` and 5 (exit 2). Overflow: ``woven`` and ``analyze`` on a d = 2 discrete family
-with entries up to 3e154 and on a d = 2 fusion family with one weight
-1e200, whose operators overflow to inf and nan (exit 2, the error line
-alone on stderr).
+with ``--dim 2`` and 5 (exit 2). ``analyze`` on the criterion-10
+documents with an entry fault and a later shape fault, three ways (exit
+2, the shape fault named), and on a fusion pair whose every spanning
+list is empty (exit 0). Overflow: ``woven`` and ``analyze`` on a d = 2
+discrete family with entries up to 3e154 and on a d = 2 fusion family
+with one weight 1e200, whose operators overflow to inf and nan (exit 2,
+the error line alone on stderr).
 ``riesz`` on every woven-exhaustive fusion input for seeds 1-4
 (rank 2, so no weaving's ranks add up to d), on a random rank-1 family
 with n = d = 6 whose weavings all pass, on a coordinate family with
@@ -70,7 +73,7 @@ commands run at a time.
 
 Prints one line per difference and a summary line that also counts the
 commands whose raw (exit code, stdout, stderr) are not byte-identical,
-as in ``293 commands, 0 differences, 0 not byte-identical``; exits 0
+as in ``297 commands, 0 differences, 0 not byte-identical``; exits 0
 when there are no differences and 1 otherwise, whatever the byte count.
 """
 
@@ -224,6 +227,28 @@ def tiny_weights_doc(weight: float = 1e-160) -> dict:
         "weights": [weight, weight],
         "subspaces": [{"spanning": [[1.0, 0.0]]}, {"spanning": [[0.0, 1.0]]}],
     }
+    return {"dim": 2, "kind": "fusion", "systems": [system, system]}
+
+
+def two_fault_docs() -> dict[str, dict]:
+    """The criterion-10 documents, each with an entry fault and a shape
+    fault after it: a bad spanning entry in system 0 and a weight -1 in
+    system 1; a bad entry in member 0 and no ``spanning`` key in member 1;
+    a bad discrete entry and unequal member counts."""
+    kinds = {"later-weight": "fusion", "later-member": "fusion", "member-count": "discrete"}
+    docs = {name: json.loads(json.dumps(CRITERION_10_DOCS[kind])) for name, kind in kinds.items()}
+    for name in ("later-weight", "later-member"):
+        docs[name]["systems"][0]["subspaces"][0]["spanning"][0][0] = "x"
+    docs["later-weight"]["systems"][1]["weights"][0] = -1
+    docs["later-member"]["systems"][0]["subspaces"][1] = {"span": []}
+    docs["member-count"]["systems"][0]["vectors"][0][0] = "x"
+    docs["member-count"]["systems"][1]["vectors"].pop()
+    return docs
+
+
+def empty_members_doc() -> dict:
+    """d = 2 fusion pair whose members are all empty spanning lists."""
+    system = {"weights": [1.0, 2.0], "subspaces": [{"spanning": []}] * 2}
     return {"dim": 2, "kind": "fusion", "systems": [system, system]}
 
 
@@ -434,6 +459,10 @@ def build_corpus(workdir: str) -> list[list[str]]:
     for kind in ("discrete", "fusion"):
         path = _write(os.path.join(workdir, f"overflow-{kind}.json"), overflow_doc(kind))
         corpus += [["woven", path], ["analyze", path]]
+    for name, doc in two_fault_docs().items():
+        corpus.append(["analyze", _write(os.path.join(workdir, f"two-fault-{name}.json"), doc)])
+    empty = _write(os.path.join(workdir, "empty-members.json"), empty_members_doc())
+    corpus.append(["analyze", empty])
     for name, doc in (
         ("riesz-lines-d6.json", lines_doc(6, 2, 6)),
         ("riesz-swapped-axes.json", swapped_axes_doc()),
