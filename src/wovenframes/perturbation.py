@@ -103,15 +103,19 @@ keeps its member projectors P_i and the summands w_i^2 P_i as (n, d, d)
 stacks (``FusionFrame.projectors``, ``operators`` and ``spectrum``), so
 checks on one pair share them; ``pw`` scales the projectors by w_i.
 Every contraction of the sample batch with a stack is one matrix
-product. A check solves only S_W - S_V itself, and the optimal bounds
-and the extremal sample vectors come from the three spectra. Each gate
-or predicted interval is built on A_W, so every check raises NotAFrame
-unless W passes the frame rule.
+product. S_W - S_V is solved once per pair, not once per check: W
+keeps the pair's extremal eigenvectors together with a weak reference
+to its last partner V (``_extremal``), so checks on one pair share them
+and W never keeps V alive. The optimal bounds and the extremal sample
+vectors come from the three spectra. Each gate or predicted interval is
+built on A_W, so every check raises NotAFrame unless W passes the frame
+rule.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +143,8 @@ _SCREEN_RANGE = (2.0**-200, 2.0**200)
 # samples whose best pair seeds the screen's running worst: on the
 # benchmark's pairs 16 gave the threshold that every sample gives
 _SEEDS = 16
+# the FusionFrame instance-dict key of W's (weak V, extremal rows) slot
+_EXTREMAL_SLOT = "_extremal"
 
 
 @dataclass(frozen=True)
@@ -198,11 +204,24 @@ def _check_samples(samples: int) -> None:
 
 
 def _extremal(w: FusionFrame, v: FusionFrame) -> np.ndarray:
-    """The extremal eigenvectors of S_W, S_V and S_W - S_V as the rows of
-    one array; only S_W - S_V is solved here."""
+    """The extremal eigenvectors of S_W, S_V and S_W - S_V as the read-only
+    rows of one (6, d) array.
+
+    S_W - S_V is solved once per pair: W keeps the rows in one slot of its
+    instance dict, where ``cached_property`` writes too, with a weak
+    reference to V. A call with the same V returns the stored rows; one
+    with another V solves and replaces the slot. Frames are immutable, so
+    the stored rows are those a fresh solve gives, and the weak reference
+    never keeps V alive (a dead one matches no frame). The slot is one
+    tuple, written whole, so a concurrent call reads a matched pair."""
+    partner, rows = w.__dict__.get(_EXTREMAL_SLOT, (None, None))
+    if partner is not None and partner() is v:
+        return rows
     diff = sym_eig(fusion_frame_operator(w) - fusion_frame_operator(v))
     spectra = (w.spectrum, v.spectrum, diff)
-    return np.array([s.eigenvectors[:, k] for s in spectra for k in (0, -1)])
+    rows = read_only(np.array([s.eigenvectors[:, k] for s in spectra for k in (0, -1)]))
+    w.__dict__[_EXTREMAL_SLOT] = (weakref.ref(v), rows)
+    return rows
 
 
 def _frame_bounds(w: FusionFrame, use: str) -> tuple[float, float]:

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from wovenframes import (
     woven_bounds_exhaustive,
 )
 from wovenframes import fusion, linalg, perturbation
+from wovenframes.cli import canonical_json
 from wovenframes.errors import (
     ConstantOutOfRange,
     IndexMismatch,
@@ -26,6 +31,7 @@ from wovenframes.tolerances import HOLD_SLACK
 from wovenframes.weaving import WovenFamily
 
 from helpers import (
+    _extremal,
     basis_vec,
     complement_planes,
     coordinate_planes,
@@ -357,15 +363,14 @@ class TestSharedSpectra:
         sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
         assert [m.tobytes() for m in solved] == [x.tobytes() for x in (sw, sv, sw - sv)]
 
-    def test_checks_on_one_pair_solve_each_frame_once(self, monkeypatch):
-        # S_W and S_V once in all, S_W - S_V once per check
+    def test_checks_on_one_pair_solve_the_difference_once(self, monkeypatch):
+        # S_W and S_V once in all, S_W - S_V once for the pair
         solved = spy_solves(monkeypatch)
         w, v = coordinate_planes(), tilted_planes(1e-3)
         for method in sorted(CHECKS):
             CHECKS[method](w, v, 10)
         sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
-        expected = (sw, sv) + 3 * (sw - sv,)
-        assert [m.tobytes() for m in solved] == [x.tobytes() for x in expected]
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in (sw, sv, sw - sv)]
 
     @pytest.mark.parametrize("method", sorted(CHECKS))
     def test_one_projector_stack_per_frame(self, monkeypatch, method):
@@ -403,3 +408,87 @@ class TestSharedSpectra:
         }[method]
         cert = CHECKS[method](w, v, 10)
         assert (cert.predicted_lower, cert.predicted_upper) == pytest.approx(expected, abs=1e-14)
+
+
+def seeded_pair(tilt: float = 0.05) -> tuple[FusionFrame, FusionFrame]:
+    """W of four seeded planes of R^5 and V with each spanning set tilted
+    by ``tilt`` times a seeded Gaussian, sharing W's weights: new frames
+    on every call, with the same data for one ``tilt``."""
+    rng = np.random.default_rng(5)
+    spans = rng.standard_normal((4, 2, 5))
+    weights = rng.uniform(0.5, 1.5, 4)
+    tilted = spans + tilt * rng.standard_normal(spans.shape)
+    return tuple(
+        FusionFrame(5, tuple(Subspace.from_spanning(5, list(s)) for s in x), weights)
+        for x in (spans, tilted)
+    )
+
+
+def cert_bytes(cert: PerturbationCertificate) -> bytes:
+    return canonical_json(vars(cert)).encode()
+
+
+def fresh_cert(method: str, samples: int = 10, seed: int = 0, tilt: float = 0.05) -> bytes:
+    return cert_bytes(CHECKS[method](*seeded_pair(tilt), samples, seed))
+
+
+class TestPairSlot:
+    """W keeps the extremal rows of its last partner V, held weakly."""
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(sorted(CHECKS))))
+    def test_every_order_gives_the_fresh_certificates(self, order):
+        w, v = seeded_pair()
+        for samples, seed in ((10, 0), (0, 3), (25, 7), (10, 0)):
+            for method in order:
+                assert cert_bytes(CHECKS[method](w, v, samples, seed)) == fresh_cert(
+                    method, samples, seed
+                )
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_a_new_partner_replaces_the_slot(self, monkeypatch, method):
+        w, v1 = seeded_pair()
+        v2 = seeded_pair(0.2)[1]
+        expected = [fresh_cert(method, tilt=t) for t in (0.05, 0.2, 0.05)]
+        solved = spy_solves(monkeypatch)
+        certs = [cert_bytes(CHECKS[method](w, v, 10)) for v in (v1, v2, v1)]
+        assert certs == expected
+        sw, sv1, sv2 = (fusion_frame_operator(x) for x in (w, v1, v2))
+        solves = (sw, sv1, sw - sv1, sv2, sw - sv2, sw - sv1)
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in solves]
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_reversed_roles_solve_their_own_difference(self, monkeypatch, method):
+        w, v = seeded_pair()
+        fresh_w, fresh_v = seeded_pair()
+        expected = cert_bytes(CHECKS[method](fresh_v, fresh_w, 10))
+        solved = spy_solves(monkeypatch)
+        CHECKS[method](w, v, 10)
+        assert cert_bytes(CHECKS[method](v, w, 10)) == expected
+        # each frame holds its own partner's rows: no solve on a repeat
+        CHECKS[method](w, v, 10)
+        CHECKS[method](v, w, 10)
+        sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in (sw, sv, sw - sv, sv - sw)]
+
+    @pytest.mark.parametrize("method", sorted(CHECKS))
+    def test_the_slot_never_keeps_its_partner_alive(self, monkeypatch, method):
+        w, v = seeded_pair()
+        CHECKS[method](w, v, 10)
+        partner = weakref.ref(v)
+        del v
+        gc.collect()
+        assert partner() is None
+        v, expected = seeded_pair()[1], fresh_cert(method)
+        solved = spy_solves(monkeypatch)
+        assert cert_bytes(CHECKS[method](w, v, 10)) == expected
+        sw, sv = fusion_frame_operator(w), fusion_frame_operator(v)
+        assert [m.tobytes() for m in solved] == [x.tobytes() for x in (sv, sw - sv)]
+
+    def test_the_stored_rows_are_read_only_and_those_of_fresh_solves(self):
+        w, v = seeded_pair()
+        rows = perturbation._extremal(w, v)
+        assert perturbation._extremal(w, v) is rows
+        assert rows.shape == (6, 5) and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        assert rows.tobytes() == _extremal(*seeded_pair()).tobytes()

@@ -36,13 +36,14 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     monkeypatch.setattr(tool, "OP_ROWS", tool.OP_ROWS[:1])
     monkeypatch.setattr(tool, "PW_ROWS", tool.PW_ROWS[:1])
     monkeypatch.setattr(tool, "PROJ_ROWS", tool.PROJ_ROWS[:1])
+    monkeypatch.setattr(tool, "ONE_SHOT_ROWS", tool.ONE_SHOT_ROWS[:1])
     monkeypatch.setattr(tool, "INSTANCE_IDS", tool.INSTANCE_IDS[:1])
     monkeypatch.setattr(tool, "INSTANCE_DIMS", tool.INSTANCE_DIMS[:1])
     out = tmp_path / "BENCH_scan.json"
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, fusion, op, pw, proj, build, verify = printed
+    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify = printed
     for record, name in ((build, "build_instance"), (verify, "verify_instance")):
         assert (record["scan"], record["id"], record["d"]) == (name, "ex3_2", 6)
         # ex3_2 is the plane pair at every requested dim
@@ -69,6 +70,14 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
         assert record["subset_search"] == search and "subsets" not in record
         assert record["sample_count"] == 1006
         assert record["us_per_sample"] == 1e6 * record["best_s"] / 1006
+    # the one-shot row runs the three checks of the first pw, op and proj
+    # rows on the same seeded pair, rebuilt in each run
+    assert (one_shot["scan"], one_shot["n"], one_shot["d"]) == ("pw_op_proj_one_shot", 9, 6)
+    assert one_shot["tilt"] == 0.01 and one_shot["samples"] == 1000
+    assert one_shot["checks"] == 3 and one_shot["methods"] == ["pw", "op", "proj"]
+    violations = [r["inequality_violation"] for r in (pw, op, proj)]
+    assert one_shot["inequality_violations"] == violations
+    assert one_shot["us_per_check"] == 1e6 * one_shot["best_s"] / 3
     for record in printed:
         assert record["runs"] == 3 and record["blas_threads"] == 1
         assert 0.0 < record["best_s"] < 60.0

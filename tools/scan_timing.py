@@ -19,15 +19,21 @@ n = 12 and 13 whose V_i tilt W_i by 1.0, where the screen's bound is
 loose and many (mask, sample) pairs reach the kernel. Times
 ``pw_check`` (constants 0.02) and ``proj_perturbation_check`` (K = 0.5)
 on the first three d = 6 near pairs at 1000 samples; their unit is the
-sample, the 1000 drawn vectors and the 6 extremal ones. Times, for
-each reference instance id at ``--dim`` 6 and 8, ``build_instance`` and
-``verify_instance`` of the built instance, the two layers of one
-``reproduce`` command; their units are the instance and the check.
-Each grid
-point keeps the best of three runs in one process with one BLAS thread;
-the family is built before the clock starts. Prints one JSON line per
-grid point and writes them all, as a JSON list, to ``BENCH_scan.json``
-in the working directory (``--out`` changes the path).
+sample, the 1000 drawn vectors and the 6 extremal ones. These per-check
+rows keep the best of three runs on one pair, so after the first run
+they read the extremal eigenvectors the pair keeps and solve nothing.
+The one-shot rows time ``pw``, ``op`` and ``proj`` in turn, with the
+constants above, on the d = 6 near pairs with n = 9 and 12, each run
+rebuilding the pair from its seeded spans: what one process pays for
+the three checks, S_W, S_V and S_W - S_V each solved once; their unit
+is the check. Times, for each reference instance id at ``--dim`` 6 and
+8, ``build_instance`` and ``verify_instance`` of the built instance, the
+two layers of one ``reproduce`` command; their units are the instance
+and the check. Each grid point keeps the best of three runs in one
+process with one BLAS thread; the family is built before the clock
+starts, except in the one-shot rows. Prints one JSON line per grid
+point and writes them all, as a JSON list, to ``BENCH_scan.json`` in
+the working directory (``--out`` changes the path).
 
     python tools/scan_timing.py
 
@@ -91,6 +97,8 @@ OP_ROWS = (
 # (d, n, tilt, constants) on the first d = 6 op pairs: (lam1, lam2, mu) and (K,)
 PW_ROWS = tuple((d, n, tilt, (0.02,) * 3) for d, n, tilt, _ in OP_ROWS[:3])
 PROJ_ROWS = tuple((d, n, tilt, (0.5,)) for d, n, tilt, _ in OP_ROWS[:3])
+# (d, n, tilt) of the one-shot rows, the first two op pairs
+ONE_SHOT_ROWS = tuple((d, n, tilt) for d, n, tilt, _ in OP_ROWS[:2])
 INSTANCE_DIMS = (6, 8)
 
 
@@ -194,6 +202,34 @@ def grid():
             )
 
 
+def one_shot(d: int, n: int, tilt: float) -> tuple:
+    """``pw``, ``op`` and ``proj`` in turn on the near pair of the op row
+    (d, n, tilt), built anew from its seeded spans."""
+    w, v = near_pair(np.random.default_rng([SEED, d, n]), d, n, tilt)
+    checks = (
+        (pw_check, PW_ROWS),
+        (op_perturbation_check, OP_ROWS),
+        (proj_perturbation_check, PROJ_ROWS),
+    )
+    # each check's constants are those of its first row
+    return tuple(check(w, v, *rows[0][-1], OP_SAMPLES, SEED) for check, rows in checks)
+
+
+def one_shot_grid():
+    """(record fields, run, summary) of each one-shot row."""
+    for d, n, tilt in ONE_SHOT_ROWS:
+        yield (
+            {"scan": "pw_op_proj_one_shot", "d": d, "n": n, "tilt": tilt},
+            lambda d=d, n=n, tilt=tilt: one_shot(d, n, tilt),
+            lambda r: {
+                "samples": OP_SAMPLES,
+                "checks": len(r),
+                "methods": [c.method for c in r],
+                "inequality_violations": [c.inequality_violation for c in r],
+            },
+        )
+
+
 def instance_grid():
     """(record fields, run, summary) of ``build_instance`` and of
     ``verify_instance`` for each instance id and dim; the instance that
@@ -219,7 +255,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_scan.json", help="JSON list of the records")
     args = parser.parse_args(argv)
     records = []
-    for fields, run, summary in (*grid(), *instance_grid()):
+    for fields, run, summary in (*grid(), *one_shot_grid(), *instance_grid()):
         seconds, result = best_time(run)
         record = {
             **fields,
