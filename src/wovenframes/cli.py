@@ -11,6 +11,10 @@ A family document's faults are named in a fixed order: its shape first
 (systems, vector, weight and subspace lists, each weight, each member's
 ``spanning`` list, the shared member count), then every vector entry,
 then the fusion members' bases.
+
+``input_digest`` hashes the parsed document (rule v2, ``_input_digest``):
+formatting, key order and a number's spelling (``1``, ``1.0``) keep it;
+an entry's bits (``-0.0`` too), a row's place or an ignored field move it.
 """
 
 from __future__ import annotations
@@ -105,6 +109,38 @@ def family_to_document(family: WovenFamily) -> dict:
     return {"dim": family.dim, "kind": family.kind, "systems": systems}
 
 
+def _family_arrays(family: WovenFamily) -> tuple[list, list]:
+    """A family's vector lists (a member's basis as rows) and fusion weights."""
+    if family.kind == DISCRETE:
+        return [s.vectors for s in family.systems], []
+    matrices = [u.basis.T for s in family.systems for u in s.subspaces]
+    return matrices, [s.weights for s in family.systems]
+
+
+def _input_digest(doc: dict, matrices, weights) -> str:
+    """Digest v2 of a valid document whose vector lists (in document order)
+    and fusion weights were parsed into ``matrices`` and ``weights``: the
+    sha256 of a versioned prefix, of ``canonical_json`` of the document with
+    a system's ``vectors`` as [count, dim], ``weights`` as [count] and a
+    member's ``spanning`` as [rows, dim] (other fields kept), then of those
+    lists' entries as little-endian float64 in the shape document's order."""
+    dim, rows, weights = doc["dim"], iter(matrices), iter(weights)
+    systems, values = [], []
+    for sys_doc in doc["systems"]:
+        if doc["kind"] == DISCRETE:
+            systems.append({**sys_doc, "vectors": [len(sys_doc["vectors"]), dim]})
+            values.append(next(rows))
+            continue
+        subs = [{**u, "spanning": [len(u["spanning"]), dim]} for u in sys_doc["subspaces"]]
+        systems.append({**sys_doc, "subspaces": subs, "weights": [len(sys_doc["weights"])]})
+        values += [*itertools.islice(rows, len(subs)), next(weights)]
+    shape_doc = canonical_json({**doc, "systems": systems}).encode("utf-8")
+    digest = hashlib.sha256(b"wovenframes-digest-v2\n" + shape_doc)
+    for arr in values:
+        digest.update(np.ascontiguousarray(arr, dtype="<f8"))
+    return digest.hexdigest()
+
+
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise DocumentInvalid(f"{path}: {message}")
@@ -112,6 +148,11 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 def parse_family_document(doc) -> WovenFamily:
     """Validate a parsed JSON document and build the woven family."""
+    return _parse_family(doc)[0]
+
+
+def _parse_family(doc) -> tuple[WovenFamily, list, list]:
+    """The family, its vector lists as parsed and its fusion weights."""
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     dim = doc.get("dim")
     _require(
@@ -178,10 +219,10 @@ def parse_family_document(doc) -> WovenFamily:
     _require(len(counts) == 1, "systems", "systems must share the member count")
     matrices = _float_matrices(lists, dim)
     if kind == DISCRETE:
-        return WovenFamily(kind, tuple(DiscreteFrame(dim, arr) for arr in matrices))
+        return WovenFamily(kind, tuple(DiscreteFrame(dim, a) for a in matrices)), matrices, []
     members = iter(Subspace.from_bases(dim, orthonormalize_each(matrices)))
     frames = [FusionFrame(dim, tuple(itertools.islice(members, len(w))), w) for w in weights_of]
-    return WovenFamily(kind, tuple(frames))
+    return WovenFamily(kind, tuple(frames)), matrices, weights_of
 
 
 def _finite_number(value) -> bool:
@@ -226,7 +267,9 @@ def _float_matrices(lists, dim: int) -> list[np.ndarray]:
 
 
 def load_family(path: str) -> tuple[WovenFamily, str]:
-    """Read, validate, and digest a family document file."""
+    """Read, validate, and digest a family document file: formatting, key
+    order and a number's spelling keep the digest; any entry's bits, a row's
+    place or an ignored field move it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -244,16 +287,15 @@ def load_family(path: str) -> tuple[WovenFamily, str]:
         raise DocumentInvalid(f"{path}: nested too deeply") from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise DocumentInvalid(f"{path}: {exc}") from exc
-    family = parse_family_document(doc)
-    # fields the schema ignores are digested too, and may still be too
-    # deep to serialize or hold NaN or Infinity literals
+    family, matrices, weights = _parse_family(doc)
+    # fields the schema ignores are digested through canonical_json, and
+    # may still be too deep to serialize or hold NaN or Infinity literals
     try:
-        canonical = canonical_json(doc)
+        digest = _input_digest(doc, matrices, weights)
     except RecursionError as exc:
         raise DocumentInvalid(f"{path}: nested too deeply") from exc
     except ValueError as exc:
         raise DocumentInvalid(f"{path}: {exc}") from exc
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return family, digest
 
 
@@ -376,9 +418,7 @@ def cmd_reproduce(args) -> int:
     _require(args.dim <= MAX_DIM, "--dim", f"at most {MAX_DIM} supported")
     inst = build_instance(args.id, dim=args.dim)
     outcomes = verify_instance(inst)
-    digest = hashlib.sha256(
-        canonical_json(family_to_document(inst.payload)).encode("utf-8")
-    ).hexdigest()
+    digest = _input_digest(family_to_document(inst.payload), *_family_arrays(inst.payload))
     reference_ok = all(o.ok for o in outcomes if o.source == "reference")
     body = {
         "id": inst.id,

@@ -1,4 +1,4 @@
-"""Discrete frames: operators, optimal bounds, duals, classification."""
+"""Discrete frames: operators, optimal bounds, classification."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonFinite, NotAFrame
+from .errors import DimensionMismatch, EmptyInput, NonFinite
 from .linalg import SpectrumReport, read_only, sym_eig
 from .tolerances import CLAMP_TOL, FRAME_TOL
 
@@ -64,11 +64,6 @@ def frame_operator(frame: DiscreteFrame) -> np.ndarray:
     return frame.vectors.T @ frame.vectors
 
 
-def analysis_matrix(frame: DiscreteFrame) -> np.ndarray:
-    """n x dim matrix whose row i is f_i; satisfies S = U^T U."""
-    return frame.vectors.copy()
-
-
 def _is_frame(lower, upper):
     """The frame rule lower > FRAME_TOL * max(1, upper): a bool, or a bool
     array for arrays of bounds. ``fmax`` ignores a NaN upper as ``max`` does."""
@@ -106,15 +101,6 @@ def optimal_bounds(frame: DiscreteFrame) -> BoundsReport:
 def bessel_bound(frame: DiscreteFrame) -> float:
     """Optimal upper bound, valid even for non-frames."""
     return frame.spectrum.largest
-
-
-def dual_frame(frame: DiscreteFrame) -> DiscreteFrame:
-    """Standard dual {S^-1 f_i}, giving the reconstruction identity."""
-    spec = frame.spectrum
-    if not _is_frame(spec.smallest, spec.largest):
-        raise NotAFrame("lower bound is numerically zero; no dual exists")
-    inv = spec.eigenvectors @ np.diag(1.0 / spec.eigenvalues) @ spec.eigenvectors.T
-    return DiscreteFrame(frame.dim, frame.vectors @ inv)
 
 
 def is_riesz_basis(frame: DiscreteFrame) -> bool:

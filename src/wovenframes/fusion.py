@@ -83,11 +83,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return projector(self.basis)
 
-    def project(self, f: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(self.dim)
-        return self.basis @ (self.basis.T @ f)
-
 
 def _checked_bases(dim: int, bases) -> list[np.ndarray]:
     """The bases as read-only, C-ordered float arrays, after checking that
@@ -206,16 +201,6 @@ def fusion_frame_operator(ff: FusionFrame) -> np.ndarray:
 def fusion_bounds(ff: FusionFrame) -> BoundsReport:
     """Optimal bounds: extremal eigenvalues of the fusion frame operator."""
     return bounds_from_spectrum(ff.spectrum)
-
-
-def analysis_apply(ff: FusionFrame, f) -> list[np.ndarray]:
-    """Weighted projections ``weight_i * P_i f``, one block per member."""
-    vec = np.asarray(f, dtype=float).ravel()
-    if vec.size != ff.dim:
-        raise DimensionMismatch(
-            f"vector has length {vec.size}, ambient dim is {ff.dim}"
-        )
-    return [w * sub.project(vec) for sub, w in zip(ff.subspaces, ff.weights)]
 
 
 def synthesis_is_onto(ff: FusionFrame) -> bool:

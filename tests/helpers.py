@@ -23,6 +23,18 @@ from wovenframes.transforms import intersect_family
 from wovenframes.weaving import contribution_stacks, woven_bounds_exhaustive
 
 
+def analysis_blocks(ff: FusionFrame, f) -> list[np.ndarray]:
+    """The fusion analysis operator's blocks ``weight_i * P_i f``, member by
+    member."""
+    vec = np.asarray(f, dtype=float)
+    return [w * project(sub, vec) for sub, w in zip(ff.subspaces, ff.weights)]
+
+
+def project(sub: Subspace, f: np.ndarray) -> np.ndarray:
+    """P f for the subspace's projector P, as B (B^T f) of its basis B."""
+    return sub.basis @ (sub.basis.T @ f)
+
+
 def plain_values(value):
     """Every numpy value in a nested report as the Python value JSON
     encodes: arrays as nested lists, numpy scalars as bool, int or float,
@@ -402,7 +414,7 @@ def _sample_batch(w: FusionFrame, v: FusionFrame, samples: int, seed: int):
 
 def pw_violation_oracle(w, v, lam1, lam2, mu, samples, seed) -> float:
     """The ``pw`` inequality's worst sampled slack, one sample c at a time,
-    T_X c summing weight_i ``Subspace.project(c_i)`` member by member. The
+    T_X c summing weight_i ``project(sub_i, c_i)`` member by member. The
     samples are seeded unit rows in R^(n d), then each extremal
     eigenvector in all n blocks, scaled by 1/sqrt(n)."""
     n, d = w.size, w.dim
@@ -412,7 +424,7 @@ def pw_violation_oracle(w, v, lam1, lam2, mu, samples, seed) -> float:
     for c in rows:
         blocks = c.reshape(n, d)
         t_w, t_v = (
-            sum(wt * sub.project(b) for sub, wt, b in zip(x.subspaces, x.weights, blocks))
+            sum(wt * project(sub, b) for sub, wt, b in zip(x.subspaces, x.weights, blocks))
             for x in (w, v)
         )
         rhs = lam1 * np.linalg.norm(t_w) + lam2 * np.linalg.norm(t_v) + mu * np.linalg.norm(c)

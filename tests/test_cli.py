@@ -696,6 +696,20 @@ class TestReproduce:
         for o in outcomes:
             assert canonical_json(vars(o)) == canonical_json(dataclasses.asdict(o))
 
+    @pytest.mark.parametrize("instance_id", instances.INSTANCE_IDS)
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_digest_is_load_family_on_the_written_document(
+        self, tmp_path, capsys, instance_id, dim
+    ):
+        # reproduce digests its instance as the document family_to_document
+        # writes, read back by the one rule every other command uses
+        code, out = run_main(capsys, ["reproduce", "--id", instance_id, "--dim", str(dim)])
+        assert code == 0
+        payload = instances.build_instance(instance_id, dim=dim).payload
+        path = tmp_path / "family.json"
+        path.write_text(canonical_json(cli.family_to_document(payload)))
+        assert json.loads(out)["input_digest"] == load_family(str(path))[1]
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):

@@ -6,14 +6,12 @@ import pytest
 
 from wovenframes import (
     DiscreteFrame,
-    analysis_matrix,
     bessel_bound,
-    dual_frame,
     frame_operator,
     is_riesz_basis,
     optimal_bounds,
 )
-from wovenframes.errors import DimensionMismatch, EmptyInput, NotAFrame
+from wovenframes.errors import DimensionMismatch, EmptyInput
 
 from helpers import eig2, ex3_2_frames
 
@@ -88,47 +86,21 @@ class TestOptimalBounds:
 
 
 class TestAnalysisMatrix:
+    # the analysis matrix U of a frame is its ``vectors``, row i being f_i
     def test_identity(self):
-        assert np.array_equal(analysis_matrix(DiscreteFrame(2, np.eye(2))), np.eye(2))
+        assert np.array_equal(DiscreteFrame(2, np.eye(2)).vectors, np.eye(2))
 
     def test_rows_are_vectors(self):
         f, _ = ex3_2_frames()
-        assert np.array_equal(
-            analysis_matrix(f), np.array([[0.0, 2.0], [3.0, 0.0], [2.0, 3.0]])
-        )
+        assert np.array_equal(f.vectors, np.array([[0.0, 2.0], [3.0, 0.0], [2.0, 3.0]]))
 
     def test_gram_identity(self, rng):
-        # S = U^T U as a matrix product oracle
+        # S = U^T U against the sum of outer products f_i f_i^T
         for _ in range(10):
             d = int(rng.integers(2, 6))
             frame = DiscreteFrame(d, rng.standard_normal((d + 2, d)))
-            u = analysis_matrix(frame)
-            assert np.abs(u.T @ u - frame_operator(frame)).max() <= 1e-10
-
-
-class TestDualFrame:
-    def test_orthonormal_self_dual(self):
-        frame = DiscreteFrame(2, np.eye(2))
-        assert np.allclose(dual_frame(frame).vectors, np.eye(2))
-
-    def test_scaled_basis(self):
-        frame = DiscreteFrame(2, 2.0 * np.eye(2))
-        assert np.allclose(dual_frame(frame).vectors, 0.5 * np.eye(2))
-
-    def test_reconstruction_both_expansions(self, rng):
-        f, _ = ex3_2_frames()
-        dual = dual_frame(f)
-        for _ in range(100):
-            x = rng.standard_normal(2)
-            via_dual_coeffs = (x @ dual.vectors.T) @ f.vectors
-            via_dual_vectors = (x @ f.vectors.T) @ dual.vectors
-            assert np.linalg.norm(via_dual_coeffs - x) <= 1e-8
-            assert np.linalg.norm(via_dual_vectors - x) <= 1e-8
-
-    def test_not_a_frame(self):
-        flat = DiscreteFrame(2, np.array([[1.0, 0.0], [2.0, 0.0]]))
-        with pytest.raises(NotAFrame):
-            dual_frame(flat)
+            outer = sum(np.outer(row, row) for row in frame.vectors)
+            assert np.abs(outer - frame_operator(frame)).max() <= 1e-10
 
 
 class TestRieszBasis:

@@ -1,8 +1,14 @@
 """Property tests on generated inputs, under fixed derandomized settings so
 every run draws the same examples."""
 
+import copy
+import hashlib
 import itertools
+import json
 import math
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,8 +32,8 @@ from wovenframes import (
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
-from wovenframes import linalg, perturbation, weaving
-from wovenframes.cli import canonical_json, parse_family_document
+from wovenframes import cli, linalg, perturbation, weaving
+from wovenframes.cli import canonical_json, load_family, parse_family_document
 from wovenframes.errors import EmptyIntersection, NotAFrame
 from wovenframes.frames import _clamp_small_negative, _is_frame
 from wovenframes.linalg import stacked_eigenvalues, stacked_spectra
@@ -725,3 +731,215 @@ def test_exhaustive_scan_matches_the_oracle_at_any_chunk_size(seed, rows):
         assert partition.assignment == expected["witness"][0]
         assert vector.tobytes() == expected["witness"][1].tobytes()
         assert value == expected["witness"][2]
+
+
+@st.composite
+def digest_documents(draw):
+    """Discrete or fusion documents of 2-3 systems in R^1..R^4: float and
+    integer entries, and 0-3 rows per fusion member."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["discrete", "fusion"]))
+
+    def rows(k):
+        return [[draw(ENTRIES) for _ in range(dim)] for _ in range(k)]
+
+    systems = []
+    for _ in range(draw(st.integers(2, 3))):
+        if kind == "discrete":
+            systems.append({"vectors": rows(count)})
+        else:
+            weights = [draw(st.floats(0.1, 10.0)) for _ in range(count)]
+            subspaces = [{"spanning": rows(draw(st.integers(0, 3)))} for _ in range(count)]
+            systems.append({"weights": weights, "subspaces": subspaces})
+    return {"dim": dim, "kind": kind, "systems": systems}
+
+
+def digest_of(text: str) -> str:
+    """``load_family``'s digest of a document file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_family(path)[1]
+
+
+def dump(value, spell=repr, reverse=False) -> str:
+    """Compact JSON with every float written by ``spell``, and each
+    object's keys reversed when ``reverse`` is set."""
+    if isinstance(value, dict):
+        items = list(value.items())[::-1] if reverse else value.items()
+        return "{" + ",".join(f"{json.dumps(k)}:{dump(v, spell, reverse)}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(dump(v, spell, reverse) for v in value) + "]"
+    if isinstance(value, float):
+        return spell(value)
+    return json.dumps(value)
+
+
+def padded(x: float) -> str:
+    """repr(x) with a trailing zero on its mantissa: 0.50, 1.00e-05."""
+    mantissa, _, exponent = repr(x).partition("e")
+    mantissa += "0" if "." in mantissa else ".00"
+    return mantissa + ("e" + exponent if exponent else "")
+
+
+def integral(x: float) -> str:
+    """An integral float other than -0.0 as an integer, 3.0 as 3."""
+    return str(int(x)) if x.is_integer() and repr(x) != "-0.0" else repr(x)
+
+
+SPELLINGS = (repr, lambda x: format(x, ".16E"), padded, integral)
+
+
+def schema_entries(doc):
+    """(list, index, is a weight) of every number the schema reads."""
+    for sys_doc in doc["systems"]:
+        if doc["kind"] == "discrete":
+            rows = sys_doc["vectors"]
+        else:
+            yield from ((sys_doc["weights"], i, True) for i in range(len(sys_doc["weights"])))
+            rows = [row for sub in sys_doc["subspaces"] for row in sub["spanning"]]
+        yield from ((row, i, False) for row in rows for i in range(len(row)))
+
+
+def shape_document(doc) -> dict:
+    """The document with each schema number list replaced by its shape."""
+    dim = doc["dim"]
+    systems = []
+    for sys_doc in doc["systems"]:
+        if doc["kind"] == "discrete":
+            systems.append({**sys_doc, "vectors": [len(sys_doc["vectors"]), dim]})
+            continue
+        subspaces = [{**sub, "spanning": [len(sub["spanning"]), dim]} for sub in sys_doc["subspaces"]]
+        systems.append({**sys_doc, "subspaces": subspaces, "weights": [len(sys_doc["weights"])]})
+    return {**doc, "systems": systems}
+
+
+def rule_digest(doc) -> str:
+    """The v2 rule from the document alone: the prefix, the shape
+    document's canonical JSON, then every schema list's float64 entries,
+    system by system: vectors, or the members' spanning rows, then the
+    weights."""
+    digest = hashlib.sha256(b"wovenframes-digest-v2\n")
+    digest.update(canonical_json(shape_document(doc)).encode("utf-8"))
+    for sys_doc in doc["systems"]:
+        if doc["kind"] == "discrete":
+            lists = [sys_doc["vectors"]]
+        else:
+            lists = [sub["spanning"] for sub in sys_doc["subspaces"]] + [sys_doc["weights"]]
+        for values in lists:
+            digest.update(b"".join(struct.pack("<d", x) for x in np.ravel(values)))
+    return digest.hexdigest()
+
+
+@FIXED
+@given(digest_documents())
+def test_digest_is_the_v2_rule_and_encodes_no_schema_list(doc):
+    # canonical_json sees the shape document alone: a later change that
+    # encodes the schema's number lists again fails here
+    seen = []
+
+    def spy(obj):
+        seen.append(obj)
+        return encode(obj)
+
+    encode = cli.canonical_json
+    cli.canonical_json = spy
+    try:
+        digest = digest_of(json.dumps(doc))
+    finally:
+        cli.canonical_json = encode
+    assert seen == [shape_document(doc)]
+    assert digest == rule_digest(doc)
+
+
+@FIXED
+@given(digest_documents(), st.sampled_from(range(len(SPELLINGS))), st.integers(0, 4))
+def test_formatting_keeps_the_digest(doc, spelling, indent):
+    expected = digest_of(json.dumps(doc))
+    assert digest_of(json.dumps(doc, indent=indent)) == expected
+    assert digest_of(dump(doc, reverse=True)) == expected
+    assert digest_of(dump(doc, SPELLINGS[spelling])) == expected
+
+
+def flip_last_bit(x: float) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits ^ 1))[0]
+
+
+@FIXED
+@given(digest_documents(), st.integers(0, 2**16))
+def test_changing_an_entry_moves_the_digest(doc, pick):
+    entries = list(schema_entries(doc))
+    values, index, weight = entries[pick % len(entries)]
+    expected = digest_of(json.dumps(doc))
+    values[index] = flip_last_bit(float(values[index]))
+    assert digest_of(json.dumps(doc)) != expected
+    if weight:
+        return  # weights are positive: no zero to re-sign
+    values[index] = 0.0
+    positive = digest_of(json.dumps(doc))
+    values[index] = 0
+    assert digest_of(json.dumps(doc)) == positive
+    values[index] = -0.0
+    assert digest_of(json.dumps(doc)) != positive
+
+
+def moved_row(doc, source, target):
+    """A copy of a fusion document with the last row of member ``source``
+    moved to the front of member ``target``, each a (system, member)."""
+    doc = copy.deepcopy(doc)
+    (s0, k0), (s1, k1) = source, target
+    row = doc["systems"][s0]["subspaces"][k0]["spanning"].pop()
+    doc["systems"][s1]["subspaces"][k1]["spanning"].insert(0, row)
+    return doc
+
+
+@FIXED
+@given(digest_documents())
+def test_moving_a_row_moves_the_digest(doc):
+    expected = digest_of(json.dumps(doc))
+    systems = doc["systems"]
+    if doc["kind"] == "discrete":
+        # systems share the vector count: their last rows trade places
+        first, second = systems[0]["vectors"], systems[1]["vectors"]
+        if first[-1] == second[-1]:
+            reject()
+        first[-1], second[-1] = second[-1], first[-1]
+        assert digest_of(json.dumps(doc)) != expected
+        return
+    count = len(systems[0]["weights"])
+    nonempty = [
+        (s, k) for s in range(len(systems)) for k in range(count)
+        if systems[s]["subspaces"][k]["spanning"]
+    ]
+    if not nonempty:
+        reject()
+    s, k = nonempty[0]
+    if k + 1 < count:
+        # the same float64 bytes in the same order: only the shapes differ
+        assert digest_of(json.dumps(moved_row(doc, (s, k), (s, k + 1)))) != expected
+    other = ((s + 1) % len(systems), k)
+    assert digest_of(json.dumps(moved_row(doc, (s, k), other))) != expected
+
+
+@FIXED
+@given(digest_documents(), st.sampled_from(["top", "system", "member"]), st.integers(0, 2))
+def test_changing_an_ignored_field_moves_the_digest(doc, level, note):
+    key = "note"
+    if level == "top":
+        holder = doc
+    elif level == "system":
+        # a schema key of the other kind is an ignored field too
+        holder = doc["systems"][-1]
+        key = "weights" if doc["kind"] == "discrete" else "vectors"
+    elif doc["kind"] == "fusion":
+        holder = doc["systems"][0]["subspaces"][0]
+    else:
+        reject()
+    digests = {digest_of(json.dumps(doc))}
+    for value in (note, [note, 1.5], [[note, 1.5]]):
+        holder[key] = value
+        digests.add(digest_of(json.dumps(doc)))
+    assert len(digests) == 4

@@ -39,11 +39,16 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     monkeypatch.setattr(tool, "ONE_SHOT_ROWS", tool.ONE_SHOT_ROWS[:1])
     monkeypatch.setattr(tool, "INSTANCE_IDS", tool.INSTANCE_IDS[:1])
     monkeypatch.setattr(tool, "INSTANCE_DIMS", tool.INSTANCE_DIMS[:1])
+    monkeypatch.setattr(tool, "LOAD_ROWS", tool.LOAD_ROWS[:1])
     out = tmp_path / "BENCH_scan.json"
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify = printed
+    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify, load = printed
+    # the first load_family row reads the benchmark's fusion ingest shape
+    assert (load["scan"], load["kind"], load["d"], load["n"]) == ("load_family", "fusion", 12, 60)
+    assert load["m"] == 2 and load["documents"] == 1 and load["bytes"] > 0
+    assert load["us_per_document"] == 1e6 * load["best_s"]
     for record, name in ((build, "build_instance"), (verify, "verify_instance")):
         assert (record["scan"], record["id"], record["d"]) == (name, "ex3_2", 6)
         # ex3_2 is the plane pair at every requested dim

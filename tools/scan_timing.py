@@ -29,7 +29,11 @@ the three checks, S_W, S_V and S_W - S_V each solved once; their unit
 is the check. Times, for each reference instance id at ``--dim`` 6 and
 8, ``build_instance`` and ``verify_instance`` of the built instance, the
 two layers of one ``reproduce`` command; their units are the instance
-and the check. Each grid point keeps the best of three runs in one
+and the check. Times ``load_family`` (read, parse, build and digest) on
+seeded m = 2 documents of the benchmark's ingest-analyze shapes, a
+rank-3 fusion pair with d = 12 and n = 60 and a discrete pair with
+d = 15 and n = 80, written to a temporary directory; their unit is the
+document. Each grid point keeps the best of three runs in one
 process with one BLAS thread; the family is built before the clock
 starts, except in the one-shot rows. Prints one JSON line per grid
 point and writes them all, as a JSON list, to ``BENCH_scan.json`` in
@@ -52,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -70,6 +75,7 @@ from wovenframes import (  # noqa: E402
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
+from wovenframes.cli import canonical_json, family_to_document, load_family  # noqa: E402
 from wovenframes.instances import INSTANCE_IDS, build_instance, verify_instance  # noqa: E402
 
 SEED = 2024
@@ -100,6 +106,8 @@ PROJ_ROWS = tuple((d, n, tilt, (0.5,)) for d, n, tilt, _ in OP_ROWS[:3])
 # (d, n, tilt) of the one-shot rows, the first two op pairs
 ONE_SHOT_ROWS = tuple((d, n, tilt) for d, n, tilt, _ in OP_ROWS[:2])
 INSTANCE_DIMS = (6, 8)
+# (kind, d, n, rank) of the load_family rows, rank None for discrete
+LOAD_ROWS = (("fusion", 12, 60, 3), ("discrete", 15, 80, None))
 
 
 def fusion_pair(rng: np.random.Generator, d: int, n: int, rank: int) -> WovenFamily:
@@ -250,32 +258,50 @@ def instance_grid():
             )
 
 
+def load_grid(tmp: str):
+    """(record fields, run, summary) of ``load_family`` on each seeded
+    document of LOAD_ROWS, written under ``tmp`` before its clock starts."""
+    for kind, d, n, rank in LOAD_ROWS:
+        rng = np.random.default_rng([SEED, d, n])
+        family = fusion_pair(rng, d, n, rank) if rank else discrete_pair(rng, d, n)
+        path = os.path.join(tmp, f"{kind}-d{d}-n{n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(family_to_document(family)))
+        yield (
+            {"scan": "load_family", "kind": kind, "d": d, "n": n, "bytes": os.path.getsize(path)},
+            lambda p=path: load_family(p),
+            lambda r: {"m": r[0].m, "documents": 1},
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_scan.json", help="JSON list of the records")
     args = parser.parse_args(argv)
     records = []
-    for fields, run, summary in (*grid(), *one_shot_grid(), *instance_grid()):
-        seconds, result = best_time(run)
-        record = {
-            **fields,
-            "seed": SEED,
-            "best_s": seconds,
-            "runs": RUNS,
-            "blas_threads": BLAS_THREADS,
-            **summary(result),
-        }
-        units = (
-            ("partition", "partitions"),
-            ("subset", "subsets"),
-            ("sample", "sample_count"),
-            ("instance", "instances"),
-            ("check", "checks"),
-        )
-        unit, key = next((unit, key) for unit, key in units if key in record)
-        record[f"us_per_{unit}"] = 1e6 * seconds / record[key]
-        print(json.dumps(record, sort_keys=True), flush=True)
-        records.append(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fields, run, summary in (*grid(), *one_shot_grid(), *instance_grid(), *load_grid(tmp)):
+            seconds, result = best_time(run)
+            record = {
+                **fields,
+                "seed": SEED,
+                "best_s": seconds,
+                "runs": RUNS,
+                "blas_threads": BLAS_THREADS,
+                **summary(result),
+            }
+            units = (
+                ("partition", "partitions"),
+                ("subset", "subsets"),
+                ("sample", "sample_count"),
+                ("instance", "instances"),
+                ("check", "checks"),
+                ("document", "documents"),
+            )
+            unit, key = next((unit, key) for unit, key in units if key in record)
+            record[f"us_per_{unit}"] = 1e6 * seconds / record[key]
+            print(json.dumps(record, sort_keys=True), flush=True)
+            records.append(record)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
