@@ -39,9 +39,7 @@ from .fusion import (
     is_riesz_decomposition,
     synthesis_is_onto,
 )
-from .instances import INSTANCE_IDS, build_instance, verify_instance
 from .linalg import orthonormalize_each
-from .perturbation import op_perturbation_check, proj_perturbation_check, pw_check
 from .tolerances import HOLD_SLACK, WITNESS_EPS
 from .weaving import (
     DISCRETE,
@@ -139,6 +137,12 @@ def _input_digest(doc: dict, matrices, weights) -> str:
     for arr in values:
         digest.update(np.ascontiguousarray(arr, dtype="<f8"))
     return digest.hexdigest()
+
+
+def _family_digest(family: WovenFamily) -> str:
+    """Digest v2 of the document that ``family_to_document`` writes for
+    ``family``, as ``reproduce`` reports it."""
+    return _input_digest(family_to_document(family), *_family_arrays(family))
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -363,6 +367,10 @@ def cmd_woven(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    # imported here, like the instances in cmd_reproduce: the other
+    # commands never load them, and compiling them costs start-up time
+    from .perturbation import op_perturbation_check, proj_perturbation_check, pw_check
+
     _require_samples(args.samples)
     family, digest = load_family(args.input)
     if family.kind != FUSION:
@@ -411,6 +419,8 @@ def cmd_riesz(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .instances import INSTANCE_IDS, build_instance, verify_instance
+
     if args.id not in INSTANCE_IDS:
         raise DocumentInvalid(
             f"unknown id {args.id!r}; choose one of {', '.join(INSTANCE_IDS)}"
@@ -418,7 +428,7 @@ def cmd_reproduce(args) -> int:
     _require(args.dim <= MAX_DIM, "--dim", f"at most {MAX_DIM} supported")
     inst = build_instance(args.id, dim=args.dim)
     outcomes = verify_instance(inst)
-    digest = _input_digest(family_to_document(inst.payload), *_family_arrays(inst.payload))
+    digest = _family_digest(inst.payload)
     reference_ok = all(o.ok for o in outcomes if o.source == "reference")
     body = {
         "id": inst.id,

@@ -672,7 +672,8 @@ class TestReproduce:
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was built")
 
-        monkeypatch.setattr(cli, "build_instance", refuse)
+        # cmd_reproduce reads build_instance from its home module when it runs
+        monkeypatch.setattr(instances, "build_instance", refuse)
         code = main(["reproduce", "--id", instance_id, "--dim", dim])
         assert code == 2
         assert "--dim: at most 1024" in capsys.readouterr().err
@@ -928,6 +929,63 @@ class TestParserReuse:
                 code = main(argv)
                 captured = capsys.readouterr()
                 assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
+
+
+def _near_pair_doc(seed: int) -> dict:
+    """Two fusion systems of five rank-2 members in R^4, the second a 0.01
+    tilt of the first, with shared weights."""
+    rng = np.random.default_rng(seed)
+    spans = rng.standard_normal((5, 2, 4))
+    weights = rng.uniform(0.5, 1.5, 5).tolist()
+    tilted = spans + 0.01 * rng.standard_normal(spans.shape)
+    systems = [
+        {"weights": weights, "subspaces": [{"spanning": rows.tolist()} for rows in system]}
+        for system in (spans, tilted)
+    ]
+    return {"dim": 4, "kind": "fusion", "systems": systems}
+
+
+class TestStartUp:
+    def test_importing_the_cli_loads_no_engine_it_may_not_run(self):
+        # perturb and reproduce import their engines when they run
+        code = (
+            "import sys, wovenframes.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'wovenframes'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert not loaded & {
+            "wovenframes.perturbation",
+            "wovenframes.transforms",
+            "wovenframes.instances",
+        }
+        ingest = ("cli", "errors", "frames", "fusion", "linalg", "tolerances", "weaving")
+        assert loaded == {"wovenframes", *(f"wovenframes.{name}" for name in ingest)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perturb", "NEAR", "--method", "pw", "--lambda1", "0.05", "--mu", "0.05"],
+            ["perturb", "NEAR", "--method", "op", "--lambda", "0.05", "--gamma", "0.05"],
+            ["perturb", "NEAR", "--method", "proj", "--K", "0.5", "--seed", "4"],
+            ["reproduce", "--id", "ex3_2"],
+            ["reproduce", "--id", "ex4_1"],
+            ["reproduce", "--id", "ex4_2"],
+            ["reproduce", "--id", "ex5_4"],
+        ],
+        ids=["pw", "op", "proj", "ex3_2", "ex4_1", "ex4_2", "ex5_4"],
+    )
+    def test_a_fresh_run_matches_one_in_process(self, tmp_path, capsys, argv):
+        path = write_doc(tmp_path, _near_pair_doc(5))
+        argv = [path if arg == "NEAR" else arg for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "wovenframes", *argv], capture_output=True
+        )
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+        assert json.loads(out)["command"] == argv[0]
 
 
 class TestPartitionCapVariable:

@@ -40,22 +40,34 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     monkeypatch.setattr(tool, "INSTANCE_IDS", tool.INSTANCE_IDS[:1])
     monkeypatch.setattr(tool, "INSTANCE_DIMS", tool.INSTANCE_DIMS[:1])
     monkeypatch.setattr(tool, "LOAD_ROWS", tool.LOAD_ROWS[:1])
+    monkeypatch.setattr(tool, "COLD_ROWS", tool.COLD_ROWS[:1])
+    monkeypatch.setattr(tool, "COLD_STARTS", 1)
     out = tmp_path / "BENCH_scan.json"
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify, load = printed
+    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify, digest, load, cold = printed
+    # the first cold-start row is one fresh interpreter importing the CLI
+    assert (cold["scan"], cold["argv"]) == ("cold_start", ["-c", "import wovenframes.cli"])
+    assert cold["runs"] == 1 and cold["processes"] == 1
+    assert (cold["exit_code"], cold["stdout_bytes"]) == (0, 0)
+    assert cold["us_per_process"] == 1e6 * cold["best_s"]
     # the first load_family row reads the benchmark's fusion ingest shape
     assert (load["scan"], load["kind"], load["d"], load["n"]) == ("load_family", "fusion", 12, 60)
     assert load["m"] == 2 and load["documents"] == 1 and load["bytes"] > 0
     assert load["us_per_document"] == 1e6 * load["best_s"]
-    for record, name in ((build, "build_instance"), (verify, "verify_instance")):
+    for record, name in (
+        (build, "build_instance"),
+        (verify, "verify_instance"),
+        (digest, "reproduce_digest"),
+    ):
         assert (record["scan"], record["id"], record["d"]) == (name, "ex3_2", 6)
         # ex3_2 is the plane pair at every requested dim
         assert record["truncation_dim"] is None
     assert build["instances"] == 1 and build["us_per_instance"] == 1e6 * build["best_s"]
     assert verify["checks"] == 9 and verify["all_ok"]
     assert verify["us_per_check"] == 1e6 * verify["best_s"] / 9
+    assert digest["instances"] == 1 and digest["us_per_instance"] == 1e6 * digest["best_s"]
     assert (riesz["scan"], riesz["n"], riesz["d"]) == ("woven_riesz_decomposition_check", 8, 8)
     assert riesz["partitions"] == 2**8 and riesz["all_pass"]
     assert (exhaustive["scan"], exhaustive["n"], exhaustive["d"]) == ("woven_bounds_exhaustive", 12, 6)
@@ -84,7 +96,7 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert one_shot["inequality_violations"] == violations
     assert one_shot["us_per_check"] == 1e6 * one_shot["best_s"] / 3
     for record in printed:
-        assert record["runs"] == 3 and record["blas_threads"] == 1
+        assert record["runs"] == (1 if record is cold else 3) and record["blas_threads"] == 1
         assert 0.0 < record["best_s"] < 60.0
 
 

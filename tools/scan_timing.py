@@ -27,16 +27,25 @@ constants above, on the d = 6 near pairs with n = 9 and 12, each run
 rebuilding the pair from its seeded spans: what one process pays for
 the three checks, S_W, S_V and S_W - S_V each solved once; their unit
 is the check. Times, for each reference instance id at ``--dim`` 6 and
-8, ``build_instance`` and ``verify_instance`` of the built instance, the
-two layers of one ``reproduce`` command; their units are the instance
-and the check. Times ``load_family`` (read, parse, build and digest) on
-seeded m = 2 documents of the benchmark's ingest-analyze shapes, a
-rank-3 fusion pair with d = 12 and n = 60 and a discrete pair with
-d = 15 and n = 80, written to a temporary directory; their unit is the
-document. Each grid point keeps the best of three runs in one
+8, ``build_instance``, ``verify_instance`` of the built instance and the
+digest of its family (``family_to_document`` and ``_input_digest``), the
+three layers of one ``reproduce`` command; their units are the instance,
+the check and the instance. Times ``load_family`` (read, parse, build
+and digest) on seeded m = 2 documents of the benchmark's ingest-analyze
+shapes, a rank-3 fusion pair with d = 12 and n = 60 and a discrete pair
+with d = 15 and n = 80, written to a temporary directory; their unit is
+the document. Each grid point keeps the best of three runs in one
 process with one BLAS thread; the family is built before the clock
-starts, except in the one-shot rows. Prints one JSON line per grid
-point and writes them all, as a JSON list, to ``BENCH_scan.json`` in
+starts, except in the one-shot rows. The cold-start rows time whole
+fresh interpreters, the best of five, in the caller's environment with
+this ``src/`` first on ``PYTHONPATH``: ``import wovenframes.cli``, and
+one ``python -m wovenframes`` run each of ``analyze``, ``woven`` and
+``riesz`` (a seeded rank-2 fusion pair with d = 4 and n = 7, a
+woven-exhaustive shape of the benchmark), ``perturb --method pw`` (the
+near pair of the first one-shot row) and ``reproduce --id ex3_2``, the
+documents written to the temporary directory, which is the runs'
+working directory; their unit is the process. Prints one JSON line per
+grid point and writes them all, as a JSON list, to ``BENCH_scan.json`` in
 the working directory (``--out`` changes the path).
 
     python tools/scan_timing.py
@@ -56,6 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
@@ -75,11 +85,17 @@ from wovenframes import (  # noqa: E402
     woven_bounds_exhaustive,
     woven_riesz_decomposition_check,
 )
-from wovenframes.cli import canonical_json, family_to_document, load_family  # noqa: E402
+from wovenframes.cli import (  # noqa: E402
+    _family_digest,
+    canonical_json,
+    family_to_document,
+    load_family,
+)
 from wovenframes.instances import INSTANCE_IDS, build_instance, verify_instance  # noqa: E402
 
 SEED = 2024
 RUNS = 3
+COLD_STARTS = 5
 RIESZ_DIMS = (8, 10, 12)
 EXHAUSTIVE_D = 6
 EXHAUSTIVE_NS = (12, 14, 16)
@@ -108,6 +124,16 @@ ONE_SHOT_ROWS = tuple((d, n, tilt) for d, n, tilt, _ in OP_ROWS[:2])
 INSTANCE_DIMS = (6, 8)
 # (kind, d, n, rank) of the load_family rows, rank None for discrete
 LOAD_ROWS = (("fusion", 12, 60, 3), ("discrete", 15, 80, None))
+# the python arguments of each cold-start row; "fusion.json" and
+# "near.json" are written to the working directory first
+COLD_ROWS = (
+    ("-c", "import wovenframes.cli"),
+    ("-m", "wovenframes", "analyze", "fusion.json"),
+    ("-m", "wovenframes", "woven", "fusion.json"),
+    ("-m", "wovenframes", "riesz", "fusion.json"),
+    ("-m", "wovenframes", "perturb", "near.json", "--method", "pw"),
+    ("-m", "wovenframes", "reproduce", "--id", "ex3_2"),
+)
 
 
 def fusion_pair(rng: np.random.Generator, d: int, n: int, rank: int) -> WovenFamily:
@@ -128,10 +154,10 @@ def discrete_pair(rng: np.random.Generator, d: int, n: int) -> WovenFamily:
     )
 
 
-def best_time(run) -> tuple[float, object]:
-    """Shortest of RUNS wall times of ``run()``, and its last result."""
+def best_time(run, runs: int = RUNS) -> tuple[float, object]:
+    """Shortest of ``runs`` wall times of ``run()``, and its last result."""
     best = float("inf")
-    for _ in range(RUNS):
+    for _ in range(runs):
         start = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - start)
@@ -239,9 +265,10 @@ def one_shot_grid():
 
 
 def instance_grid():
-    """(record fields, run, summary) of ``build_instance`` and of
-    ``verify_instance`` for each instance id and dim; the instance that
-    ``verify_instance`` reads is built before its clock starts."""
+    """(record fields, run, summary) of ``build_instance``, of
+    ``verify_instance`` and of the ``reproduce`` digest for each instance
+    id and dim; the instance that the last two read is built before their
+    clocks start."""
     for instance_id in INSTANCE_IDS:
         for d in INSTANCE_DIMS:
             inst = build_instance(instance_id, d)
@@ -255,6 +282,11 @@ def instance_grid():
                 {"scan": "verify_instance", **fields},
                 lambda inst=inst: verify_instance(inst),
                 lambda r: {"checks": len(r), "all_ok": all(o.ok for o in r)},
+            )
+            yield (
+                {"scan": "reproduce_digest", **fields},
+                lambda inst=inst: _family_digest(inst.payload),
+                lambda r: {"instances": 1},
             )
 
 
@@ -274,22 +306,47 @@ def load_grid(tmp: str):
         )
 
 
+def cold_grid(tmp: str):
+    """(record fields, run, summary) of each cold-start row, run in ``tmp``
+    after its documents are written there; a run is one fresh interpreter."""
+    d, n, tilt = ONE_SHOT_ROWS[0]
+    documents = {
+        "fusion.json": fusion_pair(np.random.default_rng([SEED, 4, 7]), 4, 7, 2),
+        "near.json": WovenFamily.fusion(near_pair(np.random.default_rng([SEED, d, n]), d, n, tilt)),
+    }
+    for name, family in documents.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(family_to_document(family)))
+    paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def start(args):
+        proc = subprocess.run(
+            [sys.executable, *args], cwd=tmp, env=env, capture_output=True, check=False
+        )
+        if proc.returncode not in (0, 1):
+            raise RuntimeError(f"{' '.join(args)} exited {proc.returncode}: {proc.stderr!r}")
+        return proc
+
+    for args in COLD_ROWS:
+        yield (
+            {"scan": "cold_start", "argv": list(args), "runs": COLD_STARTS},
+            lambda a=args: start(a),
+            lambda r: {"exit_code": r.returncode, "stdout_bytes": len(r.stdout), "processes": 1},
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_scan.json", help="JSON list of the records")
     args = parser.parse_args(argv)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for fields, run, summary in (*grid(), *one_shot_grid(), *instance_grid(), *load_grid(tmp)):
-            seconds, result = best_time(run)
-            record = {
-                **fields,
-                "seed": SEED,
-                "best_s": seconds,
-                "runs": RUNS,
-                "blas_threads": BLAS_THREADS,
-                **summary(result),
-            }
+        rows = (*grid(), *one_shot_grid(), *instance_grid(), *load_grid(tmp), *cold_grid(tmp))
+        for fields, run, summary in rows:
+            record = {"runs": RUNS, **fields, "seed": SEED, "blas_threads": BLAS_THREADS}
+            record["best_s"], result = best_time(run, record["runs"])
+            record.update(summary(result))
             units = (
                 ("partition", "partitions"),
                 ("subset", "subsets"),
@@ -297,9 +354,10 @@ def main(argv=None) -> int:
                 ("instance", "instances"),
                 ("check", "checks"),
                 ("document", "documents"),
+                ("process", "processes"),
             )
             unit, key = next((unit, key) for unit, key in units if key in record)
-            record[f"us_per_{unit}"] = 1e6 * seconds / record[key]
+            record[f"us_per_{unit}"] = 1e6 * record["best_s"] / record[key]
             print(json.dumps(record, sort_keys=True), flush=True)
             records.append(record)
     with open(args.out, "w", encoding="utf-8") as fh:
