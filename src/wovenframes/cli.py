@@ -39,7 +39,7 @@ from .fusion import (
     is_riesz_decomposition,
     synthesis_is_onto,
 )
-from .linalg import orthonormalize_each
+from .linalg import orthonormalize_stack
 from .tolerances import HOLD_SLACK, WITNESS_EPS
 from .weaving import (
     DISCRETE,
@@ -224,7 +224,7 @@ def _parse_family(doc) -> tuple[WovenFamily, list, list]:
     matrices = _float_matrices(lists, dim)
     if kind == DISCRETE:
         return WovenFamily(kind, tuple(DiscreteFrame(dim, a) for a in matrices)), matrices, []
-    members = iter(Subspace.from_bases(dim, orthonormalize_each(matrices)))
+    members = iter(Subspace.from_bases(dim, orthonormalize_stack(matrices)))
     frames = [FusionFrame(dim, tuple(itertools.islice(members, len(w))), w) for w in weights_of]
     return WovenFamily(kind, tuple(frames)), matrices, weights_of
 

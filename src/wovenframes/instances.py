@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionTooSmall, OddDimension, ToolkitError
 from .frames import DiscreteFrame, frame_operator, optimal_bounds
 from .fusion import FusionFrame, Subspace, fusion_bounds
-from .linalg import orthonormalize_each
+from .linalg import orthonormalize_stack
 from .tolerances import ENTRY_TOL, EX4_2_WITNESS_BOUND, HOLD_SLACK
 from .transforms import (
     LocalSystem,
@@ -232,7 +232,7 @@ def build_ex5_4(dim: int = 6, delta: float = 1.0) -> ReferenceInstance:
     even, odd = axes[1::2], axes[0::2]
     # the four spanning sets share one count: one stacked Gram-Schmidt
     w1, w2, v1, v2 = Subspace.from_bases(
-        dim, orthonormalize_each([even, odd, delta * even, delta * odd])
+        dim, orthonormalize_stack([even, odd, delta * even, delta * odd])
     )
     first = FusionFrame(dim, (w1, w2), np.ones(2))
     second = FusionFrame(dim, (v1, v2), np.ones(2))

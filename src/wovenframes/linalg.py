@@ -14,12 +14,12 @@ produce identical output bytes, which the report tooling depends on. A
 ``SpectrumReport`` computes its eigen-residual on first read, from the
 matrix it keeps, so a solve whose residual nobody reads pays nothing for it.
 Orthonormalization stays Gram-Schmidt because its basis is serialized
-into family documents and their digests. ``orthonormalize_stack`` runs
-it on every member of an (M, k, d) stack at once, with each member's
-basis bit for bit what a member-by-member loop gives; ``orthonormalize``
-is its M = 1 case. A zero row is dependent, so a stack of spanning sets
-with different counts, each padded with zero rows to the largest,
-orthonormalizes in one call.
+into family documents and their digests. ``orthonormalize_stack`` takes
+spanning sets of any row counts sharing d and runs the kernel once per
+distinct count, each basis bit for bit the member-by-member result;
+``orthonormalize`` is its one-set case. Count groups, not zero-padding
+to the largest count: the bits agree, but padding does masked work on
+every member.
 """
 
 from __future__ import annotations
@@ -117,19 +117,37 @@ def orthonormalize(spanning) -> tuple[np.ndarray, int]:
     vecs = [np.asarray(v, dtype=float).ravel() for v in spanning]
     if not vecs:
         raise EmptyInput("need at least one spanning vector")
-    dim = vecs[0].size
-    for v in vecs:
-        if v.size != dim:
-            raise DimensionMismatch(
-                f"spanning vectors mix lengths {dim} and {v.size}"
-            )
-    (basis,) = orthonormalize_stack(np.array(vecs, dtype=float)[None])
+    # vectors of different lengths raise DimensionMismatch there
+    (basis,) = orthonormalize_stack([vecs])
     return basis, basis.shape[1]
 
 
-def orthonormalize_stack(stack) -> list[np.ndarray]:
-    """Orthonormal bases of the row spans of every member of an
-    (M, k, d) stack, as M C-ordered (d, rank) matrices.
+def orthonormalize_stack(spans) -> list[np.ndarray]:
+    """Orthonormal bases of the row spans of a sequence of (k_i, d)
+    matrices sharing d, k_i = 0 included (an (M, k, d) array is one; an
+    empty sequence gives ``[]``), as C-ordered (d, rank) matrices in
+    input order: one kernel stack per distinct k, not one stack padded
+    with zero rows to the largest k, which gives the same bits but does
+    masked work on every member. Raises DimensionMismatch unless every
+    member is a (k, d) matrix of one d, and NonFinite for a NaN or Inf."""
+    groups = size_groups(map(len, spans))
+    shape_rule = "spanning sets must be (k, d) matrices sharing d"
+    try:
+        stacks = [np.array([spans[i] for i in group], dtype=float) for group in groups.values()]
+    except ValueError as exc:  # members of one count whose shapes differ
+        raise DimensionMismatch(shape_rule) from exc
+    if any(stack.ndim != 3 for stack in stacks) or len({stack.shape[2] for stack in stacks}) > 1:
+        raise DimensionMismatch(shape_rule)
+    bases = [None] * len(spans)
+    for members, stack in zip(groups.values(), stacks):
+        for i, basis in zip(members, _gram_schmidt_stack(stack)):
+            bases[i] = basis
+    return bases
+
+
+def _gram_schmidt_stack(arr: np.ndarray) -> list[np.ndarray]:
+    """Bases of every member of an (M, k, d) stack, as M C-ordered
+    (d, rank) matrices.
 
     Each member gets ``orthonormalize``'s two-pass Gram-Schmidt and
     dependence rule, with the same floating-point operations in the same
@@ -140,9 +158,6 @@ def orthonormalize_stack(stack) -> list[np.ndarray]:
     subtracted as a zero or residual row: subtracting a ``-0.0`` step
     would turn a ``-0.0`` entry into ``+0.0``.
     """
-    arr = np.asarray(stack, dtype=float)
-    if arr.ndim != 3:
-        raise DimensionMismatch(f"expected an (M, k, d) stack, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("spanning set contains NaN or Inf")
     # work[j] holds column j of every member as contiguous rows (BLAS ddot
@@ -194,18 +209,6 @@ def size_groups(sizes) -> dict[int, list[int]]:
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
     return groups
-
-
-def orthonormalize_each(spans) -> list[np.ndarray]:
-    """``orthonormalize_stack`` over a sequence of (k, d) spanning
-    matrices with any counts k (k = 0 included): one stacked call per
-    distinct k, bases returned in input order."""
-    bases = [None] * len(spans)
-    for members in size_groups(map(len, spans)).values():
-        stack = np.array([spans[i] for i in members])
-        for i, basis in zip(members, orthonormalize_stack(stack)):
-            bases[i] = basis
-    return bases
 
 
 def sym_eig(matrix) -> SpectrumReport:

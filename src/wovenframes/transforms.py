@@ -27,7 +27,6 @@ from .frames import DiscreteFrame
 from .fusion import FusionFrame, Subspace, fusion_bounds, fusion_frame_operator
 from .linalg import (
     orthonormalize,
-    orthonormalize_each,
     orthonormalize_stack,
     size_groups,
     stacked_eigenvalues,
@@ -144,7 +143,7 @@ def conjugation_check(
 
     # the image weaving: the members p chooses, carried by E, same weights
     chosen = [(family.systems[a], i) for i, a in enumerate(p.assignment)]
-    bases = orthonormalize_each([(e @ s.subspaces[i].basis).T for s, i in chosen])
+    bases = orthonormalize_stack([(e @ s.subspaces[i].basis).T for s, i in chosen])
     subs = Subspace.from_bases(family.dim, bases)
     image = FusionFrame(family.dim, subs, [s.weights[i] for s, i in chosen])
     s_image = fusion_frame_operator(image)
@@ -296,14 +295,7 @@ class LocalSystem:
             if any(v.shape != (dim,) for v in vectors):
                 raise DimensionMismatch("local vectors must have the ambient dim")
             blocks.append(np.array(vectors).reshape(len(vectors), dim))
-        # one stacked Gram-Schmidt over every block, each padded with zero
-        # rows to the largest: a zero row is dependent, and the stack masks
-        # each member on its own, so each basis is its block's alone bit
-        # for bit (zero vectors in a block included)
-        padded = np.zeros((len(blocks), max(map(len, blocks), default=0), dim))
-        for slot, arr in zip(padded, blocks):
-            slot[: len(arr)] = arr
-        bases = orthonormalize_stack(padded)
+        bases = orthonormalize_stack(blocks)
         # local frame operators in span coordinates, solved values-only in
         # one stacked call per span rank; a trivial span (rank 0) has no bounds
         coords = [arr @ basis for arr, basis in zip(blocks, bases)]

@@ -515,6 +515,6 @@ def woven_riesz_decomposition_check(family: WovenFamily) -> RieszWeavingReport:
 
 
 def member_bessel_bounds(family: WovenFamily) -> list[float]:
-    """Optimal upper bound of each member system, from one values-only
-    solve of the m frame operators."""
-    return stacked_eigenvalues(contribution_stacks(family).sum(axis=0))[:, -1].tolist()
+    """Optimal upper bound of each member system: the largest eigenvalue of
+    its cached frame-operator spectrum, the ``upper`` of its bounds."""
+    return [s.spectrum.largest for s in family.systems]

@@ -16,7 +16,7 @@ from wovenframes import (
     weave,
 )
 from wovenframes.fusion import fusion_frame_operator, is_riesz_decomposition
-from wovenframes.linalg import orthonormalize_each, sym_eig
+from wovenframes.linalg import orthonormalize_stack, sym_eig
 from wovenframes.perturbation import _op_inputs, _op_slacks, _subset_halves, _unit_rows
 from wovenframes.tolerances import PATTERN_TOL, RANK_TOL
 from wovenframes.transforms import intersect_family
@@ -155,7 +155,7 @@ def gram_schmidt(spanning) -> tuple[np.ndarray, int]:
     largest input norm; accepted columns are stacked in input order.
     """
     arr = np.array(spanning, dtype=float, order="C")
-    scale = 1.0 + float(np.sqrt((arr * arr).sum(axis=1)).max())
+    scale = 1.0 + float(np.sqrt((arr * arr).sum(axis=1)).max(initial=0.0))
     cols: list[np.ndarray] = []
     for v in arr:
         w = v.copy()
@@ -539,7 +539,7 @@ def conjugation_residual(op, family: WovenFamily, p: Partition) -> float:
     s_sigma = fusion_frame_operator(weave(family, p))
     image_systems = []
     for system in family.systems:
-        bases = orthonormalize_each([(e @ sub.basis).T for sub in system.subspaces])
+        bases = orthonormalize_stack([(e @ sub.basis).T for sub in system.subspaces])
         subs = Subspace.from_bases(family.dim, bases)
         image_systems.append(FusionFrame(family.dim, subs, system.weights))
     image = WovenFamily.fusion(tuple(image_systems))

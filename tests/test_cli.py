@@ -293,11 +293,11 @@ class TestAnalyze:
             lambda dim, bases: calls.append(len(bases)) or original(dim, bases),
         )
         stacks = []
-        orthonormalize_stack = linalg.orthonormalize_stack
+        kernel = linalg._gram_schmidt_stack
         monkeypatch.setattr(
             linalg,
-            "orthonormalize_stack",
-            lambda stack: stacks.append(len(stack)) or orthonormalize_stack(stack),
+            "_gram_schmidt_stack",
+            lambda stack: stacks.append(len(stack)) or kernel(stack),
         )
         family, _ = load_family(write_doc(tmp_path, SIXTY_MEMBER_DOC))
         assert calls == [120]

@@ -23,7 +23,7 @@ from wovenframes.errors import (
     NotOrthonormal,
     SingularOperator,
 )
-from wovenframes.linalg import orthonormalize_each, orthonormalize_stack
+from wovenframes.linalg import orthonormalize_stack
 from wovenframes.weaving import contribution_stacks
 
 from helpers import gram_schmidt, jacobi, member_operators
@@ -154,6 +154,28 @@ def spanning_members(rng, count: int, d: int, members: int) -> np.ndarray:
     return stack
 
 
+def ragged_member(rng, count: int, d: int) -> np.ndarray:
+    """A (count, d) spanning set, count 0 included, of one of seven kinds:
+    generic, rank-deficient, all-zero, with a zero row, with -0.0 entries,
+    tiny, or integer-valued."""
+    span = rng.standard_normal((count, d))
+    kind = rng.integers(7)
+    if kind == 1 and count > 1:
+        # the last row repeats a combination of the others
+        span[-1] = rng.standard_normal(count - 1) @ span[:-1]
+    elif kind == 2:
+        span[:] = 0.0
+    elif kind == 3 and count:
+        span[rng.integers(count)] = 0.0
+    elif kind == 4:
+        span[rng.random((count, d)) < 0.5] = -0.0
+    elif kind == 5:
+        span *= 1e-12
+    elif kind == 6:
+        return rng.integers(-2, 3, (count, d))
+    return span
+
+
 def assert_bit_identical(actual: np.ndarray, spanning) -> None:
     expected, rank = gram_schmidt(spanning)
     assert actual.shape == expected.shape
@@ -184,18 +206,27 @@ class TestStackedGramSchmidt:
             assert_bit_identical(basis, member)
 
     def test_mixed_counts_in_one_system(self):
+        # each count group is its own kernel stack, so every basis is its
+        # member's alone, whatever the other members of the sequence hold
         rng = np.random.default_rng(62)
-        for _ in range(40):
+        for _ in range(200):
             d = int(rng.integers(1, 9))
-            spans = [
-                spanning_members(rng, int(rng.integers(0, 5)), d, 1)[0]
-                for _ in range(int(rng.integers(1, 12)))
-            ]
-            for basis, span in zip(orthonormalize_each(spans), spans):
-                if len(span):
-                    assert_bit_identical(basis, span)
-                else:
-                    assert basis.shape == (d, 0)
+            members = int(rng.integers(1, 12))
+            spans = [ragged_member(rng, int(rng.integers(0, 5)), d) for _ in range(members)]
+            bases = orthonormalize_stack(spans)
+            assert len(bases) == len(spans)
+            for basis, span in zip(bases, spans):
+                assert_bit_identical(basis, span)
+
+    def test_array_and_list_of_its_members_agree(self):
+        rng = np.random.default_rng(64)
+        for _ in range(40):
+            stack = spanning_members(rng, int(rng.integers(0, 5)), int(rng.integers(1, 9)), 7)
+            from_array = orthonormalize_stack(stack)
+            from_list = orthonormalize_stack(list(stack))
+            assert len(from_array) == len(from_list) == len(stack)
+            for a, b in zip(from_array, from_list):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_negative_zero_entries_survive(self):
         # the second member rejects its middle column, whose residual is
@@ -230,6 +261,25 @@ class TestStackedGramSchmidt:
             orthonormalize_stack(np.ones((2, 3)))
         with pytest.raises(NonFinite):
             orthonormalize_stack(np.array([[[1.0, 0.0]], [[np.inf, 0.0]]]))
+
+    def test_ragged_errors_and_empty_sequence(self):
+        assert orthonormalize_stack([]) == []
+        assert orthonormalize_stack(np.zeros((0, 2, 3))) == []
+        good = [np.eye(3)[:2], np.zeros((0, 3)), np.ones((1, 3))]
+        # a bad member shares its count with a good one, or has its own
+        bads = (np.ones((2, 4)), np.zeros((0, 2)), np.ones((3, 4)), np.ones(3), np.ones((1, 2, 3)))
+        for bad in bads:
+            for at in range(len(good) + 1):
+                with pytest.raises(DimensionMismatch):
+                    orthonormalize_stack([*good[:at], bad, *good[at:]])
+        # a NaN or Inf in any member, whichever count group it falls in
+        for at in range(len(good)):
+            for value in (np.nan, np.inf, -np.inf):
+                spans = [member.copy() for member in good]
+                if spans[at].size:
+                    spans[at][-1, 0] = value
+                    with pytest.raises(NonFinite):
+                        orthonormalize_stack(spans)
 
 
 def mixed_rank_frame(rng, d: int, count: int) -> FusionFrame:

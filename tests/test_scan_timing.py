@@ -7,6 +7,7 @@ import os
 import numpy as np
 
 from wovenframes import (
+    linalg,
     op_perturbation_check,
     perturbation,
     woven_bounds_exhaustive,
@@ -126,3 +127,26 @@ def test_d12_riesz_family_fails_where_woven_says_non_woven(monkeypatch):
     assert not report.all_pass and report.failing_count == len(failing) == 2
     assert woven.worst_partition in failing
     assert report.first_failing == failing[0]
+
+
+def test_the_mixed_count_load_row_reads_every_count_from_zero_to_four(monkeypatch, tmp_path):
+    # the uniform row is the first load_family row, the mixed-count one
+    # follows it with the same d and n
+    tool = _load_tool(monkeypatch)
+    (uniform, _, _), (fields, run, summary), _ = tool.load_grid(str(tmp_path))
+    assert uniform["spanning_rows"] == 3
+    assert fields["spanning_rows"] == (0, 4)
+    assert (fields["scan"], fields["kind"]) == ("load_family", "fusion")
+    assert (fields["d"], fields["n"]) == (12, 60)
+    stacks = []
+    kernel = linalg._gram_schmidt_stack
+    monkeypatch.setattr(
+        linalg, "_gram_schmidt_stack", lambda stack: stacks.append(stack.shape) or kernel(stack)
+    )
+    family, _ = result = run()
+    assert summary(result) == {"m": 2, "documents": 1}
+    ranks = [rank for system in family.systems for rank in system.ranks.tolist()]
+    assert len(ranks) == 120 and set(ranks) == {0, 1, 2, 3, 4}
+    # one Gram-Schmidt stack per spanning count, 120 members in all
+    assert sorted(k for _, k, _ in stacks) == [0, 1, 2, 3, 4]
+    assert sum(members for members, _, _ in stacks) == 120

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from wovenframes import (
     woven_riesz_decomposition_check,
 )
 from wovenframes import transforms, weaving
+from wovenframes.cli import canonical_json, family_to_document, load_family, main
 from wovenframes.errors import (
     InvalidEps,
     InvalidPartitionCap,
@@ -223,6 +225,20 @@ class TestWeavingBessel:
             p = Partition(tuple(int(x) for x in rng.integers(0, 2, n)))
             total = sum(member_bessel_bounds(family))
             assert weaving_bessel_bound(family, p) <= total + 1e-9
+
+    def test_member_bounds_are_the_analyze_uppers(self, rng, tmp_path, capsys):
+        # each system's cached spectrum gives both, so they agree bit for bit
+        discrete = WovenFamily.discrete(
+            tuple(DiscreteFrame(4, rng.standard_normal((7, 4))) for _ in range(2))
+        )
+        for family in (discrete, woven_pair_random(rng, 4, 5), build_ex4_1(6).payload):
+            path = tmp_path / f"{family.kind}.json"
+            path.write_text(canonical_json(family_to_document(family)))
+            assert main(["analyze", str(path)]) == 0
+            uppers = [s["upper"] for s in json.loads(capsys.readouterr().out)["systems"]]
+            assert member_bessel_bounds(load_family(str(path))[0]) == uppers
+            bounds = fusion_bounds if family.kind == "fusion" else optimal_bounds
+            assert member_bessel_bounds(family) == [bounds(s).upper for s in family.systems]
 
 
 class TestNonwovenWitness:

@@ -33,10 +33,13 @@ three layers of one ``reproduce`` command; their units are the instance,
 the check and the instance. Times ``load_family`` (read, parse, build
 and digest) on seeded m = 2 documents of the benchmark's ingest-analyze
 shapes, a rank-3 fusion pair with d = 12 and n = 60 and a discrete pair
-with d = 15 and n = 80, written to a temporary directory; their unit is
-the document. Each grid point keeps the best of three runs in one
-process with one BLAS thread; the family is built before the clock
-starts, except in the one-shot rows. The cold-start rows time whole
+with d = 15 and n = 80, and on a fusion pair with d = 12 and n = 60 whose
+members span 0 to 4 drawn Gaussian rows each, the mixed-count ingest
+that no benchmark workload has (one Gram-Schmidt stack per count); each
+is written to a temporary directory and its unit is the document. Each
+grid point keeps the best of three runs in one process with one BLAS
+thread; the family is built before the clock starts, except in the
+one-shot rows. The cold-start rows time whole
 fresh interpreters, the best of five, in the caller's environment with
 this ``src/`` first on ``PYTHONPATH``: ``import wovenframes.cli``, and
 one ``python -m wovenframes`` run each of ``analyze``, ``woven`` and
@@ -122,8 +125,10 @@ PROJ_ROWS = tuple((d, n, tilt, (0.5,)) for d, n, tilt, _ in OP_ROWS[:3])
 # (d, n, tilt) of the one-shot rows, the first two op pairs
 ONE_SHOT_ROWS = tuple((d, n, tilt) for d, n, tilt, _ in OP_ROWS[:2])
 INSTANCE_DIMS = (6, 8)
-# (kind, d, n, rank) of the load_family rows, rank None for discrete
-LOAD_ROWS = (("fusion", 12, 60, 3), ("discrete", 15, 80, None))
+# (kind, d, n, rows) of the load_family rows: the spanning rows of every
+# fusion member, or the (least, most) a member's count is drawn from; None
+# for discrete
+LOAD_ROWS = (("fusion", 12, 60, 3), ("fusion", 12, 60, (0, 4)), ("discrete", 15, 80, None))
 # the python arguments of each cold-start row; "fusion.json" and
 # "near.json" are written to the working directory first
 COLD_ROWS = (
@@ -143,6 +148,19 @@ def fusion_pair(rng: np.random.Generator, d: int, n: int, rank: int) -> WovenFam
     for _ in range(2):
         spans = rng.standard_normal((n, rank, d))
         members = tuple(Subspace.from_spanning(d, list(span)) for span in spans)
+        systems.append(FusionFrame(d, members, rng.uniform(0.5, 1.5, n)))
+    return WovenFamily.fusion(tuple(systems))
+
+
+def mixed_count_pair(
+    rng: np.random.Generator, d: int, n: int, least: int, most: int
+) -> WovenFamily:
+    """Two systems of n Gaussian spans in R^d, each of a count drawn from
+    least..most, with weights in [0.5, 1.5]."""
+    systems = []
+    for _ in range(2):
+        counts = rng.integers(least, most + 1, n)
+        members = tuple(Subspace.from_spanning(d, rng.standard_normal((k, d))) for k in counts)
         systems.append(FusionFrame(d, members, rng.uniform(0.5, 1.5, n)))
     return WovenFamily.fusion(tuple(systems))
 
@@ -293,14 +311,20 @@ def instance_grid():
 def load_grid(tmp: str):
     """(record fields, run, summary) of ``load_family`` on each seeded
     document of LOAD_ROWS, written under ``tmp`` before its clock starts."""
-    for kind, d, n, rank in LOAD_ROWS:
+    for row, (kind, d, n, rows) in enumerate(LOAD_ROWS):
         rng = np.random.default_rng([SEED, d, n])
-        family = fusion_pair(rng, d, n, rank) if rank else discrete_pair(rng, d, n)
-        path = os.path.join(tmp, f"{kind}-d{d}-n{n}.json")
+        if rows is None:
+            family = discrete_pair(rng, d, n)
+        elif isinstance(rows, int):
+            family = fusion_pair(rng, d, n, rows)
+        else:
+            family = mixed_count_pair(rng, d, n, *rows)
+        path = os.path.join(tmp, f"load-{row}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(family_to_document(family)))
+        fields = {"scan": "load_family", "kind": kind, "d": d, "n": n, "spanning_rows": rows}
         yield (
-            {"scan": "load_family", "kind": kind, "d": d, "n": n, "bytes": os.path.getsize(path)},
+            {**fields, "bytes": os.path.getsize(path)},
             lambda p=path: load_family(p),
             lambda r: {"m": r[0].m, "documents": 1},
         )
