@@ -88,23 +88,25 @@ def canonical_json(obj) -> str:
     )
 
 
+def _family_document(family: WovenFamily, numbers) -> dict:
+    """The document schema's layout of a woven family, each number list
+    given as ``numbers`` of its array (a member's basis as rows)."""
+    if family.kind == DISCRETE:
+        systems = [{"vectors": numbers(s.vectors)} for s in family.systems]
+    else:
+        systems = [
+            {
+                "weights": numbers(s.weights),
+                "subspaces": [{"spanning": numbers(sub.basis.T)} for sub in s.subspaces],
+            }
+            for s in family.systems
+        ]
+    return {"dim": family.dim, "kind": family.kind, "systems": systems}
+
+
 def family_to_document(family: WovenFamily) -> dict:
     """Serialize a woven family into the document schema."""
-    systems = []
-    if family.kind == DISCRETE:
-        for s in family.systems:
-            systems.append({"vectors": s.vectors.tolist()})
-    else:
-        for s in family.systems:
-            systems.append(
-                {
-                    "weights": s.weights.tolist(),
-                    "subspaces": [
-                        {"spanning": sub.basis.T.tolist()} for sub in s.subspaces
-                    ],
-                }
-            )
-    return {"dim": family.dim, "kind": family.kind, "systems": systems}
+    return _family_document(family, np.ndarray.tolist)
 
 
 def _family_arrays(family: WovenFamily) -> tuple[list, list]:
@@ -141,8 +143,10 @@ def _input_digest(doc: dict, matrices, weights) -> str:
 
 def _family_digest(family: WovenFamily) -> str:
     """Digest v2 of the document that ``family_to_document`` writes for
-    ``family``, as ``reproduce`` reports it."""
-    return _input_digest(family_to_document(family), *_family_arrays(family))
+    ``family``, as ``reproduce`` reports it; ``_input_digest`` reads only
+    the lengths of its number lists, so they stay arrays."""
+    document = _family_document(family, lambda array: array)
+    return _input_digest(document, *_family_arrays(family))
 
 
 def _require(cond: bool, path: str, message: str) -> None:

@@ -4,11 +4,16 @@ Covers images under bounded invertible operators, self-adjoint
 conjugation of weaving operators, intersection with a closed subspace,
 the equivalence between local vector systems and their induced fusion
 families, and removal of a weakly contributing index subset.
+A ``LocalSystem``'s local bounds and an ``EquivalenceReport``'s bound
+chain are derived on first read, as cached attributes that are not
+dataclass fields, so a caller that reads neither solves no local frame
+operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -261,19 +266,18 @@ class LocalSystem:
     """Per-index local vector systems spanning the member subspaces.
 
     ``blocks[i]`` holds the local vectors at index i as rows (possibly
-    none), ``bases[i]`` an orthonormal basis of their span, and
-    ``local_bounds[i]`` the optimal bounds of the local system as a
-    frame for its span, or None for a trivial span. ``fusion_frame`` is
-    the induced fusion frame, the spans with the local weights, derived
-    here and never passed; a weight that is not finite and positive
-    raises NonFinite.
+    none) and ``bases[i]`` an orthonormal basis of their span.
+    ``fusion_frame`` is the induced fusion frame, the spans with the
+    local weights, derived here and never passed; a weight that is not
+    finite and positive raises NonFinite. ``local_bounds[i]``, the
+    optimal bounds of the local system as a frame for its span (None
+    for a trivial span), is derived on first read and cached.
     """
 
     dim: int
     blocks: tuple[np.ndarray, ...]
     weights: np.ndarray
     bases: tuple[np.ndarray, ...]
-    local_bounds: tuple[tuple[float, float] | None, ...]
     fusion_frame: FusionFrame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -284,10 +288,10 @@ class LocalSystem:
 
     @classmethod
     def build(cls, dim: int, vector_lists, weights) -> "LocalSystem":
-        """Orthonormalize and bound every local system. Raises
-        DimensionMismatch for a vector off the ambient dim or a weight
-        count off the index count, and NonFinite for a weight that is not
-        finite and positive."""
+        """Orthonormalize every local system. Raises DimensionMismatch for
+        a vector off the ambient dim or a weight count off the index
+        count, and NonFinite for a weight that is not finite and
+        positive."""
         w = np.asarray(weights, dtype=float).ravel()
         blocks = []
         for lst in vector_lists:
@@ -296,30 +300,37 @@ class LocalSystem:
                 raise DimensionMismatch("local vectors must have the ambient dim")
             blocks.append(np.array(vectors).reshape(len(vectors), dim))
         bases = orthonormalize_stack(blocks)
-        # local frame operators in span coordinates, solved values-only in
-        # one stacked call per span rank; a trivial span (rank 0) has no bounds
-        coords = [arr @ basis for arr, basis in zip(blocks, bases)]
-        bounds: list[tuple[float, float] | None] = [None] * len(blocks)
-        for k, members in size_groups(basis.shape[1] for basis in bases).items():
+        if w.size != len(blocks):
+            raise DimensionMismatch("one weight per index required")
+        return cls(dim, tuple(blocks), w, tuple(bases))
+
+    @property
+    def size(self) -> int:
+        return len(self.blocks)
+
+    @cached_property
+    def local_bounds(self) -> tuple[tuple[float, float] | None, ...]:
+        """Local frame operators in span coordinates, solved values-only in
+        one stacked call per span rank; NonFinite for a local Gram that
+        overflows."""
+        coords = [arr @ basis for arr, basis in zip(self.blocks, self.bases)]
+        bounds: list[tuple[float, float] | None] = [None] * self.size
+        for k, members in size_groups(basis.shape[1] for basis in self.bases).items():
             if not k:
                 continue
             grams = np.array([coords[i].T @ coords[i] for i in members])
             extremes = stacked_eigenvalues(grams)[:, [0, -1]].tolist()
             for i, (low, high) in zip(members, extremes):
                 bounds[i] = (low, high)
-        if w.size != len(blocks):
-            raise DimensionMismatch("one weight per index required")
-        return cls(dim, tuple(blocks), w, tuple(bases), tuple(bounds))
+        return tuple(bounds)
 
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
+    def _require_nontrivial(self) -> None:
+        if not any(basis.shape[1] for basis in self.bases):
+            raise EmptyInput("no nontrivial local system present")
 
     def _nontrivial_bounds(self) -> list[tuple[float, float]]:
-        bounds = [b for b in self.local_bounds if b is not None]
-        if not bounds:
-            raise EmptyInput("no nontrivial local system present")
-        return bounds
+        self._require_nontrivial()
+        return [b for b in self.local_bounds if b is not None]
 
     def bound_floor(self) -> float:
         return min(low for low, _ in self._nontrivial_bounds())
@@ -355,15 +366,33 @@ class EquivalenceReport:
     """Three routes to the same woven verdict and the bound chain tying
     the vector-level and fusion-level universal lower bounds together.
     ``verdicts`` is (vector, fusion, orthonormalized local); the last two
-    routes share one scan, so both read ``fusion_report.is_woven``."""
+    routes share one scan, so both read ``fusion_report.is_woven``.
+    ``lower_floor``, ``upper_ceiling`` and ``chain_ok`` are derived on
+    first read, from the two local systems the report keeps, and
+    cached."""
 
     vector_report: WovenReport
     fusion_report: WovenReport
     verdicts: tuple[bool, bool, bool]
     verdicts_agree: bool
-    lower_floor: float
-    upper_ceiling: float
-    chain_ok: bool
+    local_systems: tuple[LocalSystem, LocalSystem] = field(repr=False, compare=False)
+
+    @cached_property
+    def lower_floor(self) -> float:
+        return min(s.bound_floor() for s in self.local_systems)
+
+    @cached_property
+    def upper_ceiling(self) -> float:
+        return max(s.bound_ceiling() for s in self.local_systems)
+
+    @cached_property
+    def chain_ok(self) -> bool:
+        l_vec = self.vector_report.universal_lower
+        l_fus = self.fusion_report.universal_lower
+        return (
+            l_vec >= self.lower_floor * l_fus - HOLD_SLACK
+            and l_fus >= l_vec / self.upper_ceiling - HOLD_SLACK
+        )
 
 
 def local_global_equivalence_report(
@@ -398,22 +427,14 @@ def local_global_equivalence_report(
     vector_report = woven_bounds_from_contributions(_blocked_vector_stacks(lf, lg))
 
     verdicts = (vector_report.is_woven, fusion_report.is_woven, fusion_report.is_woven)
-    floor = min(lf.bound_floor(), lg.bound_floor())
-    ceiling = max(lf.bound_ceiling(), lg.bound_ceiling())
-    l_vec = vector_report.universal_lower
-    l_fus = fusion_report.universal_lower
-    chain_ok = (
-        l_vec >= floor * l_fus - HOLD_SLACK
-        and l_fus >= l_vec / ceiling - HOLD_SLACK
-    )
+    lf._require_nontrivial()
+    lg._require_nontrivial()
     return EquivalenceReport(
         vector_report=vector_report,
         fusion_report=fusion_report,
         verdicts=verdicts,
         verdicts_agree=len(set(verdicts)) == 1,
-        lower_floor=floor,
-        upper_ceiling=ceiling,
-        chain_ok=chain_ok,
+        local_systems=(lf, lg),
     )
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wovenframes import linalg
+from wovenframes import instances, linalg, transforms
 
 from wovenframes.cli import canonical_json, family_to_document, main, parse_family_document
 from wovenframes.errors import DimensionTooSmall, OddDimension, ToolkitError
@@ -202,6 +202,29 @@ def test_a_reproduce_round_orthonormalizes_in_seven_kernel_stacks(monkeypatch, c
         (4, 2, 6),
         (4, 3, 6),
     ]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_reproduce_solves_no_local_bound(monkeypatch, capsys, dim):
+    # no check reads the equivalence report's bound chain, so no local
+    # frame operator is solved; reading ex4_1's chain afterwards solves
+    # one stack per span rank of each system
+    solves, reports = [], []
+    solve = transforms.stacked_eigenvalues
+    equivalence = instances.local_global_equivalence_report
+
+    def kept(lf, lg):
+        reports.append(equivalence(lf, lg))
+        return reports[-1]
+
+    monkeypatch.setattr(transforms, "stacked_eigenvalues", lambda m: solves.append(m.shape) or solve(m))
+    monkeypatch.setattr(instances, "local_global_equivalence_report", kept)
+    for instance_id in INSTANCE_IDS:
+        assert main(["reproduce", "--id", instance_id, "--dim", str(dim)]) == 0
+    capsys.readouterr()
+    assert solves == [] and len(reports) == 2
+    assert reports[0].chain_ok
+    assert solves == [(dim, 1, 1), (dim - 1, 2, 2), (1, 1, 1)]
 
 
 def test_build_instance_dispatch():

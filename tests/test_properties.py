@@ -43,9 +43,11 @@ from wovenframes.transforms import (
     conjugation_check,
     flatten_local_system,
     intersection_weaving_report,
+    local_global_equivalence_report,
     remove_subset_check,
 )
-from wovenframes.tolerances import WITNESS_EPS
+from wovenframes.errors import EmptyInput
+from wovenframes.tolerances import HOLD_SLACK, WITNESS_EPS
 from wovenframes.weaving import contribution_stacks, woven_bounds_from_contributions
 
 from helpers import (
@@ -182,6 +184,39 @@ def test_local_system_build_equals_the_per_block_oracle(case, scale):
         flat, index_map = flatten_local_system(system)
         assert flat.vectors.tobytes() == np.array(rows).tobytes()
         assert index_map == tuple((i, j) for i, vectors in enumerate(lists) for j in range(len(vectors)))
+
+
+@st.composite
+def local_system_pairs(draw):
+    """(dim, first lists, second lists): a ``local_vector_lists`` case and
+    a second system of as many blocks in the same dim."""
+    dim, lists = draw(local_vector_lists())
+    return dim, lists, [draw(spanning_lists(dim)) for _ in lists]
+
+
+@settings(FIXED, max_examples=150)
+@example((*SHIFTED_FIRST_ABSENT, [[v] for v in np.eye(6)]))
+@given(local_system_pairs())
+def test_the_lazy_bound_chain_equals_the_eager_formula(case):
+    dim, first, second = case
+    lf, lg = (LocalSystem.build(dim, lists, np.ones(len(lists))) for lists in (first, second))
+    nontrivial = [
+        [b for b in local_system_oracle(dim, lists)[1] if b is not None] for lists in (first, second)
+    ]
+    if not all(nontrivial):
+        with pytest.raises(EmptyInput, match="no nontrivial local system present"):
+            local_global_equivalence_report(lf, lg)
+        return
+    report = local_global_equivalence_report(lf, lg)
+    assert all("local_bounds" not in vars(s) for s in (lf, lg))
+    floor = min(min(low for low, _ in bounds) for bounds in nontrivial)
+    ceiling = max(max(high for _, high in bounds) for bounds in nontrivial)
+    l_vec = report.vector_report.universal_lower
+    l_fus = report.fusion_report.universal_lower
+    chain_ok = l_vec >= floor * l_fus - HOLD_SLACK and l_fus >= l_vec / ceiling - HOLD_SLACK
+    assert struct.pack("<d", report.lower_floor) == struct.pack("<d", floor)
+    assert struct.pack("<d", report.upper_ceiling) == struct.pack("<d", ceiling)
+    assert report.chain_ok is chain_ok
 
 
 @st.composite

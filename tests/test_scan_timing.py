@@ -14,6 +14,8 @@ from wovenframes import (
     woven_riesz_decomposition_check,
 )
 
+from wovenframes.cli import main
+
 from helpers import op_inputs, riesz_failing
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "scan_timing.py")
@@ -47,7 +49,7 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert tool.main(["--out", str(out)]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == json.loads(out.read_text())
-    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify, digest, load, cold = printed
+    riesz, exhaustive, fusion, op, pw, proj, one_shot, build, verify, digest, command, load, cold = printed
     # the first cold-start row is one fresh interpreter importing the CLI
     assert (cold["scan"], cold["argv"]) == ("cold_start", ["-c", "import wovenframes.cli"])
     assert cold["runs"] == 1 and cold["processes"] == 1
@@ -61,6 +63,7 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
         (build, "build_instance"),
         (verify, "verify_instance"),
         (digest, "reproduce_digest"),
+        (command, "reproduce"),
     ):
         assert (record["scan"], record["id"], record["d"]) == (name, "ex3_2", 6)
         # ex3_2 is the plane pair at every requested dim
@@ -69,6 +72,8 @@ def test_first_grid_points_print_and_write_their_records(monkeypatch, tmp_path, 
     assert verify["checks"] == 9 and verify["all_ok"]
     assert verify["us_per_check"] == 1e6 * verify["best_s"] / 9
     assert digest["instances"] == 1 and digest["us_per_instance"] == 1e6 * digest["best_s"]
+    assert command["commands"] == 1 and command["us_per_command"] == 1e6 * command["best_s"]
+    assert command["exit_code"] == 0 and command["stdout_bytes"] > 0
     assert (riesz["scan"], riesz["n"], riesz["d"]) == ("woven_riesz_decomposition_check", 8, 8)
     assert riesz["partitions"] == 2**8 and riesz["all_pass"]
     assert (exhaustive["scan"], exhaustive["n"], exhaustive["d"]) == ("woven_bounds_exhaustive", 12, 6)
@@ -150,3 +155,17 @@ def test_the_mixed_count_load_row_reads_every_count_from_zero_to_four(monkeypatc
     # one Gram-Schmidt stack per spanning count, 120 members in all
     assert sorted(k for _, k, _ in stacks) == [0, 1, 2, 3, 4]
     assert sum(members for members, _, _ in stacks) == 120
+
+
+def test_a_reproduce_row_times_one_whole_command(monkeypatch, capsys):
+    # the row builds its instance anew and prints what the command prints
+    tool = _load_tool(monkeypatch)
+    monkeypatch.setattr(tool, "INSTANCE_IDS", ("ex4_1",))
+    monkeypatch.setattr(tool, "INSTANCE_DIMS", (6,))
+    (fields, run, summary), = (row for row in tool.instance_grid() if row[0]["scan"] == "reproduce")
+    assert (fields["id"], fields["d"], fields["truncation_dim"]) == ("ex4_1", 6, 6)
+    code, out = result = run()
+    assert capsys.readouterr().out == ""
+    assert main(["reproduce", "--id", "ex4_1", "--dim", "6"]) == code == 0
+    assert capsys.readouterr().out == out
+    assert summary(result) == {"commands": 1, "exit_code": 0, "stdout_bytes": len(out)}

@@ -288,12 +288,12 @@ class TestLocalSystems:
         for sub, basis in zip(induced.subspaces, system.bases):
             assert np.array_equal(sub.basis, basis)
         with pytest.raises(TypeError):
-            LocalSystem(3, system.blocks, system.weights, system.bases, system.local_bounds, induced)
+            LocalSystem(3, system.blocks, system.weights, system.bases, induced)
 
     def test_direct_construction_rejects_a_weight_that_is_not_positive(self):
         system = LocalSystem.build(2, [[basis_vec(2, 0)], [basis_vec(2, 1)]], [1.0, 1.0])
         with pytest.raises(NonFinite):
-            LocalSystem(2, system.blocks, np.array([1.0, 0.0]), system.bases, system.local_bounds)
+            LocalSystem(2, system.blocks, np.array([1.0, 0.0]), system.bases)
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
     def test_build_rejects_a_weight_that_is_not_positive_and_finite(self, weight):
@@ -359,6 +359,14 @@ class TestLocalSystems:
         for bound in (trivial.bound_floor, trivial.bound_ceiling):
             with pytest.raises(EmptyInput, match="no nontrivial local system present"):
                 bound()
+
+    def test_an_overflowing_local_gram_raises_at_the_first_read(self):
+        # build solves nothing; the local bounds are solved on first read
+        with np.errstate(over="ignore"):
+            system = LocalSystem.build(2, [[[1e154, 0.0], [1e154, 0.0]], [[0.0, 1.0]]], [1.0, 1.0])
+            assert "local_bounds" not in vars(system)
+            with pytest.raises(NonFinite):
+                system.local_bounds
 
 
 def shifted_pair(dim: int, drop_first: bool):
@@ -434,6 +442,22 @@ class TestEquivalenceReport:
         _, lg = shifted_pair(5, drop_first=False)
         with pytest.raises(IndexMismatch):
             local_global_equivalence_report(lf, lg)
+
+    @pytest.mark.parametrize("trivial_first", [True, False])
+    def test_a_system_without_a_nontrivial_block_is_refused_at_the_call(self, trivial_first):
+        lf, _ = shifted_pair(3, drop_first=False)
+        trivial = LocalSystem.build(3, [[], [np.zeros(3)], []], np.ones(3))
+        pair = (trivial, lf) if trivial_first else (lf, trivial)
+        with pytest.raises(EmptyInput, match="no nontrivial local system present"):
+            local_global_equivalence_report(*pair)
+
+    def test_the_bound_chain_is_solved_on_first_read(self):
+        lf, lg = shifted_pair(4, drop_first=False)
+        report = local_global_equivalence_report(lf, lg)
+        assert "local_bounds" not in vars(lf) and "local_bounds" not in vars(lg)
+        assert report.chain_ok
+        assert vars(lf)["local_bounds"] is lf.local_bounds
+        assert "local_systems" not in repr(report)
 
 
 def redundant_three_member_family(dim: int = 4) -> WovenFamily:

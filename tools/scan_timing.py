@@ -28,9 +28,11 @@ rebuilding the pair from its seeded spans: what one process pays for
 the three checks, S_W, S_V and S_W - S_V each solved once; their unit
 is the check. Times, for each reference instance id at ``--dim`` 6 and
 8, ``build_instance``, ``verify_instance`` of the built instance and the
-digest of its family (``family_to_document`` and ``_input_digest``), the
-three layers of one ``reproduce`` command; their units are the instance,
-the check and the instance. Times ``load_family`` (read, parse, build
+digest of its family (``_family_digest``), the three layers of one
+``reproduce`` command, and the whole command, ``cli.main`` of
+``reproduce --id ID --dim D`` with its stdout captured, building the
+instance anew in every run; their units are the instance, the check, the
+instance and the command. Times ``load_family`` (read, parse, build
 and digest) on seeded m = 2 documents of the benchmark's ingest-analyze
 shapes, a rank-3 fusion pair with d = 12 and n = 60 and a discrete pair
 with d = 15 and n = 80, and on a fusion pair with d = 12 and n = 60 whose
@@ -67,6 +69,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -93,6 +97,7 @@ from wovenframes.cli import (  # noqa: E402
     canonical_json,
     family_to_document,
     load_family,
+    main as cli_main,
 )
 from wovenframes.instances import INSTANCE_IDS, build_instance, verify_instance  # noqa: E402
 
@@ -282,11 +287,19 @@ def one_shot_grid():
         )
 
 
+def reproduce(instance_id: str, d: int) -> tuple[int, str]:
+    """Exit code and stdout of one in-process ``reproduce`` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["reproduce", "--id", instance_id, "--dim", str(d)])
+    return code, out.getvalue()
+
+
 def instance_grid():
     """(record fields, run, summary) of ``build_instance``, of
-    ``verify_instance`` and of the ``reproduce`` digest for each instance
-    id and dim; the instance that the last two read is built before their
-    clocks start."""
+    ``verify_instance``, of the ``reproduce`` digest and of the whole
+    ``reproduce`` command for each instance id and dim; the instance that
+    the verify and digest rows read is built before their clocks start."""
     for instance_id in INSTANCE_IDS:
         for d in INSTANCE_DIMS:
             inst = build_instance(instance_id, d)
@@ -305,6 +318,11 @@ def instance_grid():
                 {"scan": "reproduce_digest", **fields},
                 lambda inst=inst: _family_digest(inst.payload),
                 lambda r: {"instances": 1},
+            )
+            yield (
+                {"scan": "reproduce", **fields},
+                lambda i=instance_id, d=d: reproduce(i, d),
+                lambda r: {"commands": 1, "exit_code": r[0], "stdout_bytes": len(r[1])},
             )
 
 
@@ -377,6 +395,7 @@ def main(argv=None) -> int:
                 ("sample", "sample_count"),
                 ("instance", "instances"),
                 ("check", "checks"),
+                ("command", "commands"),
                 ("document", "documents"),
                 ("process", "processes"),
             )
